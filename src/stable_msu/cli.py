@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +23,6 @@ from . import specfun
 from . import verify
 
 DEFAULT_SEED = 42
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    output_format: str
-    args: argparse.Namespace
 
 
 def _alpha_from_string(text: str) -> dens.Alpha:
@@ -64,20 +55,6 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _threads_default() -> int:
-    env = os.environ.get("STABLE_MSU_THREADS", "")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        return 0
-
-
-def _resolve_threads(n: int) -> int:
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stable-msu",
@@ -107,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--csv", metavar="FILE", default=None,
                    help="also write the per-point CSV to FILE")
-    p.add_argument("--threads", type=int, default=_threads_default(),
-                   help="worker threads for the grid (0 = auto)")
 
     p = sub.add_parser("sample", help="one exact draw of Z_alpha per line")
     p.add_argument("--alpha", required=True, type=_alpha_from_string)
@@ -153,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the acceptance suite; JSON summary")
     p.add_argument("--config", default=None,
                    help="JSON config path (default: built-in suite)")
-    p.add_argument("--threads", type=int, default=_threads_default())
 
     return parser
 
@@ -176,8 +150,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_scan_msu(args) -> int:
-    report = msu_mod.msu_scan(args.alpha, args.x_min, args.x_max, args.points,
-                              threads=_resolve_threads(args.threads))
+    report = msu_mod.msu_scan(args.alpha, args.x_min, args.x_max, args.points)
     csv_rows = [(x, r.value, r.abs_error_estimate, nr,
                  "true" if r.reliable else "false")
                 for x, r, nr in zip(report.grid, report.residuals,
@@ -247,13 +220,9 @@ def _cmd_check_identities(args) -> int:
 
 def _cmd_acceptance(args) -> int:
     if args.config is None:
-        config = json.loads(json.dumps(verify.DEFAULT_ACCEPTANCE_CONFIG))
+        config = verify.DEFAULT_ACCEPTANCE_CONFIG
     else:
         config = json.loads(Path(args.config).read_text())
-    threads = _resolve_threads(args.threads)
-    for entry in config.get("checks", []):
-        if entry.get("kind") == "msu_dichotomy":
-            entry.setdefault("threads", threads)
     summary = verify.run_acceptance(config)
     _emit_json(summary)
     return 0 if summary["all_pass"] else 1
@@ -278,11 +247,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; pass it through
         return int(exc.code or 0)
-    cfg = CliConfig(subcommand=args.subcommand,
-                    output_format=getattr(args, "format", "csv"),
-                    args=args)
     try:
-        return _COMMANDS[cfg.subcommand](args)
+        return _COMMANDS[args.subcommand](args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

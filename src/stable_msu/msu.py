@@ -16,7 +16,6 @@ log-difference law whose density dichotomy is elementary.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,8 +23,9 @@ import numpy as np
 from scipy import integrate, special
 
 from . import specfun
-from .density import (Alpha, DEFAULT_SERIES_CONFIG, EvalResult, SeriesConfig,
-                      as_alpha, density_jet, density_series, reliable_x_min)
+from .density import (Alpha, DEFAULT_SERIES_CONFIG, DensityJet, EvalResult,
+                      SeriesConfig, as_alpha, density_jet, density_series,
+                      reliable_x_min)
 from .errors import DomainError, PoleError, UnreliableScanError
 from .util import cospi
 
@@ -39,12 +39,11 @@ VIOLATION = "violation_found"
 # residual and tail sign
 # ---------------------------------------------------------------------------
 
-def lce_residual(alpha, x: float,
-                 cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
-    """g(x) = (x^2 f'' + x f') f - x^2 (f')^2; MSU at x iff g(x) <= 0."""
-    alpha = as_alpha(alpha)
-    jet = density_jet(alpha, x, cfg)
+def _residual(x: float, jet: DensityJet) -> EvalResult:
+    """g(x) and its error bound from the density jet at x."""
     f, fp, fpp = jet.f.value, jet.fp.value, jet.fpp.value
+    # magnitude cap keeps the products below the overflow threshold;
+    # anything that large is cancellation garbage anyway
     if not (math.isfinite(jet.fpp.abs_error_estimate)
             and all(math.isfinite(v) and abs(v) < 1e120
                     for v in (f, fp, fpp))):
@@ -56,6 +55,12 @@ def lce_residual(alpha, x: float,
     err = (abs(f) * (x * x * efpp + x * efp) + abs(theta2) * ef
            + 2.0 * abs(x * fp) * x * efp)
     return EvalResult(g, err, jet.f.terms_used, jet.f.reliable)
+
+
+def lce_residual(alpha, x: float,
+                 cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
+    """g(x) = (x^2 f'' + x f') f - x^2 (f')^2; MSU at x iff g(x) <= 0."""
+    return _residual(x, density_jet(alpha, x, cfg))
 
 
 def tail_residual_sign(alpha) -> tuple[float, bool]:
@@ -127,8 +132,7 @@ def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
 
 
 def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
-             cfg: SeriesConfig = DEFAULT_SERIES_CONFIG,
-             threads: int = 1) -> MsuReport:
+             cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> MsuReport:
     """Scan g over a log-spaced grid and classify.
 
     A violation witness must exceed its own error estimate, so noise is
@@ -145,37 +149,11 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
         raise DomainError("need at least 16 grid points")
     grid = np.geomspace(x_lo, x_hi, points)
 
-    def jet_at(x):
-        return density_jet(alpha, float(x), cfg)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            jets = list(ex.map(jet_at, grid))
-    else:
-        jets = [jet_at(x) for x in grid]
-
-    residuals = []
-    normalized = []
-    for x, jet in zip(grid, jets):
-        x = float(x)
-        f, fp, fpp = jet.f.value, jet.fp.value, jet.fpp.value
-        # magnitude cap keeps the products below the overflow threshold;
-        # anything that large is cancellation garbage anyway
-        usable = (math.isfinite(jet.fpp.abs_error_estimate)
-                  and all(math.isfinite(v) and abs(v) < 1e120
-                          for v in (f, fp, fpp)))
-        if usable:
-            theta2 = x * x * fpp + x * fp
-            g = theta2 * f - (x * fp) ** 2
-            err = (abs(f) * (x * x * jet.fpp.abs_error_estimate
-                             + x * jet.fp.abs_error_estimate)
-                   + abs(theta2) * jet.f.abs_error_estimate
-                   + 2.0 * abs(x * fp) * x * jet.fp.abs_error_estimate)
-        else:
-            g, err = math.nan, math.inf
-        residuals.append(EvalResult(g, err, jet.f.terms_used, jet.f.reliable))
-        normalized.append(g / (f * f) if (jet.f.reliable and usable and f > 0.0)
-                          else math.nan)
+    jets = [density_jet(alpha, float(x), cfg) for x in grid]
+    residuals = [_residual(float(x), jet) for x, jet in zip(grid, jets)]
+    normalized = [r.value / (jet.f.value * jet.f.value)
+                  if (r.reliable and jet.f.value > 0.0) else math.nan
+                  for r, jet in zip(residuals, jets)]
 
     reliable_idx = [i for i, r in enumerate(residuals) if r.reliable]
     unreliable_fraction = 1.0 - len(reliable_idx) / points

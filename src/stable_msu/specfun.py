@@ -19,7 +19,7 @@ from .util import log_cosh, sinpi
 
 DEFAULT_REL_TOL = 1e-10
 
-_METHODS = ("series", "quadrature", "recurrence", "closed_form")
+_METHODS = ("series", "quadrature", "closed_form")
 
 # 9-term Lanczos approximation, g = 7; good to ~15 significant digits
 # on the right half plane.
@@ -95,16 +95,6 @@ def gamma_value(x: float) -> float:
     return ev.sign * math.exp(ev.value)
 
 
-_GAMMA_ONE_SIXTH = None
-
-
-def _gamma_one_sixth() -> float:
-    global _GAMMA_ONE_SIXTH
-    if _GAMMA_ONE_SIXTH is None:
-        _GAMMA_ONE_SIXTH = gamma_value(1.0 / 6.0)
-    return _GAMMA_ONE_SIXTH
-
-
 def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
     """Macdonald function K_nu(x), nu >= 0, x > 0.
 
@@ -133,12 +123,10 @@ def psi_chf(a: float, c: float, x: float,
             rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
     """Confluent hypergeometric kernel
 
-    ``Psi(a, c, x) = Gamma(1/6)^-1 int_0^inf e^{-x s} s^{a-1} (1+s)^{c-a-1} ds``
+    ``Psi(a, c, x) = Gamma(a)^-1 int_0^inf e^{-x s} s^{a-1} (1+s)^{c-a-1} ds``
 
-    for a > 0, x > 0.  The normalizing prefactor is fixed at 1/Gamma(1/6):
-    every consumer in this package calls it with a = 1/6, where this
-    coincides with the conventional Tricomi normalization 1/Gamma(a).
-    Strictly decreasing in x and strictly increasing in c.
+    for a > 0, x > 0 (Tricomi's U(a, c, x)).  Strictly decreasing in x
+    and strictly increasing in c.
     """
     if a <= 0.0:
         raise DomainError("psi_chf requires a > 0")
@@ -154,7 +142,7 @@ def psi_chf(a: float, c: float, x: float,
         return math.exp(e)
 
     res = de_halfline(integrand, rel_tol=rel_tol)
-    pre = 1.0 / _gamma_one_sixth()
+    pre = 1.0 / gamma_value(a)
     return SpecEval(pre * res.value, pre * res.error, "quadrature")
 
 

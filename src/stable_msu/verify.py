@@ -322,16 +322,15 @@ def _check_msu_dichotomy(params: dict) -> IdentityReport:
     x_lo = float(params.get("x_lo", 0.5))
     x_hi = float(params.get("x_hi", 50.0))
     points = int(params.get("points", 400))
-    threads = int(params.get("threads", 1))
     misclassified = []
     details = {}
     for a in params.get("alphas_violation", []):
-        rep = msu_mod.msu_scan(float(a), x_lo, x_hi, points, threads=threads)
+        rep = msu_mod.msu_scan(float(a), x_lo, x_hi, points)
         details[f"{a:g}"] = rep.summary()
         if rep.classification != msu_mod.VIOLATION:
             misclassified.append(a)
     for a in params.get("alphas_msu", []):
-        rep = msu_mod.msu_scan(float(a), x_lo, x_hi, points, threads=threads)
+        rep = msu_mod.msu_scan(float(a), x_lo, x_hi, points)
         details[f"{a:g}"] = rep.summary()
         if rep.classification != msu_mod.NO_VIOLATION:
             misclassified.append(a)

@@ -163,3 +163,8 @@ class TestUsageErrors:
     def test_bad_alpha_value(self, capsys):
         code, _, err = run_cli(capsys, "density", "--alpha", "1.5")
         assert code == 2
+
+    def test_threads_option_removed(self, capsys):
+        code, _, _ = run_cli(capsys, "scan-msu", "--alpha", "0.6",
+                             "--threads", "2")
+        assert code == 2

@@ -119,12 +119,20 @@ class TestMsuScan:
         assert rep.inflection_estimate > rep.mode_estimate
         assert rep.pre_inflection_ok
 
-    def test_scan_parallel_matches_serial(self):
-        a = msu_scan(0.6, 0.5, 20.0, 64)
-        b = msu_scan(0.6, 0.5, 20.0, 64, threads=4)
-        assert a.classification == b.classification
-        assert a.witness == b.witness
-        assert a.grid == b.grid
+    @pytest.mark.parametrize("alpha,x_lo", [(0.3, 0.5), (0.5, 0.5), (0.7, 0.5),
+                                            (0.9, 0.5), (0.9, 0.2)])
+    def test_residuals_match_lce_residual(self, alpha, x_lo):
+        # the scan and the pointwise residual share one formula; alpha = 0.9
+        # has unreliable points at the left end of the grid, and from
+        # x = 0.2 on also unusable (NaN) ones
+        rep = msu_scan(alpha, x_lo, 50.0, 100)
+        for x, r in zip(rep.grid, rep.residuals):
+            p = lce_residual(alpha, x)
+            assert (p.reliable, math.isnan(p.value)) == \
+                (r.reliable, math.isnan(r.value))
+            if not math.isnan(p.value):
+                assert p.value == r.value
+            assert p.abs_error_estimate == r.abs_error_estimate
 
     def test_unreliable_scan_raises(self):
         with pytest.raises(UnreliableScanError):

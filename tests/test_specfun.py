@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
@@ -137,6 +138,13 @@ class TestPsi:
         pred2 = math.exp(-x) * psi_chf(1 / 6, 10 / 3, x, rel_tol=1e-12).value
         assert d1 == pytest.approx(pred1, rel=1e-5)
         assert d2 == pytest.approx(pred2, rel=1e-5)
+
+    @pytest.mark.parametrize("a", [1 / 6, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("c,x", [(1 / 3, 0.1), (4 / 3, 1.0), (7 / 3, 5.0)])
+    def test_matches_tricomi_u(self, a, c, x):
+        # normalized by 1/Gamma(a), so Psi is Tricomi's U for every a
+        assert psi_chf(a, c, x).value == pytest.approx(
+            float(mp.hyperu(a, c, x)), rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
