@@ -9,7 +9,8 @@ dichotomy holds exactly for stability index <= 1/2.
 
 from .density import (Alpha, DEFAULT_SERIES_CONFIG, DensityJet, EvalResult,
                       SeriesConfig, density_closed, density_jet,
-                      density_series, laplace_check, survival_series,
+                      density_jet_grid, density_series, density_series_grid,
+                      laplace_check, survival_series, survival_series_grid,
                       tail_coefficient)
 from .errors import (DomainError, HypothesisError, PoleError,
                      PreconditionError, UnreliableScanError,
@@ -44,12 +45,14 @@ __all__ = [
     "bb_expansion", "bb_log_density", "bb_p", "bb_p_prime", "bessel_k",
     "build_cdf", "check_diff_identity", "check_factorization_mc",
     "check_laplace", "check_mellin_factorization", "check_sampler_ks",
-    "density_closed", "density_jet", "density_series", "gamma_value",
+    "density_closed", "density_jet", "density_jet_grid", "density_series",
+    "density_series_grid", "gamma_value",
     "integral_criterion", "kanter_b", "ks_one_sample", "ks_two_sample",
     "laplace_check", "lce_residual", "lemma1_g", "lemma1_inequality",
     "lemma1_product_density", "lemma2_product", "log_gamma",
     "mellin_product", "mellin_stable", "msu_scan", "psi_chf",
     "run_acceptance", "sample_stable", "survival_series",
+    "survival_series_grid",
     "tail_coefficient", "tail_residual_sign", "ualpha_cdf",
     "ualpha_density", "ualpha_logconcavity_margin", "whitt_margin",
     "whittaker_w_stable", "williams_product",

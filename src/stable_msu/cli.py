@@ -139,12 +139,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_density(args) -> int:
     cfg = dens.SeriesConfig(max_terms=args.max_terms, rel_tol=args.rel_tol,
                             dps=args.dps)
-    rows = []
-    for x in np.geomspace(args.x_min, args.x_max, args.points):
-        jet = dens.density_jet(args.alpha, float(x), cfg)
-        rows.append((float(x), jet.f.value, jet.f.abs_error_estimate,
-                     jet.fp.value, jet.fpp.value,
-                     "true" if jet.f.reliable else "false"))
+    xs = np.geomspace(args.x_min, args.x_max, args.points)
+    jet = dens.density_jet_grid(args.alpha, xs, cfg)
+    rows = zip(xs.tolist(), jet.f.value.tolist(),
+               jet.f.abs_error_estimate.tolist(), jet.fp.value.tolist(),
+               jet.fpp.value.tolist(),
+               ("true" if r else "false" for r in jet.f.reliable.tolist()))
     _write_csv(rows, ("x", "f", "f_err", "fp", "fpp", "reliable"))
     return 0
 

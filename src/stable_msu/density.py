@@ -15,6 +15,27 @@ cancels catastrophically; a configurable guard flags such evaluations
 as unreliable instead of returning noise.  An optional extended
 precision mode (``SeriesConfig.dps``) pushes the reliable region down
 by evaluating with mpmath.
+
+The series engine has two paths with one set of rules (truncation,
+compensation, overflow cut, error bars and flags):
+
+* ``_hp_sums`` sums one float x in a plain Python loop.  The scalar
+  operations (``density_series``, ``density_jet``, ``survival_series``)
+  use it, and so do their pointwise callers: scipy ``quad`` integrands,
+  golden-section and bisection refinements, and ``reliable_x_min``.
+* ``_hp_sums_grid`` sums a whole x array in one numpy loop over n, one
+  column per point; columns leave the working arrays once they have
+  converged or overflowed.  The ``*_grid`` operations use it, and every
+  caller with a grid goes through them: ``msu.msu_scan`` and
+  ``msu.lce_residual``, both segments of ``verify.build_cdf``, the
+  closed-form and expansion acceptance checks, the fixed Gauss-Legendre
+  segment of ``laplace_check`` and the ``density`` CLI.
+
+Both paths return bit-identical values, error bars, term counts and
+flags.  Scalar callers stay on the float loop because the array loop
+costs about ten float-loop calls for one point (0.4-0.8 ms against
+0.03-0.07 ms for a jet on a 2-vCPU x86 host), while on grids of 400 to
+6000 points it takes a fifth to a tenth of the float loop's time.
 """
 
 from __future__ import annotations
@@ -25,6 +46,7 @@ from functools import lru_cache
 from typing import Optional
 
 import mpmath as mp
+import numpy as np
 from scipy import integrate
 
 from . import specfun
@@ -114,7 +136,8 @@ class EvalResult:
     """A series value with error estimate and reliability flag.
 
     ``reliable`` is False whenever the cancellation guard tripped or the
-    term budget ran out before the relative tolerance was met.
+    term budget ran out before the relative tolerance was met.  The
+    ``*_grid`` operations return one EvalResult whose fields are arrays.
     """
 
     value: float
@@ -125,7 +148,8 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class DensityJet:
-    """f, f' and f'' at one point, sharing term generation and policy."""
+    """f, f' and f'' at one point (or, from density_jet_grid, at every
+    point of the array ``x``), sharing term generation and policy."""
 
     f: EvalResult
     fp: EvalResult
@@ -320,16 +344,149 @@ def _hp_sums_mp(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
     return totals, errors, flags, n_used, converged
 
 
+_BUDGET, _CONVERGED, _BLOWN = 0, 1, 2
+
+
+def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
+                  survival: bool = False):
+    """Array counterpart of _hp_sums over a one-dimensional x array.
+
+    Runs _hp_sums's loop over n once for all points, with the same
+    truncation rule, Neumaier steps, overflow cut, error bars and flags
+    per column; a column leaves the working arrays when it converges or
+    overflows.  Returns (totals, errors, flags, terms_used, converged)
+    with shapes (k, N), (k, N), (k, N), (N,) and (N,) for k = order + 1.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("grid evaluation needs a one-dimensional x array")
+    if np.any(xs <= 0.0):
+        raise DomainError("series evaluation requires x > 0")
+    k = order + 1
+    if cfg.dps is not None:
+        cols = [_hp_sums_mp(alpha, x, cfg, order, survival)
+                for x in xs.tolist()]
+        totals, errors, flags = (
+            np.array([c[j] for c in cols], dtype=kind).reshape(-1, k).T
+            for j, kind in ((0, float), (1, float), (2, bool)))
+        return (totals, errors, flags,
+                np.array([c[3] for c in cols], dtype=int),
+                np.array([c[4] for c in cols], dtype=bool))
+    logs, signs = _coef_table(alpha, cfg.max_terms)
+    a = alpha.value
+    n_pts = xs.size
+    out_tot = np.zeros((k, n_pts))
+    out_max = np.zeros((k, n_pts))
+    out_last = np.zeros((k, n_pts))
+    out_n = np.full(n_pts, cfg.max_terms)
+    status = np.full(n_pts, _BUDGET)
+
+    # working state of the unfinished columns.  log and exp are taken
+    # per element with the math module: numpy's SIMD kernels differ from
+    # it in the last bit for about 5 percent of arguments, and where the
+    # sum cancels that moves the truncation point.  With math the columns
+    # are bit-identical to _hp_sums.
+    idx = np.arange(n_pts)
+    lx = np.fromiter(map(math.log, xs.tolist()), float, n_pts)
+    sums = np.zeros((k, n_pts))
+    comps = np.zeros((k, n_pts))
+    maxabs = np.zeros((k, n_pts))
+    lastnz = np.zeros((k, n_pts))
+    small_run = np.zeros(n_pts, dtype=int)
+
+    def finish(done, n, why):
+        nonlocal idx, lx, sums, comps, maxabs, lastnz, small_run
+        cols = idx[done]
+        out_tot[:, cols] = (sums + comps)[:, done]
+        out_max[:, cols] = maxabs[:, done]
+        out_last[:, cols] = lastnz[:, done]
+        out_n[cols] = n
+        status[cols] = why
+        keep = ~done
+        idx, lx, small_run = idx[keep], lx[keep], small_run[keep]
+        sums, comps = sums[:, keep], comps[:, keep]
+        maxabs, lastnz = maxabs[:, keep], lastnz[:, keep]
+        return keep
+
+    # The float loop lets sums overflow to inf and nan without a word
+    # (only terms past e^690 are cut); the columns follow it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, cfg.max_terms + 1):
+            if idx.size == 0:
+                break
+            sgn = signs[n]
+            if sgn == 0:
+                # a zero term leaves sums, maxima and last terms alone
+                abs_t0 = 0.0
+            else:
+                if survival:
+                    lt = logs[n] - math.log(a * n) - (a * n) * lx
+                else:
+                    lt = logs[n] - (1.0 + a * n) * lx
+                blown = lt > 690.0
+                if blown.any():
+                    lt = lt[finish(blown, n, _BLOWN)]
+                    if idx.size == 0:
+                        break
+                t0 = sgn * np.fromiter(map(math.exp, lt.tolist()), float,
+                                       lt.size)
+                if k == 1:
+                    ts = t0[None, :]
+                else:
+                    m = 1.0 + a * n
+                    ts = t0 * np.array([[1.0], [-m], [m * m]])
+                new = sums + ts
+                comps += np.where(np.abs(sums) >= np.abs(ts),
+                                  (sums - new) + ts, (ts - new) + sums)
+                sums = new
+                at = np.abs(ts)
+                maxabs = np.where(at > maxabs, at, maxabs)
+                lastnz = np.where(at > 0.0, at, lastnz)
+                abs_t0 = at[0]
+            denom = np.abs(sums[0] + comps[0]) + _TINY
+            small = abs_t0 <= cfg.rel_tol * denom
+            small_run = np.where(small, small_run + 1, 0)
+            if n >= 4:
+                done = small & (small_run >= 3)
+                if done.any():
+                    finish(done, n, _CONVERGED)
+        if idx.size:
+            finish(np.ones(idx.size, dtype=bool), cfg.max_terms, _BUDGET)
+
+        converged = status == _CONVERGED
+        noise = out_max * np.minimum(out_n, 64) * _EPS
+        trunc = np.where(converged,
+                         3.0 * out_last + cfg.rel_tol * np.abs(out_tot),
+                         np.abs(out_last) + out_max * cfg.rel_tol)
+        errors = np.where(status == _BLOWN, math.inf, trunc + 2.0 * noise)
+        flags = converged & (out_max <= cfg.effective_guard()
+                             * (np.abs(out_tot) + _TINY))
+    return out_tot, errors, flags, out_n, converged
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
+def _series_result(sums) -> EvalResult:
+    totals, errors, flags, n_used, _ = sums
+    return EvalResult(totals[0], errors[0], n_used, flags[0])
+
+
+def _jet_result(sums, x) -> DensityJet:
+    totals, errors, flags, n_used, _ = sums
+    ok = flags[0] & flags[1] & flags[2]
+    f = EvalResult(totals[0], errors[0], n_used, ok)
+    fp = EvalResult(totals[1] / x, errors[1] / x, n_used, ok)
+    fpp = EvalResult((totals[2] - totals[1]) / (x * x),
+                     (errors[2] + errors[1]) / (x * x), n_used, ok)
+    return DensityJet(f=f, fp=fp, fpp=fpp, x=x)
+
+
 def density_series(alpha, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
     """f_alpha(x) from the series; nonnegative whenever reliable."""
-    alpha = as_alpha(alpha)
-    totals, errors, flags, n_used, _ = _hp_sums(alpha, x, cfg, order=0)
-    return EvalResult(totals[0], errors[0], n_used, flags[0])
+    return _series_result(_hp_sums(as_alpha(alpha), x, cfg, order=0))
 
 
 def density_jet(alpha, x: float,
@@ -340,14 +497,7 @@ def density_jet(alpha, x: float,
     derivatives are recovered by dividing out the powers of x.  All
     three results carry one shared reliability verdict.
     """
-    alpha = as_alpha(alpha)
-    totals, errors, flags, n_used, _ = _hp_sums(alpha, x, cfg, order=2)
-    ok = all(flags)
-    f = EvalResult(totals[0], errors[0], n_used, ok)
-    fp = EvalResult(totals[1] / x, errors[1] / x, n_used, ok)
-    fpp = EvalResult((totals[2] - totals[1]) / (x * x),
-                     (errors[2] + errors[1]) / (x * x), n_used, ok)
-    return DensityJet(f=f, fp=fp, fpp=fpp, x=x)
+    return _jet_result(_hp_sums(as_alpha(alpha), x, cfg, order=2), x)
 
 
 def survival_series(alpha, x: float,
@@ -358,10 +508,35 @@ def survival_series(alpha, x: float,
     measures absolute (not relative) trustworthiness, which is what the
     consumers (CDF and Laplace assembly) need.
     """
-    alpha = as_alpha(alpha)
-    totals, errors, flags, n_used, _ = _hp_sums(alpha, x, cfg, order=0,
-                                                survival=True)
-    return EvalResult(totals[0], errors[0], n_used, flags[0])
+    return _series_result(_hp_sums(as_alpha(alpha), x, cfg, order=0,
+                                   survival=True))
+
+
+def density_series_grid(
+        alpha, xs, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
+    """density_series at every point of the 1-d array ``xs``; each field
+    of the result is an array over the grid."""
+    return _series_result(_hp_sums_grid(as_alpha(alpha), xs, cfg, order=0))
+
+
+def density_jet_grid(alpha, xs,
+                     cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> DensityJet:
+    """density_jet at every point of the 1-d array ``xs``; every field of
+    the jet and of its EvalResults is an array over the grid."""
+    xs = np.asarray(xs, dtype=float)
+    sums = _hp_sums_grid(as_alpha(alpha), xs, cfg, order=2)
+    # a cancelled sum over a tiny x^2 may overflow, and x^2 may underflow
+    # to 0; those points get IEEE inf and nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _jet_result(sums, xs)
+
+
+def survival_series_grid(
+        alpha, xs, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
+    """survival_series at every point of the 1-d array ``xs``; each field
+    of the result is an array over the grid."""
+    return _series_result(_hp_sums_grid(as_alpha(alpha), xs, cfg, order=0,
+                                        survival=True))
 
 
 def tail_coefficient(alpha) -> float:
@@ -461,7 +636,6 @@ def reliable_x_min(alpha: Alpha, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG,
 
 @lru_cache(maxsize=1)
 def _leggauss_64():
-    import numpy as np
     nodes, weights = np.polynomial.legendre.leggauss(64)
     return tuple(nodes.tolist()), tuple(weights.tolist())
 
@@ -524,9 +698,11 @@ def laplace_check(alpha, lam: float,
         nodes, weights = _leggauss_64()
         half = 0.5 * (x_m - x_s)
         mid_pt = 0.5 * (x_m + x_s)
+        ts = mid_pt + half * np.array(nodes)
+        s_nodes = survival_series_grid(alpha, ts, cfg).value
         inner += half * sum(
-            w * math.exp(-lam * (mid_pt + half * t)) * (1.0 - surv(mid_pt + half * t))
-            for t, w in zip(nodes, weights))
+            w * math.exp(-lam * t) * (1.0 - s)
+            for t, w, s in zip(ts.tolist(), weights, s_nodes.tolist()))
     # below x_s: F rises from 0 to F(x_s); trapezoid estimate, the
     # dropped curvature is bounded by lam * x_s * F(x_s)
     inner += 0.5 * x_s * math.exp(-lam * x_s) * (1.0 - surv(x_s))

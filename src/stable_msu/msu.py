@@ -24,8 +24,8 @@ from scipy import integrate, special
 
 from . import specfun
 from .density import (Alpha, DEFAULT_SERIES_CONFIG, DensityJet, EvalResult,
-                      SeriesConfig, as_alpha, density_jet, density_series,
-                      reliable_x_min)
+                      SeriesConfig, as_alpha, density_jet, density_jet_grid,
+                      density_series, reliable_x_min)
 from .errors import DomainError, PoleError, UnreliableScanError
 from .util import cospi
 
@@ -39,28 +39,45 @@ VIOLATION = "violation_found"
 # residual and tail sign
 # ---------------------------------------------------------------------------
 
-def _residual(x: float, jet: DensityJet) -> EvalResult:
-    """g(x) and its error bound from the density jet at x."""
-    f, fp, fpp = jet.f.value, jet.fp.value, jet.fpp.value
+def _residual(x: np.ndarray, jet: DensityJet) -> EvalResult:
+    """g and its error bound on the x array from the density jets there
+    (density_jet_grid); every field of the result is an array."""
     # magnitude cap keeps the products below the overflow threshold;
     # anything that large is cancellation garbage anyway
-    if not (math.isfinite(jet.fpp.abs_error_estimate)
-            and all(math.isfinite(v) and abs(v) < 1e120
-                    for v in (f, fp, fpp))):
-        return EvalResult(math.nan, math.inf, jet.f.terms_used, False)
-    ef, efp, efpp = (jet.f.abs_error_estimate, jet.fp.abs_error_estimate,
-                     jet.fpp.abs_error_estimate)
+    usable = np.isfinite(jet.fpp.abs_error_estimate)
+    for v in (jet.f.value, jet.fp.value, jet.fpp.value):
+        usable &= np.isfinite(v) & (np.abs(v) < 1e120)
+    f, fp, fpp, ef, efp, efpp = (
+        np.where(usable, v, 0.0)
+        for v in (jet.f.value, jet.fp.value, jet.fpp.value,
+                  jet.f.abs_error_estimate, jet.fp.abs_error_estimate,
+                  jet.fpp.abs_error_estimate))
     theta2 = x * x * fpp + x * fp
     g = theta2 * f - (x * fp) ** 2
-    err = (abs(f) * (x * x * efpp + x * efp) + abs(theta2) * ef
-           + 2.0 * abs(x * fp) * x * efp)
-    return EvalResult(g, err, jet.f.terms_used, jet.f.reliable)
+    # the error bar of a cancelling point may overflow to inf
+    with np.errstate(over="ignore"):
+        err = (np.abs(f) * (x * x * efpp + x * efp) + np.abs(theta2) * ef
+               + 2.0 * np.abs(x * fp) * x * efp)
+    return EvalResult(np.where(usable, g, math.nan),
+                      np.where(usable, err, math.inf),
+                      jet.f.terms_used, jet.f.reliable & usable)
+
+
+def _points(r: EvalResult) -> list[EvalResult]:
+    """One scalar EvalResult per grid point of an array EvalResult."""
+    return [EvalResult(*p) for p in zip(
+        r.value.tolist(), r.abs_error_estimate.tolist(),
+        r.terms_used.tolist(), r.reliable.tolist())]
 
 
 def lce_residual(alpha, x: float,
                  cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
-    """g(x) = (x^2 f'' + x f') f - x^2 (f')^2; MSU at x iff g(x) <= 0."""
-    return _residual(x, density_jet(alpha, x, cfg))
+    """g(x) = (x^2 f'' + x f') f - x^2 (f')^2; MSU at x iff g(x) <= 0.
+
+    Evaluated as a one-point grid, so it repeats msu_scan's arithmetic
+    exactly."""
+    xs = np.array([x], dtype=float)
+    return _points(_residual(xs, density_jet_grid(alpha, xs, cfg)))[0]
 
 
 def tail_residual_sign(alpha) -> tuple[float, bool]:
@@ -149,11 +166,16 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
         raise DomainError("need at least 16 grid points")
     grid = np.geomspace(x_lo, x_hi, points)
 
-    jets = [density_jet(alpha, float(x), cfg) for x in grid]
-    residuals = [_residual(float(x), jet) for x, jet in zip(grid, jets)]
-    normalized = [r.value / (jet.f.value * jet.f.value)
-                  if (r.reliable and jet.f.value > 0.0) else math.nan
-                  for r, jet in zip(residuals, jets)]
+    jets = density_jet_grid(alpha, grid, cfg)
+    res = _residual(grid, jets)
+    f = jets.f.value
+    ok = res.reliable & (f > 0.0)
+    norm = np.full(points, math.nan)
+    norm[ok] = res.value[ok] / (f[ok] * f[ok])
+    residuals = _points(res)
+    normalized = norm.tolist()
+    fs, fpps = f.tolist(), jets.fpp.value.tolist()
+    grid = grid.tolist()
 
     reliable_idx = [i for i, r in enumerate(residuals) if r.reliable]
     unreliable_fraction = 1.0 - len(reliable_idx) / points
@@ -169,19 +191,19 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
         if r.value > r.abs_error_estimate:
             score = normalized[i]
             if witness is None or score > best:
-                witness, best = float(grid[i]), score
+                witness, best = grid[i], score
     classification = VIOLATION if witness is not None else NO_VIOLATION
 
     # mode: argmax of f over the reliable points, golden-section refined
     # when the bracket is interior
-    fvals = {i: jets[i].f.value for i in reliable_idx}
+    fvals = {i: fs[i] for i in reliable_idx}
     i_mode = max(fvals, key=fvals.get)
     if 0 < i_mode < points - 1 and (i_mode - 1) in fvals and (i_mode + 1) in fvals:
         mode = _golden_max(
             lambda x: density_series(alpha, x, cfg).value,
-            float(grid[i_mode - 1]), float(grid[i_mode + 1]))
+            grid[i_mode - 1], grid[i_mode + 1])
     else:
-        mode = float(grid[i_mode])
+        mode = grid[i_mode]
 
     # first f'' sign change at or beyond the mode
     inflection = None
@@ -190,8 +212,8 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
         if grid[i] < mode:
             prev = i
             continue
-        if prev is not None and jets[prev].fpp.value < 0.0 <= jets[i].fpp.value:
-            lo, hi = float(grid[prev]), float(grid[i])
+        if prev is not None and fpps[prev] < 0.0 <= fpps[i]:
+            lo, hi = grid[prev], grid[i]
             for _ in range(60):
                 midp = math.sqrt(lo * hi)
                 if density_jet(alpha, midp, cfg).fpp.value < 0.0:
@@ -207,16 +229,16 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
     # inflection lies below the grid and the check is vacuous
     if inflection is not None:
         check_upto = inflection
-    elif reliable_idx and jets[reliable_idx[0]].fpp.value > 0.0:
+    elif reliable_idx and fpps[reliable_idx[0]] > 0.0:
         check_upto = -math.inf
     else:
-        check_upto = float(grid[-1])
+        check_upto = grid[-1]
     pre_ok = all(residuals[i].value <= residuals[i].abs_error_estimate
                  for i in reliable_idx if grid[i] <= check_upto)
 
     return MsuReport(
         alpha=alpha,
-        grid=tuple(float(x) for x in grid),
+        grid=tuple(grid),
         residuals=tuple(residuals),
         normalized_residuals=tuple(normalized),
         classification=classification,
@@ -401,18 +423,21 @@ def bb_log_density(alpha, t: float, expansion: BbExpansion,
 # log-difference law
 # ---------------------------------------------------------------------------
 
-def ualpha_density(alpha, x: float) -> float:
+def ualpha_density(alpha, x):
     """Density of the difference of two independent copies of log Z:
-    u(x) = sin(pi a) / (pi (e^{a x} + 2 cos(pi a) + e^{-a x}))."""
+    u(x) = sin(pi a) / (pi (e^{a x} + 2 cos(pi a) + e^{-a x})).
+
+    ``x`` may be a float or an array; the result has the same shape."""
     a = as_alpha(alpha).value
-    ax = a * x
-    if abs(ax) > 700.0:
-        return 0.0
-    denom = math.pi * (math.exp(ax) + 2.0 * cospi(a) + math.exp(-ax))
-    return math.sin(math.pi * a) / denom
+    ax = a * np.asarray(x, dtype=float)
+    far = np.abs(ax) > 700.0
+    ax = np.where(far, 0.0, ax)
+    denom = math.pi * (np.exp(ax) + 2.0 * cospi(a) + np.exp(-ax))
+    out = np.where(far, 0.0, math.sin(math.pi * a) / denom)
+    return out if out.ndim else float(out)
 
 
-def ualpha_logconcavity_margin(alpha, x: float) -> float:
+def ualpha_logconcavity_margin(alpha, x):
     """Margin whose nonnegativity for all x is equivalent to
     log-concavity of the log-difference density.
 
@@ -420,11 +445,13 @@ def ualpha_logconcavity_margin(alpha, x: float) -> float:
     differentiating twice gives
     (log h)'' = 4 a^2 (1 + cos(pi a) cosh(a x)) / h^2,
     so the margin is 1 + cos(pi a) cosh(a x); it stays >= 0 everywhere
-    iff cos(pi a) >= 0, i.e. iff a <= 1/2.
+    iff cos(pi a) >= 0, i.e. iff a <= 1/2.  ``x`` may be a float or an
+    array; the result has the same shape.
     """
     a = as_alpha(alpha).value
-    ax = a * x
+    ax = a * np.asarray(x, dtype=float)
     c = cospi(a)
-    if abs(ax) > 700.0:
-        return math.inf if c > 0.0 else (1.0 if c == 0.0 else -math.inf)
-    return 1.0 + c * math.cosh(ax)
+    far = np.abs(ax) > 700.0
+    limit = math.inf if c > 0.0 else (1.0 if c == 0.0 else -math.inf)
+    out = np.where(far, limit, 1.0 + c * np.cosh(np.where(far, 0.0, ax)))
+    return out if out.ndim else float(out)

@@ -156,12 +156,10 @@ def build_cdf(alpha, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG,
     main = np.geomspace(x_switch, x_hi, n_grid)
     # left segment: integrated series directly (density jets are not
     # relatively reliable there, the survival sum is)
-    f_left = np.array([1.0 - dens.survival_series(alpha, float(t), cfg).value
-                       for t in left[:-1]])
+    f_left = 1.0 - dens.survival_series_grid(alpha, left[:-1], cfg).value
     # main segment: cumulative Simpson of the density in log x, anchored
     # at the right end by the integrated tail
-    fs = np.array([dens.density_series(alpha, float(t), cfg).value
-                   for t in main])
+    fs = dens.density_series_grid(alpha, main, cfg).value
     integrand = fs * main  # d(log x) measure
     logs = np.log(main)
     cum = integrate.cumulative_trapezoid(integrand, logs, initial=0.0)
@@ -179,7 +177,7 @@ def ualpha_cdf(alpha, n_grid: int = 8001):
     a = alpha.value
     x_max = max(30.0, 42.0 / a)
     xs = np.linspace(-x_max, x_max, n_grid)
-    pdf = np.array([msu_mod.ualpha_density(alpha, float(x)) for x in xs])
+    pdf = msu_mod.ualpha_density(alpha, xs)
     left_tail, _ = integrate.quad(
         lambda t: msu_mod.ualpha_density(alpha, t), -np.inf, -x_max)
     cum = left_tail + integrate.cumulative_trapezoid(pdf, xs, initial=0.0)
@@ -300,11 +298,12 @@ def _check_closed_form(params: dict) -> IdentityReport:
     x_hi = float(params.get("x_hi", 20.0))
     n_pts = int(params.get("points", 50))
     cfg = SeriesConfig(rel_tol=1e-14)
+    xs = np.geomspace(x_lo, x_hi, n_pts)
+    series = dens.density_series_grid(alpha, xs, cfg).value
     worst = 0.0
-    for x in np.geomspace(x_lo, x_hi, n_pts):
-        s = dens.density_series(alpha, float(x), cfg)
-        c = dens.density_closed(alpha, float(x))
-        worst = max(worst, abs(s.value - c.value) / abs(c.value))
+    for x, s in zip(xs.tolist(), series.tolist()):
+        c = dens.density_closed(alpha, x)
+        worst = max(worst, abs(s - c.value) / abs(c.value))
     return IdentityReport(
         name=params["name"], discrepancy=worst, threshold=tol,
         passed=worst < tol,
@@ -421,8 +420,7 @@ def _check_ualpha_dichotomy(params: dict) -> IdentityReport:
     a = step
     while a < 1.0 - step / 2:
         aa = round(a, 10)
-        margin = min(msu_mod.ualpha_logconcavity_margin(aa, float(x))
-                     for x in xs)
+        margin = float(np.min(msu_mod.ualpha_logconcavity_margin(aa, xs)))
         if (margin >= 0.0) != (aa <= 0.5):
             bad.append(aa)
         a += step
@@ -480,16 +478,16 @@ def _check_bb_crosscheck(params: dict) -> IdentityReport:
             return IdentityReport(params["name"], math.inf, rel_tol, False,
                                   details={"failed": f"R_{j}'(0) != 2^{j}-1"})
     worst = 0.0
+    ts = np.linspace(float(params.get("t_lo", 0.5)),
+                     float(params.get("t_hi", 6.0)),
+                     int(params.get("n_t", 20)))
+    xs = np.exp(ts)
     for a in params["alphas"]:
-        for t in np.linspace(float(params.get("t_lo", 0.5)),
-                             float(params.get("t_hi", 6.0)),
-                             int(params.get("n_t", 20))):
-            r = msu_mod.bb_log_density(float(a), float(t), expansion)
-            if not r.reliable:
-                continue
-            direct = (dens.density_series(float(a), math.exp(float(t))).value
-                      * math.exp(float(t)))
-            worst = max(worst, abs(r.value - direct) / abs(direct))
+        direct = dens.density_series_grid(float(a), xs).value * xs
+        for t, d in zip(ts.tolist(), direct.tolist()):
+            r = msu_mod.bb_log_density(float(a), t, expansion)
+            if r.reliable:
+                worst = max(worst, abs(r.value - d) / abs(d))
     return IdentityReport(params["name"], worst, rel_tol, worst < rel_tol,
                           details={"alphas": list(params["alphas"])})
 
@@ -507,6 +505,26 @@ CHECK_KINDS: dict[str, Callable[[dict], IdentityReport]] = {
     "whitt_inequality": _check_whitt,
     "lemma1_inequality": _check_lemma1,
     "bb_crosscheck": _check_bb_crosscheck,
+}
+
+
+# the entry keys each check kind reads, besides "name" and "kind"
+CHECK_PARAMS: dict[str, frozenset[str]] = {
+    "closed_form": frozenset({"alpha", "threshold", "x_lo", "x_hi", "points"}),
+    "laplace": frozenset({"alpha", "lambdas", "threshold"}),
+    "msu_dichotomy": frozenset({"alphas_violation", "alphas_msu", "x_lo",
+                                "x_hi", "points"}),
+    "tail_sign": frozenset({"alpha_step"}),
+    "half_alpha_residual": frozenset({"xs", "threshold"}),
+    "lemma2_mellin": frozenset({"pairs", "s_values", "threshold"}),
+    "sampler_fidelity": frozenset({"alphas", "pairs", "n_samples", "seed"}),
+    "diff_identity": frozenset({"alphas", "n_samples", "seed"}),
+    "ualpha_dichotomy": frozenset({"alpha_step", "x_max"}),
+    "whitt_inequality": frozenset({"x_hi", "safe_points", "scan_points"}),
+    "lemma1_inequality": frozenset({"triples", "x_lo", "x_hi", "points",
+                                    "floor"}),
+    "bb_crosscheck": frozenset({"alphas", "order", "n_t", "t_lo", "t_hi",
+                                "threshold", "j_max_exact"}),
 }
 
 
@@ -560,7 +578,9 @@ def run_acceptance(config) -> dict:
     path) and return a deterministic JSON-ready summary.
 
     Check failures are aggregated, never raised; malformed configs do
-    raise.  Identical configs and seeds produce identical summaries.
+    raise, before any check runs: an unknown kind, a missing name, or a
+    key that the check's kind does not read (see ``CHECK_PARAMS``).
+    Identical configs and seeds produce identical summaries.
     """
     if isinstance(config, (str, Path)):
         text = Path(config).read_text() if Path(str(config)).exists() \
@@ -569,14 +589,17 @@ def run_acceptance(config) -> dict:
     if config is None:
         config = {}
     checks = config.get("checks", [])
-    reports = []
     for entry in checks:
         kind = entry.get("kind")
         if kind not in CHECK_KINDS:
             raise ValueError(f"unknown check kind {kind!r}")
         if "name" not in entry:
             raise ValueError("every check needs a name")
-        reports.append(CHECK_KINDS[kind](entry))
+        unknown = set(entry) - CHECK_PARAMS[kind] - {"name", "kind"}
+        if unknown:
+            raise ValueError(f"check {entry['name']!r}: unknown keys "
+                             f"{sorted(unknown)} for kind {kind!r}")
+    reports = [CHECK_KINDS[entry["kind"]](entry) for entry in checks]
     reports.sort(key=lambda r: r.name)
     return {
         "schema": 1,

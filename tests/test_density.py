@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from stable_msu.density import (Alpha, SeriesConfig, as_alpha, density_closed,
-                                density_jet, density_series, laplace_check,
-                                reliable_x_min, survival_series,
+from stable_msu.density import (Alpha, EvalResult, SeriesConfig, as_alpha,
+                                density_closed, density_jet, density_jet_grid,
+                                density_series, density_series_grid,
+                                laplace_check, reliable_x_min,
+                                survival_series, survival_series_grid,
                                 tail_coefficient)
 from stable_msu.errors import DomainError, UnsupportedAlphaError
 
@@ -145,6 +147,76 @@ class TestDensityJet:
     def test_shared_reliability(self):
         jet = density_jet(0.85, 0.4)
         assert jet.f.reliable == jet.fp.reliable == jet.fpp.reliable
+
+
+GRID_ALPHAS = [Alpha(round(0.1 * i, 10)) for i in range(1, 10)] + [
+    Alpha.from_fraction(1, 3), Alpha.from_fraction(2, 3)]
+
+
+def _stack(results) -> EvalResult:
+    """Scalar EvalResults as one EvalResult of arrays."""
+    return EvalResult(*(np.array(v) for v in zip(*(
+        (r.value, r.abs_error_estimate, r.terms_used, r.reliable)
+        for r in results))))
+
+
+def _grid_and_scalar(alpha, xs, cfg):
+    """(array path, float loop) result pairs for the density, the
+    survival sum and the three jet components on xs."""
+    pts = xs.tolist()
+    pairs = [(density_series_grid(alpha, xs, cfg),
+              _stack(density_series(alpha, x, cfg) for x in pts)),
+             (survival_series_grid(alpha, xs, cfg),
+              _stack(survival_series(alpha, x, cfg) for x in pts))]
+    jet = density_jet_grid(alpha, xs, cfg)
+    jets = [density_jet(alpha, x, cfg) for x in pts]
+    for comp in ("f", "fp", "fpp"):
+        pairs.append((getattr(jet, comp),
+                      _stack(getattr(j, comp) for j in jets)))
+    return pairs
+
+
+def _assert_identical(grid, ref):
+    # NaN-aware; equal values and bars imply agreement within the bars
+    for field in ("value", "abs_error_estimate", "terms_used", "reliable"):
+        np.testing.assert_array_equal(getattr(grid, field),
+                                      getattr(ref, field), err_msg=field)
+
+
+class TestGridPath:
+    @pytest.mark.parametrize("alpha", GRID_ALPHAS,
+                             ids=lambda a: f"{a.value:.4g}")
+    def test_matches_float_loop(self, alpha):
+        # from deep below reliable_x_min (overflowing terms, then an
+        # exhausted term budget) through the reliable region to 1e4
+        x_min = reliable_x_min(alpha)
+        xs = np.concatenate([
+            np.geomspace(1e-60, x_min * 1e-4, 20, endpoint=False),
+            np.geomspace(x_min * 1e-4, 1e4, 160)])
+        cfg = SeriesConfig()
+        for grid, ref in _grid_and_scalar(alpha, xs, cfg):
+            _assert_identical(grid, ref)
+            blown = np.isinf(ref.abs_error_estimate)
+            assert blown.any()
+            assert (~blown & (ref.terms_used == cfg.max_terms)).any()
+            assert ref.reliable.any()
+
+    @pytest.mark.parametrize("alpha", [Alpha.from_fraction(1, 2), Alpha(0.7)],
+                             ids=["1/2", "0.7"])
+    def test_extended_precision_is_pointwise(self, alpha):
+        xs = np.geomspace(0.02, 20.0, 6)
+        for grid, ref in _grid_and_scalar(alpha, xs, SeriesConfig(dps=30)):
+            _assert_identical(grid, ref)
+
+    def test_rejects_bad_grids(self):
+        with pytest.raises(DomainError):
+            density_series_grid(0.5, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            density_jet_grid(0.5, np.ones((2, 2)))
+
+    def test_empty_grid(self):
+        r = survival_series_grid(0.5, np.array([]))
+        assert r.value.shape == r.terms_used.shape == (0,)
 
 
 class TestUnimodalitySignature:

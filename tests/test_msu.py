@@ -282,3 +282,19 @@ class TestUalpha:
     def test_density_symmetric(self):
         assert ualpha_density(0.4, 1.3) == pytest.approx(
             ualpha_density(0.4, -1.3), rel=1e-14)
+
+    @pytest.mark.parametrize("a,far_margin", [(0.3, math.inf), (0.5, 1.0),
+                                              (0.8, -math.inf)])
+    def test_array_input(self, a, far_margin):
+        # |a x| > 700 takes the limits: density 0, margin +-inf or 1
+        xs = np.array([-3000.0, -40.0, -1.0, 0.0, 2.5, 3000.0])
+        dens = ualpha_density(a, xs)
+        margin = ualpha_logconcavity_margin(a, xs)
+        assert dens.shape == margin.shape == xs.shape
+        assert dens.tolist() == [ualpha_density(a, x) for x in xs.tolist()]
+        assert margin.tolist() == [ualpha_logconcavity_margin(a, x)
+                                   for x in xs.tolist()]
+        assert isinstance(ualpha_density(a, 1.0), float)
+        assert isinstance(ualpha_logconcavity_margin(a, 1.0), float)
+        assert dens[0] == dens[-1] == 0.0
+        assert margin[0] == margin[-1] == far_margin

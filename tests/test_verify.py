@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from stable_msu.errors import PreconditionError
-from stable_msu.verify import (DEFAULT_ACCEPTANCE_CONFIG, build_cdf,
-                               check_diff_identity, check_factorization_mc,
-                               check_laplace, check_mellin_factorization,
-                               check_sampler_ks, ks_one_sample, ks_two_sample,
-                               run_acceptance, ualpha_cdf)
+from stable_msu.verify import (CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG,
+                               IdentityReport, build_cdf, check_diff_identity,
+                               check_factorization_mc, check_laplace,
+                               check_mellin_factorization, check_sampler_ks,
+                               ks_one_sample, ks_two_sample, run_acceptance,
+                               ualpha_cdf)
 
 
 class TestKsOneSample:
@@ -150,6 +151,36 @@ class TestRunAcceptance:
     def test_missing_name_raises(self):
         with pytest.raises(ValueError):
             run_acceptance({"checks": [{"kind": "tail_sign"}]})
+
+    @staticmethod
+    def _stub_checks(monkeypatch):
+        """Replace every check by a passing stub; returns the names run."""
+        ran = []
+
+        def stub(params):
+            ran.append(params["name"])
+            return IdentityReport(params["name"], 0.0, 1.0, True)
+
+        for kind in list(CHECK_KINDS):
+            monkeypatch.setitem(CHECK_KINDS, kind, stub)
+        return ran
+
+    def test_unknown_key_raises_before_any_check(self, monkeypatch):
+        # "pionts" would otherwise run the default 400-point scan
+        ran = self._stub_checks(monkeypatch)
+        with pytest.raises(ValueError, match="pionts"):
+            run_acceptance({"checks": [
+                {"name": "t", "kind": "tail_sign", "alpha_step": 0.2},
+                {"name": "typo", "kind": "msu_dichotomy",
+                 "alphas_msu": [0.3], "pionts": 16},
+            ]})
+        assert ran == []
+
+    def test_default_config_keys_validate(self, monkeypatch):
+        ran = self._stub_checks(monkeypatch)
+        summary = run_acceptance(DEFAULT_ACCEPTANCE_CONFIG)
+        assert summary["all_pass"]
+        assert ran == [c["name"] for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]]
 
     def test_small_config_passes_and_is_deterministic(self):
         config = {"checks": [
