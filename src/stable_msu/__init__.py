@@ -21,8 +21,7 @@ from .factorizations import (Factor, FactorList, MellinProfile, kanter_b,
                              mellin_product, mellin_stable, sample_stable,
                              whitt_margin, williams_product)
 from .msu import (BbExpansion, MsuReport, NO_VIOLATION, VIOLATION,
-                  bb_expansion, bb_log_density, bb_p, bb_p_prime,
-                  integral_criterion, lce_residual, msu_scan,
+                  bb_expansion, bb_log_density, lce_residual, msu_scan,
                   tail_residual_sign, ualpha_density,
                   ualpha_logconcavity_margin)
 from .specfun import (SpecEval, bessel_k, gamma_value, log_gamma, psi_chf,
@@ -42,12 +41,12 @@ __all__ = [
     "MellinProfile", "MsuReport", "NO_VIOLATION", "PoleError",
     "PreconditionError", "SeriesConfig", "SpecEval", "StableCdf",
     "UnreliableScanError", "UnsupportedAlphaError", "VIOLATION",
-    "bb_expansion", "bb_log_density", "bb_p", "bb_p_prime", "bessel_k",
+    "bb_expansion", "bb_log_density", "bessel_k",
     "build_cdf", "check_diff_identity", "check_factorization_mc",
     "check_laplace", "check_mellin_factorization", "check_sampler_ks",
     "density_closed", "density_jet", "density_jet_grid", "density_series",
     "density_series_grid", "gamma_value",
-    "integral_criterion", "kanter_b", "ks_one_sample", "ks_two_sample",
+    "kanter_b", "ks_one_sample", "ks_two_sample",
     "laplace_check", "lce_residual", "lemma1_g", "lemma1_inequality",
     "lemma1_product_density", "lemma2_product", "log_gamma",
     "mellin_product", "mellin_stable", "msu_scan", "psi_chf",

@@ -42,8 +42,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(rows, header) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+def _write_csv(out, rows, header) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
@@ -145,7 +145,7 @@ def _cmd_density(args) -> int:
                jet.f.abs_error_estimate.tolist(), jet.fp.value.tolist(),
                jet.fpp.value.tolist(),
                ("true" if r else "false" for r in jet.f.reliable.tolist()))
-    _write_csv(rows, ("x", "f", "f_err", "fp", "fpp", "reliable"))
+    _write_csv(sys.stdout, rows, ("x", "f", "f_err", "fp", "fpp", "reliable"))
     return 0
 
 
@@ -158,12 +158,9 @@ def _cmd_scan_msu(args) -> int:
     header = ("x", "g", "g_err", "g_over_f2", "reliable")
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in csv_rows:
-                writer.writerow([_fmt(v) for v in row])
+            _write_csv(fh, csv_rows, header)
     if args.format == "csv":
-        _write_csv(csv_rows, header)
+        _write_csv(sys.stdout, csv_rows, header)
     else:
         _emit_json(report.summary())
     return 0
@@ -184,7 +181,8 @@ def _cmd_special(args) -> int:
             ev = specfun.log_gamma(float(x))
             rows.append((float(x), ev.value, ev.sign, ev.abs_error_estimate,
                          ev.method))
-        _write_csv(rows, ("x", "log_abs_gamma", "sign", "abs_error", "method"))
+        _write_csv(sys.stdout, rows,
+                   ("x", "log_abs_gamma", "sign", "abs_error", "method"))
         return 0
     for x in np.geomspace(args.x_min, args.x_max, args.points):
         if args.function == "bessel-k":
@@ -194,7 +192,7 @@ def _cmd_special(args) -> int:
         else:
             ev = specfun.whittaker_w_stable(float(x))
         rows.append((float(x), ev.value, ev.abs_error_estimate, ev.method))
-    _write_csv(rows, ("x", "value", "abs_error", "method"))
+    _write_csv(sys.stdout, rows, ("x", "value", "abs_error", "method"))
     return 0
 
 

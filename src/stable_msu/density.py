@@ -192,6 +192,36 @@ def _coef_table(alpha: Alpha, n_max: int):
 # series engine
 # ---------------------------------------------------------------------------
 
+_BUDGET, _CONVERGED, _BLOWN = 0, 1, 2
+
+
+def _bars(totals, maxabs, lastnz, n_used: int, status: int,
+          cfg: SeriesConfig, ulp):
+    """Error bars and reliability flags of one point's finished sums.
+
+    ``ulp`` is the unit roundoff of the loop that summed: _EPS for the
+    float loop, 10**-dps for the mpmath loop, which passes its maxima and
+    last terms as mpf and calls this under its working precision.
+    _hp_sums_grid applies the same rule to whole arrays.
+    """
+    if status == _BLOWN:
+        return [math.inf] * len(totals), [False] * len(totals)
+    converged = status == _CONVERGED
+    guard = cfg.effective_guard()
+    errors = []
+    flags = []
+    for total, mx, last in zip(totals, maxabs, lastnz):
+        noise = float(mx * ulp) * min(n_used, 64)
+        mx, last = float(mx), float(last)
+        if converged:
+            trunc = 3.0 * last + cfg.rel_tol * abs(total)
+        else:
+            trunc = abs(last) + mx * cfg.rel_tol
+        errors.append(trunc + 2.0 * noise)
+        flags.append(converged and mx <= guard * (abs(total) + _TINY))
+    return errors, flags
+
+
 def _hp_sums(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
              survival: bool = False):
     """Shared evaluator for the density series and its theta-derivatives.
@@ -214,8 +244,7 @@ def _hp_sums(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
     maxabs = [0.0] * k
     lastnz = [0.0] * k
     small_run = 0
-    converged = False
-    blown = False
+    status = _BUDGET
     n_used = 0
     for n in range(1, cfg.max_terms + 1):
         n_used = n
@@ -229,7 +258,7 @@ def _hp_sums(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
                 lt = logs[n] - (1.0 + a * n) * lx
             if lt > 690.0:
                 # terms overflow doubles; the sum is hopeless here
-                blown = True
+                status = _BLOWN
                 break
             t0 = sgn * math.exp(lt)
         if k == 1:
@@ -249,28 +278,13 @@ def _hp_sums(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
         if abs(t0) <= cfg.rel_tol * denom:
             small_run += 1
             if small_run >= 3 and n >= 4:
-                converged = True
+                status = _CONVERGED
                 break
         else:
             small_run = 0
     totals = [sums[i] + comps[i] for i in range(k)]
-    guard = cfg.effective_guard()
-    errors = []
-    flags = []
-    for i in range(k):
-        if blown:
-            errors.append(math.inf)
-            flags.append(False)
-            continue
-        noise = maxabs[i] * min(n_used, 64) * _EPS
-        if converged:
-            trunc = 3.0 * lastnz[i] + cfg.rel_tol * abs(totals[i])
-        else:
-            trunc = abs(lastnz[i]) + maxabs[i] * cfg.rel_tol
-        errors.append(trunc + 2.0 * noise)
-        flags.append(converged
-                     and maxabs[i] <= guard * (abs(totals[i]) + _TINY))
-    return totals, errors, flags, n_used, converged
+    errors, flags = _bars(totals, maxabs, lastnz, n_used, status, cfg, _EPS)
+    return totals, errors, flags, n_used, status == _CONVERGED
 
 
 def _hp_sums_mp(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
@@ -287,7 +301,7 @@ def _hp_sums_mp(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
         maxabs = [mp.mpf(0)] * k
         lastnz = [mp.mpf(0)] * k
         small_run = 0
-        converged = False
+        status = _BUDGET
         n_used = 0
         floor = mp.mpf(10) ** -2000
         for n in range(1, cfg.max_terms + 1):
@@ -323,28 +337,14 @@ def _hp_sums_mp(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
             if abs(t0) <= cfg.rel_tol * (abs(sums[0]) + floor):
                 small_run += 1
                 if small_run >= 3 and n >= 4:
-                    converged = True
+                    status = _CONVERGED
                     break
             else:
                 small_run = 0
-        guard = cfg.effective_guard()
-        ulp = mp.mpf(10) ** (-cfg.dps)
         totals = [float(s) for s in sums]
-        errors = []
-        flags = []
-        for i in range(k):
-            noise = float(maxabs[i] * ulp) * min(n_used, 64)
-            if converged:
-                trunc = 3.0 * float(lastnz[i]) + cfg.rel_tol * abs(totals[i])
-            else:
-                trunc = float(lastnz[i]) + float(maxabs[i]) * cfg.rel_tol
-            errors.append(trunc + 2.0 * noise)
-            flags.append(converged
-                         and float(maxabs[i]) <= guard * (abs(totals[i]) + _TINY))
-    return totals, errors, flags, n_used, converged
-
-
-_BUDGET, _CONVERGED, _BLOWN = 0, 1, 2
+        errors, flags = _bars(totals, maxabs, lastnz, n_used, status, cfg,
+                              mp.mpf(10) ** (-cfg.dps))
+    return totals, errors, flags, n_used, status == _CONVERGED
 
 
 def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
@@ -454,7 +454,7 @@ def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
             finish(np.ones(idx.size, dtype=bool), cfg.max_terms, _BUDGET)
 
         converged = status == _CONVERGED
-        noise = out_max * np.minimum(out_n, 64) * _EPS
+        noise = out_max * _EPS * np.minimum(out_n, 64)
         trunc = np.where(converged,
                          3.0 * out_last + cfg.rel_tol * np.abs(out_tot),
                          np.abs(out_last) + out_max * cfg.rel_tol)
@@ -497,7 +497,16 @@ def density_jet(alpha, x: float,
     derivatives are recovered by dividing out the powers of x.  All
     three results carry one shared reliability verdict.
     """
-    return _jet_result(_hp_sums(as_alpha(alpha), x, cfg, order=2), x)
+    sums = _hp_sums(as_alpha(alpha), x, cfg, order=2)
+    if x * x != 0.0:
+        return _jet_result(sums, x)
+    # x^2 underflows to 0: divide by it with IEEE inf and nan, as
+    # density_jet_grid does
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        jet = _jet_result(sums, np.float64(x))
+    return DensityJet(*(EvalResult(float(r.value), float(r.abs_error_estimate),
+                                   r.terms_used, r.reliable)
+                        for r in (jet.f, jet.fp, jet.fpp)), x=x)
 
 
 def survival_series(alpha, x: float,
@@ -553,21 +562,11 @@ def _closed_half(x: float) -> float:
 
 
 def _two_thirds_shape(x: float) -> float:
-    # prefactor sqrt(3/pi)/x: matching the series shows the x-power must
-    # be -1 (not -1/2) for the Whittaker form to track f_{2/3}
+    # Whittaker form of f_{2/3} (Zolotarev, One-dimensional Stable
+    # Distributions, 1986): sqrt(3/pi)/x exp(-2/(27x^2)) W_{1/2,1/6}(4/(27x^2))
     z = 4.0 / (27.0 * x * x)
     w = specfun.whittaker_w_stable(z, rel_tol=1e-12)
     return (math.sqrt(3.0 / math.pi) / x) * math.exp(-2.0 / (27.0 * x * x)) * w.value
-
-
-@lru_cache(maxsize=1)
-def _two_thirds_constant() -> float:
-    """Normalizing constant of the alpha=2/3 closed form, pinned by
-    matching the series at one calibration point."""
-    x_cal = 1.0
-    series = density_series(Alpha.from_fraction(2, 3), x_cal,
-                            SeriesConfig(rel_tol=1e-14)).value
-    return series / _two_thirds_shape(x_cal)
 
 
 def density_closed(alpha, x: float) -> EvalResult:
@@ -575,8 +574,7 @@ def density_closed(alpha, x: float) -> EvalResult:
 
     * 1/2: elementary.
     * 1/3: Macdonald function of order 1/3.
-    * 2/3: Whittaker kernel, with the normalizing constant calibrated
-      once against the series (see _two_thirds_constant).
+    * 2/3: Whittaker kernel.
     """
     alpha = as_alpha(alpha)
     if x <= 0.0:
@@ -591,8 +589,7 @@ def density_closed(alpha, x: float) -> EvalResult:
         scale = 1.0 / (3.0 * math.pi * x ** 1.5)
         return EvalResult(scale * k.value, scale * k.abs_error_estimate, 1, True)
     if a == 2.0 / 3.0:
-        c = _two_thirds_constant()
-        v = c * _two_thirds_shape(x)
+        v = _two_thirds_shape(x)
         return EvalResult(v, 1e-9 * abs(v), 1, True)
     raise UnsupportedAlphaError(
         f"no closed form for alpha = {a}; supported: 1/3, 1/2, 2/3")

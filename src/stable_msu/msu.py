@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import specfun
 from .density import (Alpha, DEFAULT_SERIES_CONFIG, DensityJet, EvalResult,
                       SeriesConfig, as_alpha, density_jet, density_jet_grid,
-                      density_series, reliable_x_min)
+                      density_series)
 from .errors import DomainError, PoleError, UnreliableScanError
 from .util import cospi
 
@@ -251,66 +251,6 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
 
 
 # ---------------------------------------------------------------------------
-# integral criterion
-# ---------------------------------------------------------------------------
-
-def integral_criterion(alpha, x: float,
-                       cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
-    """Quadrature of int_0^x (f'(x-y) f(x) - f(x-y) f'(x)) y^{-a} dy.
-
-    The endpoint singularity is removed by y = u^{1/(1-a)}.  Direct
-    computation shows this integral equals Gamma(1-a)/a * f(x)^2 up to
-    quadrature error (differentiate the classical identity
-    x f(x) = a/Gamma(1-a) * int_0^x f(x-y) y^{-a} dy), so its positivity
-    is structural; it is kept as a cross-diagnostic of the jets.
-    Evaluations with x - y below the reliable region are dropped and
-    bounded into the error estimate.
-    """
-    alpha = as_alpha(alpha)
-    if x <= 0.0:
-        raise DomainError("integral_criterion requires x > 0")
-    a = alpha.value
-    x_min = reliable_x_min(alpha, cfg)
-    jet_x = density_jet(alpha, x, cfg)
-    fx, fpx = jet_x.f.value, jet_x.fp.value
-    if x <= x_min:
-        raise DomainError("x below the reliable domain of the series")
-    expo = 1.0 / (1.0 - a)
-
-    def integrand(u: float) -> float:
-        y = u ** expo
-        t = x - y
-        if t < x_min:
-            return 0.0
-        j = density_jet(alpha, t, cfg)
-        return j.fp.value * fx - j.f.value * fpx
-
-    upper = (x - x_min) ** (1.0 - a)
-    # break near the u-image of the mode region, where the integrand spikes
-    t_breaks = [t for t in (x_min * 4.0, 0.05, 0.2, 0.5, 1.0, 2.0, x / 2.0)
-                if x_min < t < x * 0.95]
-    u_breaks = sorted({(x - t) ** (1.0 - a) for t in t_breaks} | {0.0, upper})
-    total = 0.0
-    quad_err = 0.0
-    for lo, hi in zip(u_breaks[:-1], u_breaks[1:]):
-        if hi <= lo:
-            continue
-        val, err = integrate.quad(integrand, lo, hi, limit=200)
-        total += val
-        quad_err += err
-    value = total / (1.0 - a)
-    quad_err /= (1.0 - a)
-    # dropped band y in (x - x_min, x): bound by the band width times the
-    # magnitudes at the reliability edge
-    edge = density_jet(alpha, x_min * 1.0001, cfg)
-    band = (abs(edge.fp.value) * abs(fx) + edge.f.value * abs(fpx)) \
-        * x_min * max(x - x_min, x_min) ** (-a)
-    err = quad_err + band
-    reliable = jet_x.f.reliable and band <= 0.05 * abs(value) + err
-    return EvalResult(value, err, jet_x.f.terms_used, reliable)
-
-
-# ---------------------------------------------------------------------------
 # alternative log-density expansion
 # ---------------------------------------------------------------------------
 
@@ -372,27 +312,12 @@ def _poly_eval(coeffs, x: float) -> float:
     return acc
 
 
-def bb_p(alpha, x: float, expansion: BbExpansion) -> float:
-    """P(x) = sum_j b_j a^{j+1} (-1)^j R_j(-x), truncated at the
-    expansion order."""
-    a = as_alpha(alpha).value
-    acc = 0.0
-    for j in range(expansion.order + 1):
-        acc += (expansion.b_coeffs[j] * a ** (j + 1) * (-1.0) ** j
-                * _poly_eval(expansion.r_polys[j], -x))
-    return acc
-
-
-def bb_p_prime(alpha, x: float, expansion: BbExpansion) -> float:
-    """d/dx of bb_p (termwise, using the exact derivative polynomials)."""
-    a = as_alpha(alpha).value
-    acc = 0.0
-    for j in range(expansion.order + 1):
-        coeffs = expansion.r_polys[j]
-        deriv = tuple(e * coeffs[e] for e in range(1, len(coeffs)))
-        acc -= (expansion.b_coeffs[j] * a ** (j + 1) * (-1.0) ** j
-                * _poly_eval(deriv, -x))
-    return acc
+def _bb_terms(a: float, x: float, expansion: BbExpansion) -> list[float]:
+    """Terms b_j a^{j+1} (-1)^j R_j(-x), j = 0..order, of the sum P(x)
+    that bb_log_density multiplies by its envelope."""
+    return [expansion.b_coeffs[j] * a ** (j + 1) * (-1.0) ** j
+            * _poly_eval(expansion.r_polys[j], -x)
+            for j in range(expansion.order + 1)]
 
 
 def bb_log_density(alpha, t: float, expansion: BbExpansion,
@@ -406,10 +331,7 @@ def bb_log_density(alpha, t: float, expansion: BbExpansion,
     """
     a = as_alpha(alpha).value
     x = math.exp(-a * t)
-    terms = []
-    for j in range(expansion.order + 1):
-        terms.append(expansion.b_coeffs[j] * a ** (j + 1) * (-1.0) ** j
-                     * _poly_eval(expansion.r_polys[j], -x))
+    terms = _bb_terms(a, x, expansion)
     p = math.fsum(terms)
     tail = max(abs(terms[-1]), abs(terms[-2]))
     envelope = math.exp(-a * t - x)

@@ -64,7 +64,10 @@ class TestScanCommand:
                                "--points", "32", "--csv", str(target))
         assert code == 0
         json.loads(out)  # stdout stays JSON
-        assert target.read_text().startswith("x,g,g_err")
+        _, csv_out, _ = run_cli(capsys, "scan-msu", "--alpha", "0.4",
+                                "--points", "32", "--format", "csv")
+        assert csv_out.startswith("x,g,g_err")
+        assert target.read_bytes() == csv_out.encode()
 
 
 class TestSampleCommand:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +149,14 @@ class TestDensityJet:
         jet = density_jet(0.85, 0.4)
         assert jet.f.reliable == jet.fp.reliable == jet.fpp.reliable
 
+    @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+    def test_tiny_x_matches_grid(self, a):
+        # x*x underflows to 0 at 1e-200 but not at 1e-160; the float loop
+        # must give the grid path's IEEE inf and nan instead of raising
+        xs = np.array([1e-200, 1e-160])
+        for grid, ref in _grid_and_scalar(Alpha(a), xs, SeriesConfig()):
+            _assert_identical(grid, ref)
+
 
 GRID_ALPHAS = [Alpha(round(0.1 * i, 10)) for i in range(1, 10)] + [
     Alpha.from_fraction(1, 3), Alpha.from_fraction(2, 3)]
@@ -245,12 +254,16 @@ class TestDensityClosed:
         ref = special.kv(1.0 / 3.0, 2.0 / (3.0 * math.sqrt(3.0))) / (3.0 * math.pi)
         assert r.value == pytest.approx(ref, rel=1e-9)
 
-    def test_two_thirds_calibrated_against_series(self):
+    def test_two_thirds_matches_whittaker_oracle(self):
+        # sqrt(3/pi)/x exp(-2/(27x^2)) W_{1/2,1/6}(4/(27x^2)) in mpmath
         a = Alpha.from_fraction(2, 3)
         for x in (0.3, 1.7, 9.0):
-            s = density_series(a, x, SeriesConfig(rel_tol=1e-14))
-            c = density_closed(a, x)
-            assert c.value == pytest.approx(s.value, rel=1e-6)
+            with mp.workdps(30):
+                z = 4 / (27 * mp.mpf(x) ** 2)
+                ref = (mp.sqrt(3 / mp.pi) / x * mp.exp(-z / 2)
+                       * mp.whitw(mp.mpf(1) / 2, mp.mpf(1) / 6, z))
+            assert density_closed(a, x).value == pytest.approx(float(ref),
+                                                               rel=1e-10)
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedAlphaError):

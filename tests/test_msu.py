@@ -7,10 +7,9 @@ from scipy import integrate
 
 from stable_msu.density import Alpha, SeriesConfig, density_series
 from stable_msu.errors import DomainError, PoleError, UnreliableScanError
-from stable_msu.msu import (NO_VIOLATION, VIOLATION, bb_expansion,
-                            bb_log_density, bb_p, bb_p_prime,
-                            integral_criterion, lce_residual, msu_scan,
-                            tail_residual_sign, ualpha_density,
+from stable_msu.msu import (NO_VIOLATION, VIOLATION, _bb_terms,
+                            bb_expansion, bb_log_density, lce_residual,
+                            msu_scan, tail_residual_sign, ualpha_density,
                             ualpha_logconcavity_margin)
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
@@ -164,36 +163,6 @@ class TestContinuityInAlpha:
             assert q2 <= 10.0 * max(q1, floor)
 
 
-class TestIntegralCriterion:
-    def test_positive_at_half(self):
-        r = integral_criterion(0.5, 1.0)
-        assert r.value > 0.0
-
-    def test_vanishes_as_x_to_zero(self):
-        # below the mode (~1/6 for the elementary case) the density and
-        # the integration range both shrink, driving the value to zero
-        vals = [integral_criterion(0.5, x).value for x in (0.1, 0.06, 0.04)]
-        assert all(v > 0 for v in vals)
-        assert vals[0] > vals[1] > vals[2]
-        assert vals[-1] < 0.05 * vals[0]
-
-    @pytest.mark.parametrize("a,x", [(0.5, 1.0), (0.5, 2.0), (0.6, 1.0),
-                                     (0.8, 3.0)])
-    def test_equals_gamma_scaled_density_squared(self, a, x):
-        # Direct computation: the integrand integrates to
-        # Gamma(1-a)/a * f(x)^2 (differentiate the convolution identity
-        # x f(x) = a/Gamma(1-a) int f(x-y) y^{-a} dy), so the criterion
-        # is structurally positive at every alpha.
-        r = integral_criterion(a, x)
-        f = density_series(a, x).value
-        assert r.value == pytest.approx(math.gamma(1.0 - a) / a * f * f,
-                                        rel=2e-2)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            integral_criterion(0.5, -1.0)
-
-
 class TestBbExpansion:
     def test_low_order_polynomials(self):
         exp = bb_expansion(5)
@@ -229,15 +198,8 @@ class TestBbLogDensity:
     def test_p_at_zero(self):
         exp = bb_expansion(30)
         for a in (0.3, 0.45):
-            assert bb_p(a, 0.0, exp) == pytest.approx(a / math.gamma(1.0 - a),
-                                                      rel=1e-10)
-
-    def test_p_prime_ratio_at_zero(self):
-        exp = bb_expansion(30)
-        for a in (0.3, 0.4):
-            ratio = bb_p_prime(a, 0.0, exp) / bb_p(a, 0.0, exp)
-            target = 1.0 - math.gamma(1.0 - a) / math.gamma(1.0 - 2.0 * a)
-            assert ratio == pytest.approx(target, rel=1e-9)
+            p = math.fsum(_bb_terms(a, 0.0, exp))
+            assert p == pytest.approx(a / math.gamma(1.0 - a), rel=1e-10)
 
     def test_matches_change_of_variables_half(self):
         exp = bb_expansion(30)
