@@ -241,11 +241,9 @@ def lemma1_g(alpha: float, beta: float, c: float, shift: int, x: float,
     bm1 = beta - 1.0
     expo = ceff - (alpha + beta)
 
-    def integrand(u: float) -> float:
-        e = -x * u + bm1 * math.log(u) + expo * math.log1p(u)
-        if e < -745.0:
-            return 0.0
-        return math.exp(e)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        e = -x * u + bm1 * np.log(u) + expo * np.log1p(u)
+        return np.where(e < -745.0, 0.0, np.exp(e))
 
     res = de_halfline(integrand, rel_tol=rel_tol)
     scale = math.exp(-x)

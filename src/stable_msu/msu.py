@@ -40,8 +40,8 @@ VIOLATION = "violation_found"
 # ---------------------------------------------------------------------------
 
 def _residual(x: np.ndarray, jet: DensityJet) -> EvalResult:
-    """g and its error bound on the x array from the density jets there
-    (density_jet_grid); every field of the result is an array."""
+    """g and its error bound on the x array from the density jets there,
+    whose fields are arrays; every field of the result is an array."""
     # magnitude cap keeps the products below the overflow threshold;
     # anything that large is cancellation garbage anyway
     usable = np.isfinite(jet.fpp.abs_error_estimate)
@@ -74,10 +74,15 @@ def lce_residual(alpha, x: float,
                  cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
     """g(x) = (x^2 f'' + x f') f - x^2 (f')^2; MSU at x iff g(x) <= 0.
 
-    Evaluated as a one-point grid, so it repeats msu_scan's arithmetic
-    exactly."""
+    The scalar jet enters msu_scan's residual formula as one-element
+    arrays; the scalar and grid jets are bit-identical, so the result
+    repeats msu_scan's arithmetic exactly."""
+    jet = density_jet(alpha, x, cfg)
+    one = [EvalResult(np.array([r.value]), np.array([r.abs_error_estimate]),
+                      np.array([r.terms_used]), np.array([r.reliable]))
+           for r in (jet.f, jet.fp, jet.fpp)]
     xs = np.array([x], dtype=float)
-    return _points(_residual(xs, density_jet_grid(alpha, xs, cfg)))[0]
+    return _points(_residual(xs, DensityJet(*one, x=xs)))[0]
 
 
 def tail_residual_sign(alpha) -> tuple[float, bool]:

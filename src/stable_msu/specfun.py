@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleError
 from .quadrature import de_halfline
 from .util import log_cosh, sinpi
@@ -107,13 +109,9 @@ def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
     if nu < 0.0:
         raise DomainError("bessel_k requires nu >= 0")
 
-    def integrand(t: float) -> float:
-        if t > 700.0:
-            return 0.0
-        e = x * math.cosh(t) - log_cosh(nu * t)
-        if e > 745.0:
-            return 0.0
-        return math.exp(-e)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        e = x * np.cosh(t) - log_cosh(nu * t)
+        return np.where((t > 700.0) | (e > 745.0), 0.0, np.exp(-e))
 
     res = de_halfline(integrand, rel_tol=rel_tol)
     return SpecEval(res.value, res.error, "quadrature")
@@ -135,11 +133,10 @@ def psi_chf(a: float, c: float, x: float,
     am1 = a - 1.0
     cam1 = c - a - 1.0
 
-    def integrand(s: float) -> float:
-        e = -x * s + am1 * math.log(s) + cam1 * math.log1p(s)
-        if e > 709.0 or e < -745.0:
-            return 0.0 if e < 0 else math.inf
-        return math.exp(e)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        e = -x * s + am1 * np.log(s) + cam1 * np.log1p(s)
+        return np.where(e > 709.0, math.inf,
+                        np.where(e < -745.0, 0.0, np.exp(e)))
 
     res = de_halfline(integrand, rel_tol=rel_tol)
     pre = 1.0 / gamma_value(a)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def sinpi(y: float) -> float:
     """sin(pi*y) with exact zeros at integer y.
@@ -23,12 +25,12 @@ def cospi(y: float) -> float:
     return sinpi(y + 0.5)
 
 
-def log_cosh(y: float) -> float:
-    """log(cosh(y)) without overflow for large |y|."""
-    ay = abs(y)
-    if ay < 350.0:
-        return math.log(math.cosh(ay))
-    return ay + math.log1p(math.exp(-2.0 * ay)) - math.log(2.0)
+def log_cosh(y: np.ndarray) -> np.ndarray:
+    """log(cosh(y)) elementwise, without overflow for large |y|."""
+    ay = np.abs(y)
+    with np.errstate(over="ignore"):
+        return np.where(ay < 350.0, np.log(np.cosh(ay)),
+                        ay + np.log1p(np.exp(-2.0 * ay)) - math.log(2.0))
 
 
 def neumaier_add(total: float, comp: float, term: float) -> tuple[float, float]:

@@ -94,10 +94,25 @@ def ks_two_sample(a, b) -> KsResult:
     n, m = a.size, b.size
     if n == 0 or m == 0:
         raise PreconditionError("ks_two_sample requires samples")
-    both = np.concatenate([a, b])
-    fa = np.searchsorted(a, both, side="right") / n
-    fb = np.searchsorted(b, both, side="right") / m
-    stat = float(np.max(np.abs(fa - fb)))
+    # one stable merge of the sorted samples; the empirical CDFs at a
+    # value are the counts from each side up to its last tied copy.
+    # Each array is dropped or reused as soon as it is spent, so the
+    # peak stays near four arrays of n + m elements.
+    merged = np.concatenate([a, b])
+    del a, b
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    from_a = order < n
+    del order
+    last = np.append(merged[1:] != merged[:-1], True)
+    del merged
+    ca = np.cumsum(from_a)[last]
+    cb = np.flatnonzero(last) + 1
+    del from_a, last
+    cb -= ca
+    gap = ca / n
+    gap -= cb / m
+    stat = float(np.max(np.abs(gap, out=gap)))
     crit = KS_COEFF_1PCT * math.sqrt((n + m) / (n * m))
     return KsResult(stat, n, crit, stat < crit, m_samples=m)
 
@@ -113,7 +128,7 @@ class StableCdf:
     Cumulative quadrature of the density over the reliable domain,
     anchored on the right by the termwise-integrated tail series; below
     the grid the CDF falls linearly to (0, 0), above it the survival
-    series is evaluated per point.
+    series is evaluated on the points there.
     """
 
     alpha: Alpha
@@ -134,9 +149,8 @@ class StableCdf:
         x_hi = math.exp(self.log_xs[-1])
         big = x > x_hi
         if np.any(big):
-            out[big] = [1.0 - dens.survival_series(self.alpha, float(t),
-                                                   self.cfg).value
-                        for t in x[big]]
+            out[big] = 1.0 - dens.survival_series_grid(self.alpha, x[big],
+                                                       self.cfg).value
         return float(out[0]) if scalar else np.clip(out, 0.0, 1.0)
 
 

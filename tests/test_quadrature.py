@@ -1,27 +1,35 @@
 import math
+import subprocess
+import sys
+import warnings
 
+import mpmath
+import numpy as np
 import pytest
+from scipy import special
 
+from stable_msu import factorizations, specfun
+from stable_msu import quadrature as quad
 from stable_msu.quadrature import de_halfline, tanh_sinh
 
 
 def test_finite_smooth():
-    res = tanh_sinh(math.sin, 0.0, math.pi)
+    res = tanh_sinh(np.sin, 0.0, math.pi)
     assert res.value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_finite_endpoint_singularity():
-    res = tanh_sinh(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
+    res = tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert res.value == pytest.approx(2.0, rel=1e-10)
 
 
 def test_halfline_exponential():
-    res = de_halfline(math.exp if False else (lambda x: math.exp(-x)))
+    res = de_halfline(lambda x: np.exp(-x))
     assert res.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_halfline_gamma_half():
-    res = de_halfline(lambda x: math.exp(-x) / math.sqrt(x))
+    res = de_halfline(lambda x: np.exp(-x) / np.sqrt(x))
     assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-11)
 
 
@@ -32,11 +40,142 @@ def test_halfline_slow_decay():
 
 
 def test_error_estimate_is_honest():
-    res = tanh_sinh(lambda x: math.exp(x) * math.cos(x), 0.0, 2.0)
+    res = tanh_sinh(lambda x: np.exp(x) * np.cos(x), 0.0, 2.0)
     exact = 0.5 * (math.exp(2.0) * (math.sin(2.0) + math.cos(2.0)) - 1.0)
     assert abs(res.value - exact) <= max(10.0 * res.error, 1e-12)
 
 
 def test_bad_interval_raises():
     with pytest.raises(ValueError):
-        tanh_sinh(math.sin, 1.0, 1.0)
+        tanh_sinh(np.sin, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("max_level", [-1, quad._LEVEL_CAP + 1])
+def test_max_level_out_of_range_raises(max_level):
+    # rejected before any node table is built
+    with pytest.raises(ValueError):
+        de_halfline(np.exp, max_level=max_level)
+
+
+def test_max_level_zero_has_no_error_estimate():
+    res = de_halfline(lambda x: np.exp(-x), max_level=0)
+    assert res.levels == 0 and res.error == math.inf
+
+
+class TestNodeTables:
+    @pytest.mark.parametrize("level", range(0, 11))
+    def test_levels_nest_into_the_full_grid(self, level):
+        h = 0.5 ** level
+        k_max = math.floor(quad._T_MAX / h)
+        union = np.sort(np.concatenate(
+            [quad._nodes(j).t for j in range(level + 1)]))
+        assert np.array_equal(union, np.arange(-k_max, k_max + 1) * h)
+
+    def test_tables_are_read_only_and_cached(self):
+        nodes = quad._nodes(3)
+        assert quad._nodes(3) is nodes
+        with pytest.raises(ValueError):
+            nodes.half_x[0] = 1.0
+
+    def test_tables_stay_lazy_on_import(self):
+        code = ("import stable_msu\n"
+                "from stable_msu import quadrature\n"
+                "print(quadrature._nodes.cache_info().currsize)\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "0"
+
+
+class TestNonFiniteTerms:
+    def test_halfline_non_finite_values_count_as_zero(self):
+        # exp(x^2) overflows to inf for x >= 30, and inf * 0 is nan; the
+        # engine silences both and drops the terms, and no RuntimeWarning
+        # escapes
+        clean = de_halfline(lambda x: np.where(x < 30.0, np.exp(-x), 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inf = de_halfline(
+                lambda x: np.where(x < 30.0, np.exp(-x), np.exp(x * x)))
+            nan = de_halfline(lambda x: np.where(
+                x < 30.0, np.exp(-x), np.exp(x * x) * 0.0))
+        assert inf == clean
+        assert nan == clean
+        assert clean.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_finite_interval_non_finite_values_count_as_zero(self):
+        clean = tanh_sinh(lambda x: np.where(x > 1e-30, x, 0.0), 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spiky = tanh_sinh(
+                lambda x: np.where(x > 1e-30, x, 1.0 / (x - x)), 0.0, 1.0)
+        assert spiky == clean
+        assert clean.value == pytest.approx(0.5, rel=1e-12)
+
+    def test_finite_interval_never_calls_f_at_an_endpoint(self):
+        seen = []
+        res = tanh_sinh(lambda x: seen.append(x) or np.ones_like(x), 1.0, 2.0)
+        nodes = np.concatenate(seen)
+        assert nodes.min() > 1.0 and nodes.max() < 2.0
+        assert res.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_integrand(self):
+        res = de_halfline(np.zeros_like)
+        assert (res.value, res.error) == (0.0, 0.0)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 0.5, 2.5])
+    def test_bessel_k_against_scipy(self, nu):
+        # kve is scaled by e^x, so it does not underflow at x = 700
+        for x in np.geomspace(1e-3, 700.0, 40).tolist():
+            ref = special.kve(nu, x) * math.exp(-x)
+            assert specfun.bessel_k(nu, x).value == pytest.approx(
+                ref, rel=1e-11)
+
+    @pytest.mark.parametrize("alpha,beta,c,shift,x", [
+        (0.4, 0.6, 0.9, -1, 0.01), (0.5, 1.0, 1.2, 1, 2.0),
+        (0.2, 0.9, 1.0, 0, 20.0), (0.7, 0.8, 1.5, -1, 0.0),
+        (0.3, 0.5, 0.7, 1, 5.0)])
+    def test_lemma1_g_against_mpmath(self, alpha, beta, c, shift, x):
+        expo = c + shift - (alpha + beta)
+        with mpmath.workdps(30):
+            if x == 0.0:
+                # the slow algebraic tail defeats mpmath.quad; the
+                # integral is the Beta function there
+                ref = mpmath.beta(beta, -expo - beta)
+            else:
+                ref = mpmath.exp(-x) * mpmath.quad(
+                    lambda u: mpmath.exp(-x * u) * u ** (beta - 1)
+                    * (1 + u) ** expo, [0, 1, 10, mpmath.inf])
+        g = factorizations.lemma1_g(alpha, beta, c, shift, x)
+        assert g.value == pytest.approx(float(ref), rel=1e-10)
+
+    # levels taken by the scalar-loop engine this one replaced
+    LEVELS = [
+        (specfun, "bessel_k", (1.0 / 3.0, 1e-3), 8),
+        (specfun, "bessel_k", (1.0 / 3.0, 1.0), 6),
+        (specfun, "bessel_k", (2.5, 50.0), 4),
+        (specfun, "bessel_k", (0.0, 300.0), 5),
+        (specfun, "psi_chf", (1.0 / 6.0, 1.0 / 3.0, 1e-3), 5),
+        (specfun, "psi_chf", (1.0 / 6.0, 4.0 / 3.0, 0.1), 5),
+        (specfun, "psi_chf", (1.0 / 6.0, 7.0 / 3.0, 40.0), 4),
+        (specfun, "psi_chf", (2.0, 0.5, 3.0), 4),
+        (factorizations, "lemma1_g", (0.4, 0.6, 0.9, -1, 0.01), 5),
+        (factorizations, "lemma1_g", (0.5, 1.0, 1.2, 1, 2.0), 4),
+        (factorizations, "lemma1_g", (0.2, 0.9, 1.0, 0, 20.0), 4),
+        (factorizations, "lemma1_g", (0.7, 0.8, 1.5, -1, 0.0), 3),
+        (factorizations, "lemma1_g", (0.3, 0.5, 0.7, 1, 5.0), 4),
+    ]
+
+    @pytest.mark.parametrize("module,name,args,levels", LEVELS)
+    def test_levels_pinned(self, monkeypatch, module, name, args, levels):
+        seen = []
+
+        def recording(f, **kw):
+            res = de_halfline(f, **kw)
+            seen.append(res.levels)
+            return res
+
+        monkeypatch.setattr(module, "de_halfline", recording)
+        getattr(module, name)(*args)
+        assert seen == [levels]

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from stable_msu.density import survival_series
 from stable_msu.errors import PreconditionError
 from stable_msu.verify import (CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG,
                                IdentityReport, build_cdf, check_diff_identity,
@@ -54,6 +56,25 @@ class TestKsTwoSample:
                             rng.standard_normal(50_000) + 0.05)
         assert not res.passed
 
+    @pytest.mark.parametrize("seed", [15, 16, 17])
+    def test_ties_match_searchsorted_and_scipy(self, seed):
+        # few distinct values, so nearly every value is tied within and
+        # across the samples
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 40, 20_000).astype(float)
+        b = rng.integers(0, 43, 15_000).astype(float)
+        sa, sb = np.sort(a), np.sort(b)
+        both = np.concatenate([sa, sb])
+        fa = np.searchsorted(sa, both, side="right") / sa.size
+        fb = np.searchsorted(sb, both, side="right") / sb.size
+        stat = ks_two_sample(a, b).statistic
+        assert stat == float(np.max(np.abs(fa - fb)))
+        assert stat == stats.ks_2samp(a, b).statistic
+
+    def test_single_points(self):
+        assert ks_two_sample([1.0], [1.0]).statistic == 0.0
+        assert ks_two_sample([1.0], [2.0]).statistic == 1.0
+
 
 class TestStableCdf:
     def test_against_closed_form_half(self):
@@ -72,9 +93,14 @@ class TestStableCdf:
     def test_far_tail_uses_series(self):
         cdf = build_cdf(0.3)
         x = 1e20
-        from stable_msu.density import survival_series
         assert cdf(x) == pytest.approx(1.0 - survival_series(0.3, x).value,
                                        abs=1e-12)
+
+    def test_above_grid_matches_scalar_series(self):
+        cdf = build_cdf(0.3)
+        xs = np.geomspace(math.exp(cdf.log_xs[-1]) * 1.5, 1e30, 40)
+        ref = [1.0 - survival_series(0.3, float(x)).value for x in xs]
+        assert cdf(xs).tolist() == ref
 
 
 class TestUalphaCdf:
