@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1e-5)
 
     p = sub.add_parser("check-identities",
-                       help="JSON log-difference identity report (KS at 1%)")
+                       help="JSON log-difference identity report (KS at 1%%)")
     p.add_argument("--alpha", required=True, type=_alpha_from_string)
     p.add_argument("--count", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

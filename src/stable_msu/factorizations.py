@@ -94,8 +94,8 @@ class FactorList:
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         out = np.full(size if size is not None else (), self.scale, dtype=float)
         for factor in self.factors:
-            out = out * factor.sample(rng, size)
-        return out
+            out *= factor.sample(rng, size)
+        return out if size is not None else out[()]
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,36 @@ class MellinProfile:
 # exact sampler
 # ---------------------------------------------------------------------------
 
+def _log_kanter_b(a: float, u: np.ndarray) -> np.ndarray:
+    """log b(u) as a new array, for float a in (0, 1) and u in (0, pi).
+
+    Each sine comes from t = tan(x/2) as sin x = 2t/(1 + t^2): numpy's
+    float64 tan is vectorised where its sin is scalar libm.  The
+    exponents a, 1-a and -1 of the three sines sum to 0, so the factor 2
+    cancels and only log(t/(1 + t^2)) is formed, in place.
+    """
+    out = np.empty_like(u)
+    tmp = np.empty_like(u)
+    sq = np.empty_like(u)
+
+    def log_half_sin(scale, dst):
+        # log(sin(scale*u)/2) into dst; scale*u/2 lies in (0, pi/2)
+        np.multiply(u, 0.5 * scale, out=dst)
+        np.tan(dst, out=dst)
+        np.multiply(dst, dst, out=sq)
+        np.add(sq, 1.0, out=sq)
+        dst /= sq
+        return np.log(dst, out=dst)
+
+    log_half_sin(a, out)
+    out *= a
+    log_half_sin(1.0 - a, tmp)
+    tmp *= 1.0 - a
+    out += tmp
+    out -= log_half_sin(1.0, tmp)
+    return out
+
+
 def kanter_b(alpha, u):
     """The factor b(u) = (sin(a u)/sin u)^a (sin((1-a)u)/sin u)^{1-a}
     on (0, pi); tends to a^a (1-a)^{1-a} at 0+ and diverges at pi-.
@@ -126,15 +156,14 @@ def kanter_b(alpha, u):
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= math.pi):
         raise DomainError("kanter_b requires u strictly inside (0, pi)")
-    log_sin_u = np.log(np.sin(u_arr))
-    val = np.exp(a * (np.log(np.sin(a * u_arr)) - log_sin_u)
-                 + (1.0 - a) * (np.log(np.sin((1.0 - a) * u_arr)) - log_sin_u))
+    val = _log_kanter_b(a, u_arr)
+    np.exp(val, out=val)
     return float(val) if np.isscalar(u) or u_arr.ndim == 0 else val
 
 
 def sample_stable(alpha, source: np.random.Generator, size=None):
     """Exact draws of Z_alpha from
-    log Z = (1/a) log b(U) + ((a-1)/a) log L,
+    log Z = (1/a) [log b(U) + (a-1) log L],
     U uniform on (0, pi), L standard exponential.
 
     Returns a scalar for size=None, else an ndarray of that shape.
@@ -148,9 +177,13 @@ def sample_stable(alpha, source: np.random.Generator, size=None):
     while np.any(bad):
         u[bad] = source.uniform(0.0, math.pi, int(bad.sum()))
         bad = (u <= 0.0) | (u >= math.pi)
-    ell = source.standard_exponential(n)
-    z = np.exp(np.log(kanter_b(alpha, u)) / a
-               + (a - 1.0) / a * np.log(ell))
+    z = _log_kanter_b(a, u)
+    # every uniform is drawn before any exponential; L reuses U's buffer
+    log_ell = np.log(source.standard_exponential(out=u), out=u)
+    log_ell *= a - 1.0
+    z += log_ell
+    z /= a
+    np.exp(z, out=z)
     return float(z[0]) if scalar else z
 
 

@@ -80,9 +80,14 @@ def ks_one_sample(samples, cdf) -> KsResult:
     if n == 0:
         raise PreconditionError("ks_one_sample requires samples")
     f = np.clip(np.asarray(cdf(s), dtype=float), 0.0, 1.0)
-    up = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    stat = float(max(np.max(up - f), np.max(f - lo)))
+    # steps[k] = k/n: the empirical CDF is steps[1:] just after each
+    # sorted sample and steps[:-1] just before; s is spent and holds
+    # each difference in turn
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n
+    above = np.max(np.subtract(steps[1:], f, out=s))
+    below = np.max(np.subtract(f, steps[:-1], out=s))
+    stat = float(max(above, below))
     crit = KS_COEFF_1PCT / math.sqrt(n)
     return KsResult(stat, n, crit, stat < crit)
 
@@ -237,7 +242,9 @@ def check_diff_identity(alpha, n_samples: int, seed: int) -> IdentityReport:
     rng = np.random.default_rng(seed)
     z1 = fact.sample_stable(alpha, rng, n_samples)
     z2 = fact.sample_stable(alpha, rng, n_samples)
-    diff = np.log(z1) - np.log(z2)
+    diff = np.log(z1, out=z1)
+    diff -= np.log(z2, out=z2)
+    del z2
     ks = ks_one_sample(diff, ualpha_cdf(alpha))
     return IdentityReport(
         name=f"diff-identity-alpha-{alpha.value:g}",
@@ -252,7 +259,8 @@ def check_factorization_mc(p: int, n: int, n_samples: int,
     fl = fact.lemma2_product(p, n)  # validates n > 2p
     alpha = Alpha.from_fraction(p, n)
     rng = np.random.default_rng(seed)
-    z = fact.sample_stable(alpha, rng, n_samples) ** (-float(p))
+    z = fact.sample_stable(alpha, rng, n_samples)
+    np.power(z, -float(p), out=z)
     prod = fl.sample(rng, n_samples)
     ks = ks_two_sample(z, prod)
     return IdentityReport(

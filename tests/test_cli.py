@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from stable_msu.cli import main
+from stable_msu.cli import _COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -171,3 +171,17 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "scan-msu", "--alpha", "0.6",
                              "--threads", "2")
         assert code == 2
+
+
+class TestHelp:
+    def test_top_level_lists_every_subcommand(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        for name in _COMMANDS:
+            assert name in out
+
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_subcommand_help(self, capsys, name):
+        code, out, _ = run_cli(capsys, name, "--help")
+        assert code == 0
+        assert out.startswith("usage:")

@@ -1,6 +1,8 @@
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,38 @@ class TestKanterB:
         assert v.shape == (3,)
         assert np.all(v > 0)
 
+    @pytest.mark.parametrize("a", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_against_mpmath(self, a):
+        # reference at 50 digits, evaluated at the exact float u, from
+        # the endpoint draw pi * 2^-53 up to the last double below pi
+        us = [math.pi * 2.0 ** -53, 1e-12, 1e-8, 1e-3, 0.3, 1.0,
+              math.pi / 2.0, 2.0, 3.0, math.pi - 1e-3, math.pi - 1e-6,
+              math.pi - 1e-9, math.pi - 1e-12, math.nextafter(math.pi, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kanter_b(a, np.array(us))
+            scalars = [kanter_b(a, u) for u in us]
+        with mpmath.workdps(50):
+            am = mpmath.mpf(a)
+            for u, v, w in zip(us, got, scalars):
+                um = mpmath.mpf(u)
+                s = mpmath.sin(um)
+                ref = ((mpmath.sin(am * um) / s) ** am
+                       * (mpmath.sin((1 - am) * um) / s) ** (1 - am))
+                assert abs(mpmath.mpf(float(v)) / ref - 1) < 1e-13, u
+                assert w == v
+
+    def test_scalar_and_zero_d_return_float(self):
+        assert isinstance(kanter_b(0.4, 1.0), float)
+        assert isinstance(kanter_b(0.4, np.float64(1.0)), float)
+        assert isinstance(kanter_b(0.4, np.array(1.0)), float)
+        assert kanter_b(0.4, np.array([[1.0, 2.0]])).shape == (1, 2)
+
+    def test_input_untouched(self):
+        u = np.array([0.5, 1.0, 2.0])
+        kanter_b(0.4, u)
+        assert np.array_equal(u, [0.5, 1.0, 2.0])
+
 
 class TestSampleStable:
     def test_positive(self):
@@ -83,6 +117,57 @@ class TestSampleStable:
         a = sample_stable(0.7, np.random.default_rng(5), 8)
         b = sample_stable(0.7, np.random.default_rng(5), 8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("a", [0.1, 2 / 7, 0.5, 0.7, 0.9])
+    def test_matches_sine_formula_on_same_stream(self, a):
+        # the draws equal the sine form of Kanter's transform applied to
+        # the same uniforms and exponentials, and consume the stream
+        # exactly as drawing those arrays by hand
+        rng = np.random.default_rng(31)
+        z = sample_stable(a, rng, 20_000)
+        ref_rng = np.random.default_rng(31)
+        u = ref_rng.uniform(0.0, math.pi, 20_000)
+        ell = ref_rng.standard_exponential(20_000)
+        log_sin_u = np.log(np.sin(u))
+        b = np.exp(a * (np.log(np.sin(a * u)) - log_sin_u)
+                   + (1.0 - a) * (np.log(np.sin((1.0 - a) * u)) - log_sin_u))
+        ref = np.exp(np.log(b) / a + (a - 1.0) / a * np.log(ell))
+        assert np.max(np.abs(z / ref - 1.0)) < 1e-13
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_tuple_size_keeps_shape(self):
+        z = sample_stable(0.6, np.random.default_rng(8), (3, 4))
+        flat = sample_stable(0.6, np.random.default_rng(8), 12)
+        assert z.shape == (3, 4)
+        assert np.array_equal(z, flat.reshape(3, 4))
+
+    def test_size_none_is_first_draw(self):
+        z = sample_stable(0.6, np.random.default_rng(9))
+        assert isinstance(z, float)
+        assert z == sample_stable(0.6, np.random.default_rng(9), 1)[0]
+
+    def test_endpoint_uniforms_redrawn_without_warning(self):
+        # a source whose first uniforms hit both endpoints and the two
+        # extreme interior doubles; only the endpoints are redrawn
+        class Source:
+            def __init__(self):
+                self.rng = np.random.default_rng(10)
+                self.first = True
+
+            def uniform(self, lo, hi, n):
+                if self.first:
+                    self.first = False
+                    return np.array([0.0, math.pi * 2.0 ** -53, math.pi,
+                                     math.nextafter(math.pi, 0.0)])
+                return self.rng.uniform(lo, hi, n)
+
+            def standard_exponential(self, size=None, out=None):
+                return self.rng.standard_exponential(size, out=out)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = sample_stable(0.5, Source(), 4)
+        assert np.all(np.isfinite(z)) and np.all(z > 0.0)
 
 
 class TestWilliamsProduct:

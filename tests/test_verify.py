@@ -7,6 +7,7 @@ from scipy import stats
 
 from stable_msu.density import survival_series
 from stable_msu.errors import PreconditionError
+from stable_msu.factorizations import lemma2_product, sample_stable
 from stable_msu.verify import (CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG,
                                IdentityReport, build_cdf, check_diff_identity,
                                check_factorization_mc, check_laplace,
@@ -37,6 +38,26 @@ class TestKsOneSample:
     def test_empty_raises(self):
         with pytest.raises(PreconditionError):
             ks_one_sample([], lambda x: x)
+
+    @pytest.mark.parametrize("seed", [18, 19, 20])
+    def test_ties_match_two_sided_formula(self, seed):
+        # the statistic is bit-identical to max(up - F, F - lo) with
+        # separate up = (k+1)/n and lo = k/n arrays, and the caller's
+        # samples are left as they were
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, 30, 25_000).astype(float)
+        kept = s.copy()
+
+        def cdf(x):
+            return np.clip((x + 0.5) / 30.0, 0.0, 1.0)
+
+        f = np.clip(cdf(np.sort(s)), 0.0, 1.0)
+        n = s.size
+        up = np.arange(1, n + 1) / n
+        lo = np.arange(0, n) / n
+        ref = float(max(np.max(up - f), np.max(f - lo)))
+        assert ks_one_sample(s, cdf).statistic == ref
+        assert np.array_equal(s, kept)
 
 
 class TestKsTwoSample:
@@ -162,6 +183,49 @@ class TestChecks:
         rep = check_mellin_factorization(2, 5, [0.1, 0.5, 1.0, 2.0, 5.0])
         assert rep.passed
         assert rep.discrepancy < 1e-12
+
+
+class TestInPlaceBuffers:
+    """The Monte-Carlo checks reuse their draw buffers; each result is
+    bit-identical to the out-of-place expression on the same seed."""
+
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 7)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_factor_list_sample(self, p, n, seed):
+        fl = lemma2_product(p, n)
+        got = fl.sample(np.random.default_rng(seed), 5_000)
+        rng = np.random.default_rng(seed)
+        ref = np.full(5_000, fl.scale)
+        for factor in fl.factors:
+            ref = ref * factor.sample(rng, 5_000)
+        assert np.array_equal(got, ref)
+
+    def test_factor_list_scalar(self):
+        fl = lemma2_product(2, 5)
+        got = fl.sample(np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        ref = np.full((), fl.scale)
+        for factor in fl.factors:
+            ref = ref * factor.sample(rng)
+        assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+        assert got == ref
+
+    @pytest.mark.parametrize("p,n,seed", [(2, 5, 21), (3, 7, 22), (3, 8, 23)])
+    def test_factorization_mc(self, p, n, seed):
+        rep = check_factorization_mc(p, n, 20_000, seed)
+        rng = np.random.default_rng(seed)
+        z = sample_stable(p / n, rng, 20_000) ** (-float(p))
+        prod = lemma2_product(p, n).sample(rng, 20_000)
+        assert rep.discrepancy == ks_two_sample(z, prod).statistic
+
+    @pytest.mark.parametrize("alpha,seed", [(0.3, 31), (0.6, 32), (0.8, 33)])
+    def test_diff_identity(self, alpha, seed):
+        rep = check_diff_identity(alpha, 10_000, seed)
+        rng = np.random.default_rng(seed)
+        diff = (np.log(sample_stable(alpha, rng, 10_000))
+                - np.log(sample_stable(alpha, rng, 10_000)))
+        assert rep.discrepancy == ks_one_sample(diff,
+                                                ualpha_cdf(alpha)).statistic
 
 
 class TestRunAcceptance:
