@@ -167,7 +167,14 @@ class TestSampleStable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             z = sample_stable(0.5, Source(), 4)
-        assert np.all(np.isfinite(z)) and np.all(z > 0.0)
+        rng = np.random.default_rng(10)
+        redrawn = rng.uniform(0.0, math.pi, 2)
+        u = np.array([redrawn[0], math.pi * 2.0 ** -53, redrawn[1],
+                      math.nextafter(math.pi, 0.0)])
+        # Z_{1/2} = b(U)^2 / L
+        ref = kanter_b(0.5, u) ** 2 / rng.standard_exponential(4)
+        assert np.all(np.isfinite(z))
+        assert np.max(np.abs(z / ref - 1.0)) < 1e-13
 
 
 class TestWilliamsProduct:
