@@ -21,15 +21,16 @@ compensation, overflow cut, error bars and flags):
 
 * ``_hp_sums`` sums one float x in a plain Python loop.  The scalar
   operations (``density_series``, ``density_jet``, ``survival_series``)
-  use it, and so do their pointwise callers: scipy ``quad`` integrands,
-  golden-section and bisection refinements, and ``reliable_x_min``.
+  use it, and so do their pointwise callers: golden-section and
+  bisection refinements, ``reliable_x_min`` and the endpoint values of
+  ``laplace_check``.
 * ``_hp_sums_grid`` sums a whole x array in one numpy loop over n, one
   column per point; columns leave the working arrays once they have
   converged or overflowed.  The ``*_grid`` operations use it, and every
   caller with a grid goes through them: ``msu.msu_scan`` and
   ``msu.lce_residual``, both segments of ``verify.build_cdf``, the
-  closed-form and expansion acceptance checks, the fixed Gauss-Legendre
-  segment of ``laplace_check`` and the ``density`` CLI.
+  closed-form and expansion acceptance checks, both Gauss-Legendre
+  pieces of ``laplace_check`` and the ``density`` CLI.
 
 Both paths return bit-identical values, error bars, term counts and
 flags.  Scalar callers stay on the float loop because the array loop
@@ -47,7 +48,6 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
 
 from . import specfun
 from .errors import DomainError, UnsupportedAlphaError
@@ -631,37 +631,43 @@ def reliable_x_min(alpha: Alpha, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG,
     return good
 
 
-@lru_cache(maxsize=1)
-def _leggauss_64():
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+def _decade_edges(lo: float, hi: float) -> tuple[float, ...]:
+    """lo, 10 lo, 100 lo, ... up to hi (the last piece may be shorter)."""
+    edges = [lo]
+    while edges[-1] < hi:
+        nxt = min(hi, edges[-1] * 10.0)
+        edges.append(nxt if nxt > edges[-1] else hi)
+    return tuple(edges)
 
 
-def _quad_log_pieces(f, a: float, b: float, epsabs: float) -> float:
-    """Adaptive quadrature of f over [a, b], split at decades so that
-    heavy-tailed integrands over wide ranges stay resolved."""
-    total = 0.0
-    lo = a
-    while lo < b:
-        hi = min(b, lo * 10.0)
-        if hi <= lo:
-            hi = b
-        val, _ = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-11,
-                                limit=200)
-        total += val
-        lo = hi
-    return total
+@lru_cache(maxsize=64)
+def _gauss_legendre(edges: tuple[float, ...]):
+    """64-point Gauss-Legendre nodes and weights on each interval of
+    ``edges``, concatenated into two read-only arrays."""
+    t, w = np.polynomial.legendre.leggauss(64)
+    e = np.array(edges)
+    half = 0.5 * (e[1:] - e[:-1])[:, None]
+    mid = 0.5 * (e[1:] + e[:-1])[:, None]
+    nodes = (mid + half * t).ravel()
+    weights = (half * w).ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def laplace_check(alpha, lam: float,
                   cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
     """|int_0^inf e^{-lam t} f_a(t) dt - exp(-lam**a)|.
 
-    Assembled from adaptive quadrature of the series over its reliable
-    domain plus integrated-tail corrections on both sides: below the
-    reliable region the survival sum (which only needs absolute accuracy
-    there) pins the missing mass via integration by parts, and beyond
-    the upper cutoff the integrated tail series closes the transform.
+    Assembled from 64-point Gauss-Legendre rules over the series'
+    reliable domain, one rule per decade, plus integrated-tail
+    corrections on both sides: below the reliable region the survival
+    sum (which only needs absolute accuracy there) pins the missing mass
+    via integration by parts, and beyond the upper cutoff the integrated
+    tail series closes the transform.  Fixed rules suit the integrands:
+    they are smooth but carry series noise at the 1e-7 absolute level
+    near x_s, which trips adaptive subdivision without improving the
+    answer, and a decade of x^{-1-a} is resolved to rounding by 64 nodes.
     """
     alpha = as_alpha(alpha)
     if lam < 0.0:
@@ -670,41 +676,35 @@ def laplace_check(alpha, lam: float,
     x_m = reliable_x_min(alpha, cfg)
     x_s = min(reliable_x_min(alpha, cfg, survival=True), x_m)
 
-    def f(t: float) -> float:
-        return density_series(alpha, t, cfg).value
-
     def surv(t: float) -> float:
         return survival_series(alpha, t, cfg).value
+
+    def mid_piece(x_hi: float) -> float:
+        # int_{x_m}^{x_hi} e^{-lam t} f(t) dt, every node in one grid call
+        ts, ws = _gauss_legendre(_decade_edges(x_m, x_hi))
+        fs = density_series_grid(alpha, ts, cfg).value
+        if lam != 0.0:
+            fs = fs * np.exp(-lam * ts)
+        return float(np.dot(ws, fs))
 
     if lam == 0.0:
         x_hi = max(10.0, 4.0 * x_m)
         while surv(x_hi) > 1e-3 and x_hi < 1e15:
             x_hi *= 10.0
         mass_left = 1.0 - surv(x_m)
-        mid = _quad_log_pieces(f, x_m, x_hi, epsabs=1e-11)
-        return abs(mass_left + mid + surv(x_hi) - 1.0)
+        return abs(mass_left + mid_piece(x_hi) + surv(x_hi) - 1.0)
 
     x_hi = max(50.0 / lam, 4.0 * x_m, 10.0)
     # int_0^{x_m} e^{-lam t} f dt by parts: e^{-lam x_m} F(x_m)
     #   + lam * int_0^{x_m} e^{-lam t} F(t) dt  with F = 1 - S
     inner = 0.0
     if x_s < x_m:
-        # fixed Gauss-Legendre: the integrand is smooth but carries
-        # series noise at the 1e-7 absolute level, which trips adaptive
-        # subdivision without improving the answer
-        nodes, weights = _leggauss_64()
-        half = 0.5 * (x_m - x_s)
-        mid_pt = 0.5 * (x_m + x_s)
-        ts = mid_pt + half * np.array(nodes)
+        ts, ws = _gauss_legendre((x_s, x_m))
         s_nodes = survival_series_grid(alpha, ts, cfg).value
-        inner += half * sum(
-            w * math.exp(-lam * t) * (1.0 - s)
-            for t, w, s in zip(ts.tolist(), weights, s_nodes.tolist()))
+        inner += float(np.dot(ws, np.exp(-lam * ts) * (1.0 - s_nodes)))
     # below x_s: F rises from 0 to F(x_s); trapezoid estimate, the
     # dropped curvature is bounded by lam * x_s * F(x_s)
     inner += 0.5 * x_s * math.exp(-lam * x_s) * (1.0 - surv(x_s))
     left = math.exp(-lam * x_m) * (1.0 - surv(x_m)) + lam * inner
-    mid = _quad_log_pieces(lambda t: math.exp(-lam * t) * f(t), x_m, x_hi,
-                           epsabs=1e-12)
     tail = math.exp(-lam * x_hi) * surv(x_hi)
-    return abs(left + mid + tail - math.exp(-lam ** a))
+    return abs(left + mid_piece(x_hi) + tail - math.exp(-lam ** a))

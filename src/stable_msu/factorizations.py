@@ -154,23 +154,16 @@ def kanter_b(alpha, u):
     """
     a = as_alpha(alpha).value
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= math.pi):
+    if not np.all((u_arr > 0.0) & (u_arr < math.pi)):  # NaN fails too
         raise DomainError("kanter_b requires u strictly inside (0, pi)")
     val = _log_kanter_b(a, u_arr)
     np.exp(val, out=val)
     return float(val) if np.isscalar(u) or u_arr.ndim == 0 else val
 
 
-def sample_stable(alpha, source: np.random.Generator, size=None):
-    """Exact draws of Z_alpha from
-    log Z = (1/a) [log b(U) + (a-1) log L],
-    U uniform on (0, pi), L standard exponential.
-
-    Returns a scalar for size=None, else an ndarray of that shape.
-    """
-    a = as_alpha(alpha).value
-    scalar = size is None
-    n = 1 if scalar else size
+def _log_stable(a: float, source: np.random.Generator, n) -> np.ndarray:
+    """The logs of sample_stable's draws, for n an int or a shape, as a
+    new array; finite where exponentiating would overflow."""
     u = source.uniform(0.0, math.pi, n)
     # endpoint draws are measure zero but would hit the log singularities
     bad = (u <= 0.0) | (u >= math.pi)
@@ -183,6 +176,19 @@ def sample_stable(alpha, source: np.random.Generator, size=None):
     log_ell *= a - 1.0
     z += log_ell
     z /= a
+    return z
+
+
+def sample_stable(alpha, source: np.random.Generator, size=None):
+    """Exact draws of Z_alpha from
+    log Z = (1/a) [log b(U) + (a-1) log L],
+    U uniform on (0, pi), L standard exponential.
+
+    Returns a scalar for size=None, else an ndarray of that shape.
+    """
+    a = as_alpha(alpha).value
+    scalar = size is None
+    z = _log_stable(a, source, 1 if scalar else size)
     np.exp(z, out=z)
     return float(z[0]) if scalar else z
 

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import mpmath as mp
 import numpy as np
-from scipy import special
 
 from . import specfun
 from .density import (Alpha, DEFAULT_SERIES_CONFIG, DensityJet, EvalResult,
@@ -285,9 +285,11 @@ def bb_expansion(order: int) -> BbExpansion:
     if order < 1:
         raise ValueError("order must be >= 1")
     # log(1/Gamma(1+z)) = gamma z + sum_{k>=2} (-1)^{k-1} zeta(k) z^k / k
+    # zeta(k) correctly rounded, whatever mpmath's global precision
     log_coeffs = [0.0, float(np.euler_gamma)]
-    for kk in range(2, order + 1):
-        log_coeffs.append((-1.0) ** (kk - 1) * float(special.zeta(kk)) / kk)
+    with mp.workdps(30):
+        for kk in range(2, order + 1):
+            log_coeffs.append((-1.0) ** (kk - 1) * float(mp.zeta(kk)) / kk)
     b = [1.0]
     for j in range(1, order + 1):
         acc = 0.0

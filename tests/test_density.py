@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
+from stable_msu import density as density_mod
 from stable_msu.density import (Alpha, EvalResult, SeriesConfig, as_alpha,
                                 density_closed, density_jet, density_jet_grid,
                                 density_series, density_series_grid,
@@ -319,6 +320,36 @@ class TestLaplace:
     def test_domain(self):
         with pytest.raises(DomainError):
             laplace_check(0.5, -1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 4.0])
+    def test_decade_rule_against_mpmath(self, lam):
+        # the middle piece's rule, on [x_m, x_hi] as laplace_check picks
+        # them, applied to the alpha = 1/2 closed form times e^{-lam t}
+        x_m = reliable_x_min(as_alpha(0.5))
+        if lam == 0.0:
+            x_hi = max(10.0, 4.0 * x_m)
+            while math.erf(0.5 / math.sqrt(x_hi)) > 1e-3:
+                x_hi *= 10.0
+        else:
+            x_hi = max(50.0 / lam, 4.0 * x_m, 10.0)
+        edges = density_mod._decade_edges(x_m, x_hi)
+        assert edges[0] == x_m and edges[-1] == x_hi
+        ts, ws = density_mod._gauss_legendre(edges)
+        got = float(np.dot(ws, [closed_half(t) * math.exp(-lam * t)
+                                for t in ts.tolist()]))
+        with mp.workdps(30):
+            ref = mp.quad(lambda t: mp.exp(-1 / (4 * t) - lam * t)
+                          / (2 * mp.sqrt(mp.pi) * t ** 1.5), list(edges))
+        assert got == pytest.approx(float(ref), rel=1e-12)
+
+    def test_gauss_legendre_nodes_cached_read_only(self):
+        ts, ws = density_mod._gauss_legendre((1.0, 10.0, 20.0))
+        assert ts.shape == ws.shape == (128,)
+        assert density_mod._gauss_legendre((1.0, 10.0, 20.0))[0] is ts
+        assert not ts.flags.writeable and not ws.flags.writeable
+        assert np.all((ts[:64] > 1.0) & (ts[:64] < 10.0))
+        assert np.all((ts[64:] > 10.0) & (ts[64:] < 20.0))
+        assert ws.sum() == pytest.approx(19.0, rel=1e-14)
 
 
 def test_reliable_x_min_monotone_in_alpha():

@@ -38,6 +38,12 @@ class TestKanterB:
         with pytest.raises(DomainError):
             kanter_b(0.5, math.pi)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            kanter_b(0.5, math.nan)
+        with pytest.raises(DomainError):
+            kanter_b(0.5, np.array([1.0, math.nan, 2.0]))
+
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=0.01, max_value=math.pi - 0.01))
     @settings(max_examples=40, deadline=None)

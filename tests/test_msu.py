@@ -193,6 +193,11 @@ class TestBbExpansion:
         with pytest.raises(ValueError):
             bb_expansion(0)
 
+    def test_zeta_values_independent_of_mpmath_precision(self):
+        ref = bb_expansion(39).b_coeffs
+        with mp.workdps(5):
+            assert bb_expansion(39).b_coeffs == ref
+
 
 class TestBbLogDensity:
     def test_p_at_zero(self):

@@ -1,13 +1,16 @@
 import json
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
 from stable_msu.density import survival_series
 from stable_msu.errors import PreconditionError
-from stable_msu.factorizations import lemma2_product, sample_stable
+from stable_msu.factorizations import (_log_stable, lemma2_product,
+                                       sample_stable)
 from stable_msu.verify import (CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG,
                                IdentityReport, build_cdf, check_diff_identity,
                                check_factorization_mc, check_laplace,
@@ -139,6 +142,25 @@ class TestUalphaCdf:
         for x in (-30.0, -3.0, 0.0, 2.5, 40.0):
             assert cdf(np.array([x]))[0] == pytest.approx(closed(x), abs=1e-5)
 
+    @pytest.mark.parametrize("a", [0.1, 0.4, 0.5, 0.8, 0.95])
+    def test_against_arctan_form_in_mpmath(self, a):
+        # the arctan form above, in 40 digits, where e^{a x} overflows
+        # doubles; ualpha_cdf evaluates the tanh form instead
+        half = np.geomspace(1e-3, 1e4, 60)
+        xs = np.concatenate([-half[::-1], [0.0], half])
+        got = ualpha_cdf(a)(xs)
+        with mp.workdps(40):
+            pa = mp.pi * mp.mpf(a)
+            ref = [float((mp.atan((mp.exp(mp.mpf(a) * mp.mpf(x)) + mp.cos(pa))
+                                  / mp.sin(pa)) - (mp.pi / 2 - pa)) / pa)
+                   for x in xs.tolist()]
+        assert np.max(np.abs(got - np.array(ref))) < 1e-13
+
+    def test_scalar_and_array_shapes(self):
+        cdf = ualpha_cdf(0.5)
+        assert cdf(0.0).shape == (1,) and cdf(0.0)[0] == 0.5
+        assert cdf(np.zeros((2, 3))).shape == (2, 3)
+
 
 class TestChecks:
     def test_laplace_check_passes(self):
@@ -162,6 +184,21 @@ class TestChecks:
             - np.log(sample_stable(0.6, rng, 100_000))
         res = ks_two_sample(d, -d)
         assert res.passed
+
+    def test_diff_identity_small_alpha_finite(self):
+        # at alpha = 0.01 about 1 in 1000 draws of Z overflows a double;
+        # the check works with the logs and never forms Z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_diff_identity(0.01, 100_000, seed=11)
+        assert math.isfinite(rep.discrepancy) and rep.passed
+
+    def test_diff_identity_draws_are_the_samplers_logs(self):
+        # same random stream: exponentiated, the log-space draws are
+        # sample_stable's draws bit for bit
+        logs = _log_stable(0.6, np.random.default_rng(12), 10_000)
+        z = sample_stable(0.6, np.random.default_rng(12), 10_000)
+        assert np.array_equal(np.exp(logs), z)
 
     def test_diff_identity_needs_samples(self):
         with pytest.raises(PreconditionError):
