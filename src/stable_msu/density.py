@@ -632,11 +632,17 @@ def reliable_x_min(alpha: Alpha, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG,
 
 
 def _decade_edges(lo: float, hi: float) -> tuple[float, ...]:
-    """lo, 10 lo, 100 lo, ... up to hi (the last piece may be shorter)."""
+    """lo, 10 lo, 100 lo, ... up to hi (the last piece may be shorter),
+    with the first piece halved at its geometric midpoint.
+
+    For alpha near 1 the density climbs as exp(-c x^{-a/(1-a)}) just
+    above the reliable bound; one 64-point rule over that whole decade
+    is off by 3e-10 at alpha = 0.95 and 7e-9 at 0.99, two are not.
+    """
     edges = [lo]
     while edges[-1] < hi:
-        nxt = min(hi, edges[-1] * 10.0)
-        edges.append(nxt if nxt > edges[-1] else hi)
+        edges.append(min(hi, edges[-1] * 10.0))
+    edges.insert(1, math.sqrt(edges[0] * edges[1]))
     return tuple(edges)
 
 
@@ -660,7 +666,7 @@ def laplace_check(alpha, lam: float,
     """|int_0^inf e^{-lam t} f_a(t) dt - exp(-lam**a)|.
 
     Assembled from 64-point Gauss-Legendre rules over the series'
-    reliable domain, one rule per decade, plus integrated-tail
+    reliable domain, one rule per decade (see _decade_edges), plus integrated-tail
     corrections on both sides: below the reliable region the survival
     sum (which only needs absolute accuracy there) pins the missing mass
     via integration by parts, and beyond the upper cutoff the integrated
@@ -683,9 +689,7 @@ def laplace_check(alpha, lam: float,
         # int_{x_m}^{x_hi} e^{-lam t} f(t) dt, every node in one grid call
         ts, ws = _gauss_legendre(_decade_edges(x_m, x_hi))
         fs = density_series_grid(alpha, ts, cfg).value
-        if lam != 0.0:
-            fs = fs * np.exp(-lam * ts)
-        return float(np.dot(ws, fs))
+        return float(np.dot(ws, np.exp(-lam * ts) * fs))
 
     if lam == 0.0:
         x_hi = max(10.0, 4.0 * x_m)

@@ -311,6 +311,12 @@ class TestLaplace:
     def test_normalization(self, a):
         assert laplace_check(a, 0.0) < 1e-6
 
+    @pytest.mark.parametrize("a", [0.95, 0.99])
+    def test_normalization_near_one(self, a):
+        # the density climbs steeply just above x_m; one rule over the
+        # whole first decade reads 3e-10 and 7e-9 here
+        assert laplace_check(a, 0.0) < 1e-10
+
     def test_half_unit_lambda(self):
         assert laplace_check(0.5, 1.0) < 1e-6
 
