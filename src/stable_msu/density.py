@@ -24,19 +24,26 @@ compensation, overflow cut, error bars and flags):
   use it, and so do their pointwise callers: golden-section and
   bisection refinements, ``reliable_x_min`` and the endpoint values of
   ``laplace_check``.
-* ``_hp_sums_grid`` sums a whole x array in one numpy loop over n, one
-  column per point; columns leave the working arrays once they have
-  converged or overflowed.  The ``*_grid`` operations use it, and every
-  caller with a grid goes through them: ``msu.msu_scan`` and
-  ``msu.lce_residual``, both segments of ``verify.build_cdf``, the
-  closed-form and expansion acceptance checks, both Gauss-Legendre
-  pieces of ``laplace_check`` and the ``density`` CLI.
+* ``_hp_sums_grid`` sums a whole x array, one column per point, a block
+  of terms at a time: 8 terms, then 16, 32 and so on, fewer where the
+  grid is wide.  In a block the running sums and the running sums of
+  the Neumaier corrections are taken along the term axis, adding in
+  the float loop's order; each column then stops at the first term that
+  the float loop would stop at, and leaves the working arrays.  The
+  ``*_grid`` operations use it, and every caller with a grid goes
+  through them: ``msu.msu_scan`` and ``msu.lce_residual``, both
+  segments of ``verify.build_cdf``, the closed-form and expansion
+  acceptance checks, both Gauss-Legendre pieces of ``laplace_check``
+  and the ``density`` CLI.
 
 Both paths return bit-identical values, error bars, term counts and
-flags.  Scalar callers stay on the float loop because the array loop
-costs about ten float-loop calls for one point (0.4-0.8 ms against
-0.03-0.07 ms for a jet on a 2-vCPU x86 host), while on grids of 400 to
-6000 points it takes a fifth to a tenth of the float loop's time.
+flags.  They read each term's log from the same coefficient arrays
+(``_coef_arrays``) and take its exp from numpy's vectorised kernel,
+the float loop 32 terms at a time.  That rests on one premise, which
+the tests check: numpy's exp gives an argument the same bits whatever
+the length of the array and the argument's place in it.  A grid call
+for one point costs several float-loop calls, so pointwise callers
+stay on the float loop.
 """
 
 from __future__ import annotations
@@ -188,11 +195,65 @@ def _coef_table(alpha: Alpha, n_max: int):
     return tuple(logs), tuple(signs)
 
 
+@lru_cache(maxsize=64)
+def _coef_arrays(alpha: Alpha, n_max: int, survival: bool):
+    """_coef_table as read-only float arrays indexed by n = 0..n_max:
+    (logs, powers, signs) with log|term_n| = logs[n] - powers[n] log x.
+
+    For the density powers[n] = 1 + a n; for the integrated tail
+    powers[n] = a n and logs[n] carries the extra -log(a n).  Rows with
+    c_n = 0 (and row 0) hold log -inf and sign 0, so their terms come out
+    as exact zeros and never trip the overflow cut.
+    """
+    logs, signs = _coef_table(alpha, n_max)
+    a = alpha.value
+    an = [a * n for n in range(n_max + 1)]
+    if survival:
+        lg = [logs[n] - math.log(an[n]) if signs[n] else -math.inf
+              for n in range(n_max + 1)]
+        pw = an
+    else:
+        lg = [logs[n] if signs[n] else -math.inf for n in range(n_max + 1)]
+        pw = [1.0 + v for v in an]
+    arrays = (np.array(lg), np.array(pw), np.array(signs, dtype=float))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _log_terms(logs, powers, lx: float, n0: int):
+    """Lists of log|t_n| and exp(log|t_n|) for n = n0 .. n0+31, from
+    numpy's exp as in _hp_sums_grid.  Logs past 700, which lie beyond the
+    overflow cut and are never used, are exponentiated as 700.
+    """
+    lt = logs[n0:n0 + 32] - powers[n0:n0 + 32] * lx
+    return lt.tolist(), np.exp(np.minimum(lt, 700.0)).tolist()
+
+
 # ---------------------------------------------------------------------------
 # series engine
 # ---------------------------------------------------------------------------
 
 _BUDGET, _CONVERGED, _BLOWN = 0, 1, 2
+
+# largest block of _hp_sums_grid, in elements: k sums x b terms x columns
+_BLOCK_ELEMENTS = 1 << 15
+# from this many lanes (k sums x columns) on, _running_sums adds by rows
+_ROW_LOOP_LANES = 256
+
+
+def _running_sums(a) -> None:
+    """Replace the (k, rows, columns) array ``a`` by its running sums
+    along the rows, added strictly in row order as the float loop adds.
+
+    ufunc.accumulate walks one lane (k, column) at a time; with many
+    lanes one vector add per row is faster, and the sums are the same.
+    """
+    if a.shape[0] * a.shape[2] < _ROW_LOOP_LANES:
+        np.add.accumulate(a, axis=1, out=a)
+    else:
+        for i in range(1, a.shape[1]):
+            np.add(a[:, i - 1], a[:, i], out=a[:, i])
 
 
 def _bars(totals, maxabs, lastnz, n_used: int, status: int,
@@ -235,7 +296,8 @@ def _hp_sums(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
         raise DomainError("series evaluation requires x > 0")
     if cfg.dps is not None:
         return _hp_sums_mp(alpha, x, cfg, order, survival)
-    logs, signs = _coef_table(alpha, cfg.max_terms)
+    signs = _coef_table(alpha, cfg.max_terms)[1]
+    logs, powers, _ = _coef_arrays(alpha, cfg.max_terms, survival)
     a = alpha.value
     lx = math.log(x)
     k = order + 1
@@ -248,19 +310,18 @@ def _hp_sums(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
     n_used = 0
     for n in range(1, cfg.max_terms + 1):
         n_used = n
+        j = (n - 1) % 32
+        if j == 0:
+            lts, exps = _log_terms(logs, powers, lx, n)
         sgn = signs[n]
         if sgn == 0:
             t0 = 0.0
         else:
-            if survival:
-                lt = logs[n] - math.log(a * n) - (a * n) * lx
-            else:
-                lt = logs[n] - (1.0 + a * n) * lx
-            if lt > 690.0:
+            if lts[j] > 690.0:
                 # terms overflow doubles; the sum is hopeless here
                 status = _BLOWN
                 break
-            t0 = sgn * math.exp(lt)
+            t0 = sgn * exps[j]
         if k == 1:
             multipliers = (1.0,)
         else:
@@ -351,11 +412,15 @@ def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
                   survival: bool = False):
     """Array counterpart of _hp_sums over a one-dimensional x array.
 
-    Runs _hp_sums's loop over n once for all points, with the same
-    truncation rule, Neumaier steps, overflow cut, error bars and flags
-    per column; a column leaves the working arrays when it converges or
-    overflows.  Returns (totals, errors, flags, terms_used, converged)
-    with shapes (k, N), (k, N), (k, N), (N,) and (N,) for k = order + 1.
+    Applies _hp_sums's truncation rule, Neumaier steps, overflow cut,
+    error bars and flags to every column, a block of b terms at a time:
+    b starts at 8 and doubles from block to block, capped so that one
+    (k, b, columns) array holds at most _BLOCK_ELEMENTS numbers (at least
+    one term).  A column stops at the first term past e^690 (before
+    adding it) or at the third small term in a row from n = 4 on,
+    whichever comes first, and leaves the working arrays.  Returns (totals,
+    errors, flags, terms_used, converged) with shapes (k, N), (k, N),
+    (k, N), (N,) and (N,) for k = order + 1.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -372,8 +437,9 @@ def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
         return (totals, errors, flags,
                 np.array([c[3] for c in cols], dtype=int),
                 np.array([c[4] for c in cols], dtype=bool))
-    logs, signs = _coef_table(alpha, cfg.max_terms)
-    a = alpha.value
+    logs, powers, signs = _coef_arrays(alpha, cfg.max_terms, survival)
+    if k > 1:
+        mult = np.stack([np.ones_like(powers), -powers, powers * powers])
     n_pts = xs.size
     out_tot = np.zeros((k, n_pts))
     out_max = np.zeros((k, n_pts))
@@ -381,77 +447,95 @@ def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
     out_n = np.full(n_pts, cfg.max_terms)
     status = np.full(n_pts, _BUDGET)
 
-    # working state of the unfinished columns.  log and exp are taken
-    # per element with the math module: numpy's SIMD kernels differ from
-    # it in the last bit for about 5 percent of arguments, and where the
-    # sum cancels that moves the truncation point.  With math the columns
-    # are bit-identical to _hp_sums.
+    # state of the unfinished columns after the last block, with the
+    # small-term flags of its last two rows
     idx = np.arange(n_pts)
     lx = np.fromiter(map(math.log, xs.tolist()), float, n_pts)
     sums = np.zeros((k, n_pts))
     comps = np.zeros((k, n_pts))
     maxabs = np.zeros((k, n_pts))
     lastnz = np.zeros((k, n_pts))
-    small_run = np.zeros(n_pts, dtype=int)
+    small = np.zeros((2, n_pts), dtype=bool)
 
-    def finish(done, n, why):
-        nonlocal idx, lx, sums, comps, maxabs, lastnz, small_run
-        cols = idx[done]
-        out_tot[:, cols] = (sums + comps)[:, done]
-        out_max[:, cols] = maxabs[:, done]
-        out_last[:, cols] = lastnz[:, done]
-        out_n[cols] = n
-        status[cols] = why
-        keep = ~done
-        idx, lx, small_run = idx[keep], lx[keep], small_run[keep]
-        sums, comps = sums[:, keep], comps[:, keep]
-        maxabs, lastnz = maxabs[:, keep], lastnz[:, keep]
-        return keep
-
-    # The float loop lets sums overflow to inf and nan without a word
-    # (only terms past e^690 are cut); the columns follow it.
+    # A block takes terms n0 .. n0+b-1 of every unfinished column.  Its
+    # arrays have shape (k, b+1, columns) with the carried state in row
+    # 0, so an accumulate along the rows makes the float loop's
+    # sequential updates in the same order, bit for bit.  Each column
+    # then takes the state at its stopping row, and later rows are
+    # dropped.  The float loop lets sums overflow to inf and nan without
+    # a word (only terms past e^690 are cut); the columns follow it.
+    n0, rows = 1, 8
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, cfg.max_terms + 1):
-            if idx.size == 0:
-                break
-            sgn = signs[n]
-            if sgn == 0:
-                # a zero term leaves sums, maxima and last terms alone
-                abs_t0 = 0.0
+        while idx.size and n0 <= cfg.max_terms:
+            nc = idx.size
+            cols = np.arange(nc)
+            b = min(rows, max(1, _BLOCK_ELEMENTS // (k * nc)),
+                    cfg.max_terms + 1 - n0)
+            n1 = n0 + b
+            lt = logs[n0:n1, None] - powers[n0:n1, None] * lx
+            t0 = signs[n0:n1, None] * np.exp(lt)
+            ts = np.empty((k, b + 1, nc))
+            ts[:, 0] = sums
+            if k == 1:
+                ts[0, 1:] = t0
             else:
-                if survival:
-                    lt = logs[n] - math.log(a * n) - (a * n) * lx
-                else:
-                    lt = logs[n] - (1.0 + a * n) * lx
-                blown = lt > 690.0
-                if blown.any():
-                    lt = lt[finish(blown, n, _BLOWN)]
-                    if idx.size == 0:
-                        break
-                t0 = sgn * np.fromiter(map(math.exp, lt.tolist()), float,
-                                       lt.size)
-                if k == 1:
-                    ts = t0[None, :]
-                else:
-                    m = 1.0 + a * n
-                    ts = t0 * np.array([[1.0], [-m], [m * m]])
-                new = sums + ts
-                comps += np.where(np.abs(sums) >= np.abs(ts),
-                                  (sums - new) + ts, (ts - new) + sums)
-                sums = new
-                at = np.abs(ts)
-                maxabs = np.where(at > maxabs, at, maxabs)
-                lastnz = np.where(at > 0.0, at, lastnz)
-                abs_t0 = at[0]
-            denom = np.abs(sums[0] + comps[0]) + _TINY
-            small = abs_t0 <= cfg.rel_tol * denom
-            small_run = np.where(small, small_run + 1, 0)
-            if n >= 4:
-                done = small & (small_run >= 3)
-                if done.any():
-                    finish(done, n, _CONVERGED)
-        if idx.size:
-            finish(np.ones(idx.size, dtype=bool), cfg.max_terms, _BUDGET)
+                np.multiply(t0, mult[:, n0:n1, None], out=ts[:, 1:])
+            run = ts.copy()
+            _running_sums(run)
+            # each step's Neumaier correction, then their running sum
+            prev, new, t = run[:, :-1], run[:, 1:], ts[:, 1:]
+            at = np.abs(t)
+            comp = np.empty_like(ts)
+            comp[:, 0] = comps
+            comp[:, 1:] = np.where(np.abs(prev) >= at, (prev - new) + t,
+                                   (t - new) + prev)
+            _running_sums(comp)
+            # block row (from 1) of each nonzero term, 0 for a zero term;
+            # a term is zero in all k sums or in none
+            a0 = at[0]
+            nz_row = np.where(a0 > 0.0, np.arange(1, b + 1)[:, None], 0)
+
+            # stopping rows: a term past e^690 stops the column before it
+            # is added; three small terms in a row stop it after the
+            # third, from n = 4 on; the first of the two wins
+            denom = np.abs(run[0, 1:] + comp[0, 1:]) + _TINY
+            sm = np.concatenate([small, a0 <= cfg.rel_tol * denom])
+            conv = sm[2:] & sm[1:-1] & sm[:-2]
+            conv[:max(0, 4 - n0)] = False
+            blown = lt > 690.0
+            event = blown | conv
+            r = event.argmax(axis=0)
+            done = event[r, cols]
+            blew = done & blown[r, cols]
+
+            # the state at the end of the block, for the columns that go on
+            li = nz_row.max(axis=0)
+            end_last = np.where(li > 0, np.abs(ts[:, li, cols]), lastnz)
+            end_max = np.fmax(maxabs, np.fmax.reduce(at, axis=1))
+            keep = slice(None)
+            if done.any():
+                # a stopped column keeps the rows before its overflowing
+                # term, or up to its third small one
+                d = np.flatnonzero(done)
+                j = np.where(blew[d], r[d], r[d] + 1)
+                used = np.arange(b)[:, None] < j
+                li = np.where(used, nz_row[:, d], 0).max(axis=0)
+                c = idx[d]
+                out_tot[:, c] = run[:, j, d] + comp[:, j, d]
+                out_max[:, c] = np.fmax(maxabs[:, d], np.fmax.reduce(
+                    np.where(used, at[:, :, d], 0.0), axis=1))
+                out_last[:, c] = np.where(li > 0, np.abs(ts[:, li, d]),
+                                          lastnz[:, d])
+                out_n[c] = n0 + r[d]
+                status[c] = np.where(blew[d], _BLOWN, _CONVERGED)
+                keep = np.flatnonzero(~done)
+            idx, lx, small = idx[keep], lx[keep], sm[-2:, keep]
+            sums, comps = run[:, -1, keep], comp[:, -1, keep]
+            maxabs, lastnz = end_max[:, keep], end_last[:, keep]
+            n0, rows = n1, 2 * rows
+        out_tot[:, idx] = sums + comps
+        out_max[:, idx] = maxabs
+        out_last[:, idx] = lastnz
 
         converged = status == _CONVERGED
         noise = out_max * _EPS * np.minimum(out_n, 64)

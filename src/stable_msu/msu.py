@@ -221,6 +221,10 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
             lo, hi = grid[prev], grid[i]
             for _ in range(60):
                 midp = math.sqrt(lo * hi)
+                if not lo < midp < hi:
+                    # midp is lo (f'' < 0) or hi (f'' >= 0 or nan), so
+                    # the bracket would not move again
+                    break
                 if density_jet(alpha, midp, cfg).fpp.value < 0.0:
                     lo = midp
                 else:

@@ -584,18 +584,22 @@ DEFAULT_ACCEPTANCE_CONFIG: dict = {
 
 
 def run_acceptance(config) -> dict:
-    """Execute the checks listed in ``config`` (a dict, JSON string or
-    path) and return a deterministic JSON-ready summary.
+    """Execute the checks listed in ``config`` and return a deterministic
+    JSON-ready summary.
+
+    ``config`` is a dict, a ``Path`` to a JSON file, or a string: JSON
+    text when its first non-blank character is ``{``, else a file path.
 
     Check failures are aggregated, never raised; malformed configs do
     raise, before any check runs: an unknown kind, a missing name, or a
     key that the check's kind does not read (see ``CHECK_PARAMS``).
     Identical configs and seeds produce identical summaries.
     """
-    if isinstance(config, (str, Path)):
-        text = Path(config).read_text() if Path(str(config)).exists() \
-            else str(config)
-        config = json.loads(text)
+    if isinstance(config, Path):
+        config = json.loads(config.read_text())
+    elif isinstance(config, str):
+        is_json = config.lstrip().startswith("{")
+        config = json.loads(config if is_json else Path(config).read_text())
     if config is None:
         config = {}
     checks = config.get("checks", [])

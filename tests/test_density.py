@@ -229,6 +229,90 @@ class TestGridPath:
         assert r.value.shape == r.terms_used.shape == (0,)
 
 
+class TestExpPremise:
+    def test_numpy_exp_bits_do_not_depend_on_position(self):
+        # The float loop exponentiates 32 terms of one point at a time and
+        # the grid loop whole blocks of terms and points; both are
+        # bit-identical only if numpy's exp gives an argument the same
+        # bits wherever it sits in a contiguous array.
+        x = np.random.default_rng(20240813).uniform(-745.0, 700.0, 100_000)
+        whole = np.exp(x)
+        singles = np.array([np.exp(x[i:i + 1])[0]
+                            for i in range(1, x.size, 2)])
+        chunks = np.concatenate([np.exp(x[i:i + 32])
+                                 for i in range(1, x.size - 32, 32)])
+        message = ("numpy's exp gives different bits for the same argument "
+                   "depending on array length or offset; the float and grid "
+                   "series loops of stable_msu.density cannot agree bit for "
+                   "bit on this platform")
+        assert np.array_equal(singles.view(np.int64),
+                              whole[1::2].view(np.int64)), message
+        assert np.array_equal(chunks.view(np.int64),
+                              whole[1:1 + chunks.size].view(np.int64)), message
+
+
+ENGINE_ALPHAS = [Alpha.from_fraction(1, 2), Alpha.from_fraction(1, 3),
+                 Alpha.from_fraction(2, 3), Alpha(0.9)]
+
+
+def _engine_grid(alpha):
+    """Points that overflow at every early n, exhaust small budgets and
+    converge after 5 to a few hundred terms."""
+    x_min = reliable_x_min(alpha)
+    return np.concatenate([
+        np.geomspace(1e-250, x_min * 1e-3, 40, endpoint=False),
+        np.geomspace(x_min * 1e-3, 1e8, 120)])
+
+
+def _same_sums(a, b):
+    for name, u, v in zip(("totals", "errors", "flags", "terms", "converged"),
+                          a, b):
+        np.testing.assert_array_equal(u, v, err_msg=name)
+
+
+class TestBlockedEngine:
+    # The grid loop takes 8, 16, 32, ... terms per block, fewer for wide
+    # grids; these budgets stop columns inside the first block (4), just
+    # past its edge (9), past the second (33) and by convergence or
+    # overflow alone (2000).  1/2, 1/3 and 2/3 have zero coefficients.
+    @pytest.mark.parametrize("max_terms", [4, 9, 33, 2000])
+    @pytest.mark.parametrize("alpha", ENGINE_ALPHAS,
+                             ids=lambda a: f"{a.value:.4g}")
+    def test_slices_and_float_loop_match_whole_grid(self, alpha, max_terms):
+        xs = _engine_grid(alpha)
+        cfg = SeriesConfig(max_terms=max_terms)
+        for order, survival in ((0, False), (0, True), (2, False)):
+            whole = density_mod._hp_sums_grid(alpha, xs, cfg, order, survival)
+            for size in (1, 7):
+                parts = [density_mod._hp_sums_grid(alpha, xs[i:i + size], cfg,
+                                                   order, survival)
+                         for i in range(0, xs.size, size)]
+                _same_sums(whole, [np.concatenate([p[f] for p in parts],
+                                                  axis=-1) for f in range(5)])
+            loop = [density_mod._hp_sums(alpha, x, cfg, order, survival)
+                    for x in xs.tolist()]
+            _same_sums(whole, [np.array([c[0] for c in loop]).T,
+                               np.array([c[1] for c in loop]).T,
+                               np.array([c[2] for c in loop]).T,
+                               np.array([c[3] for c in loop]),
+                               np.array([c[4] for c in loop])])
+            blown = np.isinf(whole[1][0])
+            budget = ~blown & ~whole[4]
+            assert blown.any()
+            assert budget.any() or max_terms == 2000
+            assert whole[4].any() or max_terms == 4
+
+    def test_stops_on_both_sides_of_the_first_block_edge(self):
+        # the first block holds terms 1..8 for any grid of this size
+        alpha = Alpha(0.9)
+        totals, errors, flags, n, converged = density_mod._hp_sums_grid(
+            alpha, _engine_grid(alpha), SeriesConfig(), order=2)
+        blown = np.isinf(errors[0])
+        for edge in (8, 9):
+            assert (blown & (n == edge)).any()
+            assert (converged & (n == edge)).any()
+
+
 class TestUnimodalitySignature:
     @pytest.mark.parametrize("a,lo,hi", [(0.6, 0.08, 30.0), (0.3, 0.01, 10.0)])
     def test_single_sign_change_of_fp(self, a, lo, hi):

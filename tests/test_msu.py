@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from stable_msu.density import Alpha, SeriesConfig, density_series
+from stable_msu import msu as msu_mod
+from stable_msu.density import (Alpha, SeriesConfig, density_jet,
+                                density_jet_grid, density_series)
 from stable_msu.errors import DomainError, PoleError, UnreliableScanError
 from stable_msu.msu import (NO_VIOLATION, VIOLATION, _bb_terms,
                             bb_expansion, bb_log_density, lce_residual,
@@ -142,6 +144,40 @@ class TestMsuScan:
             msu_scan(0.5, 2.0, 1.0, 64)
         with pytest.raises(DomainError):
             msu_scan(0.5, 1.0, 2.0, 4)
+
+    @pytest.mark.parametrize("alpha", [0.65, 0.7, 0.8, 0.9])
+    def test_inflection_bisection_stops_early(self, alpha, monkeypatch):
+        # once sqrt(lo*hi) is lo or hi the bracket cannot move, so the
+        # early stop must give the 60-step loop's result with fewer jets
+        calls = []
+
+        def counting_jet(a, x, cfg=SeriesConfig()):
+            calls.append(x)
+            return density_jet(a, x, cfg)
+
+        monkeypatch.setattr(msu_mod, "density_jet", counting_jet)
+        rep = msu_scan(alpha, 0.5, 50.0, 400)
+        assert rep.inflection_estimate is not None
+
+        # the scan's bracket: the first f'' sign change from the mode on
+        grid = rep.grid
+        fpp = density_jet_grid(alpha, np.array(grid)).fpp.value
+        reliable = [i for i, r in enumerate(rep.residuals) if r.reliable]
+        prev = None
+        for i in reliable:
+            if grid[i] >= rep.mode_estimate and prev is not None \
+                    and fpp[prev] < 0.0 <= fpp[i]:
+                break
+            prev = i
+        lo, hi = grid[prev], grid[i]
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            if density_jet(alpha, mid).fpp.value < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert rep.inflection_estimate == 0.5 * (lo + hi)
+        assert len(calls) < 60
 
     def test_normalized_residuals_sign_match(self):
         rep = msu_scan(0.6, 0.5, 50.0, 100)

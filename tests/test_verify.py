@@ -338,6 +338,44 @@ class TestRunAcceptance:
         assert summary["all_pass"]
         assert summary["n_checks"] == 1
 
+    def test_config_as_long_json_text(self, monkeypatch):
+        # the built-in config as JSON text is longer than a file name may
+        # be; it must be parsed, not looked up on disk.  Checks 04-06 run,
+        # the others are stubbed out to keep the test short.
+        text = json.dumps(DEFAULT_ACCEPTANCE_CONFIG)
+        assert len(text) > 255
+        real = dict(CHECK_KINDS)
+        ran = []
+
+        def dispatch(kind):
+            def run(params):
+                ran.append(params["name"])
+                if params["name"][:3] in ("04-", "05-", "06-"):
+                    return real[kind](params)
+                return IdentityReport(params["name"], 0.0, 1.0, True)
+            return run
+
+        for kind in real:
+            monkeypatch.setitem(CHECK_KINDS, kind, dispatch(kind))
+        summary = run_acceptance("\n  " + text)
+        assert ran == [c["name"] for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]]
+        assert summary["all_pass"]
+        direct = run_acceptance({"checks": [
+            c for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]
+            if c["name"][:3] in ("04-", "05-", "06-")]})
+        assert [c for c in summary["checks"]
+                if c["name"][:3] in ("04-", "05-", "06-")] == direct["checks"]
+
+    def test_config_from_path_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"checks": [
+            {"name": "t", "kind": "tail_sign", "alpha_step": 0.2}]}))
+        assert run_acceptance(path)["n_checks"] == 1
+
+    def test_non_json_string_is_a_path(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            run_acceptance(str(tmp_path / "missing.json"))
+
     def test_default_config_covers_all_kinds(self):
         kinds = {c["kind"] for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]}
         assert kinds == {"closed_form", "laplace", "msu_dichotomy",
