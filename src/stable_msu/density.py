@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from . import specfun
@@ -351,6 +350,7 @@ def _hp_sums(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
 def _hp_sums_mp(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
                 survival: bool):
     """mpmath mirror of _hp_sums for the extended precision mode."""
+    import mpmath as mp  # only this mode needs it; it adds 4 MB and 40 ms
     k = order + 1
     with mp.workdps(cfg.dps):
         if alpha.rational_form is not None:

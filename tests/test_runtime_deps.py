@@ -1,4 +1,5 @@
-"""The package runs on numpy and mpmath alone; scipy is a test oracle."""
+"""The package runs on numpy and mpmath alone; scipy is a test oracle,
+and mpmath is imported only by the code that uses it."""
 
 import os
 import subprocess
@@ -7,6 +8,15 @@ import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_fresh(script: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                         check=True, capture_output=True, text=True, env=env)
+    return out.stdout.strip()
 
 
 def test_no_scipy_module_loaded():
@@ -31,3 +41,24 @@ def test_no_scipy_module_loaded():
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_mpmath_loaded_only_on_use():
+    # double-precision series, scans and CDFs leave mpmath unimported;
+    # the extended precision mode and bb_expansion import it themselves
+    out = _run_fresh("""
+        import sys
+        import stable_msu
+        import stable_msu.cli
+        from stable_msu import (SeriesConfig, bb_expansion, build_cdf,
+                                density_series, laplace_check, msu_scan)
+        laplace_check(0.5, 1.0)
+        build_cdf(0.3)
+        msu_scan(0.7, 0.5, 50.0, 64)
+        print("mpmath" in sys.modules)
+        r = density_series(0.5, 0.01, SeriesConfig(dps=30, max_terms=600))
+        print(r.reliable, "mpmath" in sys.modules)
+        print(bb_expansion(5).b_coeffs[1])
+    """)
+    assert out.splitlines()[:2] == ["False", "True True"]
+    assert float(out.splitlines()[2]) != 0.0
