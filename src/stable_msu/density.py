@@ -491,7 +491,7 @@ def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
                                    (t - new) + prev)
             _running_sums(comp)
             # block row (from 1) of each nonzero term, 0 for a zero term;
-            # a term is zero in all k sums or in none
+            # a term is zero in all k sums or in none (|multipliers| >= 1)
             a0 = at[0]
             nz_row = np.where(a0 > 0.0, np.arange(1, b + 1)[:, None], 0)
 

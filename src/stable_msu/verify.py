@@ -595,11 +595,10 @@ def run_acceptance(config) -> dict:
     key that the check's kind does not read (see ``CHECK_PARAMS``).
     Identical configs and seeds produce identical summaries.
     """
-    if isinstance(config, Path):
-        config = json.loads(config.read_text())
-    elif isinstance(config, str):
-        is_json = config.lstrip().startswith("{")
-        config = json.loads(config if is_json else Path(config).read_text())
+    if isinstance(config, str) and config.lstrip().startswith("{"):
+        config = json.loads(config)
+    elif isinstance(config, (str, Path)):
+        config = json.loads(Path(config).read_text())
     if config is None:
         config = {}
     checks = config.get("checks", [])
