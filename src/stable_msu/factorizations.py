@@ -261,32 +261,41 @@ def mellin_product(fl: FactorList) -> MellinProfile:
 # Beta x Gamma log-concavity kernels
 # ---------------------------------------------------------------------------
 
-def lemma1_g(alpha: float, beta: float, c: float, shift: int, x: float,
-             rel_tol: float = 1e-11) -> specfun.SpecEval:
-    """g_{a,b,c+shift}(x) = e^{-x} int_0^inf e^{-x u} u^{b-1} (u+1)^{(c+shift)-(a+b)} du.
-
-    At x = 0 the integral converges only when a > c + shift; for x > 0
-    the exponential ensures convergence.
-    """
+def _lemma1_quad(alpha: float, beta: float, c: float, shifts: tuple,
+                 x: float, rel_tol: float):
+    """g_{a,b,c+shift}(x) of :func:`lemma1_g` and its error bar for each
+    shift in shifts, one quadrature row each, as two float64 arrays."""
     if beta <= 0.0:
         raise DomainError("lemma1_g requires beta > 0")
-    if shift not in (-1, 0, 1):
+    if any(shift not in (-1, 0, 1) for shift in shifts):
         raise DomainError("shift must be one of -1, 0, +1")
     if x < 0.0:
         raise DomainError("lemma1_g requires x >= 0")
-    ceff = c + shift
-    if x == 0.0 and alpha <= ceff:
+    if x == 0.0 and alpha <= c + max(shifts):
         raise DomainError("integral diverges at x = 0 unless alpha > c + shift")
     bm1 = beta - 1.0
-    expo = ceff - (alpha + beta)
+    expo = np.array([[(c + shift) - (alpha + beta)] for shift in shifts])
 
     def integrand(u: np.ndarray) -> np.ndarray:
         e = -x * u + bm1 * np.log(u) + expo * np.log1p(u)
         return np.where(e < -745.0, 0.0, np.exp(e))
 
-    res = de_halfline(integrand, rel_tol=rel_tol)
-    scale = math.exp(-x)
-    return specfun.SpecEval(scale * res.value, scale * res.error, "quadrature")
+    args = (alpha, beta, c, shifts, x)
+    res = de_halfline(specfun._guard("lemma1_g", args, integrand),
+                      rel_tol=rel_tol)
+    return specfun._scaled("lemma1_g", args, res, math.exp(-x))
+
+
+def lemma1_g(alpha: float, beta: float, c: float, shift: int, x: float,
+             rel_tol: float = 1e-11) -> specfun.SpecEval:
+    """g_{a,b,c+shift}(x) = e^{-x} int_0^inf e^{-x u} u^{b-1} (u+1)^{(c+shift)-(a+b)} du.
+
+    At x = 0 the integral converges only when a > c + shift; for x > 0
+    the exponential ensures convergence.  Raises :class:`DomainError`
+    where the integrand or g overflows a double.
+    """
+    value, error = _lemma1_quad(alpha, beta, c, (shift,), x, rel_tol)
+    return specfun.SpecEval(value.item(), error.item(), "quadrature")
 
 
 def lemma1_product_density(alpha: float, beta: float, c: float, x: float,
@@ -318,9 +327,8 @@ def lemma1_inequality(alpha: float, beta: float, c: float, x: float,
         raise HypothesisError("requires beta <= 1")
     if alpha + beta < c:
         raise HypothesisError("requires alpha + beta >= c")
-    g0 = lemma1_g(alpha, beta, c, 0, x, rel_tol).value
-    gm = lemma1_g(alpha, beta, c, -1, x, rel_tol).value
-    gp = lemma1_g(alpha, beta, c, 1, x, rel_tol).value
+    g, _ = _lemma1_quad(alpha, beta, c, (0, -1, 1), x, rel_tol)
+    g0, gm, gp = g.tolist()
     lhs = (x * g0 + (alpha + beta - c) * gm) * (gp - g0)
     rhs = (beta - 1.0) * gm * gm
     return lhs - rhs
@@ -334,7 +342,7 @@ def whitt_margin(x: float, rel_tol: float = 1e-10) -> float:
     U7 >= U4 >= U1 makes it hold."""
     if x <= 0.0:
         raise DomainError("whitt_margin requires x > 0")
-    u1 = specfun.psi_chf(1.0 / 6.0, 1.0 / 3.0, x, rel_tol).value
-    u4 = specfun.psi_chf(1.0 / 6.0, 4.0 / 3.0, x, rel_tol).value
-    u7 = specfun.psi_chf(1.0 / 6.0, 7.0 / 3.0, x, rel_tol).value
+    u, _ = specfun._psi_quad(1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0), x,
+                             rel_tol)
+    u1, u4, u7 = u.tolist()
     return (x * u4 - u1 / 6.0) * (u7 - u4) + 5.0 * u4 * u4 / 6.0

@@ -15,18 +15,34 @@ the nodes t = k, level L > 0 only the odd multiples of 2^-L, all with
 |t| <= ``_T_MAX``.  The level-L trapezoid sum is the running sum over
 the nodes of levels 0..L times 2^-L, so no node is evaluated twice.
 
-The integrand is evaluated a whole level at a time: ``f`` takes a 1-D
-float ndarray of nodes and returns an array of the same shape.  It is
-called under ``np.errstate(all="ignore")``; a weighted value that is
-not finite counts as 0, and so does every node where ``f`` is 0.  The
-node tables of a level are built on first use and cached.
+``f`` takes a 1-D float ndarray of nodes.  Its first call covers the
+nodes of levels 0.._HEAD at once (the head: their tables concatenated
+in level order), and each later call the nodes of one level.  Each
+level's sum is still taken over that level's own values, and the
+stopping test still runs level by level, so the head only changes how
+many calls the integrand gets, not a bit of the result.  It relies on
+numpy's ufuncs giving an argument the same bits at any position and in
+any array length.
+
+``f`` returns either an array of the nodes' shape, for one integral, or
+a ``(k, n)`` array, for k sibling integrals over the same nodes (rows).
+Each row stops at its own level; the result then holds float64 arrays
+of length k for ``value`` and ``error``, and ``levels`` is the deepest
+level any row took.  Rows that have stopped are still evaluated, and
+ignored, while others refine.
+
+``f`` is called under ``np.errstate(all="ignore")``; a weighted value
+that is not finite counts as 0 (in its own row), and so does every node
+where ``f`` is 0.  The node tables of a level, and those of the head,
+are built on first use, cached and read-only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -40,13 +56,19 @@ _TINY = 1e-300
 # deepest refinement level accepted; its table holds about 450k nodes,
 # and each level doubles that
 _LEVEL_CAP = 16
+# deepest level of the first integrand call (about 900 nodes in all);
+# most integrals stop within it
+_HEAD = 5
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 class QuadResult(NamedTuple):
-    value: float
-    error: float
+    """floats for one integral; float64 arrays of length k for k rows,
+    with ``levels`` the deepest level any row took."""
+
+    value: Union[float, np.ndarray]
+    error: Union[float, np.ndarray]
     levels: int
 
 
@@ -65,6 +87,17 @@ class _Nodes(NamedTuple):
     fin_w: np.ndarray
 
 
+class _Run(NamedTuple):
+    """The new nodes of consecutive levels, one integrand call's worth:
+    each field of ``nodes`` is the levels' tables concatenated in level
+    order, and the ends are the offsets where each level stops, in the
+    exp-sinh fields and in the tanh-sinh fields."""
+
+    nodes: _Nodes
+    half_ends: tuple[int, ...]
+    fin_ends: tuple[int, ...]
+
+
 def _level_t(level: int) -> np.ndarray:
     """t = k for level 0, the odd multiples of 2^-level otherwise."""
     h = 0.5 ** level
@@ -73,6 +106,12 @@ def _level_t(level: int) -> np.ndarray:
     if level > 0:
         k = k[k % 2 != 0]
     return k * h
+
+
+def _read_only(nodes: _Nodes) -> _Nodes:
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
 
 
 @lru_cache(maxsize=None)
@@ -86,10 +125,26 @@ def _nodes(level: int) -> _Nodes:
     au = np.abs(uk)
     fin_d = 2.0 / (1.0 + np.exp(2.0 * au))
     fin_w = _HALF_PI * np.cosh(tk) / np.cosh(uk) ** 2
-    nodes = _Nodes(t, half_x, half_w, uk >= 0.0, fin_d, fin_w)
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
+    return _read_only(_Nodes(t, half_x, half_w, uk >= 0.0, fin_d, fin_w))
+
+
+@lru_cache(maxsize=None)
+def _head(top: int) -> _Run:
+    """The nodes of levels 0..top as one run."""
+    levels = [_nodes(level) for level in range(top + 1)]
+    nodes = _Nodes(*(np.concatenate(field) for field in zip(*levels)))
+    return _Run(_read_only(nodes),
+                tuple(itertools.accumulate(n.t.size for n in levels)),
+                tuple(itertools.accumulate(n.fin_d.size for n in levels)))
+
+
+def _runs(max_level: int) -> Iterator[_Run]:
+    """The head, then one level at a time up to max_level."""
+    top = min(_HEAD, max_level)
+    yield _head(top)
+    for level in range(top + 1, max_level + 1):
+        nodes = _nodes(level)
+        yield _Run(nodes, (nodes.t.size,), (nodes.fin_d.size,))
 
 
 def _level_sum(values: np.ndarray) -> float:
@@ -101,25 +156,59 @@ def _level_sum(values: np.ndarray) -> float:
     return float(np.add.reduce(np.where(np.isfinite(values), values, 0.0)))
 
 
-def _refine(level_terms: Callable[[int], np.ndarray], rel_tol: float,
-            max_level: int) -> QuadResult:
-    """Refine until two levels agree to rel_tol; level_terms(L) are the
-    weighted integrand values at the new nodes of level L."""
+RunTerms = Callable[[_Run], tuple[np.ndarray, Sequence[int]]]
+
+
+def _level_blocks(values: np.ndarray, ends: Sequence[int],
+                  run_terms: RunTerms,
+                  runs: Iterator[_Run]) -> Iterator[np.ndarray]:
+    """The weighted values at the new nodes of each level as a (rows,
+    nodes) block: first the levels of one evaluated run (its values, 1-D
+    or one row per integral, and each level's end), then those of the
+    remaining runs, evaluated with run_terms as they are reached."""
+    while True:
+        rows = values.reshape(-1, values.shape[-1])
+        start = 0
+        for end in ends:
+            yield rows[:, start:end]
+            start = end
+        run = next(runs, None)
+        if run is None:
+            return
+        values, ends = run_terms(run)
+
+
+def _refine(run_terms: RunTerms, rel_tol: float, max_level: int) -> QuadResult:
+    """Refine each row until two levels agree to rel_tol; run_terms(run)
+    gives the weighted integrand values at a run's nodes and the end of
+    each of its levels in them."""
     if not 0 <= max_level <= _LEVEL_CAP:
         raise ValueError(f"max_level must be in [0, {_LEVEL_CAP}]")
     with np.errstate(all="ignore"):
-        total = _level_sum(level_terms(0))
-        value = total
-        error = math.inf
-        level = 0
-        for level in range(1, max_level + 1):
-            total += _level_sum(level_terms(level))
-            new = total * 0.5 ** level
-            error = abs(new - value)
-            value = new
-            if error <= rel_tol * (abs(value) + _TINY):
+        runs = _runs(max_level)
+        head, ends = run_terms(next(runs))
+        one = head.ndim == 1
+        blocks = _level_blocks(head, ends, run_terms, runs)
+        totals = [_level_sum(row) for row in next(blocks)]
+        values = list(totals)
+        errors = [math.inf] * len(totals)
+        levels = [0] * len(totals)
+        running = range(len(totals))
+        for level, block in enumerate(blocks, 1):
+            for i in running:
+                totals[i] += _level_sum(block[i])
+                new = totals[i] * 0.5 ** level
+                errors[i] = abs(new - values[i])
+                values[i] = new
+                levels[i] = level
+            running = [i for i in running
+                       if not errors[i] <= rel_tol * (abs(values[i]) + _TINY)]
+            if not running:
                 break
-    return QuadResult(value, error, level)
+    if one:
+        return QuadResult(values[0], errors[0], levels[0])
+    return QuadResult(np.array(values), np.array(errors),
+                      max(levels, default=0))
 
 
 def tanh_sinh(f: Integrand, a: float, b: float,
@@ -130,23 +219,24 @@ def tanh_sinh(f: Integrand, a: float, b: float,
         raise ValueError("tanh_sinh requires a < b")
     half = 0.5 * (b - a)
 
-    def level_terms(level: int) -> np.ndarray:
-        nodes = _nodes(level)
+    def run_terms(run: _Run) -> tuple[np.ndarray, Sequence[int]]:
+        nodes = run.nodes
         # distance from the nearer endpoint, cancellation-free
         d = half * nodes.fin_d
         x = np.where(nodes.fin_right, b - d, a + d)
         inside = (x > a) & (x < b)
-        return f(x[inside]) * (half * nodes.fin_w[inside])
+        ends = np.cumsum(inside)[[end - 1 for end in run.fin_ends]]
+        return f(x[inside]) * (half * nodes.fin_w[inside]), ends.tolist()
 
-    return _refine(level_terms, rel_tol, max_level)
+    return _refine(run_terms, rel_tol, max_level)
 
 
 def de_halfline(f: Integrand, rel_tol: float = 1e-10,
                 max_level: int = 10) -> QuadResult:
     """Integrate f over (0, inf) via the exp-sinh map x = exp(pi/2 sinh t)."""
 
-    def level_terms(level: int) -> np.ndarray:
-        nodes = _nodes(level)
-        return f(nodes.half_x) * nodes.half_w
+    def run_terms(run: _Run) -> tuple[np.ndarray, Sequence[int]]:
+        nodes = run.nodes
+        return f(nodes.half_x) * nodes.half_w, run.half_ends
 
-    return _refine(level_terms, rel_tol, max_level)
+    return _refine(run_terms, rel_tol, max_level)

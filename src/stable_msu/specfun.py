@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .quadrature import de_halfline
+from .quadrature import Integrand, QuadResult, de_halfline
 from .util import log_cosh, sinpi
 
 DEFAULT_REL_TOL = 1e-10
@@ -97,12 +97,39 @@ def gamma_value(x: float) -> float:
     return ev.sign * math.exp(ev.value)
 
 
+def _guard(name: str, args: tuple, integrand: Integrand) -> Integrand:
+    """integrand, raising DomainError naming the kernel call
+    ``name(*args)`` where it overflows a double at a node.  The
+    quadrature would count such a node as 0."""
+
+    def guarded(x: np.ndarray) -> np.ndarray:
+        values = integrand(x)
+        if values.max() == math.inf:
+            raise DomainError(f"{name}{args} overflows a double: its "
+                              "integrand is infinite at a quadrature node")
+        return values
+
+    return guarded
+
+
+def _scaled(name: str, args: tuple, res: QuadResult, scale: float):
+    """(scale * value, scale * error) of res, raising DomainError naming
+    the kernel call ``name(*args)`` unless all of them are finite."""
+    value = scale * res.value
+    error = scale * res.error
+    if not (np.isfinite(value).all() and np.isfinite(error).all()):
+        raise DomainError(f"{name}{args} overflows a double: its "
+                          "quadrature value is not finite")
+    return value, error
+
+
 def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
     """Macdonald function K_nu(x), nu >= 0, x > 0.
 
     Evaluated from the cosh integral representation
     ``K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt``
-    by double-exponential quadrature.
+    by double-exponential quadrature.  Raises :class:`DomainError` where
+    the integrand or K_nu(x) overflows a double.
     """
     if x <= 0.0:
         raise DomainError("bessel_k requires x > 0")
@@ -113,8 +140,29 @@ def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
         e = x * np.cosh(t) - log_cosh(nu * t)
         return np.where((t > 700.0) | (e > 745.0), 0.0, np.exp(-e))
 
-    res = de_halfline(integrand, rel_tol=rel_tol)
-    return SpecEval(res.value, res.error, "quadrature")
+    args = (nu, x)
+    res = de_halfline(_guard("bessel_k", args, integrand), rel_tol=rel_tol)
+    return SpecEval(*_scaled("bessel_k", args, res, 1.0), "quadrature")
+
+
+def _psi_quad(a: float, cs: tuple, x: float, rel_tol: float):
+    """Psi(a, c, x) and its error bar for each c in cs, one quadrature
+    row each, as two float64 arrays."""
+    if a <= 0.0:
+        raise DomainError("psi_chf requires a > 0")
+    if x <= 0.0:
+        raise DomainError("psi_chf requires x > 0")
+    am1 = a - 1.0
+    cam1 = np.array([[c - a - 1.0] for c in cs])
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        e = -x * s + am1 * np.log(s) + cam1 * np.log1p(s)
+        return np.where(e > 709.0, math.inf,
+                        np.where(e < -745.0, 0.0, np.exp(e)))
+
+    args = (a, cs, x)
+    res = de_halfline(_guard("psi_chf", args, integrand), rel_tol=rel_tol)
+    return _scaled("psi_chf", args, res, 1.0 / gamma_value(a))
 
 
 def psi_chf(a: float, c: float, x: float,
@@ -124,23 +172,12 @@ def psi_chf(a: float, c: float, x: float,
     ``Psi(a, c, x) = Gamma(a)^-1 int_0^inf e^{-x s} s^{a-1} (1+s)^{c-a-1} ds``
 
     for a > 0, x > 0 (Tricomi's U(a, c, x)).  Strictly decreasing in x
-    and strictly increasing in c.
+    and strictly increasing in c.  Raises :class:`DomainError` where the
+    integrand (taken as overflowing past e^709) or Psi overflows a
+    double.
     """
-    if a <= 0.0:
-        raise DomainError("psi_chf requires a > 0")
-    if x <= 0.0:
-        raise DomainError("psi_chf requires x > 0")
-    am1 = a - 1.0
-    cam1 = c - a - 1.0
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        e = -x * s + am1 * np.log(s) + cam1 * np.log1p(s)
-        return np.where(e > 709.0, math.inf,
-                        np.where(e < -745.0, 0.0, np.exp(e)))
-
-    res = de_halfline(integrand, rel_tol=rel_tol)
-    pre = 1.0 / gamma_value(a)
-    return SpecEval(pre * res.value, pre * res.error, "quadrature")
+    value, error = _psi_quad(a, (c,), x, rel_tol)
+    return SpecEval(value.item(), error.item(), "quadrature")
 
 
 def whittaker_w_stable(x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:

@@ -98,6 +98,14 @@ class TestSpecialCommand:
         assert rows[0] == ["x", "value", "abs_error", "method"]
         assert rows[1][3] == "quadrature"
 
+    def test_bessel_overflow_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "special", "--function", "bessel-k",
+                                 "--nu", "200", "--x-min", "1e-3",
+                                 "--x-max", "1e-3", "--points", "1")
+        assert code == 2
+        assert out == ""
+        assert "bessel_k(200.0, 0.001) overflows a double" in err
+
     def test_log_gamma_carries_sign(self, capsys):
         code, out, _ = run_cli(capsys, "special", "--function", "log-gamma",
                                "--x-min", "-0.6", "--x-max", "-0.6",

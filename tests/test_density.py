@@ -250,6 +250,32 @@ class TestExpPremise:
         assert np.array_equal(chunks.view(np.int64),
                               whole[1:1 + chunks.size].view(np.int64)), message
 
+    # The quadrature's first integrand call covers the nodes of levels
+    # 0..5 at once, and its results equal those of one call per level
+    # only if the other ufuncs its integrands call give an argument the
+    # same bits at any position and in any array length, too.
+    @pytest.mark.parametrize("name,lo,hi", [
+        ("log", -700.0, 700.0), ("log1p", -700.0, 700.0),
+        ("cosh", -710.0, 710.0)])
+    def test_other_ufunc_bits_do_not_depend_on_position(self, name, lo, hi):
+        ufunc = getattr(np, name)
+        u = np.random.default_rng(20240814).uniform(lo, hi, 100_000)
+        # log and log1p over positive arguments from e^-700 to e^700
+        x = u if name == "cosh" else np.exp(u)
+        whole = ufunc(x)
+        singles = np.array([ufunc(x[i:i + 1])[0]
+                            for i in range(1, x.size, 2)])
+        chunks = np.concatenate([ufunc(x[i:i + 13])
+                                 for i in range(1, x.size - 13, 13)])
+        message = (f"numpy's {name} gives different bits for the same "
+                   "argument depending on array length or offset; the "
+                   "batched first call of stable_msu.quadrature cannot "
+                   "reproduce one call per level on this platform")
+        assert np.array_equal(singles.view(np.int64),
+                              whole[1::2].view(np.int64)), message
+        assert np.array_equal(chunks.view(np.int64),
+                              whole[1:1 + chunks.size].view(np.int64)), message
+
 
 ENGINE_ALPHAS = [Alpha.from_fraction(1, 2), Alpha.from_fraction(1, 3),
                  Alpha.from_fraction(2, 3), Alpha(0.9)]

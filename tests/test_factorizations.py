@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stable_msu import factorizations, specfun
 from stable_msu.errors import DomainError, HypothesisError, PreconditionError
 from stable_msu.factorizations import (Factor, FactorList, kanter_b, lemma1_g,
                                        lemma1_inequality,
@@ -14,6 +15,7 @@ from stable_msu.factorizations import (Factor, FactorList, kanter_b, lemma1_g,
                                        mellin_product, mellin_stable,
                                        sample_stable, whitt_margin,
                                        williams_product)
+from stable_msu.verify import DEFAULT_ACCEPTANCE_CONFIG
 
 
 class TestKanterB:
@@ -326,6 +328,33 @@ class TestLemma1G:
         with pytest.raises(DomainError):
             lemma1_g(0.4, 0.6, 0.9, 2, 1.0)
 
+    def test_overflow_raises(self):
+        # the integrand e^{-x u} u^{-1/2} (1+u)^100 peaks near e^821
+        with pytest.raises(DomainError, match=r"lemma1_g\(0\.5, 0\.5, 100\.0, "
+                           r"\(1,\), 0\.01\) overflows"):
+            lemma1_g(0.5, 0.5, 100.0, 1, 0.01)
+        assert lemma1_g(0.5, 0.5, 100.0, 1, 1.0).value == pytest.approx(
+            9.368161832994809e+156, rel=1e-10)
+
+
+def _check(name):
+    return next(c for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]
+                if c["name"] == name)
+
+
+def _count_calls(monkeypatch, targets):
+    """Wrap each (module, name) so that its calls are counted."""
+    counts = {}
+    for module, name in targets:
+        inner = getattr(module, name)
+
+        def counting(*args, _inner=inner, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
 
 class TestLemma1Inequality:
     def test_reference_point(self):
@@ -345,6 +374,36 @@ class TestLemma1Inequality:
         with pytest.raises(HypothesisError):
             lemma1_inequality(0.2, 0.3, 0.9, 1.0)
 
+    def test_rows_equal_three_lemma1_g_calls(self):
+        # over the grid of acceptance check 11, bit for bit
+        check = _check("11-lemma1-inequality")
+        xs = np.geomspace(check["x_lo"], check["x_hi"], check["points"])
+        for a, b, c in check["triples"]:
+            for x in xs.tolist():
+                g0 = lemma1_g(a, b, c, 0, x).value
+                gm = lemma1_g(a, b, c, -1, x).value
+                gp = lemma1_g(a, b, c, 1, x).value
+                old = ((x * g0 + (a + b - c) * gm) * (gp - g0)
+                       - (b - 1.0) * gm * gm)
+                assert lemma1_inequality(a, b, c, x) == old, (a, b, c, x)
+
+    def test_one_quadrature_call(self, monkeypatch):
+        counts = _count_calls(monkeypatch, [(factorizations, "de_halfline"),
+                                            (factorizations, "lemma1_g")])
+        lemma1_inequality(0.4, 0.6, 0.9, 1.0)
+        assert counts == {"de_halfline": 1}
+
+    def test_x_zero_needs_alpha_above_c_plus_one(self):
+        assert lemma1_inequality(2.5, 0.6, 1.2, 0.0) == pytest.approx(
+            lemma1_inequality(2.5, 0.6, 1.2, 1e-300), rel=1e-9)
+        with pytest.raises(DomainError):
+            lemma1_inequality(2.0, 0.6, 1.2, 0.0)  # alpha <= c + 1
+
+    def test_overflow_raises(self):
+        # g_{c+1} grows like x^{-1.1} and overflows below about 1e-280
+        with pytest.raises(DomainError, match="lemma1_g.*overflows"):
+            lemma1_inequality(0.9, 0.5, 1.0, 1e-300)
+
 
 class TestWhittMargin:
     def test_nonnegative_beyond_one_sixth(self):
@@ -361,6 +420,30 @@ class TestWhittMargin:
     def test_domain(self):
         with pytest.raises(DomainError):
             whitt_margin(0.0)
+
+    def test_rows_equal_three_psi_chf_calls(self):
+        # over the grids of acceptance check 10, bit for bit
+        check = _check("10-whitt-inequality")
+        xs = np.concatenate([
+            np.geomspace(1.0 / 6.0, check["x_hi"], check["safe_points"]),
+            np.geomspace(1e-3, 1.0 / 6.0, check["scan_points"])])
+        for x in xs.tolist():
+            u1 = specfun.psi_chf(1.0 / 6.0, 1.0 / 3.0, x, 1e-10).value
+            u4 = specfun.psi_chf(1.0 / 6.0, 4.0 / 3.0, x, 1e-10).value
+            u7 = specfun.psi_chf(1.0 / 6.0, 7.0 / 3.0, x, 1e-10).value
+            old = (x * u4 - u1 / 6.0) * (u7 - u4) + 5.0 * u4 * u4 / 6.0
+            assert whitt_margin(x) == old, x
+
+    def test_one_quadrature_call(self, monkeypatch):
+        counts = _count_calls(monkeypatch, [(specfun, "de_halfline"),
+                                            (specfun, "psi_chf")])
+        whitt_margin(0.5)
+        assert counts == {"de_halfline": 1}
+
+    def test_overflow_raises(self):
+        # Psi(1/6, 7/3, x) grows like x^{-4/3}
+        with pytest.raises(DomainError, match="psi_chf.*overflows"):
+            whitt_margin(1e-300)
 
 
 class TestFactorValidation:

@@ -80,10 +80,51 @@ class TestNodeTables:
     def test_tables_stay_lazy_on_import(self):
         code = ("import stable_msu\n"
                 "from stable_msu import quadrature\n"
-                "print(quadrature._nodes.cache_info().currsize)\n")
+                "print(quadrature._nodes.cache_info().currsize,\n"
+                "      quadrature._head.cache_info().currsize)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)
-        assert out.stdout.strip() == "0"
+        assert out.stdout.split() == ["0", "0"]
+
+    def test_range_check_builds_no_table(self):
+        code = ("from stable_msu import quadrature as q\n"
+                "import numpy as np\n"
+                "for level in (-1, q._LEVEL_CAP + 1):\n"
+                "    try:\n"
+                "        q.de_halfline(np.exp, max_level=level)\n"
+                "    except ValueError:\n"
+                "        pass\n"
+                "print(q._nodes.cache_info().currsize,\n"
+                "      q._head.cache_info().currsize)\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["0", "0"]
+
+    @pytest.mark.parametrize("top", range(0, quad._HEAD + 1))
+    def test_head_concatenates_levels_in_order(self, top):
+        head = quad._head(top)
+        assert quad._head(top) is head
+        levels = [quad._nodes(j) for j in range(top + 1)]
+        for field, joined in zip(quad._Nodes._fields, head.nodes):
+            assert not joined.flags.writeable, field
+            assert np.array_equal(
+                joined, np.concatenate([getattr(n, field) for n in levels]))
+        assert np.diff((0,) + head.half_ends).tolist() == [
+            n.t.size for n in levels]
+        assert np.diff((0,) + head.fin_ends).tolist() == [
+            n.fin_d.size for n in levels]
+
+    @pytest.mark.parametrize("max_level", [0, 3, quad._HEAD, 7])
+    def test_first_call_covers_the_head(self, max_level):
+        sizes = []
+        # an oscillating integrand does not converge by level 7, so every
+        # level is evaluated
+        res = de_halfline(lambda x: sizes.append(x.size) or np.cos(1e3 * x),
+                          max_level=max_level)
+        assert res.levels == max_level
+        top = min(quad._HEAD, max_level)
+        assert sizes == [quad._head(top).nodes.t.size] + [
+            quad._nodes(j).t.size for j in range(top + 1, max_level + 1)]
 
 
 class TestNonFiniteTerms:
@@ -179,3 +220,100 @@ class TestKernels:
         monkeypatch.setattr(module, "de_halfline", recording)
         getattr(module, name)(*args)
         assert seen == [levels]
+
+
+def _decaying(a, b, c):
+    """x^(a-1) e^(-b x) (1+x)^c as a 1-D integrand."""
+    return lambda x: np.exp(-b * x) * x ** (a - 1.0) * (1.0 + x) ** c
+
+
+# At the default rel_tol these rows stop at levels 3, 4, 5, 6 and 7;
+# the slow algebraic decay does not converge by level 10, and the last
+# row overflows to inf at the nodes past 30.
+ROW_INTEGRANDS = [
+    _decaying(0.05, 1e-3, -3.0),
+    _decaying(0.05, 0.1, -1.0),
+    _decaying(0.05, 1e-3, -1.0),
+    _decaying(0.05, 1e-3, 0.0),
+    _decaying(0.05, 1e-3, 3.0),
+    lambda x: 1.0 / (1.0 + x) ** 1.01,
+    lambda x: np.where(x < 30.0, np.exp(-x), np.exp(x * x)),
+]
+
+
+def _stack(fs):
+    return lambda x: np.stack([f(x) for f in fs])
+
+
+def _assert_rows_match(rows, singles):
+    assert isinstance(rows.value, np.ndarray)
+    assert isinstance(rows.error, np.ndarray)
+    assert rows.value.dtype == rows.error.dtype == np.float64
+    assert type(rows.levels) is int
+    np.testing.assert_array_equal(
+        rows.value.view(np.int64),
+        np.array([r.value for r in singles]).view(np.int64))
+    np.testing.assert_array_equal(
+        rows.error.view(np.int64),
+        np.array([r.error for r in singles]).view(np.int64))
+    assert rows.levels == max(r.levels for r in singles)
+
+
+class TestRows:
+    """k sibling integrals in one call equal k separate calls, field for
+    field, bit for bit; each row stops at its own level."""
+
+    @pytest.mark.parametrize("max_level", [0, 1, 2, 3, 4, quad._HEAD, 6, 10])
+    def test_halfline_rows_match_separate_calls(self, max_level):
+        singles = [de_halfline(f, max_level=max_level)
+                   for f in ROW_INTEGRANDS]
+        rows = de_halfline(_stack(ROW_INTEGRANDS), max_level=max_level)
+        _assert_rows_match(rows, singles)
+        if max_level == 10:
+            levels = [r.levels for r in singles]
+            assert levels[:6] == [3, 4, 5, 6, 7, 10]  # the sixth runs out
+
+    @pytest.mark.parametrize("max_level", [0, 2, 4, 10])
+    def test_finite_interval_rows_match_separate_calls(self, max_level):
+        fs = [np.sin, lambda x: 1.0 / np.sqrt(x), lambda x: np.log(x) ** 2,
+              lambda x: np.where(x > 1e-30, x, 1.0 / (x - x))]
+        singles = [tanh_sinh(f, 0.0, 1.0, max_level=max_level) for f in fs]
+        rows = tanh_sinh(_stack(fs), 0.0, 1.0, max_level=max_level)
+        _assert_rows_match(rows, singles)
+
+    def test_stopped_row_does_not_move(self):
+        # the first row stops early; what it returns afterwards is ignored
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            late = len(calls) > 1
+            return np.stack([np.exp(-x) * (np.nan if late else 1.0),
+                             1.0 / (1.0 + x) ** 1.01])
+
+        rows = de_halfline(f, rel_tol=1e-14)
+        assert len(calls) > 1
+        single = de_halfline(lambda x: np.exp(-x), rel_tol=1e-14)
+        assert (rows.value[0], rows.error[0]) == (single.value, single.error)
+
+    def test_one_row_is_still_an_array(self):
+        rows = de_halfline(lambda x: np.exp(-x)[np.newaxis])
+        single = de_halfline(lambda x: np.exp(-x))
+        _assert_rows_match(rows, [single])
+        assert rows.value.shape == (1,)
+
+
+def test_level_sum_of_a_slice_is_position_free():
+    # Each level's sum is np.add.reduce over its slice of a longer
+    # array; the results equal the separate calls' only if that sum
+    # does not depend on where the slice starts in memory.
+    x = np.random.default_rng(7).standard_normal(2000) * np.geomspace(
+        1e-30, 1e30, 2000)
+    for n in (1, 7, 8, 9, 127, 128, 129, 441, 1500):
+        for i in range(40):
+            assert (np.add.reduce(x[i:i + n]).view(np.int64)
+                    == np.add.reduce(x[i:i + n].copy()).view(np.int64)), (
+                "np.add.reduce gives different bits for the same values "
+                "depending on their offset in memory; the batched head "
+                "of stable_msu.quadrature cannot reproduce the level sums "
+                "of separate calls on this platform")

@@ -99,6 +99,19 @@ class TestBesselK:
         with pytest.raises(DomainError):
             bessel_k(1.0 / 3.0, -1.0)
 
+    @pytest.mark.parametrize("nu,x", [(200.0, 1e-3), (160.0, 1.0)])
+    def test_overflow_raises(self, nu, x):
+        # K_200(1e-3) = 3.17e1032 and K_160(1) = 3.4e308 are out of
+        # double range; the integrand overflows at the nodes near its peak
+        with pytest.raises(DomainError,
+                           match=rf"bessel_k\({nu}, {x}\) overflows"):
+            bessel_k(nu, x)
+
+    def test_largest_orders_still_evaluate(self):
+        # the integrand peaks near e^705, just inside double range
+        assert bessel_k(150.0, 1.0).value == pytest.approx(
+            2.7135812385643e305, rel=1e-13)
+
 
 class TestPsi:
     def test_family_ordering_at_one(self):
@@ -151,6 +164,12 @@ class TestPsi:
             psi_chf(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             psi_chf(1 / 6, 4 / 3, -0.5)
+
+    def test_overflow_raises(self):
+        # the true value, about 3.4e308, overflows a double
+        with pytest.raises(DomainError,
+                           match=r"psi_chf\(.*, \(100\.0,\), 0\.027\) overflows"):
+            psi_chf(1 / 6, 100.0, 0.027)
 
 
 class TestWhittaker:
