@@ -56,7 +56,7 @@ _TINY = 1e-300
 # deepest refinement level accepted; its table holds about 450k nodes,
 # and each level doubles that
 _LEVEL_CAP = 16
-# deepest level of the first integrand call (about 900 nodes in all);
+# deepest level of the first integrand call (435 exp-sinh nodes in all);
 # most integrals stop within it
 _HEAD = 5
 
