@@ -181,7 +181,8 @@ def _level_blocks(values: np.ndarray, ends: Sequence[int],
 def _refine(run_terms: RunTerms, rel_tol: float, max_level: int) -> QuadResult:
     """Refine each row until two levels agree to rel_tol; run_terms(run)
     gives the weighted integrand values at a run's nodes and the end of
-    each of its levels in them."""
+    each of its levels in them.  A row whose value is not finite (its
+    running sum overflowed) never counts as converged."""
     if not 0 <= max_level <= _LEVEL_CAP:
         raise ValueError(f"max_level must be in [0, {_LEVEL_CAP}]")
     with np.errstate(all="ignore"):
@@ -202,7 +203,8 @@ def _refine(run_terms: RunTerms, rel_tol: float, max_level: int) -> QuadResult:
                 values[i] = new
                 levels[i] = level
             running = [i for i in running
-                       if not errors[i] <= rel_tol * (abs(values[i]) + _TINY)]
+                       if not (math.isfinite(values[i]) and errors[i]
+                               <= rel_tol * (abs(values[i]) + _TINY))]
             if not running:
                 break
     if one:

@@ -32,16 +32,3 @@ def log_cosh(y: np.ndarray) -> np.ndarray:
         return np.where(ay < 350.0, np.log(np.cosh(ay)),
                         ay + np.log1p(np.exp(-2.0 * ay)) - math.log(2.0))
 
-
-def neumaier_add(total: float, comp: float, term: float) -> tuple[float, float]:
-    """One step of Neumaier's compensated summation.
-
-    Returns the updated (total, compensation) pair; the exact running sum
-    is ``total + comp``.
-    """
-    new = total + term
-    if abs(total) >= abs(term):
-        comp += (total - new) + term
-    else:
-        comp += (term - new) + total
-    return new, comp

@@ -14,6 +14,7 @@ from stable_msu.density import (Alpha, EvalResult, SeriesConfig, as_alpha,
                                 survival_series, survival_series_grid,
                                 tail_coefficient)
 from stable_msu.errors import DomainError, UnsupportedAlphaError
+from stable_msu.verify import check_laplace
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
@@ -339,6 +340,24 @@ class TestBlockedEngine:
             assert (converged & (n == edge)).any()
 
 
+class TestSeriesOrders:
+    # the engines sum the density (order 0), its jet (order 2) or the
+    # integrated tail (order 0 only)
+    @pytest.mark.parametrize("engine", [
+        lambda order, survival: density_mod._hp_sums(
+            Alpha(0.5), 1.0, SeriesConfig(), order, survival),
+        lambda order, survival: density_mod._hp_sums_grid(
+            Alpha(0.5), np.array([0.5, 1.0]), SeriesConfig(), order,
+            survival)], ids=["float-loop", "grid"])
+    def test_unsupported_orders_raise(self, engine):
+        for order, survival in ((1, False), (3, False), (-1, False),
+                                (2, True), (1, True)):
+            with pytest.raises(ValueError, match="order"):
+                engine(order, survival)
+        for order, survival in ((0, False), (2, False), (0, True)):
+            assert len(engine(order, survival)[0]) == order + 1
+
+
 class TestUnimodalitySignature:
     @pytest.mark.parametrize("a,lo,hi", [(0.6, 0.08, 30.0), (0.3, 0.01, 10.0)])
     def test_single_sign_change_of_fp(self, a, lo, hi):
@@ -472,3 +491,102 @@ def test_reliable_x_min_monotone_in_alpha():
     # heavier cancellation for larger alpha pushes the boundary up
     xs = [reliable_x_min(as_alpha(a)) for a in (0.3, 0.5, 0.7, 0.9)]
     assert all(a < b for a, b in zip(xs, xs[1:]))
+
+
+LAPLACE_ALPHAS = [Alpha(v) for v in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                     0.9, 0.95, 0.99)] + [
+    Alpha.from_fraction(1, 3), Alpha.from_fraction(2, 3)]
+LAPLACE_LAMBDAS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def _laplace_reference(alpha, lam, cfg):
+    """laplace_check assembled from the public pieces, every survival
+    value at x_s and x_m from the float loop and the left rule's own
+    grid call per lambda."""
+    a = alpha.value
+    x_m = density_mod.reliable_x_min(alpha, cfg)
+    x_s = min(density_mod.reliable_x_min(alpha, cfg, survival=True), x_m)
+
+    def surv(t):
+        return survival_series(alpha, t, cfg).value
+
+    def mid_piece(x_hi):
+        ts, ws = density_mod._gauss_legendre(
+            density_mod._decade_edges(x_m, x_hi))
+        fs = density_series_grid(alpha, ts, cfg).value
+        return float(np.dot(ws, np.exp(-lam * ts) * fs))
+
+    if lam == 0.0:
+        x_hi = max(10.0, 4.0 * x_m)
+        while surv(x_hi) > 1e-3 and x_hi < 1e15:
+            x_hi *= 10.0
+        return abs(1.0 - surv(x_m) + mid_piece(x_hi) + surv(x_hi) - 1.0)
+    x_hi = max(50.0 / lam, 4.0 * x_m, 10.0)
+    inner = 0.0
+    if x_s < x_m:
+        ts, ws = density_mod._gauss_legendre((x_s, x_m))
+        s_nodes = survival_series_grid(alpha, ts, cfg).value
+        inner += float(np.dot(ws, np.exp(-lam * ts) * (1.0 - s_nodes)))
+    inner += 0.5 * x_s * math.exp(-lam * x_s) * (1.0 - surv(x_s))
+    left = math.exp(-lam * x_m) * (1.0 - surv(x_m)) + lam * inner
+    tail = math.exp(-lam * x_hi) * surv(x_hi)
+    return abs(left + mid_piece(x_hi) + tail - math.exp(-lam ** a))
+
+
+@pytest.fixture
+def fresh_left_pieces():
+    """An empty _left_piece cache, emptied again afterwards so no entry
+    built under a monkeypatch outlives the test."""
+    density_mod._left_piece.cache_clear()
+    yield density_mod._left_piece
+    density_mod._left_piece.cache_clear()
+
+
+class TestLaplaceLeftPiece:
+    @pytest.mark.parametrize("cfg", [SeriesConfig(),
+                                     SeriesConfig(cancellation_guard=1e6)],
+                             ids=["default", "guard-1e6"])
+    @pytest.mark.parametrize("alpha", LAPLACE_ALPHAS,
+                             ids=lambda a: f"{a.value:.4g}")
+    def test_matches_reference_assembly(self, alpha, cfg):
+        for lam in LAPLACE_LAMBDAS:
+            got = laplace_check(alpha, lam, cfg)
+            ref = _laplace_reference(alpha, lam, cfg)
+            assert got.hex() == ref.hex(), lam
+
+    def test_empty_left_rule(self, monkeypatch, fresh_left_pieces):
+        # x_s = x_m leaves no rule between them; the reference then skips
+        # that integral as laplace_check's empty rule does
+        real = density_mod.reliable_x_min
+        monkeypatch.setattr(density_mod, "reliable_x_min",
+                            lambda alpha, cfg, survival=False: real(alpha, cfg))
+        alpha, cfg = Alpha(0.6), SeriesConfig()
+        for lam in LAPLACE_LAMBDAS:
+            assert (laplace_check(alpha, lam, cfg).hex()
+                    == _laplace_reference(alpha, lam, cfg).hex()), lam
+        piece = fresh_left_pieces(alpha, cfg)
+        assert piece.x_s == piece.x_m and piece.nodes.size == 0
+
+    def test_one_left_grid_per_alpha_and_config(self, monkeypatch,
+                                                fresh_left_pieces):
+        calls = []
+        real = density_mod.survival_series_grid
+
+        def counting(alpha, xs, cfg):
+            calls.append((alpha, cfg))
+            return real(alpha, xs, cfg)
+
+        monkeypatch.setattr(density_mod, "survival_series_grid", counting)
+        cfgs = (SeriesConfig(), SeriesConfig(cancellation_guard=1e6))
+        for cfg in cfgs:
+            for a in (0.3, 0.7):
+                check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0], cfg=cfg)
+                check_laplace(a, [1.0], cfg=cfg)
+        assert calls == [(Alpha(a), cfg) for cfg in cfgs for a in (0.3, 0.7)]
+        assert fresh_left_pieces.cache_info().currsize == 4
+        default, guarded = (fresh_left_pieces(Alpha(0.3), cfg) for cfg in cfgs)
+        assert default.x_m != guarded.x_m
+        for field in ("nodes", "weights", "f_nodes"):
+            arr = getattr(default, field)
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

@@ -79,12 +79,13 @@ class TestNodeTables:
 
     def test_tables_stay_lazy_on_import(self):
         code = ("import stable_msu\n"
-                "from stable_msu import quadrature\n"
+                "from stable_msu import density, quadrature\n"
                 "print(quadrature._nodes.cache_info().currsize,\n"
-                "      quadrature._head.cache_info().currsize)\n")
+                "      quadrature._head.cache_info().currsize,\n"
+                "      density._left_piece.cache_info().currsize)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)
-        assert out.stdout.split() == ["0", "0"]
+        assert out.stdout.split() == ["0", "0", "0"]
 
     def test_range_check_builds_no_table(self):
         code = ("from stable_msu import quadrature as q\n"
@@ -158,6 +159,27 @@ class TestNonFiniteTerms:
         nodes = np.concatenate(seen)
         assert nodes.min() > 1.0 and nodes.max() < 2.0
         assert res.value == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("max_level", [7, 10])
+    def test_overflowing_sum_never_converges(self, max_level):
+        # a row whose running sum overflows refines to max_level like any
+        # integral that has not converged; its finite siblings are
+        # unaffected
+        halfline = [lambda x: np.exp(-x), lambda x: np.full_like(x, 1e300)]
+        finite = [np.cos, lambda x: np.full_like(x, 1.7e308)]
+        for integrate, fs in (
+                (lambda f: de_halfline(f, max_level=max_level), halfline),
+                (lambda f: tanh_sinh(f, -1.0, 1.0, max_level=max_level),
+                 finite)):
+            clean, huge = (integrate(f) for f in fs)
+            assert clean.levels < max_level
+            assert not math.isfinite(huge.value)
+            assert huge.levels == max_level
+            rows = integrate(_stack(fs))
+            assert rows.levels == max_level
+            assert (rows.value[0], rows.error[0]) == (clean.value,
+                                                      clean.error)
+            assert not math.isfinite(rows.value[1])
 
     def test_zero_integrand(self):
         res = de_halfline(np.zeros_like)
