@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """The special-function kernels underneath everything else.
 
-Log-gamma with correct signs at negative arguments, the Macdonald
-function from its cosh integral, and the confluent kernel family
-Psi(1/6, c, x) with the contiguity pattern that turns derivative
-inequalities into parameter shifts.
+Log-gamma (the standard library's ``math.lgamma``) with the sign of
+Gamma at negative arguments, the Macdonald function from its cosh
+integral, and the confluent kernel family Psi(1/6, c, x) with the
+contiguity pattern that turns derivative inequalities into parameter
+shifts.
 """
 
 import math
 
-from stable_msu import bessel_k, gamma_value, log_gamma, psi_chf, whittaker_w_stable
+from stable_msu import bessel_k, log_gamma, psi_chf, whittaker_w_stable
 
 print("=== log-gamma with signs ===")
 for x in (0.5, 5.0, -0.6, -1.2, -2.5):
     ev = log_gamma(x)
     print(f"x = {x:5.2f}: log|Gamma| = {ev.value: .10g}, sign = {ev.sign:+d}, "
-          f"Gamma = {gamma_value(x): .8g}")
+          f"Gamma = {math.gamma(x): .8g}")
 
 print("\n=== Macdonald function K_nu ===")
 print(f"K_1/2(1) = {bessel_k(0.5, 1.0).value:.12g} "

@@ -16,15 +16,14 @@ from .errors import (DomainError, HypothesisError, PoleError,
                      PreconditionError, UnreliableScanError,
                      UnsupportedAlphaError)
 from .factorizations import (Factor, FactorList, MellinProfile, kanter_b,
-                             lemma1_g, lemma1_inequality,
-                             lemma1_product_density, lemma2_product,
+                             lemma1_g, lemma1_inequality, lemma2_product,
                              mellin_product, mellin_stable, sample_stable,
                              whitt_margin, williams_product)
 from .msu import (BbExpansion, MsuReport, NO_VIOLATION, VIOLATION,
                   bb_expansion, bb_log_density, lce_residual, msu_scan,
                   tail_residual_sign, ualpha_density,
                   ualpha_logconcavity_margin)
-from .specfun import (SpecEval, bessel_k, gamma_value, log_gamma, psi_chf,
+from .specfun import (SpecEval, bessel_k, log_gamma, psi_chf,
                       whittaker_w_stable)
 from .verify import (DEFAULT_ACCEPTANCE_CONFIG, IdentityReport, KsResult,
                      StableCdf, build_cdf, check_diff_identity,
@@ -45,13 +44,11 @@ __all__ = [
     "build_cdf", "check_diff_identity", "check_factorization_mc",
     "check_laplace", "check_mellin_factorization", "check_sampler_ks",
     "density_closed", "density_jet", "density_jet_grid", "density_series",
-    "density_series_grid", "gamma_value",
-    "kanter_b", "ks_one_sample", "ks_two_sample",
+    "density_series_grid", "kanter_b", "ks_one_sample", "ks_two_sample",
     "laplace_check", "lce_residual", "lemma1_g", "lemma1_inequality",
-    "lemma1_product_density", "lemma2_product", "log_gamma",
-    "mellin_product", "mellin_stable", "msu_scan", "psi_chf",
-    "run_acceptance", "sample_stable", "survival_series",
-    "survival_series_grid",
+    "lemma2_product", "log_gamma", "mellin_product", "mellin_stable",
+    "msu_scan", "psi_chf", "run_acceptance", "sample_stable",
+    "survival_series", "survival_series_grid",
     "tail_coefficient", "tail_residual_sign", "ualpha_cdf",
     "ualpha_density", "ualpha_logconcavity_margin", "whitt_margin",
     "whittaker_w_stable", "williams_product",

@@ -682,7 +682,7 @@ def survival_series_grid(
 def tail_coefficient(alpha) -> float:
     """lim_{x->inf} f_alpha(x) x^{1+alpha} = alpha / Gamma(1-alpha)."""
     alpha = as_alpha(alpha)
-    return alpha.value * math.exp(-specfun.log_gamma(1.0 - alpha.value).value)
+    return alpha.value / math.gamma(1.0 - alpha.value)
 
 
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)

@@ -64,12 +64,10 @@ class Factor:
     def log_mellin(self, s: float) -> float:
         if self.kind == _BETA:
             a, b = self.params
-            return (specfun.log_gamma(s + a).value
-                    + specfun.log_gamma(a + b).value
-                    - specfun.log_gamma(s + a + b).value
-                    - specfun.log_gamma(a).value)
+            return (math.lgamma(s + a) + math.lgamma(a + b)
+                    - math.lgamma(s + a + b) - math.lgamma(a))
         c, = self.params
-        return specfun.log_gamma(s + c).value - specfun.log_gamma(c).value
+        return math.lgamma(s + c) - math.lgamma(c)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         if self.kind == _BETA:
@@ -236,8 +234,7 @@ def mellin_stable(alpha) -> MellinProfile:
     a = alpha_obj.value
 
     def moment(s: float) -> float:
-        return math.exp(specfun.log_gamma(1.0 - s / a).value
-                        - specfun.log_gamma(1.0 - s).value)
+        return math.exp(math.lgamma(1.0 - s / a) - math.lgamma(1.0 - s))
 
     return MellinProfile(moment, (-math.inf, a))
 
@@ -296,21 +293,6 @@ def lemma1_g(alpha: float, beta: float, c: float, shift: int, x: float,
     """
     value, error = _lemma1_quad(alpha, beta, c, (shift,), x, rel_tol)
     return specfun.SpecEval(value.item(), error.item(), "quadrature")
-
-
-def lemma1_product_density(alpha: float, beta: float, c: float, x: float,
-                           rel_tol: float = 1e-11) -> float:
-    """Density of Beta(a, b) x Gamma(c) at x > 0:
-    Gamma(a+b) x^{c-1} g_{a,b,c}(x) / (Gamma(a) Gamma(b) Gamma(c)).
-    Reduces to the Gamma(a) density when a + b = c."""
-    if x <= 0.0:
-        raise DomainError("density requires x > 0")
-    g = lemma1_g(alpha, beta, c, 0, x, rel_tol=rel_tol)
-    log_norm = (specfun.log_gamma(alpha + beta).value
-                - specfun.log_gamma(alpha).value
-                - specfun.log_gamma(beta).value
-                - specfun.log_gamma(c).value)
-    return math.exp(log_norm + (c - 1.0) * math.log(x)) * g.value
 
 
 def lemma1_inequality(alpha: float, beta: float, c: float, x: float,

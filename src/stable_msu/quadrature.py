@@ -182,7 +182,8 @@ def _refine(run_terms: RunTerms, rel_tol: float, max_level: int) -> QuadResult:
     """Refine each row until two levels agree to rel_tol; run_terms(run)
     gives the weighted integrand values at a run's nodes and the end of
     each of its levels in them.  A row whose value is not finite (its
-    running sum overflowed) never counts as converged."""
+    running sum overflowed) never counts as converged, and its error is
+    inf."""
     if not 0 <= max_level <= _LEVEL_CAP:
         raise ValueError(f"max_level must be in [0, {_LEVEL_CAP}]")
     with np.errstate(all="ignore"):
@@ -199,7 +200,8 @@ def _refine(run_terms: RunTerms, rel_tol: float, max_level: int) -> QuadResult:
             for i in running:
                 totals[i] += _level_sum(block[i])
                 new = totals[i] * 0.5 ** level
-                errors[i] = abs(new - values[i])
+                errors[i] = (abs(new - values[i]) if math.isfinite(new)
+                             else math.inf)
                 values[i] = new
                 levels[i] = level
             running = [i for i in running

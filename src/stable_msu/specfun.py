@@ -23,23 +23,6 @@ DEFAULT_REL_TOL = 1e-10
 
 _METHODS = ("series", "quadrature", "closed_form")
 
-# 9-term Lanczos approximation, g = 7; good to ~15 significant digits
-# on the right half plane.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LN_SQRT_TWO_PI = 0.9189385332046727
-_LN_PI = math.log(math.pi)
-
 
 @dataclass(frozen=True)
 class SpecEval:
@@ -63,38 +46,21 @@ class SpecEval:
             raise ValueError("abs_error_estimate must be finite and >= 0")
 
 
-def _lanczos_log_gamma(x: float) -> float:
-    # valid for x >= 0.5
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return _LN_SQRT_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(acc)
-
-
 def log_gamma(x: float) -> SpecEval:
-    """log|Gamma(x)| together with the sign of Gamma(x).
+    """log|Gamma(x)| together with the sign of Gamma(x), from the
+    standard library's ``math.lgamma``.
 
-    Negative arguments go through the reflection formula; nonpositive
-    integers raise :class:`PoleError`.
+    Nonpositive integers raise :class:`PoleError`, and x whose
+    log|Gamma(x)| overflows a double raises :class:`DomainError`.
     """
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"Gamma pole at x = {x}")
-    if x >= 0.5:
-        value = _lanczos_log_gamma(x)
-        return SpecEval(value, 5e-15 * (1.0 + abs(value)), "series", 1)
-    # log|Gamma(x)| = log(pi) - log|sin(pi x)| - log Gamma(1 - x)
-    s = sinpi(x)
-    value = _LN_PI - math.log(abs(s)) - _lanczos_log_gamma(1.0 - x)
-    sign = 1 if s > 0.0 else -1
-    err = 5e-15 * (1.0 + abs(value)) + 2e-16 * (1.0 + abs(x)) / abs(s)
-    return SpecEval(value, err, "series", sign)
-
-
-def gamma_value(x: float) -> float:
-    """Gamma(x) as a signed float (convenience wrapper over log_gamma)."""
-    ev = log_gamma(x)
-    return ev.sign * math.exp(ev.value)
+    try:
+        value = math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log Gamma({x}) overflows a double") from None
+    sign = 1 if x > 0.0 or sinpi(x) > 0.0 else -1
+    return SpecEval(value, 5e-15 * (1.0 + abs(value)), "series", sign)
 
 
 def _guard(name: str, args: tuple, integrand: Integrand) -> Integrand:
@@ -162,7 +128,7 @@ def _psi_quad(a: float, cs: tuple, x: float, rel_tol: float):
 
     args = (a, cs, x)
     res = de_halfline(_guard("psi_chf", args, integrand), rel_tol=rel_tol)
-    return _scaled("psi_chf", args, res, 1.0 / gamma_value(a))
+    return _scaled("psi_chf", args, res, 1.0 / math.gamma(a))
 
 
 def psi_chf(a: float, c: float, x: float,

@@ -180,6 +180,16 @@ class TestUsageErrors:
                              "--threads", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_acceptance_config_unreadable(self, capsys, tmp_path, text):
+        # a missing file and a file that is not JSON are usage errors
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestHelp:
     def test_top_level_lists_every_subcommand(self, capsys):

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stable_msu import factorizations, specfun
 from stable_msu.errors import DomainError, HypothesisError, PreconditionError
 from stable_msu.factorizations import (Factor, FactorList, kanter_b, lemma1_g,
-                                       lemma1_inequality,
-                                       lemma1_product_density, lemma2_product,
+                                       lemma1_inequality, lemma2_product,
                                        mellin_product, mellin_stable,
                                        sample_stable, whitt_margin,
                                        williams_product)
@@ -302,10 +301,12 @@ class TestLemma1G:
         assert gp >= g0
 
     def test_gamma_reduction_when_c_equals_sum(self):
-        # product density of Beta(0.3, 0.7) x Gamma(1.0) is Gamma(0.3)
+        # with c = a + b the factor (u+1)^{c-(a+b)} is 1, so g is
+        # e^{-x} times the Gamma integral Gamma(b) x^{-b}: the reduction
+        # of Beta(a, b) x Gamma(a + b) to Gamma(a)
         x = 0.7
-        val = lemma1_product_density(0.3, 0.7, 1.0, x)
-        ref = x ** (0.3 - 1.0) * math.exp(-x) / math.gamma(0.3)
+        val = lemma1_g(0.3, 0.7, 1.0, 0, x).value
+        ref = math.exp(-x) * math.gamma(0.7) * x ** -0.7
         assert val == pytest.approx(ref, rel=1e-8)
 
     def test_large_x_watson_leading_term(self):

@@ -174,12 +174,14 @@ class TestNonFiniteTerms:
             clean, huge = (integrate(f) for f in fs)
             assert clean.levels < max_level
             assert not math.isfinite(huge.value)
+            assert huge.error == math.inf
             assert huge.levels == max_level
             rows = integrate(_stack(fs))
             assert rows.levels == max_level
             assert (rows.value[0], rows.error[0]) == (clean.value,
                                                       clean.error)
             assert not math.isfinite(rows.value[1])
+            assert rows.error[1] == math.inf
 
     def test_zero_integrand(self):
         res = de_halfline(np.zeros_like)

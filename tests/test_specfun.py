@@ -1,13 +1,16 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from stable_msu.errors import DomainError, PoleError
-from stable_msu.specfun import (bessel_k, gamma_value, log_gamma, psi_chf,
+from stable_msu.factorizations import lemma2_product
+from stable_msu.specfun import (bessel_k, log_gamma, psi_chf,
                                 whittaker_w_stable)
+from stable_msu.verify import DEFAULT_ACCEPTANCE_CONFIG
 
 GAMMA_SIXTH = math.gamma(1.0 / 6.0)
 GAMMA_THIRD = math.gamma(1.0 / 3.0)
@@ -49,9 +52,70 @@ class TestLogGamma:
         assert log_gamma(-x).sign == -1
         assert log_gamma(-1.0 - x).sign == 1
 
-    def test_gamma_value(self):
-        assert gamma_value(5.0) == pytest.approx(24.0, rel=1e-13)
-        assert gamma_value(-0.6) == pytest.approx(-3.6969325729735636, rel=1e-10)
+    def test_overflow_raises_domain_error(self):
+        # log|Gamma(x)| passes the largest double near x = 2.56e305
+        assert math.isfinite(log_gamma(2.5e305).value)
+        with pytest.raises(DomainError):
+            log_gamma(1e306)
+
+
+def _lgamma_worst(xs):
+    """(worst ratio, x) of |math.lgamma(x) - log|Gamma(x)|| to the bar
+    5e-15 (1 + |log|Gamma(x)||) over xs, against 30-digit mpmath."""
+    worst = []
+    with mp.workdps(30):
+        for x in xs:
+            ref = mp.log(abs(mp.gamma(mp.mpf(x))))
+            err = abs(mp.mpf(math.lgamma(x)) - ref)
+            worst.append((float(err / (5e-15 * (1 + abs(ref)))), x))
+    return max(worst)
+
+
+class TestLgammaPremise:
+    """The package takes every double-precision Gamma from ``math.lgamma``
+    and ``math.gamma``; log_gamma's bar 5e-15 (1 + |v|) and the series
+    coefficients assume that lgamma is that accurate."""
+
+    ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
+              1.0 / 3.0, 2.0 / 3.0)
+
+    @staticmethod
+    def _assert_premise(xs, where):
+        ratio, x = _lgamma_worst(xs)
+        assert ratio <= 1.0, (
+            f"premise broken: math.lgamma misses log|Gamma| on {where} at "
+            f"x = {x!r} by {ratio:.3g} times the bar 5e-15 (1 + |v|)")
+
+    def test_series_coefficient_arguments(self):
+        # the series engines take log Gamma(1 + alpha n) - log n! per term
+        xs = {n + 1.0 for n in range(401)}
+        xs.update(1.0 + a * n for a in self.ALPHAS for n in range(401))
+        self._assert_premise(sorted(xs), "the series coefficients 1+an, n+1")
+
+    def test_lemma2_mellin_arguments(self):
+        # every argument check 06 hands to Factor.log_mellin, and its
+        # right-hand side Gamma(ns + 1) / Gamma(ps + 1)
+        entry, = (c for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]
+                  if c["kind"] == "lemma2_mellin")
+        xs = set()
+        for p, n in entry["pairs"]:
+            for s in map(float, entry["s_values"]):
+                xs.update((n * s + 1.0, p * s + 1.0))
+                for f in lemma2_product(p, n).factors:
+                    if f.kind == "beta":
+                        a, b = f.params
+                        xs.update((s + a, a + b, s + a + b, a))
+                    else:
+                        c, = f.params
+                        xs.update((s + c, c))
+        self._assert_premise(sorted(xs), "check 06's Mellin arguments")
+
+    def test_negative_arguments(self):
+        xs = [-k + d for k in range(1, 21)
+              for d in (-1e-6, -1e-9, 1e-9, 1e-6)]
+        rng = np.random.default_rng(20261018)
+        xs += rng.uniform(-30.0, 0.5, 2000).tolist()
+        self._assert_premise(xs, "negative x near the poles and on (-30, 0.5)")
 
 
 class TestBesselK:
