@@ -114,34 +114,45 @@ class MellinProfile:
 # exact sampler
 # ---------------------------------------------------------------------------
 
-def _log_kanter_b(a: float, u: np.ndarray) -> np.ndarray:
-    """log b(u) as a new array, for float a in (0, 1) and u in (0, pi).
+# elements per block of the sampler's log b(u) kernel and the KS
+# reductions: their temporaries stay this size at any sample size
+_BLOCK = 1 << 14
+
+
+def _log_kanter_b(a: float, u: np.ndarray, out: np.ndarray) -> None:
+    """Write log b(u) into ``out``, for float a in (0, 1) and u in (0, pi);
+    ``u`` and ``out`` are distinct flat float64 arrays of one length.
 
     Each sine comes from t = tan(x/2) as sin x = 2t/(1 + t^2): numpy's
     float64 tan is vectorised where its sin is scalar libm.  The
     exponents a, 1-a and -1 of the three sines sum to 0, so the factor 2
-    cancels and only log(t/(1 + t^2)) is formed, in place.
+    cancels and only log(t/(1 + t^2)) is formed.  The work runs block by
+    block through two block-sized temporaries; each element sees the
+    same operations as in one whole-array pass.
     """
-    out = np.empty_like(u)
-    tmp = np.empty_like(u)
-    sq = np.empty_like(u)
+    tmp = np.empty(min(u.size, _BLOCK))
+    sq = np.empty_like(tmp)
 
-    def log_half_sin(scale, dst):
+    def log_half_sin(ub, scale, dst):
         # log(sin(scale*u)/2) into dst; scale*u/2 lies in (0, pi/2)
-        np.multiply(u, 0.5 * scale, out=dst)
+        s = sq[:ub.size]
+        np.multiply(ub, 0.5 * scale, out=dst)
         np.tan(dst, out=dst)
-        np.multiply(dst, dst, out=sq)
-        np.add(sq, 1.0, out=sq)
-        dst /= sq
+        np.multiply(dst, dst, out=s)
+        np.add(s, 1.0, out=s)
+        dst /= s
         return np.log(dst, out=dst)
 
-    log_half_sin(a, out)
-    out *= a
-    log_half_sin(1.0 - a, tmp)
-    tmp *= 1.0 - a
-    out += tmp
-    out -= log_half_sin(1.0, tmp)
-    return out
+    for lo in range(0, u.size, _BLOCK):
+        ub = u[lo:lo + _BLOCK]
+        ob = out[lo:lo + _BLOCK]
+        t = tmp[:ub.size]
+        log_half_sin(ub, a, ob)
+        ob *= a
+        log_half_sin(ub, 1.0 - a, t)
+        t *= 1.0 - a
+        ob += t
+        ob -= log_half_sin(ub, 1.0, t)
 
 
 def kanter_b(alpha, u):
@@ -154,21 +165,25 @@ def kanter_b(alpha, u):
     u_arr = np.asarray(u, dtype=float)
     if not np.all((u_arr > 0.0) & (u_arr < math.pi)):  # NaN fails too
         raise DomainError("kanter_b requires u strictly inside (0, pi)")
-    val = _log_kanter_b(a, u_arr)
+    val = np.empty(u_arr.shape)
+    _log_kanter_b(a, u_arr.reshape(-1), val.reshape(-1))
     np.exp(val, out=val)
     return float(val) if np.isscalar(u) or u_arr.ndim == 0 else val
 
 
 def _log_stable(a: float, source: np.random.Generator, n) -> np.ndarray:
     """The logs of sample_stable's draws, for n an int or a shape, as a
-    new array; finite where exponentiating would overflow."""
+    new array; finite where exponentiating would overflow.  The working
+    set is that array and one of uniforms, then exponentials."""
     u = source.uniform(0.0, math.pi, n)
     # endpoint draws are measure zero but would hit the log singularities
     bad = (u <= 0.0) | (u >= math.pi)
     while np.any(bad):
         u[bad] = source.uniform(0.0, math.pi, int(bad.sum()))
         bad = (u <= 0.0) | (u >= math.pi)
-    z = _log_kanter_b(a, u)
+    del bad
+    z = np.empty_like(u)
+    _log_kanter_b(a, u.reshape(-1), z.reshape(-1))
     # every uniform is drawn before any exponential; L reuses U's buffer
     log_ell = np.log(source.standard_exponential(out=u), out=u)
     log_ell *= a - 1.0

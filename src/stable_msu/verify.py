@@ -72,12 +72,13 @@ class IdentityReport:
 # KS statistics
 # ---------------------------------------------------------------------------
 
-def ks_one_sample(samples, cdf) -> KsResult:
-    """Sup-norm distance between the empirical CDF and ``cdf``."""
-    s = np.sort(np.asarray(samples, dtype=float))
+def _ks_one(s: np.ndarray, cdf) -> KsResult:
+    """One-sample KS of the flat float64 sample ``s`` against ``cdf``;
+    sorts ``s`` in place and spends it."""
     n = s.size
     if n == 0:
         raise PreconditionError("ks_one_sample requires samples")
+    s.sort()
     f = np.clip(np.asarray(cdf(s), dtype=float), 0.0, 1.0)
     # steps[k] = k/n: the empirical CDF is steps[1:] just after each
     # sorted sample and steps[:-1] just before; s is spent and holds
@@ -91,34 +92,62 @@ def ks_one_sample(samples, cdf) -> KsResult:
     return KsResult(stat, n, crit, stat < crit)
 
 
-def ks_two_sample(a, b) -> KsResult:
-    """Sup-norm distance between two empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    n, m = a.size, b.size
+def _ks_two(buf: np.ndarray, n: int) -> KsResult:
+    """Two-sample KS between ``buf[:n]`` and ``buf[n:]`` of the flat
+    float64 array ``buf``; sorts ``buf`` in place and spends it.
+
+    Besides ``buf`` it holds one index array of ``buf``'s length while
+    the labels are taken (and the merge workspace of numpy's stable
+    sort), then one boolean array and block-sized temporaries.
+    """
+    m = buf.size - n
     if n == 0 or m == 0:
         raise PreconditionError("ks_two_sample requires samples")
-    # one stable merge of the sorted samples; the empirical CDFs at a
-    # value are the counts from each side up to its last tied copy.
-    # Each array is dropped or reused as soon as it is spent, so the
-    # peak stays near four arrays of n + m elements.
-    merged = np.concatenate([a, b])
-    del a, b
-    order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    from_a = order < n
-    del order
-    last = np.append(merged[1:] != merged[:-1], True)
-    del merged
-    ca = np.cumsum(from_a)[last]
-    cb = np.flatnonzero(last) + 1
-    del from_a, last
-    cb -= ca
-    gap = ca / n
-    gap -= cb / m
-    stat = float(np.max(np.abs(gap, out=gap)))
+    buf[:n].sort()
+    buf[n:].sort()
+    # a stable sort keeps tied values in buffer order, so from_a labels
+    # each sorted value by its sample and puts a's tied copies first
+    from_a = np.argsort(buf, kind="stable") < n
+    buf.sort(kind="stable")
+    # the empirical CDFs at a value are the counts from each side up to
+    # its last tied copy; the count of a's is carried from block to block
+    worst = []
+    carried = 0
+    size = buf.size
+    for lo in range(0, size, fact._BLOCK):
+        hi = min(lo + fact._BLOCK, size)
+        last = np.empty(hi - lo, dtype=bool)
+        np.not_equal(buf[lo:hi - 1], buf[lo + 1:hi], out=last[:-1])
+        last[-1] = hi == size or buf[hi - 1] != buf[hi]
+        ca = np.cumsum(from_a[lo:hi])
+        ca += carried
+        carried = int(ca[-1])
+        ca = ca[last]
+        if ca.size:
+            cb = np.flatnonzero(last)
+            cb += lo + 1
+            cb -= ca
+            gap = ca / n
+            gap -= cb / m
+            worst.append(np.max(np.abs(gap, out=gap)))
+    stat = float(np.max(worst))
     crit = KS_COEFF_1PCT * math.sqrt((n + m) / (n * m))
     return KsResult(stat, n, crit, stat < crit, m_samples=m)
+
+
+def ks_one_sample(samples, cdf) -> KsResult:
+    """Sup-norm distance between the empirical CDF and ``cdf``; samples
+    of any shape count as one flat sample."""
+    return _ks_one(np.asarray(samples, dtype=float).flatten(), cdf)
+
+
+def ks_two_sample(a, b) -> KsResult:
+    """Sup-norm distance between two empirical CDFs; samples of any
+    shape count as flat samples."""
+    a = np.asarray(a, dtype=float)
+    return _ks_two(np.concatenate([a.ravel(),
+                                   np.asarray(b, dtype=float).ravel()]),
+                   a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +262,7 @@ def check_diff_identity(alpha, n_samples: int, seed: int) -> IdentityReport:
     # the logs are subtracted as drawn: at small alpha, Z overflows
     diff = fact._log_stable(alpha.value, rng, n_samples)
     diff -= fact._log_stable(alpha.value, rng, n_samples)
-    ks = ks_one_sample(diff, ualpha_cdf(alpha))
+    ks = _ks_one(diff, ualpha_cdf(alpha))
     return IdentityReport(
         name=f"diff-identity-alpha-{alpha.value:g}",
         discrepancy=ks.statistic, threshold=ks.critical_1pct,
@@ -250,7 +279,10 @@ def check_factorization_mc(p: int, n: int, n_samples: int,
     z = fact.sample_stable(alpha, rng, n_samples)
     np.power(z, -float(p), out=z)
     prod = fl.sample(rng, n_samples)
-    ks = ks_two_sample(z, prod)
+    # both samples move into the one buffer that the KS sorts
+    buf = np.concatenate([z, prod])
+    del z, prod
+    ks = _ks_two(buf, n_samples)
     return IdentityReport(
         name=f"factorization-mc-{p}-{n}",
         discrepancy=ks.statistic, threshold=ks.critical_1pct,
@@ -263,7 +295,7 @@ def check_sampler_ks(alpha, n_samples: int, seed: int,
     alpha = as_alpha(alpha)
     rng = np.random.default_rng(seed)
     z = fact.sample_stable(alpha, rng, n_samples)
-    ks = ks_one_sample(z, build_cdf(alpha, cfg))
+    ks = _ks_one(z, build_cdf(alpha, cfg))
     return IdentityReport(
         name=f"sampler-ks-alpha-{alpha.value:g}",
         discrepancy=ks.statistic, threshold=ks.critical_1pct,
@@ -363,8 +395,11 @@ def _check_tail_sign(params: dict) -> IdentityReport:
                           details={"mismatches": bad})
 
 
+_HALF_RESIDUAL_XS = (0.5, 1.0, 2.0, 10.0)
+
+
 def _check_half_residual(params: dict) -> IdentityReport:
-    xs = params.get("xs", [0.5, 1.0, 2.0, 10.0])
+    xs = params.get("xs", _HALF_RESIDUAL_XS)
     tol = float(params["threshold"])
     worst = 0.0
     for x in xs:
@@ -538,6 +573,22 @@ CHECK_PARAMS: dict[str, frozenset[str]] = {
 }
 
 
+# the case lists of each list-driven kind, in groups: an entry must
+# give at least one case in every group, or it would pass with nothing
+# checked.  An absent list counts as empty, except "xs", which has a
+# default.
+_CASE_LISTS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "laplace": (("lambdas",),),
+    "msu_dichotomy": (("alphas_violation", "alphas_msu"),),
+    "half_alpha_residual": (("xs",),),
+    "lemma2_mellin": (("pairs",), ("s_values",)),
+    "sampler_fidelity": (("alphas", "pairs"),),
+    "diff_identity": (("alphas",),),
+    "lemma1_inequality": (("triples",),),
+    "bb_crosscheck": (("alphas",),),
+}
+
+
 DEFAULT_ACCEPTANCE_CONFIG: dict = {
     "schema": 1,
     "checks": [
@@ -591,8 +642,9 @@ def run_acceptance(config) -> dict:
     text when its first non-blank character is ``{``, else a file path.
 
     Check failures are aggregated, never raised; malformed configs do
-    raise, before any check runs: an unknown kind, a missing name, or a
-    key that the check's kind does not read (see ``CHECK_PARAMS``).
+    raise, before any check runs: an unknown kind, a missing name, a
+    key that the check's kind does not read (see ``CHECK_PARAMS``), or
+    an empty case list, which would pass with nothing checked.
     Identical configs and seeds produce identical summaries.
     """
     if isinstance(config, str) and config.lstrip().startswith("{"):
@@ -612,6 +664,11 @@ def run_acceptance(config) -> dict:
         if unknown:
             raise ValueError(f"check {entry['name']!r}: unknown keys "
                              f"{sorted(unknown)} for kind {kind!r}")
+        for group in _CASE_LISTS.get(kind, ()):
+            if not any(entry.get(key, _HALF_RESIDUAL_XS if key == "xs"
+                                 else None) for key in group):
+                raise ValueError(f"check {entry['name']!r}: no cases in "
+                                 f"{' or '.join(group)}")
     reports = [CHECK_KINDS[entry["kind"]](entry) for entry in checks]
     reports.sort(key=lambda r: r.name)
     return {

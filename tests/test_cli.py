@@ -191,6 +191,19 @@ class TestUsageErrors:
         assert out == "" and err.startswith("error:")
 
 
+    @pytest.mark.parametrize("entry", [
+        {"kind": "sampler_fidelity"},
+        {"kind": "diff_identity", "alphas": []},
+    ])
+    def test_acceptance_empty_case_list(self, capsys, tmp_path, entry):
+        # it would pass with nothing checked (and print -Infinity)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [{"name": "empty", **entry}]}))
+        code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and "no cases" in err
+
+
 class TestHelp:
     def test_top_level_lists_every_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

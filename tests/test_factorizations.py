@@ -184,6 +184,63 @@ class TestSampleStable:
         assert np.max(np.abs(z / ref - 1.0)) < 1e-13
 
 
+def _log_kanter_b_whole(a, u):
+    """log b(u) in one whole-array pass: the unblocked expression the
+    blocked kernel must reproduce bit for bit."""
+    out = np.empty_like(u)
+    tmp = np.empty_like(u)
+    sq = np.empty_like(u)
+
+    def log_half_sin(scale, dst):
+        np.multiply(u, 0.5 * scale, out=dst)
+        np.tan(dst, out=dst)
+        np.multiply(dst, dst, out=sq)
+        np.add(sq, 1.0, out=sq)
+        dst /= sq
+        return np.log(dst, out=dst)
+
+    log_half_sin(a, out)
+    out *= a
+    log_half_sin(1.0 - a, tmp)
+    tmp *= 1.0 - a
+    out += tmp
+    out -= log_half_sin(1.0, tmp)
+    return out
+
+
+class TestBlockedKernel:
+    """The log b(u) kernel runs over blocks of _BLOCK elements; every
+    length across a block boundary gives the whole-array bits."""
+
+    B = factorizations._BLOCK
+    SIZES = [1, B - 1, B, B + 1, 3 * B + 7, (3, 4)]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("a", [0.1, 0.5, 2 / 3, 0.9])
+    def test_log_stable(self, a, size):
+        got = factorizations._log_stable(a, np.random.default_rng(41), size)
+        rng = np.random.default_rng(41)
+        u = rng.uniform(0.0, math.pi, size)
+        ref = _log_kanter_b_whole(a, u)
+        ref += (a - 1.0) * np.log(rng.standard_exponential(size))
+        ref /= a
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_kanter_b(self, size):
+        u = np.random.default_rng(42).uniform(0.0, math.pi, size)
+        kept = u.copy()
+        got = kanter_b(0.3, u)
+        assert np.array_equal(got, np.exp(_log_kanter_b_whole(0.3, u)))
+        assert np.array_equal(u, kept)
+
+    def test_kanter_b_strided_input(self):
+        u = np.random.default_rng(43).uniform(0.0, math.pi, (40, 30)).T
+        assert np.array_equal(kanter_b(0.7, u),
+                              np.exp(_log_kanter_b_whole(0.7, u)))
+
+
 class TestWilliamsProduct:
     def test_p2(self):
         fl = williams_product(2)

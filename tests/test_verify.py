@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -9,14 +10,14 @@ from scipy import stats
 
 from stable_msu.density import survival_series
 from stable_msu.errors import PreconditionError
-from stable_msu.factorizations import (_log_stable, lemma2_product,
+from stable_msu.factorizations import (_BLOCK, _log_stable, lemma2_product,
                                        sample_stable)
 from stable_msu.verify import (CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG,
-                               IdentityReport, build_cdf, check_diff_identity,
-                               check_factorization_mc, check_laplace,
-                               check_mellin_factorization, check_sampler_ks,
-                               ks_one_sample, ks_two_sample, run_acceptance,
-                               ualpha_cdf)
+                               IdentityReport, _ks_two, build_cdf,
+                               check_diff_identity, check_factorization_mc,
+                               check_laplace, check_mellin_factorization,
+                               check_sampler_ks, ks_one_sample, ks_two_sample,
+                               run_acceptance, ualpha_cdf)
 
 
 class TestKsOneSample:
@@ -98,6 +99,134 @@ class TestKsTwoSample:
     def test_single_points(self):
         assert ks_two_sample([1.0], [1.0]).statistic == 0.0
         assert ks_two_sample([1.0], [2.0]).statistic == 1.0
+
+
+def _ks_two_gather(a, b):
+    """The two-sample statistic by one stable argsort of the sorted
+    samples and a gathered copy, counted over the whole merged array:
+    the reference for the blocked core."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    n, m = a.size, b.size
+    merged = np.concatenate([a, b])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    from_a = order < n
+    last = np.append(merged[1:] != merged[:-1], True)
+    ca = np.cumsum(from_a)[last]
+    cb = np.flatnonzero(last) + 1
+    cb -= ca
+    gap = ca / n
+    gap -= cb / m
+    return float(np.max(np.abs(gap, out=gap)))
+
+
+class TestKsTwoCore:
+    """The two-sample core sorts one buffer in place and counts over
+    blocks of _BLOCK values with a carried count; its statistic is that
+    of the whole-array argsort-and-gather form."""
+
+    @staticmethod
+    def _core(a, b):
+        buf = np.concatenate([np.asarray(a, dtype=float),
+                              np.asarray(b, dtype=float)])
+        return _ks_two(buf, len(a)).statistic
+
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_ties_straddling_block_boundaries(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 25, 2 * _BLOCK).astype(float)
+        b = rng.integers(0, 23, _BLOCK + 333).astype(float)
+        merged = np.sort(np.concatenate([a, b]))
+        # runs of ties cross the first and second block boundaries
+        assert merged[_BLOCK - 1] == merged[_BLOCK]
+        assert merged[2 * _BLOCK - 1] == merged[2 * _BLOCK]
+        ref = _ks_two_gather(a, b)
+        assert self._core(a, b) == ref
+        assert ks_two_sample(a, b).statistic == ref
+
+    @pytest.mark.parametrize("k", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_run_of_ties_ending_at_a_block_boundary(self, k):
+        # the largest gap sits on the last of k tied a-values; with
+        # k = _BLOCK it is the last value of the first block
+        a = np.concatenate([np.zeros(k), np.full(7, 2.0)])
+        b = np.concatenate([np.ones(k), np.full(5, 2.0)])
+        ref = _ks_two_gather(a, b)
+        assert ref == k / (k + 7)
+        assert self._core(a, b) == ref
+
+    @pytest.mark.parametrize("n,m", [(_BLOCK + 1, 3), (5, 2 * _BLOCK - 1),
+                                     (1000, 777), (_BLOCK, _BLOCK)])
+    def test_unequal_sizes(self, n, m):
+        rng = np.random.default_rng(n + m)
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(m) + 0.01
+        assert self._core(a, b) == _ks_two_gather(a, b)
+
+    @pytest.mark.parametrize("a,b", [([1.0], [1.0]), ([1.0], [2.0]),
+                                     ([2.0], [1.0]), ([3.0], [1.0, 3.0, 5.0])])
+    def test_single_element_samples(self, a, b):
+        assert self._core(a, b) == _ks_two_gather(a, b)
+
+    def test_buffer_is_spent_not_the_callers(self):
+        a = np.array([3.0, 1.0, 2.0])
+        b = np.array([2.5, 0.5])
+        ks_two_sample(a, b)
+        assert a.tolist() == [3.0, 1.0, 2.0] and b.tolist() == [2.5, 0.5]
+
+
+class TestKsShapes:
+    """Samples of any shape count as flat samples."""
+
+    def test_one_sample(self):
+        z = sample_stable(0.5, np.random.default_rng(61), (3, 4))
+        kept = z.copy()
+        cdf = build_cdf(0.5)
+        assert ks_one_sample(z, cdf) == ks_one_sample(z.ravel(), cdf)
+        assert np.array_equal(z, kept)
+
+    def test_two_sample(self):
+        rng = np.random.default_rng(62)
+        a = rng.integers(0, 5, (3, 4)).astype(float)
+        b = rng.integers(0, 6, (3, 4)).astype(float)
+        kept = a.copy(), b.copy()
+        res = ks_two_sample(a, b)
+        assert res == ks_two_sample(a.ravel(), b.ravel())
+        assert res.n_samples == 12 and res.m_samples == 12
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+        assert ks_two_sample(a, b[:1]) == ks_two_sample(a.ravel(), b[0])
+
+    def test_strided_samples(self):
+        a = np.random.default_rng(63).standard_normal((50, 40))
+        assert (ks_two_sample(a.T, a[::2]) ==
+                ks_two_sample(a.T.ravel(), a[::2].ravel()))
+
+
+class TestWorkingSet:
+    """numpy reports its allocations to tracemalloc, so these traced
+    peaks repeat exactly; bounds are in arrays of n doubles."""
+
+    N = 200_000
+
+    @staticmethod
+    def _peak(fn):
+        fn()  # first-call set-up is not part of the working set
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_factorization_mc(self):
+        peak = self._peak(lambda: check_factorization_mc(3, 7, self.N, 71))
+        assert peak <= 6 * 8 * self.N
+
+    def test_sample_stable(self):
+        peak = self._peak(lambda: sample_stable(
+            0.5, np.random.default_rng(72), self.N))
+        assert peak <= 3 * 8 * self.N
 
 
 class TestStableCdf:
@@ -375,6 +504,41 @@ class TestRunAcceptance:
     def test_non_json_string_is_a_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             run_acceptance(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "laplace", "alpha": 0.5, "lambdas": [], "threshold": 1e-5},
+        {"kind": "laplace", "alpha": 0.5, "threshold": 1e-5},
+        {"kind": "msu_dichotomy"},
+        {"kind": "msu_dichotomy", "alphas_violation": [], "alphas_msu": []},
+        {"kind": "half_alpha_residual", "xs": [], "threshold": 1e-7},
+        {"kind": "lemma2_mellin", "pairs": [], "s_values": [1.0],
+         "threshold": 1e-10},
+        {"kind": "lemma2_mellin", "pairs": [[2, 5]], "s_values": [],
+         "threshold": 1e-10},
+        {"kind": "sampler_fidelity"},
+        {"kind": "sampler_fidelity", "alphas": [], "pairs": []},
+        {"kind": "diff_identity", "alphas": []},
+        {"kind": "lemma1_inequality", "triples": [], "floor": -1e-10},
+        {"kind": "bb_crosscheck", "alphas": [], "threshold": 1e-5},
+    ])
+    def test_empty_case_list_raises_before_any_check(self, monkeypatch,
+                                                     entry):
+        ran = self._stub_checks(monkeypatch)
+        with pytest.raises(ValueError, match="no cases"):
+            run_acceptance({"checks": [
+                {"name": "t", "kind": "tail_sign", "alpha_step": 0.2},
+                {"name": "empty", **entry}]})
+        assert ran == []
+
+    def test_one_nonempty_list_of_a_group_suffices(self, monkeypatch):
+        ran = self._stub_checks(monkeypatch)
+        run_acceptance({"checks": [
+            {"name": "a", "kind": "sampler_fidelity", "alphas": [],
+             "pairs": [[2, 5]]},
+            {"name": "b", "kind": "msu_dichotomy", "alphas_msu": [0.3]},
+            {"name": "c", "kind": "half_alpha_residual", "threshold": 1e-7},
+        ]})
+        assert ran == ["a", "b", "c"]
 
     def test_default_config_covers_all_kinds(self):
         kinds = {c["kind"] for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]}
