@@ -50,9 +50,12 @@ def _write_csv(out, rows, header) -> None:
 
 
 def _emit_json(payload: dict) -> None:
+    """Write ``payload`` as JSON.  It is serialised in full first, so a
+    non-finite float (not valid JSON) raises ValueError, a usage error,
+    before anything reaches stdout."""
     payload.setdefault("schema", 1)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,8 @@ compensation, overflow cut, error bars and flags):
   ``*_grid`` operations use it, and every caller with a grid goes
   through them: ``msu.msu_scan`` and ``msu.lce_residual``, both
   segments of ``verify.build_cdf``, the closed-form and expansion
-  acceptance checks, ``laplace_check`` (its middle piece, and once
+  acceptance checks, ``laplace_check`` (its middle piece: the last
+  decade on every call and each full decade once per alpha; and once
   per alpha its left piece with both endpoints) and the ``density``
   CLI.
 
@@ -51,6 +52,8 @@ stay on the float loop.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -777,19 +780,118 @@ def _decade_edges(lo: float, hi: float) -> tuple[float, ...]:
     return tuple(edges)
 
 
+@lru_cache(maxsize=None)
+def _legendre64():
+    """The 64-point Gauss-Legendre nodes and weights on [-1, 1],
+    read-only; numpy's leggauss runs once per process."""
+    t, w = np.polynomial.legendre.leggauss(64)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+def _rule(lo, hi):
+    """The 64-point rule on each interval (lo[i], hi[i]), nodes and
+    weights concatenated in interval order.  Each node is computed from
+    its own interval alone, so an interval's nodes have the same bits in
+    any batch."""
+    t, w = _legendre64()
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return (mid + half * t).ravel(), (half * w).ravel()
+
+
 @lru_cache(maxsize=64)
 def _gauss_legendre(edges: tuple[float, ...]):
     """64-point Gauss-Legendre nodes and weights on each interval of
     ``edges``, concatenated into two read-only arrays."""
-    t, w = np.polynomial.legendre.leggauss(64)
-    e = np.array(edges)
-    half = 0.5 * (e[1:] - e[:-1])[:, None]
-    mid = 0.5 * (e[1:] + e[:-1])[:, None]
-    nodes = (mid + half * t).ravel()
-    weights = (half * w).ravel()
+    nodes, weights = _rule(edges[:-1], edges[1:])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+class _Decade(NamedTuple):
+    """A full decade of laplace_check's middle piece: its rule and the
+    density at the nodes, all read-only."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    f: np.ndarray
+
+
+class _DecadeCache:
+    """A bounded LRU map from (alpha, cfg, lo, hi) to the _Decade on
+    (lo, hi); a lock keeps its bookkeeping whole across threads."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, keys) -> list:
+        """The entry of each key, or None where there is none."""
+        with self._lock:
+            found = [self._entries.get(key) for key in keys]
+            for key, entry in zip(keys, found):
+                if entry is not None:
+                    self._entries.move_to_end(key)
+        return found
+
+    def store(self, items) -> None:
+        with self._lock:
+            for key, entry in items:
+                self._entries[key] = entry
+                self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+# about 2 KB an entry; the lambda = 0 ladder of one alpha spans up to
+# 24 decades (alpha = 0.1)
+_DECADES = _DecadeCache(maxsize=512)
+
+
+def _middle_rule(alpha: Alpha, cfg: SeriesConfig,
+                 edges: tuple[float, ...]):
+    """Nodes, weights and density values of laplace_check's middle piece
+    on ``edges`` (from _decade_edges), concatenated in interval order.
+
+    Every piece but the last is a full decade x_m 10^k (the first one
+    halved), fixed by alpha and cfg; those come from _DECADES.  When the
+    first decade is clipped at x_hi, both of its halves are the last
+    piece.  The missing decades and the last piece are evaluated in one
+    grid call; grid columns are independent, so every value has the
+    bits of one grid call over all the nodes.
+    """
+    n_full = len(edges) - 2 if len(edges) > 3 else 0
+    keys = [(alpha, cfg, edges[i], edges[i + 1]) for i in range(n_full)]
+    pieces = _DECADES.lookup(keys) + [None] * (len(edges) - 1 - n_full)
+    todo = [i for i, piece in enumerate(pieces) if piece is None]
+    nodes, weights = _rule([edges[i] for i in todo],
+                           [edges[i + 1] for i in todo])
+    f = density_series_grid(alpha, nodes, cfg).value
+    new = []
+    for j, i in enumerate(todo):
+        cut = slice(64 * j, 64 * (j + 1))
+        pieces[i] = (nodes[cut], weights[cut], f[cut])
+        if i < n_full:
+            # a copy, so the entry holds no view of this call's arrays
+            pieces[i] = _Decade(*(np.array(arr) for arr in pieces[i]))
+            for arr in pieces[i]:
+                arr.flags.writeable = False
+            new.append((keys[i], pieces[i]))
+    _DECADES.store(new)
+    return tuple(np.concatenate(arrs) for arrs in zip(*pieces))
 
 
 class _LeftPiece(NamedTuple):
@@ -839,15 +941,17 @@ def laplace_check(alpha, lam: float,
     near x_s, which trips adaptive subdivision without improving the
     answer, and a decade of x^{-1-a} is resolved to rounding by 64 nodes.
 
-    The bounds x_s and x_m, the left rule's nodes and F = 1 - S there
-    and at both bounds depend on alpha and cfg only; they are computed
-    once per pair and cached (_left_piece).  Each call computes the
-    weights e^{-lam t}, the middle piece, the trapezoid below x_s and
-    the tail.
+    Once per (alpha, cfg), and cached: the bounds x_s and x_m, the left
+    rule's nodes and F = 1 - S there and at both bounds (_left_piece),
+    and each full decade of the middle piece with the density at its
+    nodes (_middle_rule), as the first call that reaches the decade
+    finds it.  On every call: the middle piece's last piece, clipped at
+    x_hi, the weights e^{-lam t}, the trapezoid below x_s, the tail,
+    and at lam = 0 the x_hi ladder.
     """
     alpha = as_alpha(alpha)
-    if lam < 0.0:
-        raise DomainError("laplace_check requires lambda >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError("laplace_check requires a finite lambda >= 0")
     a = alpha.value
     piece = _left_piece(alpha, cfg)
     x_s, x_m = piece.x_s, piece.x_m
@@ -856,9 +960,8 @@ def laplace_check(alpha, lam: float,
         return survival_series(alpha, t, cfg).value
 
     def mid_piece(x_hi: float) -> float:
-        # int_{x_m}^{x_hi} e^{-lam t} f(t) dt, every node in one grid call
-        ts, ws = _gauss_legendre(_decade_edges(x_m, x_hi))
-        fs = density_series_grid(alpha, ts, cfg).value
+        # int_{x_m}^{x_hi} e^{-lam t} f(t) dt
+        ts, ws, fs = _middle_rule(alpha, cfg, _decade_edges(x_m, x_hi))
         return float(np.dot(ws, np.exp(-lam * ts) * fs))
 
     if lam == 0.0:

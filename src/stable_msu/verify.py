@@ -241,11 +241,14 @@ def ualpha_cdf(alpha):
 
 def check_laplace(alpha, lambdas, threshold: float = 1e-5,
                   cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> IdentityReport:
-    """Max Laplace-transform discrepancy over the given lambdas."""
+    """Max Laplace-transform discrepancy over the given lambdas; an
+    empty list is rejected, as it would pass with nothing checked."""
     alpha = as_alpha(alpha)
     per = {str(lam): dens.laplace_check(alpha, float(lam), cfg)
            for lam in lambdas}
-    worst = max(per.values()) if per else 0.0
+    if not per:
+        raise PreconditionError("check_laplace needs at least one lambda")
+    worst = max(per.values())
     return IdentityReport(
         name=f"laplace-alpha-{alpha.value:g}",
         discrepancy=worst, threshold=threshold, passed=worst < threshold,

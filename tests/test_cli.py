@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from stable_msu import verify
 from stable_msu.cli import _COMMANDS, main
 
 
@@ -202,6 +203,26 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
         assert code == 2
         assert out == "" and "no cases" in err
+
+
+    @pytest.mark.parametrize("lambdas", ["nan", "inf", "0,1,nan", ""])
+    def test_check_laplace_bad_lambdas(self, capsys, lambdas):
+        # nan used to end in a traceback, inf to print "discrepancy": NaN
+        # and an empty list to pass with nothing checked
+        code, out, err = run_cli(capsys, "check-laplace", "--alpha", "0.5",
+                                 "--lambdas", lambdas)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_non_finite_json_field(self, capsys, monkeypatch):
+        # a report that holds a NaN is not valid JSON: nothing is printed
+        report = verify.IdentityReport(name="nan", discrepancy=math.nan,
+                                       threshold=1.0, passed=False)
+        monkeypatch.setattr(verify, "check_laplace",
+                            lambda *args, **kwargs: report)
+        code, out, err = run_cli(capsys, "check-laplace", "--alpha", "0.5")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 class TestHelp:

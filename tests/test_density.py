@@ -456,6 +456,12 @@ class TestLaplace:
         with pytest.raises(DomainError):
             laplace_check(0.5, -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda(self, lam):
+        # nan used to raise IndexError and inf to return nan
+        with pytest.raises(DomainError):
+            laplace_check(0.5, lam)
+
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 4.0])
     def test_decade_rule_against_mpmath(self, lam):
         # the middle piece's rule, on [x_m, x_hi] as laplace_check picks
@@ -590,3 +596,117 @@ class TestLaplaceLeftPiece:
             arr = getattr(default, field)
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+@pytest.fixture
+def fresh_decades():
+    """An empty cache of the middle piece's decades, emptied again
+    afterwards so no entry built under a monkeypatch outlives the test."""
+    density_mod._DECADES.clear()
+    yield density_mod._DECADES
+    density_mod._DECADES.clear()
+
+
+def _count_density_grid_points(monkeypatch):
+    """Record the size of every density_series_grid call laplace_check
+    makes from here on."""
+    sizes = []
+    real = density_mod.density_series_grid
+
+    def counting(alpha, xs, cfg):
+        sizes.append(len(xs))
+        return real(alpha, xs, cfg)
+
+    monkeypatch.setattr(density_mod, "density_series_grid", counting)
+    return sizes
+
+
+def _decade_keys(alpha, cfg, lam):
+    """The cache keys of the full decades laplace_check(alpha, lam, cfg)
+    reads, lam > 0."""
+    x_m = reliable_x_min(alpha, cfg)
+    edges = density_mod._decade_edges(x_m, max(50.0 / lam, 4.0 * x_m, 10.0))
+    return [(alpha, cfg, lo, hi) for lo, hi in zip(edges[:-2], edges[1:-1])]
+
+
+class TestLaplaceDecades:
+    @pytest.mark.parametrize("a", [0.3, 0.7])
+    def test_warm_decades_leave_the_last_piece(self, monkeypatch,
+                                               fresh_decades, a):
+        sizes = _count_density_grid_points(monkeypatch)
+        check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0])
+        # one grid call per lambda: its last piece and the decades no
+        # earlier lambda reached, each decade once
+        assert len(sizes) == 5
+        assert sum(sizes) == 64 * (len(fresh_decades) + 5)
+        sizes.clear()
+        check_laplace(a, [0.5, 1.0, 2.0, 4.0])
+        assert sizes == [64] * 4
+
+    def test_cached_and_fresh_pieces_match_one_grid_call(self, fresh_decades):
+        alpha, cfg = Alpha(0.4), SeriesConfig()
+        x_m = reliable_x_min(alpha, cfg)
+        for x_hi in (5.0 * x_m, 1e3, 25.0, 1e5, 40.0):
+            edges = density_mod._decade_edges(x_m, x_hi)
+            got = density_mod._middle_rule(alpha, cfg, edges)
+            ref_ts, ref_ws = density_mod._gauss_legendre(edges)
+            ref = (ref_ts, ref_ws, density_series_grid(alpha, ref_ts, cfg).value)
+            for g, r in zip(got, ref):
+                assert g.tobytes() == r.tobytes(), x_hi
+            if x_hi == 5.0 * x_m:
+                # x_hi below 10 x_m: both halves of the first decade are
+                # the last piece, evaluated fresh and cached nowhere
+                assert len(edges) == 3 and len(fresh_decades) == 0
+
+    def test_configs_get_separate_entries(self, fresh_decades):
+        # rel_tol leaves x_m, and so every decade's edges, as they are
+        alpha = Alpha(0.3)
+        cfgs = (SeriesConfig(), SeriesConfig(rel_tol=1e-13))
+        keys = [_decade_keys(alpha, cfg, 1.0) for cfg in cfgs]
+        assert [k[2:] for k in keys[0]] == [k[2:] for k in keys[1]]
+        laplace_check(alpha, 1.0, cfgs[0])
+        assert None not in fresh_decades.lookup(keys[0])
+        assert fresh_decades.lookup(keys[1]) == [None] * len(keys[1])
+        laplace_check(alpha, 1.0, cfgs[1])
+        assert len(fresh_decades) == 2 * len(keys[0])
+        for cfg in cfgs:
+            assert (laplace_check(alpha, 1.0, cfg).hex()
+                    == _laplace_reference(alpha, 1.0, cfg).hex())
+
+    def test_cached_arrays_read_only(self, fresh_decades):
+        alpha, cfg = Alpha(0.5), SeriesConfig()
+        laplace_check(alpha, 0.5, cfg)
+        entries = fresh_decades.lookup(_decade_keys(alpha, cfg, 0.5))
+        assert entries and None not in entries
+        for entry in entries:
+            assert entry.nodes.size == entry.weights.size == entry.f.size == 64
+            for arr in entry:
+                assert arr.base is None
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+    def test_leggauss_once_per_process(self, monkeypatch, fresh_decades):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        density_mod._legendre64.cache_clear()
+        try:
+            for a in (0.3, 0.7):
+                check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0])
+                check_laplace(a, [0.25, 8.0])
+        finally:
+            density_mod._legendre64.cache_clear()
+        assert calls == [64]
+
+    def test_bounded_least_recently_used(self):
+        cache = density_mod._DecadeCache(maxsize=2)
+        cache.store([("a", 1), ("b", 2)])
+        assert cache.lookup(["a"]) == [1]
+        cache.store([("c", 3)])
+        assert len(cache) == 2
+        assert cache.lookup(["a", "b", "c"]) == [1, None, 3]

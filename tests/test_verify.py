@@ -301,6 +301,11 @@ class TestChecks:
         rep = check_laplace(0.5, [1.0], threshold=1e-16)
         assert not rep.passed
 
+    def test_laplace_check_needs_a_lambda(self):
+        # an empty list would pass with nothing checked
+        with pytest.raises(PreconditionError):
+            check_laplace(0.5, [])
+
     def test_diff_identity(self):
         rep = check_diff_identity(0.5, 100_000, seed=3)
         assert rep.passed
