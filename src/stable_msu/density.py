@@ -34,10 +34,10 @@ compensation, overflow cut, error bars and flags):
   ``*_grid`` operations use it, and every caller with a grid goes
   through them: ``msu.msu_scan`` and ``msu.lce_residual``, both
   segments of ``verify.build_cdf``, the closed-form and expansion
-  acceptance checks, ``laplace_check`` (its middle piece: the last
-  decade on every call and each full decade once per alpha; and once
-  per alpha its left piece with both endpoints) and the ``density``
-  CLI.
+  acceptance checks, ``laplace_check`` (once per alpha and config its
+  left piece with both endpoints and the lambda = 0 ladder's middle
+  piece; on every lambda > 0 call the rest of its middle piece) and the
+  ``density`` CLI.
 
 Both paths return bit-identical values, error bars, term counts and
 flags.  They read each term's log from the same coefficient arrays
@@ -52,8 +52,6 @@ stay on the float loop.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -312,7 +310,7 @@ def _hp_sums(alpha: Alpha, x: float, cfg: SeriesConfig, order: int,
     percent less than with lists of sums and a loop over them.
     """
     _check_order(order, survival)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("series evaluation requires x > 0")
     if cfg.dps is not None:
         return _hp_sums_mp(alpha, x, cfg, order, survival)
@@ -475,7 +473,7 @@ def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("grid evaluation needs a one-dimensional x array")
-    if np.any(xs <= 0.0):
+    if not np.all(xs > 0.0):
         raise DomainError("series evaluation requires x > 0")
     k = order + 1
     if cfg.dps is not None:
@@ -711,7 +709,7 @@ def density_closed(alpha, x: float) -> EvalResult:
     * 2/3: Whittaker kernel.
     """
     alpha = as_alpha(alpha)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("density_closed requires x > 0")
     a = alpha.value
     if a == 0.5:
@@ -803,128 +801,84 @@ def _rule(lo, hi):
     return (mid + half * t).ravel(), (half * w).ravel()
 
 
-@lru_cache(maxsize=64)
-def _gauss_legendre(edges: tuple[float, ...]):
-    """64-point Gauss-Legendre nodes and weights on each interval of
-    ``edges``, concatenated into two read-only arrays."""
+def _full_decades(edges: tuple[float, ...]) -> int:
+    """How many pieces of ``edges`` (from _decade_edges) are full decades
+    x_m 10^k, the first one halved: all but the last, or none when the
+    first decade is clipped."""
+    return len(edges) - 2 if len(edges) > 3 else 0
+
+
+def _middle(alpha: Alpha, cfg: SeriesConfig, edges: tuple[float, ...]):
+    """Nodes, weights and density values of the 64-point rule on each
+    piece of ``edges``, from one grid call."""
     nodes, weights = _rule(edges[:-1], edges[1:])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return nodes, weights, density_series_grid(alpha, nodes, cfg).value
 
 
-class _Decade(NamedTuple):
-    """A full decade of laplace_check's middle piece: its rule and the
-    density at the nodes, all read-only."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    f: np.ndarray
-
-
-class _DecadeCache:
-    """A bounded LRU map from (alpha, cfg, lo, hi) to the _Decade on
-    (lo, hi); a lock keeps its bookkeeping whole across threads."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, keys) -> list:
-        """The entry of each key, or None where there is none."""
-        with self._lock:
-            found = [self._entries.get(key) for key in keys]
-            for key, entry in zip(keys, found):
-                if entry is not None:
-                    self._entries.move_to_end(key)
-        return found
-
-    def store(self, items) -> None:
-        with self._lock:
-            for key, entry in items:
-                self._entries[key] = entry
-                self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+def _read_only(*arrays) -> tuple:
+    """Copies of ``arrays`` that own their data and refuse writes."""
+    copies = tuple(np.array(arr) for arr in arrays)
+    for arr in copies:
+        arr.flags.writeable = False
+    return copies
 
 
-# about 2 KB an entry; the lambda = 0 ladder of one alpha spans up to
-# 24 decades (alpha = 0.1)
-_DECADES = _DecadeCache(maxsize=512)
+class _LambdaFree(NamedTuple):
+    """Everything laplace_check computes that depends on (alpha, cfg)
+    alone, with read-only arrays:
 
-
-def _middle_rule(alpha: Alpha, cfg: SeriesConfig,
-                 edges: tuple[float, ...]):
-    """Nodes, weights and density values of laplace_check's middle piece
-    on ``edges`` (from _decade_edges), concatenated in interval order.
-
-    Every piece but the last is a full decade x_m 10^k (the first one
-    halved), fixed by alpha and cfg; those come from _DECADES.  When the
-    first decade is clipped at x_hi, both of its halves are the last
-    piece.  The missing decades and the last piece are evaluated in one
-    grid call; grid columns are independent, so every value has the
-    bits of one grid call over all the nodes.
+    * the bounds x_s <= x_m, the 64-point rule on (x_s, x_m) (empty when
+      x_s = x_m), and F = 1 - S at its nodes, at x_s and at x_m;
+    * the full decades of the lambda = 0 ladder's middle piece, 64
+      nodes, weights and density values each (at most 28, for
+      alpha <= 0.08);
+    * the lambda = 0 value.
     """
-    n_full = len(edges) - 2 if len(edges) > 3 else 0
-    keys = [(alpha, cfg, edges[i], edges[i + 1]) for i in range(n_full)]
-    pieces = _DECADES.lookup(keys) + [None] * (len(edges) - 1 - n_full)
-    todo = [i for i, piece in enumerate(pieces) if piece is None]
-    nodes, weights = _rule([edges[i] for i in todo],
-                           [edges[i + 1] for i in todo])
-    f = density_series_grid(alpha, nodes, cfg).value
-    new = []
-    for j, i in enumerate(todo):
-        cut = slice(64 * j, 64 * (j + 1))
-        pieces[i] = (nodes[cut], weights[cut], f[cut])
-        if i < n_full:
-            # a copy, so the entry holds no view of this call's arrays
-            pieces[i] = _Decade(*(np.array(arr) for arr in pieces[i]))
-            for arr in pieces[i]:
-                arr.flags.writeable = False
-            new.append((keys[i], pieces[i]))
-    _DECADES.store(new)
-    return tuple(np.concatenate(arrs) for arrs in zip(*pieces))
-
-
-class _LeftPiece(NamedTuple):
-    """The lambda-free part of laplace_check for one (alpha, cfg): the
-    bounds x_s <= x_m, the Gauss-Legendre rule on (x_s, x_m) (empty when
-    x_s = x_m) and F = 1 - S at its nodes, at x_s and at x_m."""
 
     x_s: float
     x_m: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    f_nodes: np.ndarray
+    left_nodes: np.ndarray
+    left_weights: np.ndarray
+    left_f: np.ndarray
     f_s: float
     f_m: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    f: np.ndarray
+    at_zero: float
 
 
 @lru_cache(maxsize=128)
-def _left_piece(alpha: Alpha, cfg: SeriesConfig) -> _LeftPiece:
-    """laplace_check's left piece, with every survival value from one
-    grid call over the nodes and both ends (the grid's bits are the
-    float loop's); the arrays are read-only."""
+def _lambda_free(alpha: Alpha, cfg: SeriesConfig) -> _LambdaFree:
+    """laplace_check's record for (alpha, cfg): one survival grid call
+    over the left rule's nodes and both ends, the lambda = 0 ladder on
+    the float loop, and one density grid call over the ladder's pieces
+    (the grid's bits are the float loop's)."""
     x_m = reliable_x_min(alpha, cfg)
     x_s = min(reliable_x_min(alpha, cfg, survival=True), x_m)
     if x_s < x_m:
-        nodes, weights = _gauss_legendre((x_s, x_m))
+        left_nodes, left_weights = _rule([x_s], [x_m])
     else:
-        nodes = weights = np.empty(0)
-    s = survival_series_grid(alpha, np.append(nodes, (x_s, x_m)), cfg).value
-    f_nodes = 1.0 - s[:-2]
-    for arr in (nodes, weights, f_nodes):
-        arr.flags.writeable = False
-    return _LeftPiece(x_s, x_m, nodes, weights, f_nodes,
-                      1.0 - float(s[-2]), 1.0 - float(s[-1]))
+        left_nodes = left_weights = np.empty(0)
+    s = survival_series_grid(alpha, np.append(left_nodes, (x_s, x_m)),
+                             cfg).value
+    f_m = 1.0 - float(s[-1])
+
+    # lambda = 0: raise the cutoff tenfold until S(x_hi) <= 1e-3
+    x_hi = max(10.0, 4.0 * x_m)
+    s_hi = survival_series(alpha, x_hi, cfg).value
+    while s_hi > 1e-3 and x_hi < 1e15:
+        x_hi *= 10.0
+        s_hi = survival_series(alpha, x_hi, cfg).value
+    edges = _decade_edges(x_m, x_hi)
+    nodes, weights, f = _middle(alpha, cfg, edges)
+    at_zero = abs(f_m + float(np.dot(weights, f)) + s_hi - 1.0)
+    full = slice(64 * _full_decades(edges))
+    return _LambdaFree(x_s, x_m,
+                       *_read_only(left_nodes, left_weights, 1.0 - s[:-2]),
+                       1.0 - float(s[-2]), f_m,
+                       *_read_only(nodes[full], weights[full], f[full]),
+                       at_zero)
 
 
 def laplace_check(alpha, lam: float,
@@ -941,45 +895,43 @@ def laplace_check(alpha, lam: float,
     near x_s, which trips adaptive subdivision without improving the
     answer, and a decade of x^{-1-a} is resolved to rounding by 64 nodes.
 
-    Once per (alpha, cfg), and cached: the bounds x_s and x_m, the left
-    rule's nodes and F = 1 - S there and at both bounds (_left_piece),
-    and each full decade of the middle piece with the density at its
-    nodes (_middle_rule), as the first call that reaches the decade
-    finds it.  On every call: the middle piece's last piece, clipped at
-    x_hi, the weights e^{-lam t}, the trapezoid below x_s, the tail,
-    and at lam = 0 the x_hi ladder.
+    Once per (alpha, cfg), and cached in one record (_lambda_free): the
+    bounds x_s and x_m, the left rule's nodes and F = 1 - S there and at
+    both bounds, the full decades of the lambda = 0 ladder's middle
+    piece with the density at their nodes, and the lambda = 0 value.  A
+    call with lam > 0 takes the record's decades up to its cutoff
+    50/lam and evaluates the rest of its middle piece in one grid call:
+    the last piece, clipped at the cutoff, and any decade past the
+    ladder's (every call, for lam below about 9e-3 at alpha = 0.9).
+    It then computes the weights e^{-lam t}, the trapezoid below x_s and
+    the tail.  Raises :class:`DomainError` for lam below about 5.6e-307,
+    where twice the cutoff overflows a double.
     """
     alpha = as_alpha(alpha)
     if not 0.0 <= lam < math.inf:
         raise DomainError("laplace_check requires a finite lambda >= 0")
-    a = alpha.value
-    piece = _left_piece(alpha, cfg)
-    x_s, x_m = piece.x_s, piece.x_m
-
-    def surv(t: float) -> float:
-        return survival_series(alpha, t, cfg).value
-
-    def mid_piece(x_hi: float) -> float:
-        # int_{x_m}^{x_hi} e^{-lam t} f(t) dt
-        ts, ws, fs = _middle_rule(alpha, cfg, _decade_edges(x_m, x_hi))
-        return float(np.dot(ws, np.exp(-lam * ts) * fs))
-
+    if lam > 0.0 and not 100.0 / lam < math.inf:
+        # the rule on the last piece adds its ends, the larger being the
+        # cutoff 50/lam
+        raise DomainError(f"lambda = {lam!r} is too small for laplace_check: "
+                          "twice its cutoff 50/lambda overflows a double")
+    rec = _lambda_free(alpha, cfg)
     if lam == 0.0:
-        x_hi = max(10.0, 4.0 * x_m)
-        s_hi = surv(x_hi)
-        while s_hi > 1e-3 and x_hi < 1e15:
-            x_hi *= 10.0
-            s_hi = surv(x_hi)
-        return abs(piece.f_m + mid_piece(x_hi) + s_hi - 1.0)
-
-    x_hi = max(50.0 / lam, 4.0 * x_m, 10.0)
+        return rec.at_zero
+    x_hi = max(50.0 / lam, 4.0 * rec.x_m, 10.0)
+    edges = _decade_edges(rec.x_m, x_hi)
+    k = min(_full_decades(edges), rec.nodes.size // 64)
+    ts, ws, fs = (np.concatenate(arrs) for arrs in zip(
+        (rec.nodes[:64 * k], rec.weights[:64 * k], rec.f[:64 * k]),
+        _middle(alpha, cfg, edges[k:])))
+    mid = float(np.dot(ws, np.exp(-lam * ts) * fs))
     # int_0^{x_m} e^{-lam t} f dt by parts: e^{-lam x_m} F(x_m)
     #   + lam * int_0^{x_m} e^{-lam t} F(t) dt  with F = 1 - S
-    inner = float(np.dot(piece.weights,
-                         np.exp(-lam * piece.nodes) * piece.f_nodes))
+    inner = float(np.dot(rec.left_weights,
+                         np.exp(-lam * rec.left_nodes) * rec.left_f))
     # below x_s: F rises from 0 to F(x_s); trapezoid estimate, the
     # dropped curvature is bounded by lam * x_s * F(x_s)
-    inner += 0.5 * x_s * math.exp(-lam * x_s) * piece.f_s
-    left = math.exp(-lam * x_m) * piece.f_m + lam * inner
-    tail = math.exp(-lam * x_hi) * surv(x_hi)
-    return abs(left + mid_piece(x_hi) + tail - math.exp(-lam ** a))
+    inner += 0.5 * rec.x_s * math.exp(-lam * rec.x_s) * rec.f_s
+    left = math.exp(-lam * rec.x_m) * rec.f_m + lam * inner
+    tail = math.exp(-lam * x_hi) * survival_series(alpha, x_hi, cfg).value
+    return abs(left + mid + tail - math.exp(-lam ** alpha.value))

@@ -46,7 +46,7 @@ class Factor:
         if self.kind not in (_BETA, _GAMMA):
             raise PreconditionError(f"unknown factor kind {self.kind!r}")
         n = 2 if self.kind == _BETA else 1
-        if len(self.params) != n or any(p <= 0.0 for p in self.params):
+        if len(self.params) != n or any(not p > 0.0 for p in self.params):
             raise PreconditionError(f"bad parameters {self.params} for {self.kind}")
 
     @classmethod
@@ -84,7 +84,7 @@ class FactorList:
     represents: str = ""
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise PreconditionError("scale must be positive")
         if not self.factors:
             raise PreconditionError("factor list must be non-empty")
@@ -277,11 +277,13 @@ def _lemma1_quad(alpha: float, beta: float, c: float, shifts: tuple,
                  x: float, rel_tol: float):
     """g_{a,b,c+shift}(x) of :func:`lemma1_g` and its error bar for each
     shift in shifts, one quadrature row each, as two float64 arrays."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError("lemma1_g requires beta > 0")
+    if math.isnan(alpha) or math.isnan(c):
+        raise DomainError("lemma1_g requires numbers alpha and c, got nan")
     if any(shift not in (-1, 0, 1) for shift in shifts):
         raise DomainError("shift must be one of -1, 0, +1")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("lemma1_g requires x >= 0")
     if x == 0.0 and alpha <= c + max(shifts):
         raise DomainError("integral diverges at x = 0 unless alpha > c + shift")
@@ -337,7 +339,7 @@ def whitt_margin(x: float, rel_tol: float = 1e-10) -> float:
     with U_l(x) = Psi(1/6, l/3, x); its failure for small x certifies
     the 2/3 case is not MSU, while for x >= 1/6 the ordering
     U7 >= U4 >= U1 makes it hold."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("whitt_margin requires x > 0")
     u, _ = specfun._psi_quad(1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0), x,
                              rel_tol)

@@ -164,8 +164,8 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
     unreliable.
     """
     alpha = as_alpha(alpha)
-    if not (0.0 < x_lo < x_hi):
-        raise DomainError("need 0 < x_lo < x_hi")
+    if not (0.0 < x_lo < x_hi < math.inf):
+        raise DomainError("need 0 < x_lo < x_hi < inf")
     if points < 16:
         raise DomainError("need at least 16 grid points")
     grid = np.geomspace(x_lo, x_hi, points)

@@ -50,9 +50,11 @@ def log_gamma(x: float) -> SpecEval:
     """log|Gamma(x)| together with the sign of Gamma(x), from the
     standard library's ``math.lgamma``.
 
-    Nonpositive integers raise :class:`PoleError`, and x whose
-    log|Gamma(x)| overflows a double raises :class:`DomainError`.
+    Nonpositive integers raise :class:`PoleError`; a non-finite x, or x
+    whose log|Gamma(x)| overflows a double, raises :class:`DomainError`.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"log_gamma requires a finite x, got {x}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"Gamma pole at x = {x}")
     try:
@@ -97,9 +99,9 @@ def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
     by double-exponential quadrature.  Raises :class:`DomainError` where
     the integrand or K_nu(x) overflows a double.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("bessel_k requires x > 0")
-    if nu < 0.0:
+    if not nu >= 0.0:
         raise DomainError("bessel_k requires nu >= 0")
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -114,10 +116,12 @@ def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
 def _psi_quad(a: float, cs: tuple, x: float, rel_tol: float):
     """Psi(a, c, x) and its error bar for each c in cs, one quadrature
     row each, as two float64 arrays."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("psi_chf requires a > 0")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("psi_chf requires x > 0")
+    if any(math.isnan(c) for c in cs):
+        raise DomainError("psi_chf requires a number c, got nan")
     am1 = a - 1.0
     cam1 = np.array([[c - a - 1.0] for c in cs])
 
@@ -151,7 +155,7 @@ def whittaker_w_stable(x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
 
     Reduced to the Psi kernel: ``W(x) = e^{-x/2} x^{2/3} Psi(1/6, 4/3, x)``.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("whittaker_w_stable requires x > 0")
     psi = psi_chf(1.0 / 6.0, 4.0 / 3.0, x, rel_tol=rel_tol)
     factor = math.exp(-0.5 * x + (2.0 / 3.0) * math.log(x))

@@ -214,6 +214,18 @@ class TestUsageErrors:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,message", [
+        (("special", "--function", "bessel-k", "--x-min", "nan"), "x > 0"),
+        (("scan-msu", "--alpha", "0.5", "--x-max", "inf"), "x_hi < inf"),
+        (("check-laplace", "--alpha", "0.5", "--lambdas", "1e-310"),
+         "too small"),
+    ], ids=["bessel-nan", "scan-inf", "laplace-tiny"])
+    def test_out_of_domain_argument(self, capsys, argv, message):
+        # the first two used to exit 0; the last failed only in JSON
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and message in err
+
     def test_non_finite_json_field(self, capsys, monkeypatch):
         # a report that holds a NaN is not valid JSON: nothing is printed
         report = verify.IdentityReport(name="nan", discrepancy=math.nan,

@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -85,6 +88,13 @@ class TestDensitySeries:
             density_series(0.5, 0.0)
         with pytest.raises(DomainError):
             density_series(0.5, -1.0)
+
+    @pytest.mark.parametrize("op", [density_series, density_jet,
+                                    survival_series])
+    def test_nan_rejected(self, op):
+        # nan used to pass the x <= 0 check and return nan with error 0
+        with pytest.raises(DomainError):
+            op(0.5, math.nan)
 
     def test_unreliable_flag_small_x(self):
         r = density_series(0.9, 0.3)
@@ -222,6 +232,10 @@ class TestGridPath:
     def test_rejects_bad_grids(self):
         with pytest.raises(DomainError):
             density_series_grid(0.5, np.array([1.0, 0.0]))
+        for op in (density_series_grid, density_jet_grid,
+                   survival_series_grid):
+            with pytest.raises(DomainError):
+                op(0.5, np.array([1.0, math.nan]))
         with pytest.raises(ValueError):
             density_jet_grid(0.5, np.ones((2, 2)))
 
@@ -403,6 +417,12 @@ class TestDensityClosed:
         with pytest.raises(DomainError):
             density_closed(0.5, -2.0)
 
+    @pytest.mark.parametrize("p,n", [(1, 2), (1, 3), (2, 3)])
+    def test_nan_rejected(self, p, n):
+        # 1/2 and 1/3 used to return nan flagged reliable
+        with pytest.raises(DomainError):
+            density_closed(Alpha.from_fraction(p, n), math.nan)
+
 
 class TestSurvival:
     def test_half_against_erfc(self):
@@ -462,6 +482,20 @@ class TestLaplace:
         with pytest.raises(DomainError):
             laplace_check(0.5, lam)
 
+    @pytest.mark.parametrize("lam", [5e-324, 1e-310, 3e-307])
+    def test_too_small_lambda(self, lam):
+        # 50/lam, or the last piece's midpoint, overflowed: the value was nan
+        with pytest.raises(DomainError, match="too small"):
+            laplace_check(0.5, lam)
+
+    def test_smallest_accepted_lambda(self):
+        lam = 100.0 / sys.float_info.max
+        while not 100.0 / lam < math.inf:
+            lam = math.nextafter(lam, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert laplace_check(0.5, lam) < 1e-6
+
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 4.0])
     def test_decade_rule_against_mpmath(self, lam):
         # the middle piece's rule, on [x_m, x_hi] as laplace_check picks
@@ -475,22 +509,14 @@ class TestLaplace:
             x_hi = max(50.0 / lam, 4.0 * x_m, 10.0)
         edges = density_mod._decade_edges(x_m, x_hi)
         assert edges[0] == x_m and edges[-1] == x_hi
-        ts, ws = density_mod._gauss_legendre(edges)
+        ts, ws = density_mod._rule(edges[:-1], edges[1:])
+        assert ts.shape == ws.shape == (64 * (len(edges) - 1),)
         got = float(np.dot(ws, [closed_half(t) * math.exp(-lam * t)
                                 for t in ts.tolist()]))
         with mp.workdps(30):
             ref = mp.quad(lambda t: mp.exp(-1 / (4 * t) - lam * t)
                           / (2 * mp.sqrt(mp.pi) * t ** 1.5), list(edges))
         assert got == pytest.approx(float(ref), rel=1e-12)
-
-    def test_gauss_legendre_nodes_cached_read_only(self):
-        ts, ws = density_mod._gauss_legendre((1.0, 10.0, 20.0))
-        assert ts.shape == ws.shape == (128,)
-        assert density_mod._gauss_legendre((1.0, 10.0, 20.0))[0] is ts
-        assert not ts.flags.writeable and not ws.flags.writeable
-        assert np.all((ts[:64] > 1.0) & (ts[:64] < 10.0))
-        assert np.all((ts[64:] > 10.0) & (ts[64:] < 20.0))
-        assert ws.sum() == pytest.approx(19.0, rel=1e-14)
 
 
 def test_reliable_x_min_monotone_in_alpha():
@@ -502,13 +528,14 @@ def test_reliable_x_min_monotone_in_alpha():
 LAPLACE_ALPHAS = [Alpha(v) for v in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
                                      0.9, 0.95, 0.99)] + [
     Alpha.from_fraction(1, 3), Alpha.from_fraction(2, 3)]
-LAPLACE_LAMBDAS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+# 1e-6 and 1e-3 put the cutoff 50/lam past the lambda = 0 ladder
+LAPLACE_LAMBDAS = (0.0, 1e-6, 1e-3, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def _laplace_reference(alpha, lam, cfg):
-    """laplace_check assembled from the public pieces, every survival
-    value at x_s and x_m from the float loop and the left rule's own
-    grid call per lambda."""
+    """laplace_check assembled from the public pieces for this lambda
+    alone: every survival value at x_s and x_m from the float loop, and
+    fresh grid calls over the left rule and the whole middle piece."""
     a = alpha.value
     x_m = density_mod.reliable_x_min(alpha, cfg)
     x_s = min(density_mod.reliable_x_min(alpha, cfg, survival=True), x_m)
@@ -517,8 +544,8 @@ def _laplace_reference(alpha, lam, cfg):
         return survival_series(alpha, t, cfg).value
 
     def mid_piece(x_hi):
-        ts, ws = density_mod._gauss_legendre(
-            density_mod._decade_edges(x_m, x_hi))
+        edges = density_mod._decade_edges(x_m, x_hi)
+        ts, ws = density_mod._rule(edges[:-1], edges[1:])
         fs = density_series_grid(alpha, ts, cfg).value
         return float(np.dot(ws, np.exp(-lam * ts) * fs))
 
@@ -530,7 +557,7 @@ def _laplace_reference(alpha, lam, cfg):
     x_hi = max(50.0 / lam, 4.0 * x_m, 10.0)
     inner = 0.0
     if x_s < x_m:
-        ts, ws = density_mod._gauss_legendre((x_s, x_m))
+        ts, ws = density_mod._rule([x_s], [x_m])
         s_nodes = survival_series_grid(alpha, ts, cfg).value
         inner += float(np.dot(ws, np.exp(-lam * ts) * (1.0 - s_nodes)))
     inner += 0.5 * x_s * math.exp(-lam * x_s) * (1.0 - surv(x_s))
@@ -540,12 +567,28 @@ def _laplace_reference(alpha, lam, cfg):
 
 
 @pytest.fixture
-def fresh_left_pieces():
-    """An empty _left_piece cache, emptied again afterwards so no entry
-    built under a monkeypatch outlives the test."""
-    density_mod._left_piece.cache_clear()
-    yield density_mod._left_piece
-    density_mod._left_piece.cache_clear()
+def fresh_records():
+    """An empty cache of laplace_check's lambda-free records, emptied
+    again afterwards so no record built under a monkeypatch outlives the
+    test."""
+    density_mod._lambda_free.cache_clear()
+    yield density_mod._lambda_free
+    density_mod._lambda_free.cache_clear()
+
+
+def _count_calls(monkeypatch, *names):
+    """Record the name of every call laplace_check makes from here on to
+    the density module's functions ``names``."""
+    calls = []
+    for name in names:
+        real = getattr(density_mod, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(density_mod, name, counting)
+    return calls
 
 
 class TestLaplaceLeftPiece:
@@ -560,7 +603,7 @@ class TestLaplaceLeftPiece:
             ref = _laplace_reference(alpha, lam, cfg)
             assert got.hex() == ref.hex(), lam
 
-    def test_empty_left_rule(self, monkeypatch, fresh_left_pieces):
+    def test_empty_left_rule(self, monkeypatch, fresh_records):
         # x_s = x_m leaves no rule between them; the reference then skips
         # that integral as laplace_check's empty rule does
         real = density_mod.reliable_x_min
@@ -570,11 +613,11 @@ class TestLaplaceLeftPiece:
         for lam in LAPLACE_LAMBDAS:
             assert (laplace_check(alpha, lam, cfg).hex()
                     == _laplace_reference(alpha, lam, cfg).hex()), lam
-        piece = fresh_left_pieces(alpha, cfg)
-        assert piece.x_s == piece.x_m and piece.nodes.size == 0
+        rec = fresh_records(alpha, cfg)
+        assert rec.x_s == rec.x_m and rec.left_nodes.size == 0
 
     def test_one_left_grid_per_alpha_and_config(self, monkeypatch,
-                                                fresh_left_pieces):
+                                                fresh_records):
         calls = []
         real = density_mod.survival_series_grid
 
@@ -589,22 +632,13 @@ class TestLaplaceLeftPiece:
                 check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0], cfg=cfg)
                 check_laplace(a, [1.0], cfg=cfg)
         assert calls == [(Alpha(a), cfg) for cfg in cfgs for a in (0.3, 0.7)]
-        assert fresh_left_pieces.cache_info().currsize == 4
-        default, guarded = (fresh_left_pieces(Alpha(0.3), cfg) for cfg in cfgs)
+        assert fresh_records.cache_info().currsize == 4
+        default, guarded = (fresh_records(Alpha(0.3), cfg) for cfg in cfgs)
         assert default.x_m != guarded.x_m
-        for field in ("nodes", "weights", "f_nodes"):
+        for field in ("left_nodes", "left_weights", "left_f"):
             arr = getattr(default, field)
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-
-
-@pytest.fixture
-def fresh_decades():
-    """An empty cache of the middle piece's decades, emptied again
-    afterwards so no entry built under a monkeypatch outlives the test."""
-    density_mod._DECADES.clear()
-    yield density_mod._DECADES
-    density_mod._DECADES.clear()
 
 
 def _count_density_grid_points(monkeypatch):
@@ -621,71 +655,75 @@ def _count_density_grid_points(monkeypatch):
     return sizes
 
 
-def _decade_keys(alpha, cfg, lam):
-    """The cache keys of the full decades laplace_check(alpha, lam, cfg)
-    reads, lam > 0."""
-    x_m = reliable_x_min(alpha, cfg)
-    edges = density_mod._decade_edges(x_m, max(50.0 / lam, 4.0 * x_m, 10.0))
-    return [(alpha, cfg, lo, hi) for lo, hi in zip(edges[:-2], edges[1:-1])]
-
-
 class TestLaplaceDecades:
     @pytest.mark.parametrize("a", [0.3, 0.7])
     def test_warm_decades_leave_the_last_piece(self, monkeypatch,
-                                               fresh_decades, a):
+                                               fresh_records, a):
         sizes = _count_density_grid_points(monkeypatch)
         check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0])
-        # one grid call per lambda: its last piece and the decades no
-        # earlier lambda reached, each decade once
-        assert len(sizes) == 5
-        assert sum(sizes) == 64 * (len(fresh_decades) + 5)
+        # one grid call over the whole lambda = 0 ladder, its full
+        # decades and its last piece, then one per lambda > 0 over its
+        # last piece alone
+        stored = fresh_records(Alpha(a), SeriesConfig()).nodes.size
+        assert stored > 0
+        assert sizes == [stored + 64] + [64] * 4
         sizes.clear()
         check_laplace(a, [0.5, 1.0, 2.0, 4.0])
         assert sizes == [64] * 4
 
-    def test_cached_and_fresh_pieces_match_one_grid_call(self, fresh_decades):
-        alpha, cfg = Alpha(0.4), SeriesConfig()
-        x_m = reliable_x_min(alpha, cfg)
-        for x_hi in (5.0 * x_m, 1e3, 25.0, 1e5, 40.0):
-            edges = density_mod._decade_edges(x_m, x_hi)
-            got = density_mod._middle_rule(alpha, cfg, edges)
-            ref_ts, ref_ws = density_mod._gauss_legendre(edges)
-            ref = (ref_ts, ref_ws, density_series_grid(alpha, ref_ts, cfg).value)
-            for g, r in zip(got, ref):
-                assert g.tobytes() == r.tobytes(), x_hi
-            if x_hi == 5.0 * x_m:
-                # x_hi below 10 x_m: both halves of the first decade are
-                # the last piece, evaluated fresh and cached nowhere
-                assert len(edges) == 3 and len(fresh_decades) == 0
+    def test_cached_and_fresh_pieces_match_one_grid_call(self, monkeypatch,
+                                                         fresh_records):
+        # x_m raised above 1 so that a cutoff below 10 x_m clips the
+        # first decade; at alpha = 0.99 the ladder itself is clipped
+        # (S(20) < 1e-3) and the record holds no decade
+        real = density_mod.reliable_x_min
+        cfg = SeriesConfig()
+        for a, x_m in ((0.9, 2.5), (0.99, 5.0)):
+            monkeypatch.setattr(
+                density_mod, "reliable_x_min",
+                lambda alpha, cfg, survival=False, x_m=x_m:
+                    real(alpha, cfg, True) if survival else x_m)
+            alpha = Alpha(a)
+            for lam in (8.0, 1.0, 1e-3, 0.1, 1e-6, 0.0):
+                # a lambda > 0 first, so that it builds the record
+                assert (laplace_check(alpha, lam, cfg).hex()
+                        == _laplace_reference(alpha, lam, cfg).hex()), lam
+            # lambda = 8 clips the first decade
+            edges = density_mod._decade_edges(
+                x_m, max(50.0 / 8.0, 4.0 * x_m, 10.0))
+            assert len(edges) == 3 and edges[-1] < 10.0 * x_m
+            assert (fresh_records(alpha, cfg).nodes.size == 0) == (a == 0.99)
 
-    def test_configs_get_separate_entries(self, fresh_decades):
+    def test_configs_get_separate_entries(self, fresh_records):
         # rel_tol leaves x_m, and so every decade's edges, as they are
         alpha = Alpha(0.3)
         cfgs = (SeriesConfig(), SeriesConfig(rel_tol=1e-13))
-        keys = [_decade_keys(alpha, cfg, 1.0) for cfg in cfgs]
-        assert [k[2:] for k in keys[0]] == [k[2:] for k in keys[1]]
         laplace_check(alpha, 1.0, cfgs[0])
-        assert None not in fresh_decades.lookup(keys[0])
-        assert fresh_decades.lookup(keys[1]) == [None] * len(keys[1])
+        assert fresh_records.cache_info().currsize == 1
         laplace_check(alpha, 1.0, cfgs[1])
-        assert len(fresh_decades) == 2 * len(keys[0])
+        assert fresh_records.cache_info().currsize == 2
+        recs = [fresh_records(alpha, cfg) for cfg in cfgs]
+        assert recs[0].x_m == recs[1].x_m and recs[0] is not recs[1]
         for cfg in cfgs:
             assert (laplace_check(alpha, 1.0, cfg).hex()
                     == _laplace_reference(alpha, 1.0, cfg).hex())
 
-    def test_cached_arrays_read_only(self, fresh_decades):
+    def test_cached_arrays_read_only(self, fresh_records):
         alpha, cfg = Alpha(0.5), SeriesConfig()
         laplace_check(alpha, 0.5, cfg)
-        entries = fresh_decades.lookup(_decade_keys(alpha, cfg, 0.5))
-        assert entries and None not in entries
-        for entry in entries:
-            assert entry.nodes.size == entry.weights.size == entry.f.size == 64
-            for arr in entry:
-                assert arr.base is None
-                with pytest.raises(ValueError):
-                    arr[0] = 1.0
+        rec = fresh_records(alpha, cfg)
+        assert rec.nodes.size == rec.weights.size == rec.f.size > 0
+        assert rec.nodes.size % 64 == 0
+        assert rec.left_nodes.size == rec.left_weights.size \
+            == rec.left_f.size == 64
+        for field in ("left_nodes", "left_weights", "left_f",
+                      "nodes", "weights", "f"):
+            arr = getattr(rec, field)
+            assert arr.base is None, field
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
-    def test_leggauss_once_per_process(self, monkeypatch, fresh_decades):
+    def test_leggauss_once_per_process(self, monkeypatch, fresh_records):
         calls = []
         real = np.polynomial.legendre.leggauss
 
@@ -703,10 +741,44 @@ class TestLaplaceDecades:
             density_mod._legendre64.cache_clear()
         assert calls == [64]
 
-    def test_bounded_least_recently_used(self):
-        cache = density_mod._DecadeCache(maxsize=2)
-        cache.store([("a", 1), ("b", 2)])
-        assert cache.lookup(["a"]) == [1]
-        cache.store([("c", 3)])
-        assert len(cache) == 2
-        assert cache.lookup(["a", "b", "c"]) == [1, None, 3]
+
+class TestLaplaceRecord:
+    def test_one_grid_call_of_each_kind(self, monkeypatch, fresh_records):
+        calls = _count_calls(monkeypatch, "density_series_grid",
+                             "survival_series_grid")
+        fresh_records(Alpha(0.4), SeriesConfig())
+        assert calls == ["survival_series_grid", "density_series_grid"]
+
+    @pytest.mark.parametrize("first", [0.0, 1.0])
+    def test_warm_zero_makes_no_series_call(self, monkeypatch, fresh_records,
+                                            first):
+        # whichever lambda builds the record, lambda = 0 then reads it
+        alpha, cfg = Alpha(0.4), SeriesConfig()
+        laplace_check(alpha, first, cfg)
+        calls = _count_calls(monkeypatch, "density_series_grid",
+                             "survival_series", "survival_series_grid")
+        got = laplace_check(alpha, 0.0, cfg)
+        assert calls == []
+        assert got.hex() == _laplace_reference(alpha, 0.0, cfg).hex()
+
+    def test_threads_match_serial(self, fresh_records):
+        cases = [(Alpha(a), lam) for a in (0.3, 0.5, 0.7, 0.9)
+                 for lam in (0.0, 1e-3, 0.5, 2.0)]
+        serial = [laplace_check(a, lam).hex() for a, lam in cases]
+        fresh_records.cache_clear()
+
+        def run(shift):
+            order = cases[shift:] + cases[:shift]
+            got = {case: laplace_check(*case).hex() for case in order}
+            return [got[case] for case in cases]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(run, 4 * k) for k in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial] * 4
+        assert fresh_records.cache_info().currsize == 4

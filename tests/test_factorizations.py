@@ -385,6 +385,15 @@ class TestLemma1G:
             lemma1_g(0.4, -0.1, 0.9, 0, 1.0)
         with pytest.raises(DomainError):
             lemma1_g(0.4, 0.6, 0.9, 2, 1.0)
+        with pytest.raises(DomainError):
+            lemma1_g(0.4, math.nan, 0.9, 0, 1.0)
+        with pytest.raises(DomainError):
+            lemma1_g(0.4, 0.6, 0.9, 0, math.nan)
+        # a nan alpha or c used to return 0.0 +- 0.0
+        with pytest.raises(DomainError):
+            lemma1_g(math.nan, 0.6, 0.9, 0, 1.0)
+        with pytest.raises(DomainError):
+            lemma1_g(0.4, 0.6, math.nan, 0, 1.0)
 
     def test_overflow_raises(self):
         # the integrand e^{-x u} u^{-1/2} (1+u)^100 peaks near e^821
@@ -478,6 +487,8 @@ class TestWhittMargin:
     def test_domain(self):
         with pytest.raises(DomainError):
             whitt_margin(0.0)
+        with pytest.raises(DomainError):
+            whitt_margin(math.nan)
 
     def test_rows_equal_three_psi_chf_calls(self):
         # over the grids of acceptance check 10, bit for bit
@@ -514,9 +525,13 @@ class TestFactorValidation:
             Factor.beta(0.0, 1.0)
         with pytest.raises(PreconditionError):
             Factor.gamma(-1.0)
+        with pytest.raises(PreconditionError):
+            Factor.beta(1.0, math.nan)
 
     def test_factor_list_validation(self):
         with pytest.raises(PreconditionError):
             FactorList(0.0, (Factor.gamma(1.0),))
+        with pytest.raises(PreconditionError):
+            FactorList(math.nan, (Factor.gamma(1.0),))
         with pytest.raises(PreconditionError):
             FactorList(1.0, ())

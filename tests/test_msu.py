@@ -145,6 +145,13 @@ class TestMsuScan:
         with pytest.raises(DomainError):
             msu_scan(0.5, 1.0, 2.0, 4)
 
+    @pytest.mark.parametrize("x_lo,x_hi", [(1.0, math.inf), (math.nan, 2.0),
+                                           (-math.inf, 2.0), (1.0, math.nan)])
+    def test_non_finite_bound(self, x_lo, x_hi):
+        # x_hi = inf used to scan a nan grid and report no violation
+        with pytest.raises(DomainError):
+            msu_scan(0.5, x_lo, x_hi, 64)
+
     @pytest.mark.parametrize("alpha", [0.65, 0.7, 0.8, 0.9])
     def test_inflection_bisection_stops_early(self, alpha, monkeypatch):
         # once sqrt(lo*hi) is lo or hi the bracket cannot move, so the

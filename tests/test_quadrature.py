@@ -82,7 +82,7 @@ class TestNodeTables:
                 "from stable_msu import density, quadrature\n"
                 "print(quadrature._nodes.cache_info().currsize,\n"
                 "      quadrature._head.cache_info().currsize,\n"
-                "      density._left_piece.cache_info().currsize)\n")
+                "      density._lambda_free.cache_info().currsize)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)
         assert out.stdout.split() == ["0", "0", "0"]

@@ -58,6 +58,13 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(1e306)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_domain_error(self, x):
+        # nan and inf used to reach the caller as SpecEval's own
+        # ValueError, -inf as an OverflowError from math.floor
+        with pytest.raises(DomainError):
+            log_gamma(x)
+
 
 def _lgamma_worst(xs):
     """(worst ratio, x) of |math.lgamma(x) - log|Gamma(x)|| to the bar
@@ -162,6 +169,11 @@ class TestBesselK:
             bessel_k(1.0 / 3.0, 0.0)
         with pytest.raises(DomainError):
             bessel_k(1.0 / 3.0, -1.0)
+        # nan used to return 0.0 +- 0.0
+        with pytest.raises(DomainError):
+            bessel_k(1.0 / 3.0, math.nan)
+        with pytest.raises(DomainError):
+            bessel_k(math.nan, 1.0)
 
     @pytest.mark.parametrize("nu,x", [(200.0, 1e-3), (160.0, 1.0)])
     def test_overflow_raises(self, nu, x):
@@ -228,6 +240,13 @@ class TestPsi:
             psi_chf(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             psi_chf(1 / 6, 4 / 3, -0.5)
+        with pytest.raises(DomainError):
+            psi_chf(1 / 6, 4 / 3, math.nan)
+        with pytest.raises(DomainError):
+            psi_chf(math.nan, 4 / 3, 1.0)
+        # a nan c used to return 0.0 +- 0.0
+        with pytest.raises(DomainError):
+            psi_chf(1 / 6, math.nan, 1.0)
 
     def test_overflow_raises(self):
         # the true value, about 3.4e308, overflows a double
@@ -254,3 +273,5 @@ class TestWhittaker:
     def test_domain(self):
         with pytest.raises(DomainError):
             whittaker_w_stable(0.0)
+        with pytest.raises(DomainError):
+            whittaker_w_stable(math.nan)
