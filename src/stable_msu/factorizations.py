@@ -30,6 +30,10 @@ from .quadrature import de_halfline
 _BETA = "beta"
 _GAMMA = "gamma"
 
+# elements per block of the samplers and the KS reductions: their
+# temporaries stay this size at any sample size
+_BLOCK = 1 << 14
+
 
 # ---------------------------------------------------------------------------
 # factors and factor lists
@@ -90,9 +94,16 @@ class FactorList:
             raise PreconditionError("factor list must be non-empty")
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        """Draws of the product, a scalar for size=None.  Each factor's
+        draws are multiplied into the result block by block, one factor
+        after another: the random stream and every product are those of
+        whole-array draws, in block-sized temporaries."""
         out = np.full(size if size is not None else (), self.scale, dtype=float)
+        flat = out.reshape(-1)
         for factor in self.factors:
-            out *= factor.sample(rng, size)
+            for lo in range(0, flat.size, _BLOCK):
+                block = flat[lo:lo + _BLOCK]
+                block *= factor.sample(rng, block.size)
         return out if size is not None else out[()]
 
 
@@ -114,24 +125,22 @@ class MellinProfile:
 # exact sampler
 # ---------------------------------------------------------------------------
 
-# elements per block of the sampler's log b(u) kernel and the KS
-# reductions: their temporaries stay this size at any sample size
-_BLOCK = 1 << 14
-
-
 def _log_kanter_b(a: float, u: np.ndarray, out: np.ndarray) -> None:
     """Write log b(u) into ``out``, for float a in (0, 1) and u in (0, pi);
-    ``u`` and ``out`` are distinct flat float64 arrays of one length.
+    ``u`` and ``out`` are flat float64 arrays of one length, and ``out``
+    may be ``u`` itself.
 
     Each sine comes from t = tan(x/2) as sin x = 2t/(1 + t^2): numpy's
     float64 tan is vectorised where its sin is scalar libm.  The
     exponents a, 1-a and -1 of the three sines sum to 0, so the factor 2
     cancels and only log(t/(1 + t^2)) is formed.  The work runs block by
-    block through two block-sized temporaries; each element sees the
-    same operations as in one whole-array pass.
+    block through two block-sized temporaries (three in place); each
+    element sees the same operations as in one whole-array pass.
     """
     tmp = np.empty(min(u.size, _BLOCK))
     sq = np.empty_like(tmp)
+    # in place, each block of u is copied out before out overwrites it
+    u_copy = np.empty_like(tmp) if np.may_share_memory(u, out) else None
 
     def log_half_sin(ub, scale, dst):
         # log(sin(scale*u)/2) into dst; scale*u/2 lies in (0, pi/2)
@@ -145,6 +154,9 @@ def _log_kanter_b(a: float, u: np.ndarray, out: np.ndarray) -> None:
 
     for lo in range(0, u.size, _BLOCK):
         ub = u[lo:lo + _BLOCK]
+        if u_copy is not None:
+            ub = u_copy[:ub.size]
+            ub[...] = u[lo:lo + _BLOCK]
         ob = out[lo:lo + _BLOCK]
         t = tmp[:ub.size]
         log_half_sin(ub, a, ob)
@@ -173,22 +185,30 @@ def kanter_b(alpha, u):
 
 def _log_stable(a: float, source: np.random.Generator, n) -> np.ndarray:
     """The logs of sample_stable's draws, for n an int or a shape, as a
-    new array; finite where exponentiating would overflow.  The working
-    set is that array and one of uniforms, then exponentials."""
-    u = source.uniform(0.0, math.pi, n)
+    new array; finite where exponentiating would overflow.
+
+    Every uniform is drawn into that array first and log b(U) replaces
+    them in place; then the exponentials are drawn block by block, so
+    the rest of the working set is block-sized.
+    """
+    z = source.uniform(0.0, math.pi, n)
     # endpoint draws are measure zero but would hit the log singularities
-    bad = (u <= 0.0) | (u >= math.pi)
-    while np.any(bad):
-        u[bad] = source.uniform(0.0, math.pi, int(bad.sum()))
-        bad = (u <= 0.0) | (u >= math.pi)
-    del bad
-    z = np.empty_like(u)
-    _log_kanter_b(a, u.reshape(-1), z.reshape(-1))
-    # every uniform is drawn before any exponential; L reuses U's buffer
-    log_ell = np.log(source.standard_exponential(out=u), out=u)
-    log_ell *= a - 1.0
-    z += log_ell
-    z /= a
+    if z.size and (z.min() <= 0.0 or z.max() >= math.pi):
+        bad = (z <= 0.0) | (z >= math.pi)
+        while np.any(bad):
+            z[bad] = source.uniform(0.0, math.pi, int(bad.sum()))
+            bad = (z <= 0.0) | (z >= math.pi)
+    flat = z.reshape(-1)
+    _log_kanter_b(a, flat, flat)
+    ell = np.empty(min(flat.size, _BLOCK))
+    for lo in range(0, flat.size, _BLOCK):
+        zb = flat[lo:lo + _BLOCK]
+        log_ell = ell[:zb.size]
+        source.standard_exponential(out=log_ell)
+        np.log(log_ell, out=log_ell)
+        log_ell *= a - 1.0
+        zb += log_ell
+        zb /= a
     return z
 
 
@@ -339,8 +359,8 @@ def whitt_margin(x: float, rel_tol: float = 1e-10) -> float:
     with U_l(x) = Psi(1/6, l/3, x); its failure for small x certifies
     the 2/3 case is not MSU, while for x >= 1/6 the ordering
     U7 >= U4 >= U1 makes it hold."""
-    if not x > 0.0:
-        raise DomainError("whitt_margin requires x > 0")
+    if not 0.0 < x < math.inf:  # NaN fails too
+        raise DomainError("whitt_margin requires finite x > 0")
     u, _ = specfun._psi_quad(1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0), x,
                              rel_tol)
     u1, u4, u7 = u.tolist()

@@ -9,8 +9,10 @@ summary.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -21,7 +23,7 @@ from . import density as dens
 from . import factorizations as fact
 from . import msu as msu_mod
 from .density import Alpha, DEFAULT_SERIES_CONFIG, SeriesConfig, as_alpha
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 
 KS_COEFF_1PCT = 1.628  # asymptotic 1 percent critical coefficient
 
@@ -72,82 +74,93 @@ class IdentityReport:
 # KS statistics
 # ---------------------------------------------------------------------------
 
+def _reject_nan(sorted_sample: np.ndarray, what: str) -> None:
+    # a sort puts NaNs last; +-inf are allowed (the sampler overflows)
+    if np.isnan(sorted_sample[-1]):
+        raise DomainError(f"{what} requires samples that are not NaN")
+
+
 def _ks_one(s: np.ndarray, cdf) -> KsResult:
     """One-sample KS of the flat float64 sample ``s`` against ``cdf``;
-    sorts ``s`` in place and spends it."""
+    sorts ``s`` in place.  ``cdf`` is evaluated, and the gaps taken, one
+    block at a time, so the rest of the working set is block-sized."""
     n = s.size
     if n == 0:
         raise PreconditionError("ks_one_sample requires samples")
     s.sort()
-    f = np.clip(np.asarray(cdf(s), dtype=float), 0.0, 1.0)
-    # steps[k] = k/n: the empirical CDF is steps[1:] just after each
-    # sorted sample and steps[:-1] just before; s is spent and holds
-    # each difference in turn
-    steps = np.arange(n + 1, dtype=float)
-    steps /= n
-    above = np.max(np.subtract(steps[1:], f, out=s))
-    below = np.max(np.subtract(f, steps[:-1], out=s))
-    stat = float(max(above, below))
+    _reject_nan(s, "ks_one_sample")
+    worst = []
+    for lo in range(0, n, fact._BLOCK):
+        sb = s[lo:lo + fact._BLOCK]
+        f = np.clip(np.asarray(cdf(sb), dtype=float), 0.0, 1.0)
+        # steps[k] = (lo + k)/n: the empirical CDF is steps[1:] just
+        # after each sorted sample and steps[:-1] just before
+        steps = np.arange(lo, lo + sb.size + 1, dtype=float)
+        steps /= n
+        worst.append(np.max(steps[1:] - f))
+        worst.append(np.max(f - steps[:-1]))
+    stat = float(np.max(worst))
     crit = KS_COEFF_1PCT / math.sqrt(n)
     return KsResult(stat, n, crit, stat < crit)
 
 
-def _ks_two(buf: np.ndarray, n: int) -> KsResult:
-    """Two-sample KS between ``buf[:n]`` and ``buf[n:]`` of the flat
-    float64 array ``buf``; sorts ``buf`` in place and spends it.
-
-    Besides ``buf`` it holds one index array of ``buf``'s length while
-    the labels are taken (and the merge workspace of numpy's stable
-    sort), then one boolean array and block-sized temporaries.
-    """
-    m = buf.size - n
-    if n == 0 or m == 0:
-        raise PreconditionError("ks_two_sample requires samples")
-    buf[:n].sort()
-    buf[n:].sort()
-    # a stable sort keeps tied values in buffer order, so from_a labels
-    # each sorted value by its sample and puts a's tied copies first
-    from_a = np.argsort(buf, kind="stable") < n
-    buf.sort(kind="stable")
-    # the empirical CDFs at a value are the counts from each side up to
-    # its last tied copy; the count of a's is carried from block to block
-    worst = []
-    carried = 0
-    size = buf.size
+def _ecdf_gap(own: np.ndarray, other: np.ndarray) -> float:
+    """max |F_own - F_other| over the values of ``own``, for two sorted
+    flat samples, taken block by block at each value's last tied copy:
+    there F_own is the copy's rank, and F_other counts the values of
+    ``other`` up to it by binary search."""
+    size = own.size
+    worst = 0.0
     for lo in range(0, size, fact._BLOCK):
         hi = min(lo + fact._BLOCK, size)
         last = np.empty(hi - lo, dtype=bool)
-        np.not_equal(buf[lo:hi - 1], buf[lo + 1:hi], out=last[:-1])
-        last[-1] = hi == size or buf[hi - 1] != buf[hi]
-        ca = np.cumsum(from_a[lo:hi])
-        ca += carried
-        carried = int(ca[-1])
-        ca = ca[last]
-        if ca.size:
-            cb = np.flatnonzero(last)
-            cb += lo + 1
-            cb -= ca
-            gap = ca / n
-            gap -= cb / m
-            worst.append(np.max(np.abs(gap, out=gap)))
-    stat = float(np.max(worst))
+        np.not_equal(own[lo:hi - 1], own[lo + 1:hi], out=last[:-1])
+        last[-1] = hi == size or own[hi - 1] != own[hi]
+        at = np.flatnonzero(last)
+        if at.size:
+            values = own[lo:hi][at]
+            at += lo + 1
+            gap = at / size
+            # the other sample's share, written over the spent values
+            gap -= np.divide(np.searchsorted(other, values, side="right"),
+                             other.size, out=values)
+            worst = max(worst, float(np.max(np.abs(gap, out=gap))))
+    return worst
+
+
+def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
+    """Two-sample KS between the flat float64 samples ``a`` and ``b``;
+    sorts each in place.
+
+    The empirical CDFs differ most at a value of one of the samples;
+    each sample's values are visited in turn (see ``_ecdf_gap``).
+    Besides the samples the working set is block-sized.
+    """
+    n, m = a.size, b.size
+    if n == 0 or m == 0:
+        raise PreconditionError("ks_two_sample requires samples")
+    a.sort()
+    b.sort()
+    _reject_nan(a, "ks_two_sample")
+    _reject_nan(b, "ks_two_sample")
+    stat = max(_ecdf_gap(a, b), _ecdf_gap(b, a))
     crit = KS_COEFF_1PCT * math.sqrt((n + m) / (n * m))
     return KsResult(stat, n, crit, stat < crit, m_samples=m)
 
 
 def ks_one_sample(samples, cdf) -> KsResult:
     """Sup-norm distance between the empirical CDF and ``cdf``; samples
-    of any shape count as one flat sample."""
+    of any shape count as one flat sample, and a NaN sample raises
+    :class:`DomainError`."""
     return _ks_one(np.asarray(samples, dtype=float).flatten(), cdf)
 
 
 def ks_two_sample(a, b) -> KsResult:
     """Sup-norm distance between two empirical CDFs; samples of any
-    shape count as flat samples."""
-    a = np.asarray(a, dtype=float)
-    return _ks_two(np.concatenate([a.ravel(),
-                                   np.asarray(b, dtype=float).ravel()]),
-                   a.size)
+    shape count as flat samples, and a NaN sample raises
+    :class:`DomainError`."""
+    return _ks_two(np.asarray(a, dtype=float).flatten(),
+                   np.asarray(b, dtype=float).flatten())
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +268,15 @@ def check_laplace(alpha, lambdas, threshold: float = 1e-5,
         details={"per_lambda": per})
 
 
+# the fewest draws check_diff_identity takes
+_DIFF_MIN_SAMPLES = 10_000
+
+
 def check_diff_identity(alpha, n_samples: int, seed: int) -> IdentityReport:
     """KS of log Z - log Z~ (independent copies) against the
     log-difference density, at the asymptotic 1 percent level."""
     alpha = as_alpha(alpha)
-    if n_samples < 10_000:
+    if n_samples < _DIFF_MIN_SAMPLES:
         raise PreconditionError("need at least 1e4 samples")
     rng = np.random.default_rng(seed)
     # the logs are subtracted as drawn: at small alpha, Z overflows
@@ -281,11 +298,7 @@ def check_factorization_mc(p: int, n: int, n_samples: int,
     rng = np.random.default_rng(seed)
     z = fact.sample_stable(alpha, rng, n_samples)
     np.power(z, -float(p), out=z)
-    prod = fl.sample(rng, n_samples)
-    # both samples move into the one buffer that the KS sorts
-    buf = np.concatenate([z, prod])
-    del z, prod
-    ks = _ks_two(buf, n_samples)
+    ks = _ks_two(z, fl.sample(rng, n_samples))
     return IdentityReport(
         name=f"factorization-mc-{p}-{n}",
         discrepancy=ks.statistic, threshold=ks.critical_1pct,
@@ -426,38 +439,78 @@ def _check_lemma2_mellin(params: dict) -> IdentityReport:
                           worst < float(params["threshold"]), details=details)
 
 
-def _check_sampler_fidelity(params: dict) -> IdentityReport:
+# Monte Carlo cases in flight at once; the cap bounds memory, as each
+# case holds about two arrays of its sample size
+_MC_WORKERS = 2
+
+
+def _run_cases(cases: list) -> list:
+    """The results of the (details key, cost, job) ``cases``, in order:
+    each zero-argument ``job`` runs on one of up to ``_MC_WORKERS``
+    threads, the costliest first, so that no long case starts last.
+
+    Each Monte Carlo case seeds its own Generator, so its result does not
+    depend on the scheduling; numpy's samplers, sorts and ufuncs release
+    the GIL, so two cases run side by side.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(_MC_WORKERS, len(cases), cpus)
+    if workers < 2:
+        return [job() for _, _, job in cases]
+    from concurrent.futures import ThreadPoolExecutor
+    costliest_first = sorted(range(len(cases)), key=lambda i: -cases[i][1])
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = {i: pool.submit(cases[i][2]) for i in costliest_first}
+        return [futures[i].result() for i in range(len(cases))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# The cases of the Monte Carlo kinds, as (details key, cost, job); the
+# cost counts the arrays of draws a case makes: a two-sample case (p, n)
+# draws Z and the n - 1 factors of lemma2_product(p, n).
+
+def _fidelity_cases(params: dict) -> list:
     n_samples = int(params.get("n_samples", 1_000_000))
     seed = int(params.get("seed", 1234))
-    worst_margin = -math.inf
-    details = {}
-    ok = True
-    for a in params.get("alphas", []):
-        rep = check_sampler_ks(float(a), n_samples, seed)
-        details[f"one-sample-{a:g}"] = rep.to_dict()
-        ok = ok and rep.passed
-        worst_margin = max(worst_margin, rep.discrepancy / rep.threshold)
-    for p, n in params.get("pairs", []):
-        rep = check_factorization_mc(int(p), int(n), n_samples, seed + p * 31 + n)
-        details[f"two-sample-{p}-{n}"] = rep.to_dict()
-        ok = ok and rep.passed
-        worst_margin = max(worst_margin, rep.discrepancy / rep.threshold)
-    return IdentityReport(params["name"], worst_margin, 1.0, ok,
-                          details=details)
+    cases = [(f"one-sample-{a:g}", 1,
+              functools.partial(check_sampler_ks, float(a), n_samples, seed))
+             for a in params.get("alphas", [])]
+    cases += [(f"two-sample-{p}-{n}",
+               int(n),
+               functools.partial(check_factorization_mc, int(p), int(n),
+                                 n_samples, seed + p * 31 + n))
+              for p, n in params.get("pairs", [])]
+    return cases
+
+
+def _diff_cases(params: dict) -> list:
+    n_samples = int(params.get("n_samples", 1_000_000))
+    seed = int(params.get("seed", 4321))
+    return [(f"{a:g}", 2,
+             functools.partial(check_diff_identity, float(a), n_samples, seed))
+            for a in params["alphas"]]
+
+
+def _mc_report(name: str, cases: list) -> IdentityReport:
+    """Run the cases of a Monte Carlo check and report the worst ratio
+    of KS statistic to critical value; pass iff every case passes."""
+    reports = _run_cases(cases)
+    worst = max((r.discrepancy / r.threshold for r in reports),
+                default=-math.inf)
+    return IdentityReport(
+        name, worst, 1.0, all(r.passed for r in reports),
+        details={case[0]: r.to_dict() for case, r in zip(cases, reports)})
+
+
+def _check_sampler_fidelity(params: dict) -> IdentityReport:
+    return _mc_report(params["name"], _fidelity_cases(params))
 
 
 def _check_diff_identity(params: dict) -> IdentityReport:
-    n_samples = int(params.get("n_samples", 1_000_000))
-    seed = int(params.get("seed", 4321))
-    ok = True
-    worst = -math.inf
-    details = {}
-    for a in params["alphas"]:
-        rep = check_diff_identity(float(a), n_samples, seed)
-        details[f"{a:g}"] = rep.to_dict()
-        ok = ok and rep.passed
-        worst = max(worst, rep.discrepancy / rep.threshold)
-    return IdentityReport(params["name"], worst, 1.0, ok, details=details)
+    return _mc_report(params["name"], _diff_cases(params))
 
 
 def _check_ualpha_dichotomy(params: dict) -> IdentityReport:
@@ -592,6 +645,31 @@ _CASE_LISTS: dict[str, tuple[tuple[str, ...], ...]] = {
 }
 
 
+# the Monte Carlo kinds: their cases and the fewest draws a case takes
+_MC_KINDS: dict[str, tuple[Callable[[dict], list], int]] = {
+    "sampler_fidelity": (_fidelity_cases, 1),
+    "diff_identity": (_diff_cases, _DIFF_MIN_SAMPLES),
+}
+
+
+def _validate_mc(entry: dict) -> None:
+    """Reject a Monte Carlo entry whose cases could not all run, or whose
+    cases share a details key, so that one report would be lost."""
+    cases, least = _MC_KINDS[entry["kind"]]
+    name = entry["name"]
+    if int(entry.get("n_samples", 1_000_000)) < least:
+        raise ValueError(f"check {name!r}: n_samples must be at least "
+                         f"{least}")
+    for p, n in entry.get("pairs", []):
+        if not (int(p) >= 2 and int(n) > 2 * int(p)):
+            raise ValueError(f"check {name!r}: pair [{p}, {n}] needs "
+                             "p >= 2 and n > 2p")
+    keys = [case[0] for case in cases(entry)]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"check {name!r}: repeated cases {repeated}")
+
+
 DEFAULT_ACCEPTANCE_CONFIG: dict = {
     "schema": 1,
     "checks": [
@@ -646,8 +724,10 @@ def run_acceptance(config) -> dict:
 
     Check failures are aggregated, never raised; malformed configs do
     raise, before any check runs: an unknown kind, a missing name, a
-    key that the check's kind does not read (see ``CHECK_PARAMS``), or
-    an empty case list, which would pass with nothing checked.
+    key that the check's kind does not read (see ``CHECK_PARAMS``), an
+    empty case list, which would pass with nothing checked, or a Monte
+    Carlo entry with a pair outside p >= 2, n > 2p, too few samples or a
+    repeated case, whose report would be lost.
     Identical configs and seeds produce identical summaries.
     """
     if isinstance(config, str) and config.lstrip().startswith("{"):
@@ -672,6 +752,8 @@ def run_acceptance(config) -> dict:
                                  else None) for key in group):
                 raise ValueError(f"check {entry['name']!r}: no cases in "
                                  f"{' or '.join(group)}")
+        if kind in _MC_KINDS:
+            _validate_mc(entry)
     reports = [CHECK_KINDS[entry["kind"]](entry) for entry in checks]
     reports.sort(key=lambda r: r.name)
     return {

@@ -204,6 +204,18 @@ class TestUsageErrors:
         assert code == 2
         assert out == "" and "no cases" in err
 
+    @pytest.mark.parametrize("entry,reason", [
+        ({"kind": "sampler_fidelity", "pairs": [[2, 4]]}, "n > 2p"),
+        ({"kind": "diff_identity", "alphas": [0.4, 0.4]}, "repeated"),
+    ])
+    def test_acceptance_malformed_monte_carlo_entry(self, capsys, tmp_path,
+                                                    entry, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [{"name": "mc", **entry}]}))
+        code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and reason in err
+
 
     @pytest.mark.parametrize("lambdas", ["nan", "inf", "0,1,nan", ""])
     def test_check_laplace_bad_lambdas(self, capsys, lambdas):

@@ -209,8 +209,9 @@ def _log_kanter_b_whole(a, u):
 
 
 class TestBlockedKernel:
-    """The log b(u) kernel runs over blocks of _BLOCK elements; every
-    length across a block boundary gives the whole-array bits."""
+    """The log b(u) kernel and the product sampler run over blocks of
+    _BLOCK elements; every length across a block boundary gives the
+    whole-array bits."""
 
     B = factorizations._BLOCK
     SIZES = [1, B - 1, B, B + 1, 3 * B + 7, (3, 4)]
@@ -239,6 +240,31 @@ class TestBlockedKernel:
         u = np.random.default_rng(43).uniform(0.0, math.pi, (40, 30)).T
         assert np.array_equal(kanter_b(0.7, u),
                               np.exp(_log_kanter_b_whole(0.7, u)))
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_kernel_in_place(self, n):
+        # _log_stable forms log b(U) over its uniforms in place
+        u = np.random.default_rng(44).uniform(0.0, math.pi, n)
+        ref = _log_kanter_b_whole(0.4, u)
+        factorizations._log_kanter_b(0.4, u, u)
+        assert np.array_equal(u, ref)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 7)])
+    def test_factor_list_sample(self, p, n, size):
+        # each factor's draws, taken block by block, are multiplied in
+        # one factor after another: the whole-array products, with the
+        # stream left where whole-array draws leave it
+        fl = lemma2_product(p, n)
+        rng = np.random.default_rng(45)
+        got = fl.sample(rng, size)
+        ref_rng = np.random.default_rng(45)
+        ref = np.full(size, fl.scale)
+        for factor in fl.factors:
+            ref = ref * factor.sample(ref_rng, size)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestWilliamsProduct:
@@ -489,6 +515,11 @@ class TestWhittMargin:
             whitt_margin(0.0)
         with pytest.raises(DomainError):
             whitt_margin(math.nan)
+
+    def test_infinite_x_rejected(self):
+        # Psi at x = inf is 0 +- 0, and x U4 would be inf * 0 = nan
+        with pytest.raises(DomainError, match="finite"):
+            whitt_margin(math.inf)
 
     def test_rows_equal_three_psi_chf_calls(self):
         # over the grids of acceptance check 10, bit for bit

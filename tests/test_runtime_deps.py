@@ -1,5 +1,6 @@
 """The package runs on numpy and mpmath alone; scipy is a test oracle,
-and mpmath is imported only by the code that uses it."""
+and mpmath and the thread pool are imported only by the code that uses
+them."""
 
 import os
 import subprocess
@@ -62,3 +63,16 @@ def test_mpmath_loaded_only_on_use():
     """)
     assert out.splitlines()[:2] == ["False", "True True"]
     assert float(out.splitlines()[2]) != 0.0
+
+
+def test_thread_pool_loaded_only_on_use():
+    # the Monte Carlo checks import concurrent.futures when they start
+    # their workers; importing the package and its CLI leaves it out,
+    # which keeps its import time out of every command's start-up
+    out = _run_fresh("""
+        import sys
+        import stable_msu
+        import stable_msu.cli
+        print("concurrent.futures" in sys.modules)
+    """)
+    assert out == "False"

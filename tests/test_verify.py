@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -8,12 +10,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stable_msu import verify
 from stable_msu.density import survival_series
-from stable_msu.errors import PreconditionError
+from stable_msu.errors import DomainError, PreconditionError
 from stable_msu.factorizations import (_BLOCK, _log_stable, lemma2_product,
                                        sample_stable)
 from stable_msu.verify import (CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG,
-                               IdentityReport, _ks_two, build_cdf,
+                               IdentityReport, _ks_one, _ks_two, build_cdf,
                                check_diff_identity, check_factorization_mc,
                                check_laplace, check_mellin_factorization,
                                check_sampler_ks, ks_one_sample, ks_two_sample,
@@ -122,15 +125,15 @@ def _ks_two_gather(a, b):
 
 
 class TestKsTwoCore:
-    """The two-sample core sorts one buffer in place and counts over
-    blocks of _BLOCK values with a carried count; its statistic is that
-    of the whole-array argsort-and-gather form."""
+    """The two-sample core sorts each sample in place and visits each
+    sample's values in blocks of _BLOCK, counting the other sample by
+    binary search; its statistic is that of the whole-array
+    argsort-and-gather form."""
 
     @staticmethod
     def _core(a, b):
-        buf = np.concatenate([np.asarray(a, dtype=float),
-                              np.asarray(b, dtype=float)])
-        return _ks_two(buf, len(a)).statistic
+        return _ks_two(np.array(a, dtype=float),
+                       np.array(b, dtype=float)).statistic
 
     @pytest.mark.parametrize("seed", [51, 52, 53])
     def test_ties_straddling_block_boundaries(self, seed):
@@ -168,11 +171,48 @@ class TestKsTwoCore:
     def test_single_element_samples(self, a, b):
         assert self._core(a, b) == _ks_two_gather(a, b)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_tie_heavy_random_cases(self, seed):
+        # small samples from few values, some infinite, of random sizes
+        rng = np.random.default_rng(5400 + seed)
+        levels = np.concatenate([[-np.inf, np.inf],
+                                 rng.standard_normal(rng.integers(1, 12))])
+        a = rng.choice(levels, rng.integers(1, 400))
+        b = rng.choice(levels, rng.integers(1, 400))
+        assert self._core(a, b) == _ks_two_gather(a, b)
+
     def test_buffer_is_spent_not_the_callers(self):
         a = np.array([3.0, 1.0, 2.0])
         b = np.array([2.5, 0.5])
         ks_two_sample(a, b)
         assert a.tolist() == [3.0, 1.0, 2.0] and b.tolist() == [2.5, 0.5]
+
+
+class TestKsNan:
+    """A NaN sample has no empirical CDF: the KS functions and their
+    cores raise DomainError; infinite samples are allowed."""
+
+    @pytest.mark.parametrize("a,b", [([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+                                     ([1.0, 2.0, 3.0], [2.0, math.nan]),
+                                     ([math.nan], [math.nan])])
+    def test_two_sample(self, a, b):
+        with pytest.raises(DomainError, match="NaN"):
+            ks_two_sample(a, b)
+        with pytest.raises(DomainError, match="NaN"):
+            _ks_two(np.array(a), np.array(b))
+
+    def test_one_sample(self):
+        with pytest.raises(DomainError, match="NaN"):
+            ks_one_sample([0.2, math.nan, 0.5], lambda x: x)
+        with pytest.raises(DomainError, match="NaN"):
+            _ks_one(np.array([math.nan, 0.5]), lambda x: x)
+
+    def test_infinities_allowed(self):
+        res = ks_two_sample([-math.inf, 1.0, math.inf], [1.0, 2.0, math.inf])
+        assert res.statistic == pytest.approx(1.0 / 3.0)
+        res = ks_one_sample([0.5, math.inf],
+                            lambda x: np.clip(x, 0.0, 1.0))
+        assert res.statistic == 0.5
 
 
 class TestKsShapes:
@@ -220,13 +260,43 @@ class TestWorkingSet:
             tracemalloc.stop()
 
     def test_factorization_mc(self):
+        # the two samples and block-sized temporaries
         peak = self._peak(lambda: check_factorization_mc(3, 7, self.N, 71))
-        assert peak <= 6 * 8 * self.N
+        assert peak <= 2.5 * 8 * self.N
+
+    def test_diff_identity(self):
+        peak = self._peak(lambda: check_diff_identity(0.4, self.N, 73))
+        assert peak <= 2.5 * 8 * self.N
+
+    def test_sampler_ks(self):
+        # the draws on top of the CDF build, whose size does not grow
+        # with the sample
+        cdf = self._peak(lambda: build_cdf(0.5))
+        peak = self._peak(lambda: check_sampler_ks(0.5, self.N, 74))
+        assert peak <= cdf + 1.5 * 8 * self.N
 
     def test_sample_stable(self):
         peak = self._peak(lambda: sample_stable(
             0.5, np.random.default_rng(72), self.N))
-        assert peak <= 3 * 8 * self.N
+        assert peak <= 1.5 * 8 * self.N
+
+    def test_factor_list_sample(self):
+        fl = lemma2_product(3, 7)
+        peak = self._peak(lambda: fl.sample(np.random.default_rng(75),
+                                            self.N))
+        assert peak <= 1.25 * 8 * self.N
+
+    def test_ks_cores(self):
+        # beyond the samples they sort, the cores hold block-sized
+        # temporaries only
+        cdf = build_cdf(0.5)
+        z = sample_stable(0.5, np.random.default_rng(76), self.N)
+        other = np.random.default_rng(77).standard_normal(self.N)
+        one = self._peak(lambda: _ks_one(z.copy(), cdf)) - 8 * self.N
+        two = self._peak(lambda: _ks_two(z.copy(), other.copy())) \
+            - 2 * 8 * self.N
+        assert one <= 0.5 * 8 * self.N
+        assert two <= 0.5 * 8 * self.N
 
 
 class TestStableCdf:
@@ -399,6 +469,58 @@ class TestInPlaceBuffers:
                                                 ualpha_cdf(alpha)).statistic
 
 
+class TestMonteCarloWorkers:
+    """Checks 07 and 08 run their cases on up to two threads; each case
+    seeds its own Generator, so the reports do not depend on the worker
+    count or on where the threads switch."""
+
+    CONFIG = {"checks": [
+        {"name": "fidelity", "kind": "sampler_fidelity",
+         "alphas": [0.3, 0.7], "pairs": [[2, 5], [3, 7]],
+         "n_samples": 20_000, "seed": 5},
+        {"name": "diff", "kind": "diff_identity", "alphas": [0.4, 0.8],
+         "n_samples": 20_000, "seed": 6},
+    ]}
+
+    def test_reports_equal_with_one_and_two_workers(self, monkeypatch):
+        monkeypatch.setattr(verify, "_MC_WORKERS", 1)
+        one = run_acceptance(self.CONFIG)
+        monkeypatch.setattr(verify, "_MC_WORKERS", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            two = run_acceptance(self.CONFIG)
+        finally:
+            sys.setswitchinterval(interval)
+        assert json.dumps(two) == json.dumps(one)
+        assert list(two["checks"][1]["details"]) == [
+            "one-sample-0.3", "one-sample-0.7", "two-sample-2-5",
+            "two-sample-3-7"]
+
+    def test_cases_run_on_worker_threads(self, monkeypatch):
+        # with more than one CPU the cases leave the calling thread
+        monkeypatch.setattr(verify.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        threads = []
+        real = verify.check_diff_identity
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(verify, "check_diff_identity", spy)
+        run_acceptance({"checks": [self.CONFIG["checks"][1]]})
+        assert len(threads) == 2 and threading.get_ident() not in threads
+
+    def test_a_failing_case_raises_in_the_caller(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("case failed")
+
+        monkeypatch.setattr(verify, "check_diff_identity", boom)
+        with pytest.raises(RuntimeError, match="case failed"):
+            run_acceptance({"checks": [self.CONFIG["checks"][1]]})
+
+
 class TestRunAcceptance:
     def test_empty_config(self):
         summary = run_acceptance({})
@@ -544,6 +666,43 @@ class TestRunAcceptance:
             {"name": "c", "kind": "half_alpha_residual", "threshold": 1e-7},
         ]})
         assert ran == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("entry,match", [
+        ({"kind": "sampler_fidelity", "pairs": [[2, 4]]}, "n > 2p"),
+        ({"kind": "sampler_fidelity", "pairs": [[1, 5]]}, "p >= 2"),
+        ({"kind": "sampler_fidelity", "alphas": [0.5], "pairs": [[2, 5], [3, 6]]},
+         "n > 2p"),
+        ({"kind": "sampler_fidelity", "alphas": [0.5], "n_samples": 0},
+         "at least 1"),
+        ({"kind": "diff_identity", "alphas": [0.5], "n_samples": 9_999},
+         "at least 10000"),
+        ({"kind": "diff_identity", "alphas": [0.4, 0.4]}, "repeated"),
+        ({"kind": "diff_identity", "alphas": [0.3, 0.3000000001]},
+         "repeated"),
+        ({"kind": "sampler_fidelity", "alphas": [0.3, 0.5, 0.3]}, "repeated"),
+        ({"kind": "sampler_fidelity", "pairs": [[2, 5], [2, 5]]}, "repeated"),
+    ])
+    def test_malformed_monte_carlo_entry_raises_before_any_check(
+            self, monkeypatch, entry, match):
+        # a bad pair or too few samples would raise only when the check
+        # ran, after every check before it; a repeated case shares its
+        # details key with another, so one of their reports would be lost
+        ran = self._stub_checks(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            run_acceptance({"checks": [
+                {"name": "t", "kind": "tail_sign", "alpha_step": 0.2},
+                {"name": "mc", **entry}]})
+        assert ran == []
+
+    def test_smallest_monte_carlo_entries_validate(self, monkeypatch):
+        ran = self._stub_checks(monkeypatch)
+        run_acceptance({"checks": [
+            {"name": "a", "kind": "sampler_fidelity", "alphas": [0.5],
+             "pairs": [[2, 5], [3, 7]], "n_samples": 1},
+            {"name": "b", "kind": "diff_identity", "alphas": [0.4, 0.5],
+             "n_samples": 10_000},
+        ]})
+        assert ran == ["a", "b"]
 
     def test_default_config_covers_all_kinds(self):
         kinds = {c["kind"] for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]}
