@@ -7,11 +7,10 @@ t -> f(e^t) is log-concave (multiplicative strong unimodality): the
 dichotomy holds exactly for stability index <= 1/2.
 """
 
-from .density import (Alpha, DEFAULT_SERIES_CONFIG, DensityJet, EvalResult,
-                      SeriesConfig, density_closed, density_jet,
-                      density_jet_grid, density_series, density_series_grid,
-                      laplace_check, survival_series, survival_series_grid,
-                      tail_coefficient)
+from .density import (Alpha, DensityJet, EvalResult, SeriesConfig,
+                      density_closed, density_jet, density_jet_grid,
+                      density_series, density_series_grid, laplace_check,
+                      survival_series, survival_series_grid, tail_coefficient)
 from .errors import (DomainError, HypothesisError, PoleError,
                      PreconditionError, UnreliableScanError,
                      UnsupportedAlphaError)
@@ -21,8 +20,7 @@ from .factorizations import (Factor, FactorList, MellinProfile, kanter_b,
                              whitt_margin, williams_product)
 from .msu import (BbExpansion, MsuReport, NO_VIOLATION, VIOLATION,
                   bb_expansion, bb_log_density, lce_residual, msu_scan,
-                  tail_residual_sign, ualpha_density,
-                  ualpha_logconcavity_margin)
+                  tail_residual_sign, ualpha_logconcavity_margin)
 from .specfun import (SpecEval, bessel_k, log_gamma, psi_chf,
                       whittaker_w_stable)
 from .verify import (DEFAULT_ACCEPTANCE_CONFIG, IdentityReport, KsResult,
@@ -35,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alpha", "BbExpansion", "DEFAULT_ACCEPTANCE_CONFIG",
-    "DEFAULT_SERIES_CONFIG", "DensityJet", "DomainError", "EvalResult",
+    "DensityJet", "DomainError", "EvalResult",
     "Factor", "FactorList", "HypothesisError", "IdentityReport", "KsResult",
     "MellinProfile", "MsuReport", "NO_VIOLATION", "PoleError",
     "PreconditionError", "SeriesConfig", "SpecEval", "StableCdf",
@@ -50,6 +48,6 @@ __all__ = [
     "msu_scan", "psi_chf", "run_acceptance", "sample_stable",
     "survival_series", "survival_series_grid",
     "tail_coefficient", "tail_residual_sign", "ualpha_cdf",
-    "ualpha_density", "ualpha_logconcavity_margin", "whitt_margin",
+    "ualpha_logconcavity_margin", "whitt_margin",
     "whittaker_w_stable", "williams_product",
 ]

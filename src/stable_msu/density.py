@@ -34,7 +34,7 @@ compensation, overflow cut, error bars and flags):
   ``*_grid`` operations use it, and every caller with a grid goes
   through them: ``msu.msu_scan`` and ``msu.lce_residual``, both
   segments of ``verify.build_cdf``, the closed-form and expansion
-  acceptance checks, ``laplace_check`` (once per alpha and config its
+  acceptance checks, ``laplace_check`` (once per alpha its
   left piece with both endpoints and the lambda = 0 ladder's middle
   piece; on every lambda > 0 call the rest of its middle piece) and the
   ``density`` CLI.
@@ -732,14 +732,13 @@ def density_closed(alpha, x: float) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def reliable_x_min(alpha: Alpha, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG,
-                   survival: bool = False) -> float:
+def reliable_x_min(alpha: Alpha, survival: bool = False) -> float:
     """Smallest x (within ~5 percent) at which the series evaluation is
     flagged reliable, found by bisecting the guard flag."""
     def ok(x: float) -> bool:
         if survival:
-            return survival_series(alpha, x, cfg).reliable
-        return density_jet(alpha, x, cfg).f.reliable
+            return survival_series(alpha, x).reliable
+        return density_jet(alpha, x).f.reliable
 
     hi = 1.0
     tries = 0
@@ -808,11 +807,11 @@ def _full_decades(edges: tuple[float, ...]) -> int:
     return len(edges) - 2 if len(edges) > 3 else 0
 
 
-def _middle(alpha: Alpha, cfg: SeriesConfig, edges: tuple[float, ...]):
+def _middle(alpha: Alpha, edges: tuple[float, ...]):
     """Nodes, weights and density values of the 64-point rule on each
     piece of ``edges``, from one grid call."""
     nodes, weights = _rule(edges[:-1], edges[1:])
-    return nodes, weights, density_series_grid(alpha, nodes, cfg).value
+    return nodes, weights, density_series_grid(alpha, nodes).value
 
 
 def _read_only(*arrays) -> tuple:
@@ -824,7 +823,7 @@ def _read_only(*arrays) -> tuple:
 
 
 class _LambdaFree(NamedTuple):
-    """Everything laplace_check computes that depends on (alpha, cfg)
+    """Everything laplace_check computes that depends on alpha
     alone, with read-only arrays:
 
     * the bounds x_s <= x_m, the 64-point rule on (x_s, x_m) (empty when
@@ -849,29 +848,28 @@ class _LambdaFree(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def _lambda_free(alpha: Alpha, cfg: SeriesConfig) -> _LambdaFree:
-    """laplace_check's record for (alpha, cfg): one survival grid call
+def _lambda_free(alpha: Alpha) -> _LambdaFree:
+    """laplace_check's record for alpha: one survival grid call
     over the left rule's nodes and both ends, the lambda = 0 ladder on
     the float loop, and one density grid call over the ladder's pieces
     (the grid's bits are the float loop's)."""
-    x_m = reliable_x_min(alpha, cfg)
-    x_s = min(reliable_x_min(alpha, cfg, survival=True), x_m)
+    x_m = reliable_x_min(alpha)
+    x_s = min(reliable_x_min(alpha, survival=True), x_m)
     if x_s < x_m:
         left_nodes, left_weights = _rule([x_s], [x_m])
     else:
         left_nodes = left_weights = np.empty(0)
-    s = survival_series_grid(alpha, np.append(left_nodes, (x_s, x_m)),
-                             cfg).value
+    s = survival_series_grid(alpha, np.append(left_nodes, (x_s, x_m))).value
     f_m = 1.0 - float(s[-1])
 
     # lambda = 0: raise the cutoff tenfold until S(x_hi) <= 1e-3
     x_hi = max(10.0, 4.0 * x_m)
-    s_hi = survival_series(alpha, x_hi, cfg).value
+    s_hi = survival_series(alpha, x_hi).value
     while s_hi > 1e-3 and x_hi < 1e15:
         x_hi *= 10.0
-        s_hi = survival_series(alpha, x_hi, cfg).value
+        s_hi = survival_series(alpha, x_hi).value
     edges = _decade_edges(x_m, x_hi)
-    nodes, weights, f = _middle(alpha, cfg, edges)
+    nodes, weights, f = _middle(alpha, edges)
     at_zero = abs(f_m + float(np.dot(weights, f)) + s_hi - 1.0)
     full = slice(64 * _full_decades(edges))
     return _LambdaFree(x_s, x_m,
@@ -881,8 +879,7 @@ def _lambda_free(alpha: Alpha, cfg: SeriesConfig) -> _LambdaFree:
                        at_zero)
 
 
-def laplace_check(alpha, lam: float,
-                  cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
+def laplace_check(alpha, lam: float) -> float:
     """|int_0^inf e^{-lam t} f_a(t) dt - exp(-lam**a)|.
 
     Assembled from 64-point Gauss-Legendre rules over the series'
@@ -895,7 +892,7 @@ def laplace_check(alpha, lam: float,
     near x_s, which trips adaptive subdivision without improving the
     answer, and a decade of x^{-1-a} is resolved to rounding by 64 nodes.
 
-    Once per (alpha, cfg), and cached in one record (_lambda_free): the
+    Once per alpha, and cached in one record (_lambda_free): the
     bounds x_s and x_m, the left rule's nodes and F = 1 - S there and at
     both bounds, the full decades of the lambda = 0 ladder's middle
     piece with the density at their nodes, and the lambda = 0 value.  A
@@ -915,7 +912,7 @@ def laplace_check(alpha, lam: float,
         # cutoff 50/lam
         raise DomainError(f"lambda = {lam!r} is too small for laplace_check: "
                           "twice its cutoff 50/lambda overflows a double")
-    rec = _lambda_free(alpha, cfg)
+    rec = _lambda_free(alpha)
     if lam == 0.0:
         return rec.at_zero
     x_hi = max(50.0 / lam, 4.0 * rec.x_m, 10.0)
@@ -923,7 +920,7 @@ def laplace_check(alpha, lam: float,
     k = min(_full_decades(edges), rec.nodes.size // 64)
     ts, ws, fs = (np.concatenate(arrs) for arrs in zip(
         (rec.nodes[:64 * k], rec.weights[:64 * k], rec.f[:64 * k]),
-        _middle(alpha, cfg, edges[k:])))
+        _middle(alpha, edges[k:])))
     mid = float(np.dot(ws, np.exp(-lam * ts) * fs))
     # int_0^{x_m} e^{-lam t} f dt by parts: e^{-lam x_m} F(x_m)
     #   + lam * int_0^{x_m} e^{-lam t} F(t) dt  with F = 1 - S
@@ -933,5 +930,5 @@ def laplace_check(alpha, lam: float,
     # dropped curvature is bounded by lam * x_s * F(x_s)
     inner += 0.5 * rec.x_s * math.exp(-lam * rec.x_s) * rec.f_s
     left = math.exp(-lam * rec.x_m) * rec.f_m + lam * inner
-    tail = math.exp(-lam * x_hi) * survival_series(alpha, x_hi, cfg).value
+    tail = math.exp(-lam * x_hi) * survival_series(alpha, x_hi).value
     return abs(left + mid + tail - math.exp(-lam ** alpha.value))

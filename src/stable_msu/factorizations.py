@@ -294,7 +294,7 @@ def mellin_product(fl: FactorList) -> MellinProfile:
 # ---------------------------------------------------------------------------
 
 def _lemma1_quad(alpha: float, beta: float, c: float, shifts: tuple,
-                 x: float, rel_tol: float):
+                 x: float):
     """g_{a,b,c+shift}(x) of :func:`lemma1_g` and its error bar for each
     shift in shifts, one quadrature row each, as two float64 arrays."""
     if not beta > 0.0:
@@ -316,24 +316,23 @@ def _lemma1_quad(alpha: float, beta: float, c: float, shifts: tuple,
 
     args = (alpha, beta, c, shifts, x)
     res = de_halfline(specfun._guard("lemma1_g", args, integrand),
-                      rel_tol=rel_tol)
+                      rel_tol=1e-11)
     return specfun._scaled("lemma1_g", args, res, math.exp(-x))
 
 
-def lemma1_g(alpha: float, beta: float, c: float, shift: int, x: float,
-             rel_tol: float = 1e-11) -> specfun.SpecEval:
+def lemma1_g(alpha: float, beta: float, c: float, shift: int,
+             x: float) -> specfun.SpecEval:
     """g_{a,b,c+shift}(x) = e^{-x} int_0^inf e^{-x u} u^{b-1} (u+1)^{(c+shift)-(a+b)} du.
 
     At x = 0 the integral converges only when a > c + shift; for x > 0
     the exponential ensures convergence.  Raises :class:`DomainError`
     where the integrand or g overflows a double.
     """
-    value, error = _lemma1_quad(alpha, beta, c, (shift,), x, rel_tol)
+    value, error = _lemma1_quad(alpha, beta, c, (shift,), x)
     return specfun.SpecEval(value.item(), error.item(), "quadrature")
 
 
-def lemma1_inequality(alpha: float, beta: float, c: float, x: float,
-                      rel_tol: float = 1e-11) -> float:
+def lemma1_inequality(alpha: float, beta: float, c: float, x: float) -> float:
     """LHS - RHS of
 
     (x g_c(x) + (a+b-c) g_{c-1}(x)) (g_{c+1}(x) - g_c(x))
@@ -346,14 +345,14 @@ def lemma1_inequality(alpha: float, beta: float, c: float, x: float,
         raise HypothesisError("requires beta <= 1")
     if alpha + beta < c:
         raise HypothesisError("requires alpha + beta >= c")
-    g, _ = _lemma1_quad(alpha, beta, c, (0, -1, 1), x, rel_tol)
+    g, _ = _lemma1_quad(alpha, beta, c, (0, -1, 1), x)
     g0, gm, gp = g.tolist()
     lhs = (x * g0 + (alpha + beta - c) * gm) * (gp - g0)
     rhs = (beta - 1.0) * gm * gm
     return lhs - rhs
 
 
-def whitt_margin(x: float, rel_tol: float = 1e-10) -> float:
+def whitt_margin(x: float) -> float:
     """LHS - RHS of the inequality
     (x U4 - U1/6)(U7 - U4) >= -5 U4^2 / 6
     with U_l(x) = Psi(1/6, l/3, x); its failure for small x certifies
@@ -362,6 +361,6 @@ def whitt_margin(x: float, rel_tol: float = 1e-10) -> float:
     if not 0.0 < x < math.inf:  # NaN fails too
         raise DomainError("whitt_margin requires finite x > 0")
     u, _ = specfun._psi_quad(1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0), x,
-                             rel_tol)
+                             specfun.DEFAULT_REL_TOL)
     u1, u4, u7 = u.tolist()
     return (x * u4 - u1 / 6.0) * (u7 - u4) + 5.0 * u4 * u4 / 6.0

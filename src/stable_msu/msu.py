@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import specfun
-from .density import (Alpha, DEFAULT_SERIES_CONFIG, DensityJet, EvalResult,
-                      SeriesConfig, as_alpha, density_jet, density_jet_grid,
-                      density_series)
+from .density import (Alpha, DensityJet, EvalResult, as_alpha, density_jet,
+                      density_jet_grid, density_series)
 from .errors import DomainError, PoleError, UnreliableScanError
 from .util import cospi
 
@@ -69,14 +68,13 @@ def _points(r: EvalResult) -> list[EvalResult]:
         r.terms_used.tolist(), r.reliable.tolist())]
 
 
-def lce_residual(alpha, x: float,
-                 cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> EvalResult:
+def lce_residual(alpha, x: float) -> EvalResult:
     """g(x) = (x^2 f'' + x f') f - x^2 (f')^2; MSU at x iff g(x) <= 0.
 
     The scalar jet enters msu_scan's residual formula as one-element
     arrays; the scalar and grid jets are bit-identical, so the result
     repeats msu_scan's arithmetic exactly."""
-    jet = density_jet(alpha, x, cfg)
+    jet = density_jet(alpha, x)
     one = [EvalResult(np.array([r.value]), np.array([r.abs_error_estimate]),
                       np.array([r.terms_used]), np.array([r.reliable]))
            for r in (jet.f, jet.fp, jet.fpp)]
@@ -152,8 +150,7 @@ def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
     return 0.5 * (a + b)
 
 
-def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
-             cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> MsuReport:
+def msu_scan(alpha, x_lo: float, x_hi: float, points: int) -> MsuReport:
     """Scan g over a log-spaced grid and classify.
 
     A violation witness must exceed its own error estimate, so noise is
@@ -170,7 +167,7 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
         raise DomainError("need at least 16 grid points")
     grid = np.geomspace(x_lo, x_hi, points)
 
-    jets = density_jet_grid(alpha, grid, cfg)
+    jets = density_jet_grid(alpha, grid)
     res = _residual(grid, jets)
     f = jets.f.value
     ok = res.reliable & (f > 0.0)
@@ -204,7 +201,7 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
     i_mode = max(fvals, key=fvals.get)
     if 0 < i_mode < points - 1 and (i_mode - 1) in fvals and (i_mode + 1) in fvals:
         mode = _golden_max(
-            lambda x: density_series(alpha, x, cfg).value,
+            lambda x: density_series(alpha, x).value,
             grid[i_mode - 1], grid[i_mode + 1])
     else:
         mode = grid[i_mode]
@@ -224,7 +221,7 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int,
                     # midp is lo (f'' < 0) or hi (f'' >= 0 or nan), so
                     # the bracket would not move again
                     break
-                if density_jet(alpha, midp, cfg).fpp.value < 0.0:
+                if density_jet(alpha, midp).fpp.value < 0.0:
                     lo = midp
                 else:
                     hi = midp
@@ -331,8 +328,7 @@ def _bb_terms(a: float, x: float, expansion: BbExpansion) -> list[float]:
             for j in range(expansion.order + 1)]
 
 
-def bb_log_density(alpha, t: float, expansion: BbExpansion,
-                   rel_tol: float = 1e-9) -> EvalResult:
+def bb_log_density(alpha, t: float, expansion: BbExpansion) -> EvalResult:
     """Density of log Z_alpha at t via the alternative expansion;
     must equal f_alpha(e^t) e^t wherever reliable.
 
@@ -348,7 +344,7 @@ def bb_log_density(alpha, t: float, expansion: BbExpansion,
     envelope = math.exp(-a * t - x)
     value = envelope * p
     err = envelope * 2.0 * tail
-    reliable = tail <= rel_tol * abs(p)
+    reliable = tail <= 1e-9 * abs(p)
     return EvalResult(value, err, expansion.order + 1, reliable)
 
 
@@ -356,23 +352,9 @@ def bb_log_density(alpha, t: float, expansion: BbExpansion,
 # log-difference law
 # ---------------------------------------------------------------------------
 
-def ualpha_density(alpha, x):
-    """Density of the difference of two independent copies of log Z:
-    u(x) = sin(pi a) / (pi (e^{a x} + 2 cos(pi a) + e^{-a x})).
-
-    ``x`` may be a float or an array; the result has the same shape."""
-    a = as_alpha(alpha).value
-    ax = a * np.asarray(x, dtype=float)
-    far = np.abs(ax) > 700.0
-    ax = np.where(far, 0.0, ax)
-    denom = math.pi * (np.exp(ax) + 2.0 * cospi(a) + np.exp(-ax))
-    out = np.where(far, 0.0, math.sin(math.pi * a) / denom)
-    return out if out.ndim else float(out)
-
-
 def ualpha_logconcavity_margin(alpha, x):
     """Margin whose nonnegativity for all x is equivalent to
-    log-concavity of the log-difference density.
+    log-concavity of the log-difference density u(x) = sin(pi a) / (pi h(x)).
 
     With h(x) = e^{a x} + 2 cos(pi a) + e^{-a x} = 2(cosh(a x) + cos(pi a)),
     differentiating twice gives

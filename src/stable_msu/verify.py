@@ -22,7 +22,7 @@ import numpy as np
 from . import density as dens
 from . import factorizations as fact
 from . import msu as msu_mod
-from .density import Alpha, DEFAULT_SERIES_CONFIG, SeriesConfig, as_alpha
+from .density import Alpha, SeriesConfig, as_alpha
 from .errors import DomainError, PreconditionError
 
 KS_COEFF_1PCT = 1.628  # asymptotic 1 percent critical coefficient
@@ -180,7 +180,6 @@ class StableCdf:
     alpha: Alpha
     log_xs: np.ndarray
     values: np.ndarray
-    cfg: SeriesConfig
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -195,41 +194,43 @@ class StableCdf:
         x_hi = math.exp(self.log_xs[-1])
         big = x > x_hi
         if np.any(big):
-            out[big] = 1.0 - dens.survival_series_grid(self.alpha, x[big],
-                                                       self.cfg).value
+            out[big] = 1.0 - dens.survival_series_grid(self.alpha,
+                                                       x[big]).value
         return float(out[0]) if scalar else np.clip(out, 0.0, 1.0)
 
 
-def build_cdf(alpha, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG,
-              n_grid: int = 6000) -> StableCdf:
+# points of build_cdf's main log grid; its left segment has a tenth
+_CDF_POINTS = 6000
+
+
+def build_cdf(alpha) -> StableCdf:
     """CDF of Z_alpha by cumulative trapezoid quadrature on a log grid."""
     alpha = as_alpha(alpha)
-    x_lo = dens.reliable_x_min(alpha, cfg, survival=True)
-    x_switch = max(dens.reliable_x_min(alpha, cfg), x_lo)
+    x_lo = dens.reliable_x_min(alpha, survival=True)
+    x_switch = max(dens.reliable_x_min(alpha), x_lo)
     x_hi = max(10.0, 10.0 * x_switch)
-    while dens.survival_series(alpha, x_hi, cfg).value > 5e-6 and x_hi < 1e18:
+    while dens.survival_series(alpha, x_hi).value > 5e-6 and x_hi < 1e18:
         x_hi *= 10.0
 
-    n_left = max(64, n_grid // 10)
-    left = np.geomspace(x_lo, x_switch, n_left) if x_switch > x_lo * 1.0001 \
-        else np.array([x_lo])
-    main = np.geomspace(x_switch, x_hi, n_grid)
+    left = np.geomspace(x_lo, x_switch, _CDF_POINTS // 10) \
+        if x_switch > x_lo * 1.0001 else np.array([x_lo])
+    main = np.geomspace(x_switch, x_hi, _CDF_POINTS)
     # left segment: integrated series directly (density jets are not
     # relatively reliable there, the survival sum is)
-    f_left = 1.0 - dens.survival_series_grid(alpha, left[:-1], cfg).value
+    f_left = 1.0 - dens.survival_series_grid(alpha, left[:-1]).value
     # main segment: cumulative trapezoid of the density in log x,
     # anchored at the right end by the integrated tail
-    fs = dens.density_series_grid(alpha, main, cfg).value
+    fs = dens.density_series_grid(alpha, main).value
     y = fs * main  # d(log x) measure
     logs = np.log(main)
     cum = np.concatenate(
         ([0.0], np.cumsum(np.diff(logs) * (y[1:] + y[:-1]) / 2.0)))
-    anchor = 1.0 - dens.survival_series(alpha, float(x_hi), cfg).value
+    anchor = 1.0 - dens.survival_series(alpha, float(x_hi)).value
     f_main = anchor - (cum[-1] - cum)
     xs = np.concatenate([left[:-1], main])
     vals = np.concatenate([f_left, f_main])
     vals = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
-    return StableCdf(alpha, np.log(xs), vals, cfg)
+    return StableCdf(alpha, np.log(xs), vals)
 
 
 def ualpha_cdf(alpha):
@@ -252,13 +253,11 @@ def ualpha_cdf(alpha):
 # identity checks
 # ---------------------------------------------------------------------------
 
-def check_laplace(alpha, lambdas, threshold: float = 1e-5,
-                  cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> IdentityReport:
+def check_laplace(alpha, lambdas, threshold: float = 1e-5) -> IdentityReport:
     """Max Laplace-transform discrepancy over the given lambdas; an
     empty list is rejected, as it would pass with nothing checked."""
     alpha = as_alpha(alpha)
-    per = {str(lam): dens.laplace_check(alpha, float(lam), cfg)
-           for lam in lambdas}
+    per = {str(lam): dens.laplace_check(alpha, float(lam)) for lam in lambdas}
     if not per:
         raise PreconditionError("check_laplace needs at least one lambda")
     worst = max(per.values())
@@ -305,13 +304,12 @@ def check_factorization_mc(p: int, n: int, n_samples: int,
         passed=ks.passed, details={"ks": ks.to_dict(), "seed": seed})
 
 
-def check_sampler_ks(alpha, n_samples: int, seed: int,
-                     cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> IdentityReport:
+def check_sampler_ks(alpha, n_samples: int, seed: int) -> IdentityReport:
     """One-sample KS of exact-sampler draws against the quadrature CDF."""
     alpha = as_alpha(alpha)
     rng = np.random.default_rng(seed)
     z = fact.sample_stable(alpha, rng, n_samples)
-    ks = _ks_one(z, build_cdf(alpha, cfg))
+    ks = _ks_one(z, build_cdf(alpha))
     return IdentityReport(
         name=f"sampler-ks-alpha-{alpha.value:g}",
         discrepancy=ks.statistic, threshold=ks.critical_1pct,
@@ -629,6 +627,20 @@ CHECK_PARAMS: dict[str, frozenset[str]] = {
 }
 
 
+# the entry keys a check kind cannot run without; the rest have defaults
+_REQUIRED_PARAMS: dict[str, frozenset[str]] = {
+    "closed_form": frozenset({"alpha", "threshold"}),
+    "laplace": frozenset({"alpha", "threshold"}),
+    "half_alpha_residual": frozenset({"threshold"}),
+    "lemma2_mellin": frozenset({"threshold"}),
+    "lemma1_inequality": frozenset({"floor"}),
+    "bb_crosscheck": frozenset({"threshold"}),
+}
+
+# the entry keys that give one alpha ("alpha") or a list of them
+_ALPHA_KEYS = ("alpha", "alphas", "alphas_violation", "alphas_msu")
+
+
 # the case lists of each list-driven kind, in groups: an entry must
 # give at least one case in every group, or it would pass with nothing
 # checked.  An absent list counts as empty, except "xs", which has a
@@ -724,10 +736,11 @@ def run_acceptance(config) -> dict:
 
     Check failures are aggregated, never raised; malformed configs do
     raise, before any check runs: an unknown kind, a missing name, a
-    key that the check's kind does not read (see ``CHECK_PARAMS``), an
-    empty case list, which would pass with nothing checked, or a Monte
-    Carlo entry with a pair outside p >= 2, n > 2p, too few samples or a
-    repeated case, whose report would be lost.
+    key that the check's kind does not read (see ``CHECK_PARAMS``) or
+    needs and lacks, an alpha outside (0, 1), an empty case list, which
+    would pass with nothing checked, or a Monte Carlo entry with a pair
+    outside p >= 2, n > 2p, too few samples or a repeated case, whose
+    report would be lost.
     Identical configs and seeds produce identical summaries.
     """
     if isinstance(config, str) and config.lstrip().startswith("{"):
@@ -747,6 +760,15 @@ def run_acceptance(config) -> dict:
         if unknown:
             raise ValueError(f"check {entry['name']!r}: unknown keys "
                              f"{sorted(unknown)} for kind {kind!r}")
+        missing = _REQUIRED_PARAMS.get(kind, frozenset()) - set(entry)
+        if missing:
+            raise ValueError(f"check {entry['name']!r}: missing keys "
+                             f"{sorted(missing)} for kind {kind!r}")
+        for key in _ALPHA_KEYS:
+            if key in entry:
+                specs = [entry[key]] if key == "alpha" else entry[key]
+                for spec in specs:
+                    _parse_alpha(spec)
         for group in _CASE_LISTS.get(kind, ()):
             if not any(entry.get(key, _HALF_RESIDUAL_XS if key == "xs"
                                  else None) for key in group):

@@ -216,6 +216,15 @@ class TestUsageErrors:
         assert code == 2
         assert out == "" and reason in err
 
+    def test_acceptance_missing_required_key(self, capsys, tmp_path):
+        # the check used to raise KeyError, a traceback with exit code 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [
+            {"name": "a", "kind": "closed_form", "alpha": 0.5}]}))
+        code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and "threshold" in err
+
 
     @pytest.mark.parametrize("lambdas", ["nan", "inf", "0,1,nan", ""])
     def test_check_laplace_bad_lambdas(self, capsys, lambdas):

@@ -532,21 +532,21 @@ LAPLACE_ALPHAS = [Alpha(v) for v in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
 LAPLACE_LAMBDAS = (0.0, 1e-6, 1e-3, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
-def _laplace_reference(alpha, lam, cfg):
+def _laplace_reference(alpha, lam):
     """laplace_check assembled from the public pieces for this lambda
     alone: every survival value at x_s and x_m from the float loop, and
     fresh grid calls over the left rule and the whole middle piece."""
     a = alpha.value
-    x_m = density_mod.reliable_x_min(alpha, cfg)
-    x_s = min(density_mod.reliable_x_min(alpha, cfg, survival=True), x_m)
+    x_m = density_mod.reliable_x_min(alpha)
+    x_s = min(density_mod.reliable_x_min(alpha, survival=True), x_m)
 
     def surv(t):
-        return survival_series(alpha, t, cfg).value
+        return survival_series(alpha, t).value
 
     def mid_piece(x_hi):
         edges = density_mod._decade_edges(x_m, x_hi)
         ts, ws = density_mod._rule(edges[:-1], edges[1:])
-        fs = density_series_grid(alpha, ts, cfg).value
+        fs = density_series_grid(alpha, ts).value
         return float(np.dot(ws, np.exp(-lam * ts) * fs))
 
     if lam == 0.0:
@@ -558,7 +558,7 @@ def _laplace_reference(alpha, lam, cfg):
     inner = 0.0
     if x_s < x_m:
         ts, ws = density_mod._rule([x_s], [x_m])
-        s_nodes = survival_series_grid(alpha, ts, cfg).value
+        s_nodes = survival_series_grid(alpha, ts).value
         inner += float(np.dot(ws, np.exp(-lam * ts) * (1.0 - s_nodes)))
     inner += 0.5 * x_s * math.exp(-lam * x_s) * (1.0 - surv(x_s))
     left = math.exp(-lam * x_m) * (1.0 - surv(x_m)) + lam * inner
@@ -592,15 +592,14 @@ def _count_calls(monkeypatch, *names):
 
 
 class TestLaplaceLeftPiece:
-    @pytest.mark.parametrize("cfg", [SeriesConfig(),
-                                     SeriesConfig(cancellation_guard=1e6)],
-                             ids=["default", "guard-1e6"])
+    # the ids name the default series config, the only one laplace_check
+    # runs at
     @pytest.mark.parametrize("alpha", LAPLACE_ALPHAS,
-                             ids=lambda a: f"{a.value:.4g}")
-    def test_matches_reference_assembly(self, alpha, cfg):
+                             ids=lambda a: f"{a.value:.4g}-default")
+    def test_matches_reference_assembly(self, alpha):
         for lam in LAPLACE_LAMBDAS:
-            got = laplace_check(alpha, lam, cfg)
-            ref = _laplace_reference(alpha, lam, cfg)
+            got = laplace_check(alpha, lam)
+            ref = _laplace_reference(alpha, lam)
             assert got.hex() == ref.hex(), lam
 
     def test_empty_left_rule(self, monkeypatch, fresh_records):
@@ -608,35 +607,31 @@ class TestLaplaceLeftPiece:
         # that integral as laplace_check's empty rule does
         real = density_mod.reliable_x_min
         monkeypatch.setattr(density_mod, "reliable_x_min",
-                            lambda alpha, cfg, survival=False: real(alpha, cfg))
-        alpha, cfg = Alpha(0.6), SeriesConfig()
+                            lambda alpha, survival=False: real(alpha))
+        alpha = Alpha(0.6)
         for lam in LAPLACE_LAMBDAS:
-            assert (laplace_check(alpha, lam, cfg).hex()
-                    == _laplace_reference(alpha, lam, cfg).hex()), lam
-        rec = fresh_records(alpha, cfg)
+            assert (laplace_check(alpha, lam).hex()
+                    == _laplace_reference(alpha, lam).hex()), lam
+        rec = fresh_records(alpha)
         assert rec.x_s == rec.x_m and rec.left_nodes.size == 0
 
-    def test_one_left_grid_per_alpha_and_config(self, monkeypatch,
-                                                fresh_records):
+    def test_one_left_grid_per_alpha(self, monkeypatch, fresh_records):
         calls = []
         real = density_mod.survival_series_grid
 
-        def counting(alpha, xs, cfg):
-            calls.append((alpha, cfg))
-            return real(alpha, xs, cfg)
+        def counting(alpha, xs):
+            calls.append(alpha)
+            return real(alpha, xs)
 
         monkeypatch.setattr(density_mod, "survival_series_grid", counting)
-        cfgs = (SeriesConfig(), SeriesConfig(cancellation_guard=1e6))
-        for cfg in cfgs:
-            for a in (0.3, 0.7):
-                check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0], cfg=cfg)
-                check_laplace(a, [1.0], cfg=cfg)
-        assert calls == [(Alpha(a), cfg) for cfg in cfgs for a in (0.3, 0.7)]
-        assert fresh_records.cache_info().currsize == 4
-        default, guarded = (fresh_records(Alpha(0.3), cfg) for cfg in cfgs)
-        assert default.x_m != guarded.x_m
+        for a in (0.3, 0.7):
+            check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0])
+            check_laplace(a, [1.0])
+        assert calls == [Alpha(0.3), Alpha(0.7)]
+        assert fresh_records.cache_info().currsize == 2
+        rec = fresh_records(Alpha(0.3))
         for field in ("left_nodes", "left_weights", "left_f"):
-            arr = getattr(default, field)
+            arr = getattr(rec, field)
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -647,9 +642,9 @@ def _count_density_grid_points(monkeypatch):
     sizes = []
     real = density_mod.density_series_grid
 
-    def counting(alpha, xs, cfg):
+    def counting(alpha, xs):
         sizes.append(len(xs))
-        return real(alpha, xs, cfg)
+        return real(alpha, xs)
 
     monkeypatch.setattr(density_mod, "density_series_grid", counting)
     return sizes
@@ -664,7 +659,7 @@ class TestLaplaceDecades:
         # one grid call over the whole lambda = 0 ladder, its full
         # decades and its last piece, then one per lambda > 0 over its
         # last piece alone
-        stored = fresh_records(Alpha(a), SeriesConfig()).nodes.size
+        stored = fresh_records(Alpha(a)).nodes.size
         assert stored > 0
         assert sizes == [stored + 64] + [64] * 4
         sizes.clear()
@@ -677,41 +672,26 @@ class TestLaplaceDecades:
         # first decade; at alpha = 0.99 the ladder itself is clipped
         # (S(20) < 1e-3) and the record holds no decade
         real = density_mod.reliable_x_min
-        cfg = SeriesConfig()
         for a, x_m in ((0.9, 2.5), (0.99, 5.0)):
             monkeypatch.setattr(
                 density_mod, "reliable_x_min",
-                lambda alpha, cfg, survival=False, x_m=x_m:
-                    real(alpha, cfg, True) if survival else x_m)
+                lambda alpha, survival=False, x_m=x_m:
+                    real(alpha, True) if survival else x_m)
             alpha = Alpha(a)
             for lam in (8.0, 1.0, 1e-3, 0.1, 1e-6, 0.0):
                 # a lambda > 0 first, so that it builds the record
-                assert (laplace_check(alpha, lam, cfg).hex()
-                        == _laplace_reference(alpha, lam, cfg).hex()), lam
+                assert (laplace_check(alpha, lam).hex()
+                        == _laplace_reference(alpha, lam).hex()), lam
             # lambda = 8 clips the first decade
             edges = density_mod._decade_edges(
                 x_m, max(50.0 / 8.0, 4.0 * x_m, 10.0))
             assert len(edges) == 3 and edges[-1] < 10.0 * x_m
-            assert (fresh_records(alpha, cfg).nodes.size == 0) == (a == 0.99)
-
-    def test_configs_get_separate_entries(self, fresh_records):
-        # rel_tol leaves x_m, and so every decade's edges, as they are
-        alpha = Alpha(0.3)
-        cfgs = (SeriesConfig(), SeriesConfig(rel_tol=1e-13))
-        laplace_check(alpha, 1.0, cfgs[0])
-        assert fresh_records.cache_info().currsize == 1
-        laplace_check(alpha, 1.0, cfgs[1])
-        assert fresh_records.cache_info().currsize == 2
-        recs = [fresh_records(alpha, cfg) for cfg in cfgs]
-        assert recs[0].x_m == recs[1].x_m and recs[0] is not recs[1]
-        for cfg in cfgs:
-            assert (laplace_check(alpha, 1.0, cfg).hex()
-                    == _laplace_reference(alpha, 1.0, cfg).hex())
+            assert (fresh_records(alpha).nodes.size == 0) == (a == 0.99)
 
     def test_cached_arrays_read_only(self, fresh_records):
-        alpha, cfg = Alpha(0.5), SeriesConfig()
-        laplace_check(alpha, 0.5, cfg)
-        rec = fresh_records(alpha, cfg)
+        alpha = Alpha(0.5)
+        laplace_check(alpha, 0.5)
+        rec = fresh_records(alpha)
         assert rec.nodes.size == rec.weights.size == rec.f.size > 0
         assert rec.nodes.size % 64 == 0
         assert rec.left_nodes.size == rec.left_weights.size \
@@ -746,20 +726,20 @@ class TestLaplaceRecord:
     def test_one_grid_call_of_each_kind(self, monkeypatch, fresh_records):
         calls = _count_calls(monkeypatch, "density_series_grid",
                              "survival_series_grid")
-        fresh_records(Alpha(0.4), SeriesConfig())
+        fresh_records(Alpha(0.4))
         assert calls == ["survival_series_grid", "density_series_grid"]
 
     @pytest.mark.parametrize("first", [0.0, 1.0])
     def test_warm_zero_makes_no_series_call(self, monkeypatch, fresh_records,
                                             first):
         # whichever lambda builds the record, lambda = 0 then reads it
-        alpha, cfg = Alpha(0.4), SeriesConfig()
-        laplace_check(alpha, first, cfg)
+        alpha = Alpha(0.4)
+        laplace_check(alpha, first)
         calls = _count_calls(monkeypatch, "density_series_grid",
                              "survival_series", "survival_series_grid")
-        got = laplace_check(alpha, 0.0, cfg)
+        got = laplace_check(alpha, 0.0)
         assert calls == []
-        assert got.hex() == _laplace_reference(alpha, 0.0, cfg).hex()
+        assert got.hex() == _laplace_reference(alpha, 0.0).hex()
 
     def test_threads_match_serial(self, fresh_records):
         cases = [(Alpha(a), lam) for a in (0.3, 0.5, 0.7, 0.9)

@@ -3,7 +3,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
 
 from stable_msu import msu as msu_mod
 from stable_msu.density import (Alpha, SeriesConfig, density_jet,
@@ -11,7 +10,7 @@ from stable_msu.density import (Alpha, SeriesConfig, density_jet,
 from stable_msu.errors import DomainError, PoleError, UnreliableScanError
 from stable_msu.msu import (NO_VIOLATION, VIOLATION, _bb_terms,
                             bb_expansion, bb_log_density, lce_residual,
-                            msu_scan, tail_residual_sign, ualpha_density,
+                            msu_scan, tail_residual_sign,
                             ualpha_logconcavity_margin)
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
@@ -46,7 +45,7 @@ class TestLceResidual:
         # differences in t
         for a, x in ((0.4, 2.0), (0.6, 25.0)):
             cfg = SeriesConfig(rel_tol=1e-14)
-            r = lce_residual(a, x, cfg)
+            r = lce_residual(a, x)
             f = density_series(a, x, cfg).value
             h = 1e-3
             lf = lambda t: math.log(density_series(a, math.exp(t), cfg).value)
@@ -158,9 +157,9 @@ class TestMsuScan:
         # early stop must give the 60-step loop's result with fewer jets
         calls = []
 
-        def counting_jet(a, x, cfg=SeriesConfig()):
+        def counting_jet(a, x):
             calls.append(x)
-            return density_jet(a, x, cfg)
+            return density_jet(a, x)
 
         monkeypatch.setattr(msu_mod, "density_jet", counting_jet)
         rep = msu_scan(alpha, 0.5, 50.0, 400)
@@ -284,27 +283,14 @@ class TestUalpha:
     def test_margin_positive_below_half(self):
         assert ualpha_logconcavity_margin(0.3, 80.0) > 0.0
 
-    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
-    def test_density_normalized(self, a):
-        val, _ = integrate.quad(lambda x: ualpha_density(a, x), -np.inf, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_density_symmetric(self):
-        assert ualpha_density(0.4, 1.3) == pytest.approx(
-            ualpha_density(0.4, -1.3), rel=1e-14)
-
     @pytest.mark.parametrize("a,far_margin", [(0.3, math.inf), (0.5, 1.0),
                                               (0.8, -math.inf)])
     def test_array_input(self, a, far_margin):
-        # |a x| > 700 takes the limits: density 0, margin +-inf or 1
+        # |a x| > 700 takes the limits: margin +-inf or 1
         xs = np.array([-3000.0, -40.0, -1.0, 0.0, 2.5, 3000.0])
-        dens = ualpha_density(a, xs)
         margin = ualpha_logconcavity_margin(a, xs)
-        assert dens.shape == margin.shape == xs.shape
-        assert dens.tolist() == [ualpha_density(a, x) for x in xs.tolist()]
+        assert margin.shape == xs.shape
         assert margin.tolist() == [ualpha_logconcavity_margin(a, x)
                                    for x in xs.tolist()]
-        assert isinstance(ualpha_density(a, 1.0), float)
         assert isinstance(ualpha_logconcavity_margin(a, 1.0), float)
-        assert dens[0] == dens[-1] == 0.0
         assert margin[0] == margin[-1] == far_margin

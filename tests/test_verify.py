@@ -694,6 +694,48 @@ class TestRunAcceptance:
                 {"name": "mc", **entry}]})
         assert ran == []
 
+    @pytest.mark.parametrize("entry", [
+        {"kind": "closed_form", "alpha": 1.5, "threshold": 1e-8},
+        {"kind": "closed_form", "alpha": [1, 1], "threshold": 1e-8},
+        {"kind": "laplace", "alpha": 0.0, "lambdas": [1.0],
+         "threshold": 1e-5},
+        {"kind": "msu_dichotomy", "alphas_violation": [0.6, 1.2]},
+        {"kind": "msu_dichotomy", "alphas_msu": [-0.3]},
+        {"kind": "sampler_fidelity", "alphas": [1.0]},
+        {"kind": "diff_identity", "alphas": [1.5]},
+        {"kind": "bb_crosscheck", "alphas": [math.nan], "threshold": 1e-5},
+    ])
+    def test_bad_alpha_raises_before_any_check(self, monkeypatch, entry):
+        # it used to raise only when its check ran, after every check
+        # before it
+        ran = self._stub_checks(monkeypatch)
+        with pytest.raises(DomainError, match="alpha"):
+            run_acceptance({"checks": [
+                {"name": "t", "kind": "tail_sign", "alpha_step": 0.2},
+                {"name": "bad", **entry}]})
+        assert ran == []
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"kind": "closed_form", "threshold": 1e-8}, "alpha"),
+        ({"kind": "closed_form", "alpha": 0.5}, "threshold"),
+        ({"kind": "laplace", "lambdas": [1.0], "threshold": 1e-5}, "alpha"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": [1.0]}, "threshold"),
+        ({"kind": "half_alpha_residual"}, "threshold"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5]], "s_values": [1.0]},
+         "threshold"),
+        ({"kind": "lemma1_inequality", "triples": [[0.4, 0.6, 0.9]]},
+         "floor"),
+        ({"kind": "bb_crosscheck", "alphas": [0.3]}, "threshold"),
+    ])
+    def test_missing_required_key_raises_before_any_check(
+            self, monkeypatch, entry, key):
+        ran = self._stub_checks(monkeypatch)
+        with pytest.raises(ValueError, match=f"missing keys \\['{key}'\\]"):
+            run_acceptance({"checks": [
+                {"name": "t", "kind": "tail_sign", "alpha_step": 0.2},
+                {"name": "bad", **entry}]})
+        assert ran == []
+
     def test_smallest_monte_carlo_entries_validate(self, monkeypatch):
         ran = self._stub_checks(monkeypatch)
         run_acceptance({"checks": [
