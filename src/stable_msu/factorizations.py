@@ -25,7 +25,7 @@ import numpy as np
 from . import specfun
 from .density import as_alpha
 from .errors import DomainError, HypothesisError, PreconditionError
-from .quadrature import de_halfline
+from .quadrature import _half_table, de_halfline
 
 _BETA = "beta"
 _GAMMA = "gamma"
@@ -296,7 +296,7 @@ def mellin_product(fl: FactorList) -> MellinProfile:
 def _lemma1_quad(alpha: float, beta: float, c: float, shifts: tuple,
                  x: float):
     """g_{a,b,c+shift}(x) of :func:`lemma1_g` and its error bar for each
-    shift in shifts, one quadrature row each, as two float64 arrays."""
+    shift in shifts, one quadrature row each, as two lists of floats."""
     if not beta > 0.0:
         raise DomainError("lemma1_g requires beta > 0")
     if math.isnan(alpha) or math.isnan(c):
@@ -311,7 +311,8 @@ def _lemma1_quad(alpha: float, beta: float, c: float, shifts: tuple,
     expo = np.array([[(c + shift) - (alpha + beta)] for shift in shifts])
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        e = -x * u + bm1 * np.log(u) + expo * np.log1p(u)
+        _, nodes = _half_table(u)
+        e = -x * u + bm1 * nodes.half_log + expo * nodes.half_log1p
         return np.where(e < -745.0, 0.0, np.exp(e))
 
     args = (alpha, beta, c, shifts, x)
@@ -328,8 +329,8 @@ def lemma1_g(alpha: float, beta: float, c: float, shift: int,
     the exponential ensures convergence.  Raises :class:`DomainError`
     where the integrand or g overflows a double.
     """
-    value, error = _lemma1_quad(alpha, beta, c, (shift,), x)
-    return specfun.SpecEval(value.item(), error.item(), "quadrature")
+    (value,), (error,) = _lemma1_quad(alpha, beta, c, (shift,), x)
+    return specfun.SpecEval(value, error, "quadrature")
 
 
 def lemma1_inequality(alpha: float, beta: float, c: float, x: float) -> float:
@@ -345,8 +346,7 @@ def lemma1_inequality(alpha: float, beta: float, c: float, x: float) -> float:
         raise HypothesisError("requires beta <= 1")
     if alpha + beta < c:
         raise HypothesisError("requires alpha + beta >= c")
-    g, _ = _lemma1_quad(alpha, beta, c, (0, -1, 1), x)
-    g0, gm, gp = g.tolist()
+    (g0, gm, gp), _ = _lemma1_quad(alpha, beta, c, (0, -1, 1), x)
     lhs = (x * g0 + (alpha + beta - c) * gm) * (gp - g0)
     rhs = (beta - 1.0) * gm * gm
     return lhs - rhs
@@ -360,7 +360,6 @@ def whitt_margin(x: float) -> float:
     U7 >= U4 >= U1 makes it hold."""
     if not 0.0 < x < math.inf:  # NaN fails too
         raise DomainError("whitt_margin requires finite x > 0")
-    u, _ = specfun._psi_quad(1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0), x,
-                             specfun.DEFAULT_REL_TOL)
-    u1, u4, u7 = u.tolist()
+    (u1, u4, u7), _ = specfun._psi_quad(
+        1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0), x, specfun.DEFAULT_REL_TOL)
     return (x * u4 - u1 / 6.0) * (u7 - u4) + 5.0 * u4 * u4 / 6.0

@@ -29,12 +29,19 @@ a ``(k, n)`` array, for k sibling integrals over the same nodes (rows).
 Each row stops at its own level; the result then holds float64 arrays
 of length k for ``value`` and ``error``, and ``levels`` is the deepest
 level any row took.  Rows that have stopped are still evaluated, and
-ignored, while others refine.
+ignored, while others refine.  Each level's sums for all rows come from
+one reduce along the rows' axis, which gives each row the bits of a
+reduce over that row alone.
 
 ``f`` is called under ``np.errstate(all="ignore")``; a weighted value
 that is not finite counts as 0 (in its own row), and so does every node
 where ``f`` is 0.  The node tables of a level, and those of the head,
-are built on first use, cached and read-only.
+are built on first use, cached and read-only.  Besides the nodes and
+weights of both maps, they hold log x, log1p x and cosh x at the
+exp-sinh nodes x, so that an integrand of :func:`de_halfline` can read
+them instead of computing them on every call: ``_half_table(x)`` gives
+the table of the array that ``f`` is handed, and the levels it holds,
+which name it in caches of other functions of x.
 """
 
 from __future__ import annotations
@@ -79,6 +86,11 @@ class _Nodes(NamedTuple):
     # exp-sinh: x = exp(pi/2 sinh t), weight dx/dt = x pi/2 cosh t
     half_x: np.ndarray
     half_w: np.ndarray
+    # log x, log1p x and cosh x at those nodes, read by integrands that
+    # would otherwise recompute them on every call (see _half_table)
+    half_log: np.ndarray
+    half_log1p: np.ndarray
+    half_cosh: np.ndarray
     # tanh-sinh on [-1, 1], nodes with |u| <= _U_CAP only (u = pi/2 sinh t):
     # distance 1 - |tanh u| = 2 / (1 + e^{2|u|}) from the endpoint on
     # the side of u, and weight pi/2 cosh t sech^2 u
@@ -108,10 +120,31 @@ def _level_t(level: int) -> np.ndarray:
     return k * h
 
 
-def _read_only(nodes: _Nodes) -> _Nodes:
+# Every node table built, by the id of its half_x: the levels (first,
+# last) it holds and the table.  The entries keep the tables alive, so
+# no id is reused; there is one per table of _nodes and _head.
+_HALF_TABLES: dict[int, tuple[tuple[int, int], _Nodes]] = {}
+
+
+def _register(levels: tuple[int, int], nodes: _Nodes) -> _Nodes:
+    """nodes, made read-only and registered as the table of levels."""
     for a in nodes:
         a.flags.writeable = False
+    _HALF_TABLES[id(nodes.half_x)] = (levels, nodes)
     return nodes
+
+
+def _half_table(x: np.ndarray) -> tuple[tuple[int, int], _Nodes]:
+    """The levels (first, last) and the node table of x, an array of
+    exp-sinh nodes that de_halfline handed its integrand; the levels
+    name the table in a cache of other functions of x."""
+    return _HALF_TABLES[id(x)]
+
+
+def _levels_table(levels: tuple[int, int]) -> _Nodes:
+    """The node table that _half_table names by levels."""
+    first, last = levels
+    return _nodes(last) if first == last else _head(last).nodes
 
 
 @lru_cache(maxsize=None)
@@ -120,12 +153,16 @@ def _nodes(level: int) -> _Nodes:
     u = _HALF_PI * np.sinh(t)
     half_x = np.exp(u)
     half_w = half_x * (_HALF_PI * np.cosh(t))
+    with np.errstate(over="ignore"):
+        half_cosh = np.cosh(half_x)  # inf past x ~ 710
     keep = np.abs(u) <= _U_CAP
     tk, uk = t[keep], u[keep]
     au = np.abs(uk)
     fin_d = 2.0 / (1.0 + np.exp(2.0 * au))
     fin_w = _HALF_PI * np.cosh(tk) / np.cosh(uk) ** 2
-    return _read_only(_Nodes(t, half_x, half_w, uk >= 0.0, fin_d, fin_w))
+    return _register((level, level), _Nodes(
+        t, half_x, half_w, np.log(half_x), np.log1p(half_x), half_cosh,
+        uk >= 0.0, fin_d, fin_w))
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +170,7 @@ def _head(top: int) -> _Run:
     """The nodes of levels 0..top as one run."""
     levels = [_nodes(level) for level in range(top + 1)]
     nodes = _Nodes(*(np.concatenate(field) for field in zip(*levels)))
-    return _Run(_read_only(nodes),
+    return _Run(_register((0, top), nodes),
                 tuple(itertools.accumulate(n.t.size for n in levels)),
                 tuple(itertools.accumulate(n.fin_d.size for n in levels)))
 
@@ -147,13 +184,16 @@ def _runs(max_level: int) -> Iterator[_Run]:
         yield _Run(nodes, (nodes.t.size,), (nodes.fin_d.size,))
 
 
-def _level_sum(values: np.ndarray) -> float:
-    """Sum of the finite values (the sum of all of them, unless that is
-    not finite)."""
-    total = float(np.add.reduce(values))
-    if math.isfinite(total):
-        return total
-    return float(np.add.reduce(np.where(np.isfinite(values), values, 0.0)))
+def _level_sums(block: np.ndarray) -> list[float]:
+    """Each row's sum of its finite values (the sum of all of them,
+    unless that is not finite).  One reduce covers every row, and gives
+    each row the bits of a reduce over that row alone."""
+    sums = np.add.reduce(block, axis=1).tolist()
+    for i, total in enumerate(sums):
+        if not math.isfinite(total):
+            finite = np.where(np.isfinite(block[i]), block[i], 0.0)
+            sums[i] = float(np.add.reduce(finite))
+    return sums
 
 
 RunTerms = Callable[[_Run], tuple[np.ndarray, Sequence[int]]]
@@ -191,14 +231,15 @@ def _refine(run_terms: RunTerms, rel_tol: float, max_level: int) -> QuadResult:
         head, ends = run_terms(next(runs))
         one = head.ndim == 1
         blocks = _level_blocks(head, ends, run_terms, runs)
-        totals = [_level_sum(row) for row in next(blocks)]
+        totals = _level_sums(next(blocks))
         values = list(totals)
         errors = [math.inf] * len(totals)
         levels = [0] * len(totals)
         running = range(len(totals))
         for level, block in enumerate(blocks, 1):
+            sums = _level_sums(block)
             for i in running:
-                totals[i] += _level_sum(block[i])
+                totals[i] += sums[i]
                 new = totals[i] * 0.5 ** level
                 errors[i] = (abs(new - values[i]) if math.isfinite(new)
                              else math.inf)

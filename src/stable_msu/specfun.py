@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .quadrature import Integrand, QuadResult, de_halfline
+from .quadrature import (Integrand, QuadResult, _half_table, _levels_table,
+                         de_halfline)
 from .util import log_cosh, sinpi
 
 DEFAULT_REL_TOL = 1e-10
@@ -81,14 +83,30 @@ def _guard(name: str, args: tuple, integrand: Integrand) -> Integrand:
 
 
 def _scaled(name: str, args: tuple, res: QuadResult, scale: float):
-    """(scale * value, scale * error) of res, raising DomainError naming
-    the kernel call ``name(*args)`` unless all of them are finite."""
-    value = scale * res.value
-    error = scale * res.error
-    if not (np.isfinite(value).all() and np.isfinite(error).all()):
+    """(scale * value, scale * error) of res, as floats for one integral
+    and as lists of floats for rows, raising DomainError naming the
+    kernel call ``name(*args)`` unless all of them are finite."""
+    if isinstance(res.value, float):
+        value, error = scale * res.value, scale * res.error
+        finite = math.isfinite(value) and math.isfinite(error)
+    else:
+        value = [scale * v for v in res.value.tolist()]
+        error = [scale * e for e in res.error.tolist()]
+        finite = all(map(math.isfinite, value + error))
+    if not finite:
         raise DomainError(f"{name}{args} overflows a double: its "
                           "quadrature value is not finite")
     return value, error
+
+
+@lru_cache(maxsize=16)
+def _log_cosh_nodes(nu: float, levels: tuple[int, int]) -> np.ndarray:
+    """log cosh(nu x) at the exp-sinh nodes x of the given levels (see
+    quadrature._half_table), read-only.  Every caller in the package
+    passes nu = 1/3, whose tables up to level 10 take six entries."""
+    out = log_cosh(nu * _levels_table(levels).half_x)
+    out.flags.writeable = False
+    return out
 
 
 def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
@@ -105,7 +123,8 @@ def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
         raise DomainError("bessel_k requires nu >= 0")
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        e = x * np.cosh(t) - log_cosh(nu * t)
+        levels, nodes = _half_table(t)
+        e = x * nodes.half_cosh - _log_cosh_nodes(nu, levels)
         return np.where((t > 700.0) | (e > 745.0), 0.0, np.exp(-e))
 
     args = (nu, x)
@@ -115,7 +134,7 @@ def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
 
 def _psi_quad(a: float, cs: tuple, x: float, rel_tol: float):
     """Psi(a, c, x) and its error bar for each c in cs, one quadrature
-    row each, as two float64 arrays."""
+    row each, as two lists of floats."""
     if not a > 0.0:
         raise DomainError("psi_chf requires a > 0")
     if not x > 0.0:
@@ -126,7 +145,8 @@ def _psi_quad(a: float, cs: tuple, x: float, rel_tol: float):
     cam1 = np.array([[c - a - 1.0] for c in cs])
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        e = -x * s + am1 * np.log(s) + cam1 * np.log1p(s)
+        _, nodes = _half_table(s)
+        e = -x * s + am1 * nodes.half_log + cam1 * nodes.half_log1p
         return np.where(e > 709.0, math.inf,
                         np.where(e < -745.0, 0.0, np.exp(e)))
 
@@ -146,8 +166,8 @@ def psi_chf(a: float, c: float, x: float,
     integrand (taken as overflowing past e^709) or Psi overflows a
     double.
     """
-    value, error = _psi_quad(a, (c,), x, rel_tol)
-    return SpecEval(value.item(), error.item(), "quadrature")
+    (value,), (error,) = _psi_quad(a, (c,), x, rel_tol)
+    return SpecEval(value, error, "quadrature")
 
 
 def whittaker_w_stable(x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:

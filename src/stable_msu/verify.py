@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -341,10 +342,26 @@ def check_mellin_factorization(p: int, n: int, s_values,
 # acceptance checks (one function per criterion kind)
 # ---------------------------------------------------------------------------
 
-def _parse_alpha(spec) -> Alpha:
-    if isinstance(spec, (list, tuple)):
-        return Alpha.from_fraction(int(spec[0]), int(spec[1]))
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _alpha_number(spec) -> Alpha:
+    """An alpha given as a number."""
+    if isinstance(spec, bool) or not isinstance(spec, numbers.Real):
+        raise DomainError(f"alpha must be a number, got {spec!r}")
     return as_alpha(float(spec))
+
+
+def _parse_alpha(spec) -> Alpha:
+    """An alpha given as a number or as a fraction [p, n] of two
+    integers with n > 0."""
+    if not isinstance(spec, (list, tuple)):
+        return _alpha_number(spec)
+    if not (len(spec) == 2 and all(map(_is_integer, spec)) and spec[1] > 0):
+        raise DomainError("an alpha fraction must be two integers [p, n] "
+                          f"with n > 0, got {spec!r}")
+    return Alpha.from_fraction(int(spec[0]), int(spec[1]))
 
 
 def _check_closed_form(params: dict) -> IdentityReport:
@@ -637,8 +654,10 @@ _REQUIRED_PARAMS: dict[str, frozenset[str]] = {
     "bb_crosscheck": frozenset({"threshold"}),
 }
 
-# the entry keys that give one alpha ("alpha") or a list of them
-_ALPHA_KEYS = ("alpha", "alphas", "alphas_violation", "alphas_msu")
+# the entry keys that list alphas (numbers, not fractions), and all the
+# entry keys whose value is a list
+_ALPHA_LISTS = ("alphas", "alphas_violation", "alphas_msu")
+_LIST_KEYS = ("lambdas", "xs", "s_values", "pairs", "triples") + _ALPHA_LISTS
 
 
 # the case lists of each list-driven kind, in groups: an entry must
@@ -664,6 +683,30 @@ _MC_KINDS: dict[str, tuple[Callable[[dict], list], int]] = {
 }
 
 
+def _validate_specs(entry: dict) -> None:
+    """Reject an entry whose list keys are not lists, or whose alphas or
+    pairs are not given as their checks read them."""
+    name = entry["name"]
+    for key in _LIST_KEYS:
+        if not isinstance(entry.get(key, []), (list, tuple)):
+            raise ValueError(f"check {name!r}: {key} must be a list, got "
+                             f"{entry[key]!r}")
+    if "alpha" in entry:
+        _parse_alpha(entry["alpha"])
+    for key in _ALPHA_LISTS:
+        for spec in entry.get(key, []):
+            _alpha_number(spec)
+    for pair in entry.get("pairs", []):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(map(_is_integer, pair))):
+            raise ValueError(f"check {name!r}: a pair must be two integers "
+                             f"[p, n], got {pair!r}")
+        p, n = pair
+        if not (p >= 2 and n > 2 * p):
+            raise ValueError(f"check {name!r}: pair [{p}, {n}] needs "
+                             "p >= 2 and n > 2p")
+
+
 def _validate_mc(entry: dict) -> None:
     """Reject a Monte Carlo entry whose cases could not all run, or whose
     cases share a details key, so that one report would be lost."""
@@ -672,10 +715,6 @@ def _validate_mc(entry: dict) -> None:
     if int(entry.get("n_samples", 1_000_000)) < least:
         raise ValueError(f"check {name!r}: n_samples must be at least "
                          f"{least}")
-    for p, n in entry.get("pairs", []):
-        if not (int(p) >= 2 and int(n) > 2 * int(p)):
-            raise ValueError(f"check {name!r}: pair [{p}, {n}] needs "
-                             "p >= 2 and n > 2p")
     keys = [case[0] for case in cases(entry)]
     repeated = sorted({key for key in keys if keys.count(key) > 1})
     if repeated:
@@ -737,10 +776,12 @@ def run_acceptance(config) -> dict:
     Check failures are aggregated, never raised; malformed configs do
     raise, before any check runs: an unknown kind, a missing name, a
     key that the check's kind does not read (see ``CHECK_PARAMS``) or
-    needs and lacks, an alpha outside (0, 1), an empty case list, which
-    would pass with nothing checked, or a Monte Carlo entry with a pair
-    outside p >= 2, n > 2p, too few samples or a repeated case, whose
-    report would be lost.
+    needs and lacks, a list key that is not a list, an alpha that is
+    not a number (or, for "alpha", a fraction [p, n] of two integers
+    with n > 0) in (0, 1), a pair that is not two integers [p, n] with
+    p >= 2 and n > 2p, an empty case list, which would pass with nothing
+    checked, or a Monte Carlo entry with too few samples or a repeated
+    case, whose report would be lost.
     Identical configs and seeds produce identical summaries.
     """
     if isinstance(config, str) and config.lstrip().startswith("{"):
@@ -764,11 +805,7 @@ def run_acceptance(config) -> dict:
         if missing:
             raise ValueError(f"check {entry['name']!r}: missing keys "
                              f"{sorted(missing)} for kind {kind!r}")
-        for key in _ALPHA_KEYS:
-            if key in entry:
-                specs = [entry[key]] if key == "alpha" else entry[key]
-                for spec in specs:
-                    _parse_alpha(spec)
+        _validate_specs(entry)
         for group in _CASE_LISTS.get(kind, ()):
             if not any(entry.get(key, _HALF_RESIDUAL_XS if key == "xs"
                                  else None) for key in group):

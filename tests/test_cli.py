@@ -216,6 +216,28 @@ class TestUsageErrors:
         assert code == 2
         assert out == "" and reason in err
 
+    @pytest.mark.parametrize("entry,reason", [
+        ({"kind": "closed_form", "alpha": [1, 0], "threshold": 1e-8},
+         "two integers"),
+        ({"kind": "diff_identity", "alphas": 0.5}, "must be a list"),
+        ({"kind": "closed_form", "alpha": [1, 2, 3], "threshold": 1e-8},
+         "two integers"),
+        ({"kind": "closed_form", "alpha": [1.5, 3], "threshold": 1e-8},
+         "two integers"),
+        ({"kind": "lemma2_mellin", "pairs": [[2.7, 5]], "s_values": [1.0],
+          "threshold": 1e-10}, "two integers"),
+    ], ids=["zero-denominator", "alphas-not-a-list", "three-integers",
+            "float-numerator", "float-pair"])
+    def test_acceptance_malformed_spec(self, capsys, tmp_path, entry,
+                                       reason):
+        # the first two ended in a traceback with exit code 1; the others
+        # were truncated to another alpha or pair and passed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [{"name": "bad", **entry}]}))
+        code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error:") and reason in err
+
     def test_acceptance_missing_required_key(self, capsys, tmp_path):
         # the check used to raise KeyError, a traceback with exit code 1
         cfg = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ from scipy import special
 from stable_msu import factorizations, specfun
 from stable_msu import quadrature as quad
 from stable_msu.quadrature import de_halfline, tanh_sinh
+from stable_msu.util import log_cosh
 
 
 def test_finite_smooth():
@@ -126,6 +127,197 @@ class TestNodeTables:
         top = min(quad._HEAD, max_level)
         assert sizes == [quad._head(top).nodes.t.size] + [
             quad._nodes(j).t.size for j in range(top + 1, max_level + 1)]
+
+
+class TestNodeTransforms:
+    """The exp-sinh fields that integrands read in place of computing
+    log x, log1p x and cosh x at the nodes."""
+
+    FRESH = {"half_log": np.log, "half_log1p": np.log1p,
+             "half_cosh": np.cosh}
+
+    def _check(self, nodes):
+        with np.errstate(over="ignore"):
+            for field, fn in self.FRESH.items():
+                stored = getattr(nodes, field)
+                assert not stored.flags.writeable, field
+                np.testing.assert_array_equal(
+                    stored.view(np.int64), fn(nodes.half_x).view(np.int64))
+
+    @pytest.mark.parametrize("level", range(0, 11))
+    def test_level_fields_equal_fresh_transforms(self, level):
+        self._check(quad._nodes(level))
+
+    @pytest.mark.parametrize("top", range(0, quad._HEAD + 1))
+    def test_head_fields_equal_fresh_transforms(self, top):
+        self._check(quad._head(top).nodes)
+
+    def test_each_table_is_registered_under_its_levels(self):
+        de_halfline(lambda x: np.cos(1e3 * x), max_level=8)
+        for level in range(9):
+            nodes = quad._nodes(level)
+            assert quad._half_table(nodes.half_x) == ((level, level), nodes)
+            assert quad._levels_table((level, level)) is nodes
+        head = quad._head(quad._HEAD).nodes
+        assert quad._half_table(head.half_x) == ((0, quad._HEAD), head)
+        assert quad._levels_table((0, quad._HEAD)) is head
+        # one entry per table built, so the registry is as bounded as
+        # the tables
+        assert len(quad._HALF_TABLES) == (quad._nodes.cache_info().currsize
+                                          + quad._head.cache_info().currsize)
+
+    def test_integrands_are_handed_registered_tables(self):
+        seen = []
+        de_halfline(lambda x: seen.append(quad._half_table(x)[0])
+                    or np.cos(1e3 * x), max_level=7)
+        assert seen == [(0, quad._HEAD), (6, 6), (7, 7)]
+
+    def test_nu_cache_stays_empty_on_import(self):
+        code = ("import stable_msu\n"
+                "from stable_msu import quadrature, specfun\n"
+                "info = specfun._log_cosh_nodes.cache_info()\n"
+                "print(info.currsize, info.maxsize,\n"
+                "      len(quadrature._HALF_TABLES))\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["0", "16", "0"]
+
+    def test_nu_cache_is_bounded_and_read_only(self):
+        for nu in np.linspace(0.0, 3.0, 20).tolist():
+            specfun.bessel_k(nu, 1.0)
+        info = specfun._log_cosh_nodes.cache_info()
+        assert info.currsize == info.maxsize == 16
+        table = specfun._log_cosh_nodes(1.0 / 3.0, (0, quad._HEAD))
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(
+            table.view(np.int64),
+            log_cosh((1.0 / 3.0) * quad._head(quad._HEAD).nodes.half_x)
+            .view(np.int64))
+
+
+# The kernels' integrands before they read the node tables, kept as the
+# reference the kernels must match bit for bit.
+
+def _reference_bessel_k(nu, x):
+    def integrand(t):
+        e = x * np.cosh(t) - log_cosh(nu * t)
+        return np.where((t > 700.0) | (e > 745.0), 0.0, np.exp(-e))
+    return integrand
+
+
+def _reference_psi(a, cs, x):
+    am1 = a - 1.0
+    cam1 = np.array([[c - a - 1.0] for c in cs])
+
+    def integrand(s):
+        e = -x * s + am1 * np.log(s) + cam1 * np.log1p(s)
+        return np.where(e > 709.0, math.inf,
+                        np.where(e < -745.0, 0.0, np.exp(e)))
+    return integrand
+
+
+def _reference_lemma1(alpha, beta, c, shifts, x):
+    bm1 = beta - 1.0
+    expo = np.array([[(c + shift) - (alpha + beta)] for shift in shifts])
+
+    def integrand(u):
+        e = -x * u + bm1 * np.log(u) + expo * np.log1p(u)
+        return np.where(e < -745.0, 0.0, np.exp(e))
+    return integrand
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=np.float64)).view(np.int64)
+
+
+class TestKernelsMatchReference:
+    XS = np.geomspace(1e-3, 300.0, 25).tolist()
+    TRIPLES = [(0.4, 0.6, 0.9), (0.3, 0.5, 0.7), (0.5, 1.0, 1.2),
+               (0.7, 0.8, 1.5), (0.2, 0.9, 1.0)]
+
+    def _run(self, monkeypatch, module, call):
+        """call()'s result and the one QuadResult of its de_halfline."""
+        seen = []
+
+        def recording(f, **kw):
+            seen.append(de_halfline(f, **kw))
+            return seen[-1]
+
+        monkeypatch.setattr(module, "de_halfline", recording)
+        out = call()
+        assert len(seen) == 1
+        return out, seen[0]
+
+    def _assert_same(self, res, ref):
+        np.testing.assert_array_equal(_bits(res.value), _bits(ref.value))
+        np.testing.assert_array_equal(_bits(res.error), _bits(ref.error))
+        assert res.levels == ref.levels
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 2.5])
+    def test_bessel_k(self, monkeypatch, nu):
+        for x in self.XS:
+            out, res = self._run(monkeypatch, specfun,
+                                 lambda: specfun.bessel_k(nu, x))
+            ref = de_halfline(_reference_bessel_k(nu, x), rel_tol=1e-10)
+            self._assert_same(res, ref)
+            assert _bits([out.value, out.abs_error_estimate]).tolist() == (
+                _bits([ref.value, ref.error]).tolist())
+
+    @pytest.mark.parametrize("a,c", [(1.0 / 6.0, 1.0 / 3.0),
+                                     (1.0 / 6.0, 4.0 / 3.0),
+                                     (1.0 / 6.0, 7.0 / 3.0), (2.0, 0.5)])
+    def test_psi_chf(self, monkeypatch, a, c):
+        scale = 1.0 / math.gamma(a)
+        for x in self.XS:
+            out, res = self._run(monkeypatch, specfun,
+                                 lambda: specfun.psi_chf(a, c, x))
+            ref = de_halfline(_reference_psi(a, (c,), x), rel_tol=1e-10)
+            self._assert_same(res, ref)
+            assert _bits([out.value, out.abs_error_estimate]).tolist() == (
+                _bits([(scale * ref.value).item(),
+                       (scale * ref.error).item()]).tolist())
+
+    def test_whitt_margin(self, monkeypatch):
+        cs = (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0)
+        scale = 1.0 / math.gamma(1.0 / 6.0)
+        for x in self.XS:
+            out, res = self._run(monkeypatch, specfun,
+                                 lambda: factorizations.whitt_margin(x))
+            ref = de_halfline(_reference_psi(1.0 / 6.0, cs, x),
+                              rel_tol=1e-10)
+            self._assert_same(res, ref)
+            u1, u4, u7 = (scale * ref.value).tolist()
+            margin = (x * u4 - u1 / 6.0) * (u7 - u4) + 5.0 * u4 * u4 / 6.0
+            assert _bits(out) == _bits(margin)
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_lemma1_g(self, monkeypatch, triple):
+        for shift in (-1, 0, 1):
+            for x in self.XS:
+                out, res = self._run(
+                    monkeypatch, factorizations,
+                    lambda: factorizations.lemma1_g(*triple, shift, x))
+                ref = de_halfline(_reference_lemma1(*triple, (shift,), x),
+                                  rel_tol=1e-11)
+                self._assert_same(res, ref)
+                scale = math.exp(-x)
+                assert _bits([out.value, out.abs_error_estimate]).tolist() == (
+                    _bits([(scale * ref.value).item(),
+                           (scale * ref.error).item()]).tolist())
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_lemma1_inequality(self, monkeypatch, triple):
+        alpha, beta, c = triple
+        for x in self.XS:
+            out, res = self._run(
+                monkeypatch, factorizations,
+                lambda: factorizations.lemma1_inequality(*triple, x))
+            ref = de_halfline(_reference_lemma1(*triple, (0, -1, 1), x),
+                              rel_tol=1e-11)
+            self._assert_same(res, ref)
+            g0, gm, gp = (math.exp(-x) * ref.value).tolist()
+            lhs = (x * g0 + (alpha + beta - c) * gm) * (gp - g0)
+            assert _bits(out) == _bits(lhs - (beta - 1.0) * gm * gm)
 
 
 class TestNonFiniteTerms:
@@ -341,3 +533,26 @@ def test_level_sum_of_a_slice_is_position_free():
                 "depending on their offset in memory; the batched head "
                 "of stable_msu.quadrature cannot reproduce the level sums "
                 "of separate calls on this platform")
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_one_reduce_over_rows_gives_each_row_its_bits(rows):
+    # _refine sums a level's slice of every row in one reduce along
+    # axis 1; the rows match separate calls only if each row's sum
+    # equals a 1-D reduce over that row's slice alone.  Level lengths
+    # are the head's (levels 0..5), then those of levels 6..10.
+    sizes = [13, 14, 28, 54, 108, 218] + [
+        quad._nodes(level).t.size for level in range(6, 11)]
+    ends = np.cumsum(sizes).tolist()
+    a = np.random.default_rng(rows).standard_normal((rows, ends[-1])) * (
+        np.geomspace(1e-30, 1e30, ends[-1]))
+    start = 0
+    for end in ends:
+        sums = np.add.reduce(a[:, start:end], axis=1)
+        for i in range(rows):
+            assert (sums[i].view(np.int64)
+                    == np.add.reduce(a[i, start:end]).view(np.int64)), (
+                "np.add.reduce along axis 1 gives a row other bits than a "
+                "reduce over that row alone; stable_msu.quadrature's "
+                "level sums cannot match separate calls on this platform")
+        start = end

@@ -715,6 +715,43 @@ class TestRunAcceptance:
                 {"name": "bad", **entry}]})
         assert ran == []
 
+    @pytest.mark.parametrize("entry,error,match", [
+        ({"kind": "closed_form", "alpha": [1, 0], "threshold": 1e-8},
+         DomainError, "two integers"),
+        ({"kind": "closed_form", "alpha": [1, -3], "threshold": 1e-8},
+         DomainError, "two integers"),
+        ({"kind": "closed_form", "alpha": [1, 2, 3], "threshold": 1e-8},
+         DomainError, "two integers"),
+        ({"kind": "closed_form", "alpha": [1.5, 3], "threshold": 1e-8},
+         DomainError, "two integers"),
+        ({"kind": "closed_form", "alpha": "0.5", "threshold": 1e-8},
+         DomainError, "number"),
+        ({"kind": "closed_form", "alpha": True, "threshold": 1e-8},
+         DomainError, "number"),
+        ({"kind": "msu_dichotomy", "alphas_msu": [[1, 3]]},
+         DomainError, "number"),
+        ({"kind": "diff_identity", "alphas": 0.5}, ValueError,
+         "alphas must be a list"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": 1.0,
+          "threshold": 1e-5}, ValueError, "lambdas must be a list"),
+        ({"kind": "lemma2_mellin", "pairs": [[2.7, 5]], "s_values": [1.0],
+          "threshold": 1e-10}, ValueError, "two integers"),
+        ({"kind": "sampler_fidelity", "pairs": [[2, 5, 1]]}, ValueError,
+         "two integers"),
+        ({"kind": "lemma2_mellin", "pairs": [[1, 5]], "s_values": [1.0],
+          "threshold": 1e-10}, ValueError, "p >= 2"),
+    ])
+    def test_malformed_spec_raises_before_any_check(self, monkeypatch, entry,
+                                                    error, match):
+        # these raised ZeroDivisionError or TypeError, raised only when
+        # their check ran, or were truncated to integers and ran
+        ran = self._stub_checks(monkeypatch)
+        with pytest.raises(error, match=match):
+            run_acceptance({"checks": [
+                {"name": "t", "kind": "tail_sign", "alpha_step": 0.2},
+                {"name": "bad", **entry}]})
+        assert ran == []
+
     @pytest.mark.parametrize("entry,key", [
         ({"kind": "closed_form", "threshold": 1e-8}, "alpha"),
         ({"kind": "closed_form", "alpha": 0.5}, "threshold"),
