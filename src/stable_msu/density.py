@@ -107,18 +107,23 @@ def as_alpha(a) -> Alpha:
     return Alpha(float(a))
 
 
+# the largest tolerated ratio of the largest |term| to the |sum| of a
+# series evaluated in doubles
+_CANCELLATION_GUARD = 1e8
+
+
 @dataclass(frozen=True)
 class SeriesConfig:
     """Truncation and reliability policy for the series evaluators.
 
-    ``cancellation_guard`` is the maximal tolerated ratio of the largest
-    |term| to the |sum|; with ``dps`` set the guard scales up by
-    10**(dps-16) since the extra digits absorb the cancellation.
+    A sum is reliable while its largest |term| is at most
+    ``_CANCELLATION_GUARD`` times the |sum|; with ``dps`` set the guard
+    scales up by 10**(dps-16) since the extra digits absorb the
+    cancellation.
     """
 
     max_terms: int = 400
     rel_tol: float = 1e-12
-    cancellation_guard: float = 1e8
     dps: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -126,15 +131,13 @@ class SeriesConfig:
             raise ValueError("max_terms must be >= 1")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.cancellation_guard < 1.0:
-            raise ValueError("cancellation_guard must be >= 1")
         if self.dps is not None and self.dps < 5:
             raise ValueError("dps must be >= 5")
 
     def effective_guard(self) -> float:
         if self.dps is None:
-            return self.cancellation_guard
-        return self.cancellation_guard * 10.0 ** max(0, self.dps - 16)
+            return _CANCELLATION_GUARD
+        return _CANCELLATION_GUARD * 10.0 ** max(0, self.dps - 16)
 
 
 DEFAULT_SERIES_CONFIG = SeriesConfig()

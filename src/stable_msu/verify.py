@@ -14,9 +14,9 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -364,14 +364,15 @@ def _parse_alpha(spec) -> Alpha:
     return Alpha.from_fraction(int(spec[0]), int(spec[1]))
 
 
+# Each check reads its entry's keys as given; an absent key is at its
+# default in CHECK_PARAMS (see CHECK_KINDS).
+
 def _check_closed_form(params: dict) -> IdentityReport:
     alpha = _parse_alpha(params["alpha"])
     tol = float(params["threshold"])
-    x_lo = float(params.get("x_lo", 0.2))
-    x_hi = float(params.get("x_hi", 20.0))
-    n_pts = int(params.get("points", 50))
+    n_pts = int(params["points"])
     cfg = SeriesConfig(rel_tol=1e-14)
-    xs = np.geomspace(x_lo, x_hi, n_pts)
+    xs = np.geomspace(float(params["x_lo"]), float(params["x_hi"]), n_pts)
     series = dens.density_series_grid(alpha, xs, cfg).value
     worst = 0.0
     for x, s in zip(xs.tolist(), series.tolist()):
@@ -386,26 +387,21 @@ def _check_closed_form(params: dict) -> IdentityReport:
 def _check_laplace(params: dict) -> IdentityReport:
     rep = check_laplace(_parse_alpha(params["alpha"]), params["lambdas"],
                         threshold=float(params["threshold"]))
-    return IdentityReport(params["name"], rep.discrepancy, rep.threshold,
-                          rep.passed, rep.details)
+    return replace(rep, name=params["name"])
 
 
 def _check_msu_dichotomy(params: dict) -> IdentityReport:
-    x_lo = float(params.get("x_lo", 0.5))
-    x_hi = float(params.get("x_hi", 50.0))
-    points = int(params.get("points", 400))
     misclassified = []
     details = {}
-    for a in params.get("alphas_violation", []):
-        rep = msu_mod.msu_scan(float(a), x_lo, x_hi, points)
-        details[f"{a:g}"] = rep.summary()
-        if rep.classification != msu_mod.VIOLATION:
-            misclassified.append(a)
-    for a in params.get("alphas_msu", []):
-        rep = msu_mod.msu_scan(float(a), x_lo, x_hi, points)
-        details[f"{a:g}"] = rep.summary()
-        if rep.classification != msu_mod.NO_VIOLATION:
-            misclassified.append(a)
+    for key, expected in (("alphas_violation", msu_mod.VIOLATION),
+                          ("alphas_msu", msu_mod.NO_VIOLATION)):
+        for a in params[key]:
+            rep = msu_mod.msu_scan(float(a), float(params["x_lo"]),
+                                   float(params["x_hi"]),
+                                   int(params["points"]))
+            details[f"{a:g}"] = rep.summary()
+            if rep.classification != expected:
+                misclassified.append(a)
     return IdentityReport(
         params["name"], float(len(misclassified)), 0.5,
         not misclassified, details={"misclassified": misclassified,
@@ -413,7 +409,7 @@ def _check_msu_dichotomy(params: dict) -> IdentityReport:
 
 
 def _check_tail_sign(params: dict) -> IdentityReport:
-    step = float(params.get("alpha_step", 0.01))
+    step = float(params["alpha_step"])
     bad = []
     a = step
     while a < 1.0 - step / 2:
@@ -426,11 +422,8 @@ def _check_tail_sign(params: dict) -> IdentityReport:
                           details={"mismatches": bad})
 
 
-_HALF_RESIDUAL_XS = (0.5, 1.0, 2.0, 10.0)
-
-
 def _check_half_residual(params: dict) -> IdentityReport:
-    xs = params.get("xs", _HALF_RESIDUAL_XS)
+    xs = params["xs"]
     tol = float(params["threshold"])
     worst = 0.0
     for x in xs:
@@ -488,22 +481,22 @@ def _run_cases(cases: list) -> list:
 # draws Z and the n - 1 factors of lemma2_product(p, n).
 
 def _fidelity_cases(params: dict) -> list:
-    n_samples = int(params.get("n_samples", 1_000_000))
-    seed = int(params.get("seed", 1234))
+    n_samples = int(params["n_samples"])
+    seed = int(params["seed"])
     cases = [(f"one-sample-{a:g}", 1,
               functools.partial(check_sampler_ks, float(a), n_samples, seed))
-             for a in params.get("alphas", [])]
+             for a in params["alphas"]]
     cases += [(f"two-sample-{p}-{n}",
                int(n),
                functools.partial(check_factorization_mc, int(p), int(n),
                                  n_samples, seed + p * 31 + n))
-              for p, n in params.get("pairs", [])]
+              for p, n in params["pairs"]]
     return cases
 
 
 def _diff_cases(params: dict) -> list:
-    n_samples = int(params.get("n_samples", 1_000_000))
-    seed = int(params.get("seed", 4321))
+    n_samples = int(params["n_samples"])
+    seed = int(params["seed"])
     return [(f"{a:g}", 2,
              functools.partial(check_diff_identity, float(a), n_samples, seed))
             for a in params["alphas"]]
@@ -529,8 +522,8 @@ def _check_diff_identity(params: dict) -> IdentityReport:
 
 
 def _check_ualpha_dichotomy(params: dict) -> IdentityReport:
-    step = float(params.get("alpha_step", 0.01))
-    x_max = float(params.get("x_max", 50.0))
+    step = float(params["alpha_step"])
+    x_max = float(params["x_max"])
     xs = np.linspace(-x_max, x_max, 2001)
     bad = []
     a = step
@@ -545,12 +538,12 @@ def _check_ualpha_dichotomy(params: dict) -> IdentityReport:
 
 
 def _check_whitt(params: dict) -> IdentityReport:
-    safe = np.geomspace(1.0 / 6.0, float(params.get("x_hi", 40.0)),
-                        int(params.get("safe_points", 40)))
+    safe = np.geomspace(1.0 / 6.0, float(params["x_hi"]),
+                        int(params["safe_points"]))
     min_safe = min(fact.whitt_margin(float(x)) for x in safe)
     x_star = None
     margin_star = None
-    for x in np.geomspace(1e-3, 1.0 / 6.0, int(params.get("scan_points", 60))):
+    for x in np.geomspace(1e-3, 1.0 / 6.0, int(params["scan_points"])):
         m = fact.whitt_margin(float(x))
         if m < -1e-6:
             x_star, margin_star = float(x), m
@@ -566,12 +559,11 @@ def _check_lemma1(params: dict) -> IdentityReport:
     floor = float(params["floor"])  # tolerance comes from the config
     worst = math.inf
     details = {}
+    xs = np.geomspace(float(params["x_lo"]), float(params["x_hi"]),
+                      int(params["points"]))
     for a, b, c in params["triples"]:
-        margins = [fact.lemma1_inequality(float(a), float(b), float(c), float(x))
-                   for x in np.geomspace(float(params.get("x_lo", 0.01)),
-                                         float(params.get("x_hi", 20.0)),
-                                         int(params.get("points", 100)))]
-        m = min(margins)
+        m = min(fact.lemma1_inequality(float(a), float(b), float(c), float(x))
+                for x in xs)
         details[f"({a},{b},{c})"] = m
         worst = min(worst, m)
     return IdentityReport(params["name"], max(0.0, -worst), -floor,
@@ -579,9 +571,9 @@ def _check_lemma1(params: dict) -> IdentityReport:
 
 
 def _check_bb_crosscheck(params: dict) -> IdentityReport:
-    order = int(params.get("order", 30))
+    order = int(params["order"])
     rel_tol = float(params["threshold"])  # tolerance comes from the config
-    j_exact = int(params.get("j_max_exact", 20))
+    j_exact = int(params["j_max_exact"])
     expansion = msu_mod.bb_expansion(max(order, j_exact))
     # exact recurrence checks in integer arithmetic
     for j in range(j_exact + 1):
@@ -594,9 +586,8 @@ def _check_bb_crosscheck(params: dict) -> IdentityReport:
             return IdentityReport(params["name"], math.inf, rel_tol, False,
                                   details={"failed": f"R_{j}'(0) != 2^{j}-1"})
     worst = 0.0
-    ts = np.linspace(float(params.get("t_lo", 0.5)),
-                     float(params.get("t_hi", 6.0)),
-                     int(params.get("n_t", 20)))
+    ts = np.linspace(float(params["t_lo"]), float(params["t_hi"]),
+                     int(params["n_t"]))
     xs = np.exp(ts)
     for a in params["alphas"]:
         direct = dens.density_series_grid(float(a), xs).value * xs
@@ -608,62 +599,84 @@ def _check_bb_crosscheck(params: dict) -> IdentityReport:
                           details={"alphas": list(params["alphas"])})
 
 
-CHECK_KINDS: dict[str, Callable[[dict], IdentityReport]] = {
-    "closed_form": _check_closed_form,
-    "laplace": _check_laplace,
-    "msu_dichotomy": _check_msu_dichotomy,
-    "tail_sign": _check_tail_sign,
-    "half_alpha_residual": _check_half_residual,
-    "lemma2_mellin": _check_lemma2_mellin,
-    "sampler_fidelity": _check_sampler_fidelity,
-    "diff_identity": _check_diff_identity,
-    "ualpha_dichotomy": _check_ualpha_dichotomy,
-    "whitt_inequality": _check_whitt,
-    "lemma1_inequality": _check_lemma1,
-    "bb_crosscheck": _check_bb_crosscheck,
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+class _Rule(NamedTuple):
+    """What a config value must be: ``what`` says it, in error messages
+    and in the README; ``ok`` tests a value (the alpha parsers raise
+    DomainError for a bad alpha, and return an Alpha, which is true)."""
+
+    what: str
+    ok: Callable[[object], object]
+
+
+def _items(ok: Callable[[object], object]) -> Callable[[object], bool]:
+    """The test that a value is a list whose items all pass ``ok``."""
+    return lambda value: (isinstance(value, (list, tuple))
+                          and all(map(ok, value)))
+
+
+def _count(floor: int) -> _Rule:
+    return _Rule(f"an integer at least {floor}",
+                 lambda value: _is_integer(value) and value >= floor)
+
+
+_REAL = _Rule("a finite number", _is_real)
+_REALS = _Rule("a list of finite numbers", _items(_is_real))
+_TRIPLES = _Rule("a list of triples [a, b, c] of finite numbers",
+                 _items(lambda t: _items(_is_real)(t) and len(t) == 3))
+_ALPHA = _Rule("a number in (0, 1) or a fraction [p, n] with n > 0",
+               _parse_alpha)
+_ALPHAS = _Rule("a list of numbers in (0, 1)", _items(_alpha_number))
+_PAIRS = _Rule("a list of pairs [p, n] of two integers with p >= 2 and "
+               "n > 2p", _items(lambda pair: _items(_is_integer)(pair)
+                               and len(pair) == 2 and pair[0] >= 2
+                               and pair[1] > 2 * pair[0]))
+
+_REQUIRED = object()  # the default of a key that an entry must give
+
+# The keys each check kind reads besides "name" and "kind", with the rule
+# a value must pass and the default of an absent key.  run_acceptance
+# checks every entry against this table before any check runs.
+CHECK_PARAMS: dict[str, dict[str, tuple[_Rule, object]]] = {
+    "closed_form": {"alpha": (_ALPHA, _REQUIRED),
+                    "threshold": (_REAL, _REQUIRED), "x_lo": (_REAL, 0.2),
+                    "x_hi": (_REAL, 20.0), "points": (_count(1), 50)},
+    "laplace": {"alpha": (_ALPHA, _REQUIRED), "lambdas": (_REALS, ()),
+                "threshold": (_REAL, _REQUIRED)},
+    "msu_dichotomy": {"alphas_violation": (_ALPHAS, ()),
+                      "alphas_msu": (_ALPHAS, ()), "x_lo": (_REAL, 0.5),
+                      "x_hi": (_REAL, 50.0), "points": (_count(16), 400)},
+    "tail_sign": {"alpha_step": (_REAL, 0.01)},
+    "half_alpha_residual": {"xs": (_REALS, (0.5, 1.0, 2.0, 10.0)),
+                            "threshold": (_REAL, _REQUIRED)},
+    "lemma2_mellin": {"pairs": (_PAIRS, ()), "s_values": (_REALS, ()),
+                      "threshold": (_REAL, _REQUIRED)},
+    "sampler_fidelity": {"alphas": (_ALPHAS, ()), "pairs": (_PAIRS, ()),
+                         "n_samples": (_count(1), 1_000_000),
+                         "seed": (_count(0), 1234)},
+    "diff_identity": {"alphas": (_ALPHAS, ()),
+                      "n_samples": (_count(_DIFF_MIN_SAMPLES), 1_000_000),
+                      "seed": (_count(0), 4321)},
+    "ualpha_dichotomy": {"alpha_step": (_REAL, 0.01), "x_max": (_REAL, 50.0)},
+    "whitt_inequality": {"x_hi": (_REAL, 40.0), "safe_points": (_count(1), 40),
+                         "scan_points": (_count(1), 60)},
+    "lemma1_inequality": {"triples": (_TRIPLES, ()), "x_lo": (_REAL, 0.01),
+                          "x_hi": (_REAL, 20.0), "points": (_count(1), 100),
+                          "floor": (_REAL, _REQUIRED)},
+    "bb_crosscheck": {"alphas": (_ALPHAS, ()), "order": (_count(1), 30),
+                      "n_t": (_count(1), 20), "t_lo": (_REAL, 0.5),
+                      "t_hi": (_REAL, 6.0), "threshold": (_REAL, _REQUIRED),
+                      "j_max_exact": (_count(0), 20)},
 }
-
-
-# the entry keys each check kind reads, besides "name" and "kind"
-CHECK_PARAMS: dict[str, frozenset[str]] = {
-    "closed_form": frozenset({"alpha", "threshold", "x_lo", "x_hi", "points"}),
-    "laplace": frozenset({"alpha", "lambdas", "threshold"}),
-    "msu_dichotomy": frozenset({"alphas_violation", "alphas_msu", "x_lo",
-                                "x_hi", "points"}),
-    "tail_sign": frozenset({"alpha_step"}),
-    "half_alpha_residual": frozenset({"xs", "threshold"}),
-    "lemma2_mellin": frozenset({"pairs", "s_values", "threshold"}),
-    "sampler_fidelity": frozenset({"alphas", "pairs", "n_samples", "seed"}),
-    "diff_identity": frozenset({"alphas", "n_samples", "seed"}),
-    "ualpha_dichotomy": frozenset({"alpha_step", "x_max"}),
-    "whitt_inequality": frozenset({"x_hi", "safe_points", "scan_points"}),
-    "lemma1_inequality": frozenset({"triples", "x_lo", "x_hi", "points",
-                                    "floor"}),
-    "bb_crosscheck": frozenset({"alphas", "order", "n_t", "t_lo", "t_hi",
-                                "threshold", "j_max_exact"}),
-}
-
-
-# the entry keys a check kind cannot run without; the rest have defaults
-_REQUIRED_PARAMS: dict[str, frozenset[str]] = {
-    "closed_form": frozenset({"alpha", "threshold"}),
-    "laplace": frozenset({"alpha", "threshold"}),
-    "half_alpha_residual": frozenset({"threshold"}),
-    "lemma2_mellin": frozenset({"threshold"}),
-    "lemma1_inequality": frozenset({"floor"}),
-    "bb_crosscheck": frozenset({"threshold"}),
-}
-
-# the entry keys that list alphas (numbers, not fractions), and all the
-# entry keys whose value is a list
-_ALPHA_LISTS = ("alphas", "alphas_violation", "alphas_msu")
-_LIST_KEYS = ("lambdas", "xs", "s_values", "pairs", "triples") + _ALPHA_LISTS
 
 
 # the case lists of each list-driven kind, in groups: an entry must
 # give at least one case in every group, or it would pass with nothing
-# checked.  An absent list counts as empty, except "xs", which has a
-# default.
+# checked.  An absent list takes its default, which is empty but for "xs".
 _CASE_LISTS: dict[str, tuple[tuple[str, ...], ...]] = {
     "laplace": (("lambdas",),),
     "msu_dichotomy": (("alphas_violation", "alphas_msu"),),
@@ -676,49 +689,85 @@ _CASE_LISTS: dict[str, tuple[tuple[str, ...], ...]] = {
 }
 
 
-# the Monte Carlo kinds: their cases and the fewest draws a case takes
-_MC_KINDS: dict[str, tuple[Callable[[dict], list], int]] = {
-    "sampler_fidelity": (_fidelity_cases, 1),
-    "diff_identity": (_diff_cases, _DIFF_MIN_SAMPLES),
+# the cases of the Monte Carlo kinds, whose details keys must not repeat
+_MC_CASES: dict[str, Callable[[dict], list]] = {
+    "sampler_fidelity": _fidelity_cases,
+    "diff_identity": _diff_cases,
 }
 
 
-def _validate_specs(entry: dict) -> None:
-    """Reject an entry whose list keys are not lists, or whose alphas or
-    pairs are not given as their checks read them."""
-    name = entry["name"]
-    for key in _LIST_KEYS:
-        if not isinstance(entry.get(key, []), (list, tuple)):
-            raise ValueError(f"check {name!r}: {key} must be a list, got "
-                             f"{entry[key]!r}")
-    if "alpha" in entry:
-        _parse_alpha(entry["alpha"])
-    for key in _ALPHA_LISTS:
-        for spec in entry.get(key, []):
-            _alpha_number(spec)
-    for pair in entry.get("pairs", []):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(map(_is_integer, pair))):
-            raise ValueError(f"check {name!r}: a pair must be two integers "
-                             f"[p, n], got {pair!r}")
-        p, n = pair
-        if not (p >= 2 and n > 2 * p):
-            raise ValueError(f"check {name!r}: pair [{p}, {n}] needs "
-                             "p >= 2 and n > 2p")
+def _with_defaults(kind: str, params: dict) -> dict:
+    """``params`` with every absent key of its kind at its default."""
+    return {**{key: default for key, (_, default) in CHECK_PARAMS[kind].items()
+               if default is not _REQUIRED}, **params}
 
 
-def _validate_mc(entry: dict) -> None:
-    """Reject a Monte Carlo entry whose cases could not all run, or whose
-    cases share a details key, so that one report would be lost."""
-    cases, least = _MC_KINDS[entry["kind"]]
-    name = entry["name"]
-    if int(entry.get("n_samples", 1_000_000)) < least:
-        raise ValueError(f"check {name!r}: n_samples must be at least "
-                         f"{least}")
-    keys = [case[0] for case in cases(entry)]
-    repeated = sorted({key for key in keys if keys.count(key) > 1})
-    if repeated:
-        raise ValueError(f"check {name!r}: repeated cases {repeated}")
+def _reading_defaults(kind: str, check):
+    return functools.wraps(check)(
+        lambda params: check(_with_defaults(kind, params)))
+
+
+CHECK_KINDS: dict[str, Callable[[dict], IdentityReport]] = {
+    kind: _reading_defaults(kind, check) for kind, check in {
+        "closed_form": _check_closed_form,
+        "laplace": _check_laplace,
+        "msu_dichotomy": _check_msu_dichotomy,
+        "tail_sign": _check_tail_sign,
+        "half_alpha_residual": _check_half_residual,
+        "lemma2_mellin": _check_lemma2_mellin,
+        "sampler_fidelity": _check_sampler_fidelity,
+        "diff_identity": _check_diff_identity,
+        "ualpha_dichotomy": _check_ualpha_dichotomy,
+        "whitt_inequality": _check_whitt,
+        "lemma1_inequality": _check_lemma1,
+        "bb_crosscheck": _check_bb_crosscheck,
+    }.items()}
+
+
+def _entries(config) -> list:
+    """The check entries of ``config``, each checked against the rules
+    of its kind; raises ValueError (DomainError for an alpha) at the
+    first fault."""
+    checks = config.get("checks", []) if isinstance(config, dict) else None
+    if not isinstance(checks, list):
+        raise ValueError("a config must be an object with a list of checks")
+    names = set()
+    for entry in checks:
+        if not isinstance(entry, dict):
+            raise ValueError(f"a check must be an object, got {entry!r}")
+        kind = entry.get("kind")
+        if not isinstance(kind, str) or kind not in CHECK_PARAMS:
+            raise ValueError(f"unknown check kind {kind!r}")
+        name = entry.get("name")
+        if not isinstance(name, str) or name in names:
+            raise ValueError("every check needs a name, a string that no "
+                             f"other check has; got {name!r}")
+        names.add(name)
+        params = CHECK_PARAMS[kind]
+        unknown = set(entry) - set(params) - {"name", "kind"}
+        if unknown:
+            raise ValueError(f"check {name!r}: unknown keys "
+                             f"{sorted(unknown)} for kind {kind!r}")
+        missing = {key for key, (_, default) in params.items()
+                   if default is _REQUIRED} - set(entry)
+        if missing:
+            raise ValueError(f"check {name!r}: missing keys "
+                             f"{sorted(missing)} for kind {kind!r}")
+        for key, (rule, _) in params.items():
+            if key in entry and not rule.ok(entry[key]):
+                raise ValueError(f"check {name!r}: {key} must be "
+                                 f"{rule.what}, got {entry[key]!r}")
+        entry = _with_defaults(kind, entry)
+        for group in _CASE_LISTS.get(kind, ()):
+            if not any(entry[key] for key in group):
+                raise ValueError(f"check {name!r}: no cases in "
+                                 f"{' or '.join(group)}")
+        if kind in _MC_CASES:
+            keys = [case[0] for case in _MC_CASES[kind](entry)]
+            repeated = sorted({key for key in keys if keys.count(key) > 1})
+            if repeated:
+                raise ValueError(f"check {name!r}: repeated cases {repeated}")
+    return checks
 
 
 DEFAULT_ACCEPTANCE_CONFIG: dict = {
@@ -772,16 +821,8 @@ def run_acceptance(config) -> dict:
 
     ``config`` is a dict, a ``Path`` to a JSON file, or a string: JSON
     text when its first non-blank character is ``{``, else a file path.
-
-    Check failures are aggregated, never raised; malformed configs do
-    raise, before any check runs: an unknown kind, a missing name, a
-    key that the check's kind does not read (see ``CHECK_PARAMS``) or
-    needs and lacks, a list key that is not a list, an alpha that is
-    not a number (or, for "alpha", a fraction [p, n] of two integers
-    with n > 0) in (0, 1), a pair that is not two integers [p, n] with
-    p >= 2 and n > 2p, an empty case list, which would pass with nothing
-    checked, or a Monte Carlo entry with too few samples or a repeated
-    case, whose report would be lost.
+    Check failures are aggregated, never raised; a malformed config
+    raises before any check runs (see ``_entries`` and ``CHECK_PARAMS``).
     Identical configs and seeds produce identical summaries.
     """
     if isinstance(config, str) and config.lstrip().startswith("{"):
@@ -790,30 +831,7 @@ def run_acceptance(config) -> dict:
         config = json.loads(Path(config).read_text())
     if config is None:
         config = {}
-    checks = config.get("checks", [])
-    for entry in checks:
-        kind = entry.get("kind")
-        if kind not in CHECK_KINDS:
-            raise ValueError(f"unknown check kind {kind!r}")
-        if "name" not in entry:
-            raise ValueError("every check needs a name")
-        unknown = set(entry) - CHECK_PARAMS[kind] - {"name", "kind"}
-        if unknown:
-            raise ValueError(f"check {entry['name']!r}: unknown keys "
-                             f"{sorted(unknown)} for kind {kind!r}")
-        missing = _REQUIRED_PARAMS.get(kind, frozenset()) - set(entry)
-        if missing:
-            raise ValueError(f"check {entry['name']!r}: missing keys "
-                             f"{sorted(missing)} for kind {kind!r}")
-        _validate_specs(entry)
-        for group in _CASE_LISTS.get(kind, ()):
-            if not any(entry.get(key, _HALF_RESIDUAL_XS if key == "xs"
-                                 else None) for key in group):
-                raise ValueError(f"check {entry['name']!r}: no cases in "
-                                 f"{' or '.join(group)}")
-        if kind in _MC_KINDS:
-            _validate_mc(entry)
-    reports = [CHECK_KINDS[entry["kind"]](entry) for entry in checks]
+    reports = [CHECK_KINDS[entry["kind"]](entry) for entry in _entries(config)]
     reports.sort(key=lambda r: r.name)
     return {
         "schema": 1,

@@ -226,14 +226,39 @@ class TestUsageErrors:
          "two integers"),
         ({"kind": "lemma2_mellin", "pairs": [[2.7, 5]], "s_values": [1.0],
           "threshold": 1e-10}, "two integers"),
+        ({"kind": "diff_identity", "alphas": [0.5], "n_samples": [1]},
+         "n_samples must be an integer"),
+        ({"kind": "sampler_fidelity", "alphas": [0.5], "n_samples": 1.5},
+         "n_samples must be an integer"),
     ], ids=["zero-denominator", "alphas-not-a-list", "three-integers",
-            "float-numerator", "float-pair"])
+            "float-numerator", "float-pair", "list-n-samples",
+            "float-n-samples"])
     def test_acceptance_malformed_spec(self, capsys, tmp_path, entry,
                                        reason):
-        # the first two ended in a traceback with exit code 1; the others
-        # were truncated to another alpha or pair and passed
+        # zero-denominator, alphas-not-a-list and list-n-samples ended in
+        # a traceback with exit code 1; the others were truncated to
+        # another alpha, pair or sample size and passed
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": [{"name": "bad", **entry}]}))
+        code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error:") and reason in err
+
+    @pytest.mark.parametrize("config,reason", [
+        ([1, 2], "a list of checks"),
+        ({"checks": [1]}, "a check must be an object"),
+        ({"checks": [{"name": 5, "kind": "tail_sign"},
+                     {"name": "a", "kind": "tail_sign"}]}, "got 5"),
+        ({"checks": [{"name": "t", "kind": "tail_sign"},
+                     {"name": "t", "kind": "tail_sign"}]}, "got 't'"),
+    ], ids=["list", "entry-not-object", "name-not-string", "repeated-name"])
+    def test_acceptance_malformed_config(self, capsys, tmp_path, config,
+                                         reason):
+        # the first two ended in a traceback with exit code 1, the third
+        # in one after every check had run; a repeated name gave two
+        # reports under one name
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
         assert code == 2
         assert out == "" and err.startswith("error:") and reason in err

@@ -53,8 +53,6 @@ class TestSeriesConfig:
             SeriesConfig(max_terms=0)
         with pytest.raises(ValueError):
             SeriesConfig(rel_tol=2.0)
-        with pytest.raises(ValueError):
-            SeriesConfig(cancellation_guard=0.5)
 
 
 class TestDensitySeries:

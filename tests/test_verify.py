@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -535,6 +536,25 @@ class TestRunAcceptance:
         with pytest.raises(ValueError):
             run_acceptance({"checks": [{"kind": "tail_sign"}]})
 
+    @pytest.mark.parametrize("config,match", [
+        ([1, 2], "an object with a list of checks"),
+        ({"checks": {"a": 1}}, "an object with a list of checks"),
+        ({"checks": [1]}, "a check must be an object"),
+        ({"checks": [{"name": "t", "kind": ["tail_sign"]}]}, "unknown"),
+        ({"checks": [{"name": 5, "kind": "tail_sign"},
+                     {"name": "a", "kind": "tail_sign"}]}, "got 5"),
+        ({"checks": [{"name": "t", "kind": "tail_sign"},
+                     {"name": "t", "kind": "ualpha_dichotomy"}]}, "got 't'"),
+    ])
+    def test_malformed_config_raises_before_any_check(self, monkeypatch,
+                                                      config, match):
+        # these raised AttributeError or TypeError (after every check, in
+        # the sort by name), or gave two reports under one name
+        ran = self._stub_checks(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            run_acceptance(config)
+        assert ran == []
+
     @staticmethod
     def _stub_checks(monkeypatch):
         """Replace every check by a passing stub; returns the names run."""
@@ -681,12 +701,21 @@ class TestRunAcceptance:
          "repeated"),
         ({"kind": "sampler_fidelity", "alphas": [0.3, 0.5, 0.3]}, "repeated"),
         ({"kind": "sampler_fidelity", "pairs": [[2, 5], [2, 5]]}, "repeated"),
+        ({"kind": "diff_identity", "alphas": [0.5], "n_samples": [1]},
+         "n_samples must be an integer"),
+        ({"kind": "sampler_fidelity", "alphas": [0.5], "n_samples": 1.5},
+         "n_samples must be an integer"),
+        ({"kind": "diff_identity", "alphas": [0.5], "seed": True},
+         "seed must be an integer at least 0"),
+        ({"kind": "sampler_fidelity", "alphas": [0.5], "seed": -1},
+         "seed must be an integer at least 0"),
     ])
     def test_malformed_monte_carlo_entry_raises_before_any_check(
             self, monkeypatch, entry, match):
         # a bad pair or too few samples would raise only when the check
         # ran, after every check before it; a repeated case shares its
-        # details key with another, so one of their reports would be lost
+        # details key with another, so one of their reports would be lost.
+        # A list n_samples raised TypeError, 1.5 was truncated to one draw.
         ran = self._stub_checks(monkeypatch)
         with pytest.raises(ValueError, match=match):
             run_acceptance({"checks": [
@@ -740,11 +769,27 @@ class TestRunAcceptance:
          "two integers"),
         ({"kind": "lemma2_mellin", "pairs": [[1, 5]], "s_values": [1.0],
           "threshold": 1e-10}, ValueError, "p >= 2"),
+        ({"kind": "whitt_inequality", "safe_points": [3]}, ValueError,
+         "safe_points must be an integer at least 1"),
+        ({"kind": "closed_form", "alpha": 0.5, "threshold": 1e-8,
+          "points": 2.9}, ValueError, "points must be an integer"),
+        ({"kind": "closed_form", "alpha": 0.5, "threshold": "tiny"},
+         ValueError, "threshold must be a finite number"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": [1.0],
+          "threshold": math.nan}, ValueError,
+         "threshold must be a finite number"),
+        ({"kind": "lemma1_inequality", "triples": [[0.4, 0.6]],
+          "floor": -1e-10}, ValueError, "triples must be a list of triples"),
+        ({"kind": "msu_dichotomy", "alphas_msu": [0.3], "points": 8},
+         ValueError, "points must be an integer at least 16"),
+        ({"kind": "half_alpha_residual", "xs": [1.0, math.inf],
+          "threshold": 1e-7}, ValueError, "xs must be a list of finite"),
     ])
     def test_malformed_spec_raises_before_any_check(self, monkeypatch, entry,
                                                     error, match):
         # these raised ZeroDivisionError or TypeError, raised only when
-        # their check ran, or were truncated to integers and ran
+        # their check ran, or were truncated to integers and ran; a NaN
+        # threshold ran every check, then failed the JSON write
         ran = self._stub_checks(monkeypatch)
         with pytest.raises(error, match=match):
             run_acceptance({"checks": [
@@ -790,3 +835,63 @@ class TestRunAcceptance:
                          "sampler_fidelity", "diff_identity",
                          "ualpha_dichotomy", "whitt_inequality",
                          "lemma1_inequality", "bb_crosscheck"}
+
+
+class TestCheckParams:
+    """``verify.CHECK_PARAMS`` is the one declaration of what an entry of
+    each check kind may hold; these tests keep the checks, the table and
+    the README in step."""
+
+    # each kind's required keys and one small case
+    SMALLEST = {
+        "closed_form": {"alpha": [1, 2], "threshold": 1e-8},
+        "laplace": {"alpha": 0.5, "lambdas": [1.0], "threshold": 1e-5},
+        "msu_dichotomy": {"alphas_msu": [0.3]},
+        "tail_sign": {},
+        "half_alpha_residual": {"threshold": 1e-7},
+        "lemma2_mellin": {"pairs": [[2, 5]], "s_values": [1.0],
+                          "threshold": 1e-10},
+        "sampler_fidelity": {"pairs": [[2, 5]], "n_samples": 5_000},
+        "diff_identity": {"alphas": [0.5], "n_samples": 10_000},
+        "ualpha_dichotomy": {},
+        "whitt_inequality": {},
+        "lemma1_inequality": {"triples": [[0.4, 0.6, 0.9]],
+                              "floor": -1e-10},
+        "bb_crosscheck": {"alphas": [0.3], "threshold": 1e-5},
+    }
+
+    def test_table_covers_the_check_kinds(self):
+        assert set(verify.CHECK_PARAMS) == set(CHECK_KINDS) == set(
+            self.SMALLEST)
+
+    def test_every_default_passes_its_rule(self):
+        for kind, params in verify.CHECK_PARAMS.items():
+            for key, (rule, default) in params.items():
+                if default is not verify._REQUIRED:
+                    assert rule.ok(default), (kind, key, default)
+
+    def test_each_kind_runs_on_its_smallest_entry(self):
+        # every key a check reads that the entry leaves out must come
+        # from the table, or the check raises KeyError
+        summary = run_acceptance({"checks": [
+            {"name": kind, "kind": kind, **entry}
+            for kind, entry in self.SMALLEST.items()]})
+        assert summary["n_checks"] == len(CHECK_KINDS)
+        assert summary["all_pass"], [c["name"] for c in summary["checks"]
+                                     if not c["pass"]]
+
+    def test_readme_table_matches(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Acceptance config\n")[1]
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:-1]]
+                for line in section.split("\n## ")[0].splitlines()
+                if line.startswith("| `")]
+        assert len(rows) == sum(map(len, verify.CHECK_PARAMS.values()))
+        table = {}
+        for kind, key, default, what in rows:
+            table.setdefault(kind, {})[key] = (default, what)
+        assert table == {
+            kind: {key: ("required" if default is verify._REQUIRED
+                         else json.dumps(default), rule.what)
+                   for key, (rule, default) in params.items()}
+            for kind, params in verify.CHECK_PARAMS.items()}
