@@ -161,12 +161,11 @@ class EvalResult:
 @dataclass(frozen=True)
 class DensityJet:
     """f, f' and f'' at one point (or, from density_jet_grid, at every
-    point of the array ``x``), sharing term generation and policy."""
+    point of an array), sharing term generation and policy."""
 
     f: EvalResult
     fp: EvalResult
     fpp: EvalResult
-    x: float
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +614,7 @@ def _jet_result(sums, x) -> DensityJet:
     fp = EvalResult(totals[1] / x, errors[1] / x, n_used, ok)
     fpp = EvalResult((totals[2] - totals[1]) / (x * x),
                      (errors[2] + errors[1]) / (x * x), n_used, ok)
-    return DensityJet(f=f, fp=fp, fpp=fpp, x=x)
+    return DensityJet(f=f, fp=fp, fpp=fpp)
 
 
 def density_series(alpha, x: float,
@@ -641,7 +640,7 @@ def density_jet(alpha, x: float,
         jet = _jet_result(sums, np.float64(x))
     return DensityJet(*(EvalResult(float(r.value), float(r.abs_error_estimate),
                                    r.terms_used, r.reliable)
-                        for r in (jet.f, jet.fp, jet.fpp)), x=x)
+                        for r in (jet.f, jet.fp, jet.fpp)))
 
 
 def survival_series(alpha, x: float,

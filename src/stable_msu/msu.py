@@ -79,7 +79,7 @@ def lce_residual(alpha, x: float) -> EvalResult:
                       np.array([r.terms_used]), np.array([r.reliable]))
            for r in (jet.f, jet.fp, jet.fpp)]
     xs = np.array([x], dtype=float)
-    return _points(_residual(xs, DensityJet(*one, x=xs)))[0]
+    return _points(_residual(xs, DensityJet(*one)))[0]
 
 
 def tail_residual_sign(alpha) -> tuple[float, bool]:
@@ -169,86 +169,79 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int) -> MsuReport:
 
     jets = density_jet_grid(alpha, grid)
     res = _residual(grid, jets)
-    f = jets.f.value
+    g, err = res.value, res.abs_error_estimate
+    f, fpp = jets.f.value, jets.fpp.value
     ok = res.reliable & (f > 0.0)
     norm = np.full(points, math.nan)
-    norm[ok] = res.value[ok] / (f[ok] * f[ok])
-    residuals = _points(res)
-    normalized = norm.tolist()
-    fs, fpps = f.tolist(), jets.fpp.value.tolist()
-    grid = grid.tolist()
+    norm[ok] = g[ok] / (f[ok] * f[ok])
 
-    reliable_idx = [i for i, r in enumerate(residuals) if r.reliable]
-    unreliable_fraction = 1.0 - len(reliable_idx) / points
+    # the reliable points, in grid order; g, f and f'' are finite there
+    idx = np.flatnonzero(res.reliable)
+    unreliable_fraction = 1.0 - len(idx) / points
     if unreliable_fraction > 0.5:
         raise UnreliableScanError(
             f"{unreliable_fraction:.0%} of grid points unreliable")
 
-    # witness: strongest normalized violation beyond its error bar
+    # witness: strongest normalized violation beyond its error bar, the
+    # first on ties; a first candidate whose g / f^2 is nan (f <= 0) wins
     witness = None
-    best = 0.0
-    for i in reliable_idx:
-        r = residuals[i]
-        if r.value > r.abs_error_estimate:
-            score = normalized[i]
-            if witness is None or score > best:
-                witness, best = grid[i], score
+    above = idx[g[idx] > err[idx]]
+    if above.size:
+        scores = norm[above]
+        i = 0 if math.isnan(scores[0]) else np.nanargmax(scores)
+        witness = float(grid[above[i]])
     classification = VIOLATION if witness is not None else NO_VIOLATION
 
-    # mode: argmax of f over the reliable points, golden-section refined
-    # when the bracket is interior
-    fvals = {i: fs[i] for i in reliable_idx}
-    i_mode = max(fvals, key=fvals.get)
-    if 0 < i_mode < points - 1 and (i_mode - 1) in fvals and (i_mode + 1) in fvals:
+    # mode: first argmax of f over the reliable points, golden-section
+    # refined when both neighbours are reliable
+    i_mode = idx[np.argmax(f[idx])]
+    if 0 < i_mode < points - 1 and res.reliable[i_mode - 1:i_mode + 2].all():
         mode = _golden_max(
             lambda x: density_series(alpha, x).value,
-            grid[i_mode - 1], grid[i_mode + 1])
+            float(grid[i_mode - 1]), float(grid[i_mode + 1]))
     else:
-        mode = grid[i_mode]
+        mode = float(grid[i_mode])
 
-    # first f'' sign change at or beyond the mode
+    # inflection: the first pair of consecutive reliable points, the
+    # right one at or beyond the mode, where f'' goes from < 0 to >= 0
     inflection = None
-    prev = None
-    for i in reliable_idx:
-        if grid[i] < mode:
-            prev = i
-            continue
-        if prev is not None and fpps[prev] < 0.0 <= fpps[i]:
-            lo, hi = grid[prev], grid[i]
-            for _ in range(60):
-                midp = math.sqrt(lo * hi)
-                if not lo < midp < hi:
-                    # midp is lo (f'' < 0) or hi (f'' >= 0 or nan), so
-                    # the bracket would not move again
-                    break
-                if density_jet(alpha, midp).fpp.value < 0.0:
-                    lo = midp
-                else:
-                    hi = midp
-            inflection = 0.5 * (lo + hi)
-            break
-        prev = i
+    left, right = idx[:-1], idx[1:]
+    turns = np.flatnonzero((grid[right] >= mode) & (fpp[left] < 0.0)
+                           & (fpp[right] >= 0.0))
+    if turns.size:
+        lo, hi = float(grid[left[turns[0]]]), float(grid[right[turns[0]]])
+        for _ in range(60):
+            midp = math.sqrt(lo * hi)
+            if not lo < midp < hi:
+                # midp is lo (f'' < 0) or hi (f'' >= 0 or nan), so
+                # the bracket would not move again
+                break
+            if density_jet(alpha, midp).fpp.value < 0.0:
+                lo = midp
+            else:
+                hi = midp
+        inflection = 0.5 * (lo + hi)
 
     # g <= 0 (within error) must hold up to the inflection point; when no
     # sign change of f'' is visible and the grid starts convex the
     # inflection lies below the grid and the check is vacuous
     if inflection is not None:
         check_upto = inflection
-    elif reliable_idx and fpps[reliable_idx[0]] > 0.0:
+    elif fpp[idx[0]] > 0.0:
         check_upto = -math.inf
     else:
         check_upto = grid[-1]
-    pre_ok = all(residuals[i].value <= residuals[i].abs_error_estimate
-                 for i in reliable_idx if grid[i] <= check_upto)
+    upto = idx[grid[idx] <= check_upto]
+    pre_ok = bool(np.all(g[upto] <= err[upto]))
 
     return MsuReport(
         alpha=alpha,
-        grid=tuple(grid),
-        residuals=tuple(residuals),
-        normalized_residuals=tuple(normalized),
+        grid=tuple(grid.tolist()),
+        residuals=tuple(_points(res)),
+        normalized_residuals=tuple(norm.tolist()),
         classification=classification,
         witness=witness,
-        mode_estimate=float(mode),
+        mode_estimate=mode,
         inflection_estimate=inflection,
         unreliable_fraction=unreliable_fraction,
         pre_inflection_ok=pre_ok,

@@ -23,7 +23,7 @@ from .util import log_cosh, sinpi
 
 DEFAULT_REL_TOL = 1e-10
 
-_METHODS = ("series", "quadrature", "closed_form")
+_METHODS = ("lgamma", "quadrature")
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def log_gamma(x: float) -> SpecEval:
     except OverflowError:
         raise DomainError(f"log Gamma({x}) overflows a double") from None
     sign = 1 if x > 0.0 or sinpi(x) > 0.0 else -1
-    return SpecEval(value, 5e-15 * (1.0 + abs(value)), "series", sign)
+    return SpecEval(value, 5e-15 * (1.0 + abs(value)), "lgamma", sign)
 
 
 def _guard(name: str, args: tuple, integrand: Integrand) -> Integrand:

@@ -625,6 +625,11 @@ def _count(floor: int) -> _Rule:
 
 
 _REAL = _Rule("a finite number", _is_real)
+_POSITIVE = _Rule("a finite number above 0",
+                  lambda value: _is_real(value) and value > 0.0)
+# an alpha step of 0.4 or more can leave one side of 1/2 untested
+_STEP = _Rule("a number in (0, 0.4)",
+              lambda value: _is_real(value) and 0.0 < value < 0.4)
 _REALS = _Rule("a list of finite numbers", _items(_is_real))
 _TRIPLES = _Rule("a list of triples [a, b, c] of finite numbers",
                  _items(lambda t: _items(_is_real)(t) and len(t) == 3))
@@ -639,18 +644,20 @@ _PAIRS = _Rule("a list of pairs [p, n] of two integers with p >= 2 and "
 _REQUIRED = object()  # the default of a key that an entry must give
 
 # The keys each check kind reads besides "name" and "kind", with the rule
-# a value must pass and the default of an absent key.  run_acceptance
+# a value must pass and the default of an absent key; where a kind reads
+# both x_lo and x_hi, x_lo must also be below x_hi.  run_acceptance
 # checks every entry against this table before any check runs.
 CHECK_PARAMS: dict[str, dict[str, tuple[_Rule, object]]] = {
     "closed_form": {"alpha": (_ALPHA, _REQUIRED),
-                    "threshold": (_REAL, _REQUIRED), "x_lo": (_REAL, 0.2),
-                    "x_hi": (_REAL, 20.0), "points": (_count(1), 50)},
+                    "threshold": (_REAL, _REQUIRED),
+                    "x_lo": (_POSITIVE, 0.2), "x_hi": (_POSITIVE, 20.0),
+                    "points": (_count(1), 50)},
     "laplace": {"alpha": (_ALPHA, _REQUIRED), "lambdas": (_REALS, ()),
                 "threshold": (_REAL, _REQUIRED)},
     "msu_dichotomy": {"alphas_violation": (_ALPHAS, ()),
-                      "alphas_msu": (_ALPHAS, ()), "x_lo": (_REAL, 0.5),
-                      "x_hi": (_REAL, 50.0), "points": (_count(16), 400)},
-    "tail_sign": {"alpha_step": (_REAL, 0.01)},
+                      "alphas_msu": (_ALPHAS, ()), "x_lo": (_POSITIVE, 0.5),
+                      "x_hi": (_POSITIVE, 50.0), "points": (_count(16), 400)},
+    "tail_sign": {"alpha_step": (_STEP, 0.01)},
     "half_alpha_residual": {"xs": (_REALS, (0.5, 1.0, 2.0, 10.0)),
                             "threshold": (_REAL, _REQUIRED)},
     "lemma2_mellin": {"pairs": (_PAIRS, ()), "s_values": (_REALS, ()),
@@ -661,11 +668,14 @@ CHECK_PARAMS: dict[str, dict[str, tuple[_Rule, object]]] = {
     "diff_identity": {"alphas": (_ALPHAS, ()),
                       "n_samples": (_count(_DIFF_MIN_SAMPLES), 1_000_000),
                       "seed": (_count(0), 4321)},
-    "ualpha_dichotomy": {"alpha_step": (_REAL, 0.01), "x_max": (_REAL, 50.0)},
-    "whitt_inequality": {"x_hi": (_REAL, 40.0), "safe_points": (_count(1), 40),
+    "ualpha_dichotomy": {"alpha_step": (_STEP, 0.01),
+                         "x_max": (_POSITIVE, 50.0)},
+    "whitt_inequality": {"x_hi": (_POSITIVE, 40.0),
+                         "safe_points": (_count(1), 40),
                          "scan_points": (_count(1), 60)},
-    "lemma1_inequality": {"triples": (_TRIPLES, ()), "x_lo": (_REAL, 0.01),
-                          "x_hi": (_REAL, 20.0), "points": (_count(1), 100),
+    "lemma1_inequality": {"triples": (_TRIPLES, ()),
+                          "x_lo": (_POSITIVE, 0.01), "x_hi": (_POSITIVE, 20.0),
+                          "points": (_count(1), 100),
                           "floor": (_REAL, _REQUIRED)},
     "bb_crosscheck": {"alphas": (_ALPHAS, ()), "order": (_count(1), 30),
                       "n_t": (_count(1), 20), "t_lo": (_REAL, 0.5),
@@ -725,12 +735,19 @@ CHECK_KINDS: dict[str, Callable[[dict], IdentityReport]] = {
 
 
 def _entries(config) -> list:
-    """The check entries of ``config``, each checked against the rules
-    of its kind; raises ValueError (DomainError for an alpha) at the
-    first fault."""
+    """The check entries of ``config``, once its own keys, its schema
+    and each entry against the rules of its kind are checked; raises
+    ValueError (DomainError for an alpha) at the first fault."""
     checks = config.get("checks", []) if isinstance(config, dict) else None
     if not isinstance(checks, list):
         raise ValueError("a config must be an object with a list of checks")
+    unknown = set(config) - {"schema", "checks"}
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown, key=str)}; "
+                         "a config holds only schema and checks")
+    schema = config.get("schema", 1)
+    if not (_is_integer(schema) and schema == 1):
+        raise ValueError(f"schema must be 1, got {schema!r}")
     names = set()
     for entry in checks:
         if not isinstance(entry, dict):
@@ -758,6 +775,9 @@ def _entries(config) -> list:
                 raise ValueError(f"check {name!r}: {key} must be "
                                  f"{rule.what}, got {entry[key]!r}")
         entry = _with_defaults(kind, entry)
+        if "x_lo" in params and not entry["x_lo"] < entry["x_hi"]:
+            raise ValueError(f"check {name!r}: x_lo must be below x_hi, "
+                             f"got {entry['x_lo']!r} and {entry['x_hi']!r}")
         for group in _CASE_LISTS.get(kind, ()):
             if not any(entry[key] for key in group):
                 raise ValueError(f"check {name!r}: no cases in "

@@ -230,14 +230,16 @@ class TestUsageErrors:
          "n_samples must be an integer"),
         ({"kind": "sampler_fidelity", "alphas": [0.5], "n_samples": 1.5},
          "n_samples must be an integer"),
+        ({"kind": "tail_sign", "alpha_step": 1}, "alpha_step must be"),
     ], ids=["zero-denominator", "alphas-not-a-list", "three-integers",
             "float-numerator", "float-pair", "list-n-samples",
-            "float-n-samples"])
+            "float-n-samples", "step-1"])
     def test_acceptance_malformed_spec(self, capsys, tmp_path, entry,
                                        reason):
         # zero-denominator, alphas-not-a-list and list-n-samples ended in
         # a traceback with exit code 1; the others were truncated to
-        # another alpha, pair or sample size and passed
+        # another alpha, pair or sample size and passed, or, for the step,
+        # tested no alpha and passed
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": [{"name": "bad", **entry}]}))
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
@@ -251,12 +253,16 @@ class TestUsageErrors:
                      {"name": "a", "kind": "tail_sign"}]}, "got 5"),
         ({"checks": [{"name": "t", "kind": "tail_sign"},
                      {"name": "t", "kind": "tail_sign"}]}, "got 't'"),
-    ], ids=["list", "entry-not-object", "name-not-string", "repeated-name"])
+        ({"chekcs": [{"name": "t", "kind": "tail_sign"}]}, "chekcs"),
+        ({"schema": 2, "checks": [{"name": "t", "kind": "tail_sign"}]},
+         "schema must be 1"),
+    ], ids=["list", "entry-not-object", "name-not-string", "repeated-name",
+            "misspelled-checks", "schema-2"])
     def test_acceptance_malformed_config(self, capsys, tmp_path, config,
                                          reason):
         # the first two ended in a traceback with exit code 1, the third
         # in one after every check had run; a repeated name gave two
-        # reports under one name
+        # reports under one name; the last two passed with exit 0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))

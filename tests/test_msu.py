@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from stable_msu import msu as msu_mod
-from stable_msu.density import (Alpha, SeriesConfig, density_jet,
-                                density_jet_grid, density_series)
+from stable_msu.density import (Alpha, DensityJet, EvalResult,
+                                SeriesConfig, density_jet, density_jet_grid,
+                                density_series)
 from stable_msu.errors import DomainError, PoleError, UnreliableScanError
 from stable_msu.msu import (NO_VIOLATION, VIOLATION, _bb_terms,
                             bb_expansion, bb_log_density, lce_residual,
@@ -190,6 +191,144 @@ class TestMsuScan:
         for r, nr in zip(rep.residuals, rep.normalized_residuals):
             if r.reliable and not math.isnan(nr):
                 assert (nr > 0) == (r.value > 0)
+
+
+def _loop_summary(alpha, x_lo, x_hi, points):
+    """msu_scan's summary as the scan once classified it: with index
+    loops over Python copies of its arrays.  Kept as a reference for the
+    array classification; it raises UnreliableScanError where the scan
+    must."""
+    alpha = msu_mod.as_alpha(alpha)
+    grid = np.geomspace(x_lo, x_hi, points)
+    jets = msu_mod.density_jet_grid(alpha, grid)
+    res = msu_mod._residual(grid, jets)
+    f = jets.f.value
+    ok = res.reliable & (f > 0.0)
+    norm = np.full(points, math.nan)
+    norm[ok] = res.value[ok] / (f[ok] * f[ok])
+    residuals = msu_mod._points(res)
+    normalized = norm.tolist()
+    fs, fpps = f.tolist(), jets.fpp.value.tolist()
+    grid = grid.tolist()
+
+    reliable_idx = [i for i, r in enumerate(residuals) if r.reliable]
+    unreliable_fraction = 1.0 - len(reliable_idx) / points
+    if unreliable_fraction > 0.5:
+        raise UnreliableScanError("reference")
+
+    witness = None
+    best = 0.0
+    for i in reliable_idx:
+        r = residuals[i]
+        if r.value > r.abs_error_estimate:
+            score = normalized[i]
+            if witness is None or score > best:
+                witness, best = grid[i], score
+
+    fvals = {i: fs[i] for i in reliable_idx}
+    i_mode = max(fvals, key=fvals.get)
+    if 0 < i_mode < points - 1 and (i_mode - 1) in fvals \
+            and (i_mode + 1) in fvals:
+        mode = msu_mod._golden_max(
+            lambda x: msu_mod.density_series(alpha, x).value,
+            grid[i_mode - 1], grid[i_mode + 1])
+    else:
+        mode = grid[i_mode]
+
+    inflection = None
+    prev = None
+    for i in reliable_idx:
+        if grid[i] < mode:
+            prev = i
+            continue
+        if prev is not None and fpps[prev] < 0.0 <= fpps[i]:
+            lo, hi = grid[prev], grid[i]
+            for _ in range(60):
+                midp = math.sqrt(lo * hi)
+                if not lo < midp < hi:
+                    break
+                if msu_mod.density_jet(alpha, midp).fpp.value < 0.0:
+                    lo = midp
+                else:
+                    hi = midp
+            inflection = 0.5 * (lo + hi)
+            break
+        prev = i
+
+    if inflection is not None:
+        check_upto = inflection
+    elif reliable_idx and fpps[reliable_idx[0]] > 0.0:
+        check_upto = -math.inf
+    else:
+        check_upto = grid[-1]
+    pre_ok = all(residuals[i].value <= residuals[i].abs_error_estimate
+                 for i in reliable_idx if grid[i] <= check_upto)
+    return {
+        "alpha": alpha.value,
+        "classification": VIOLATION if witness is not None else NO_VIOLATION,
+        "witness": witness,
+        "mode": float(mode),
+        "inflection": inflection,
+        "unreliable_fraction": unreliable_fraction,
+        "pre_inflection_ok": pre_ok,
+    }
+
+
+class TestScanMatchesLoopReference:
+    """msu_scan classifies on its grid arrays; its summary must be the
+    loop reference's, bit for bit, ties and nan scores included."""
+
+    @staticmethod
+    def _assert_same(alpha, x_lo, x_hi, points):
+        try:
+            expected = _loop_summary(alpha, x_lo, x_hi, points)
+        except UnreliableScanError:
+            with pytest.raises(UnreliableScanError):
+                msu_scan(alpha, x_lo, x_hi, points)
+            return
+        rep = msu_scan(alpha, x_lo, x_hi, points)
+        assert repr(rep.summary()) == repr(expected)
+
+    # x_lo = 0.2 and 0.08 put unreliable points, and at alpha >= 0.9
+    # unusable (nan) ones, at the left of the grid; (0.05, 0.3) and
+    # (0.01, 0.5) are over half unreliable from alpha = 0.7 on
+    @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.5, 0.55, 0.7, 0.9, 0.95])
+    @pytest.mark.parametrize("x_lo,x_hi,points", [
+        (0.5, 50.0, 100), (0.2, 50.0, 100), (0.08, 50.0, 120),
+        (0.05, 0.3, 32), (0.01, 0.5, 40)])
+    def test_sweep(self, alpha, x_lo, x_hi, points):
+        self._assert_same(alpha, x_lo, x_hi, points)
+
+    @pytest.mark.parametrize("signs", [
+        # f, f'' per point: a first candidate (g > 0 = error bar) with
+        # f < 0 has a nan score and is kept; a later one is passed over
+        [(-1, -1), (1, 1), (1, 1), (1, -1)],
+        [(1, 1), (-1, -1), (1, 1), (1, -1)],
+        # the nan candidate lies before the inflection: pre_ok fails
+        [(1, -1), (-1, -1), (1, 1), (1, 1)],
+        # equal f everywhere: the mode is the first point
+        [(1, -1), (1, -1), (1, 1), (1, 1)],
+        # f'' turns nonnegative only below the mode, at the last point:
+        # no inflection
+        [(1, -1), (1, 1)] + [(1, -1)] * 29 + [(2, -1)],
+    ])
+    def test_synthetic_jets(self, monkeypatch, signs):
+        # f' = 0 and exact values make g = x^2 f'' f and its error bar 0,
+        # so the signs set which points are candidates and which scores
+        # are nan; the pattern repeats over the grid, and the
+        # refinements still evaluate the real density
+        pattern = np.array(signs, dtype=float)
+        points = 32
+
+        def jets(alpha, grid):
+            f, fpp = np.resize(pattern, (points, 2)).T
+            zero = np.zeros(points)
+            return DensityJet(*(EvalResult(v, zero, np.full(points, 8),
+                                           np.ones(points, dtype=bool))
+                                for v in (f, zero, fpp)))
+
+        monkeypatch.setattr(msu_mod, "density_jet_grid", jets)
+        self._assert_same(0.6, 0.5, 5.0, points)
 
 
 class TestContinuityInAlpha:

@@ -40,6 +40,7 @@ class TestLogGamma:
         ev = log_gamma(x)
         assert ev.value == pytest.approx(math.lgamma(x), rel=1e-12)
         assert ev.sign == special.gammasgn(x)
+        assert ev.method == "lgamma"
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
     def test_poles(self, x):

@@ -545,11 +545,19 @@ class TestRunAcceptance:
                      {"name": "a", "kind": "tail_sign"}]}, "got 5"),
         ({"checks": [{"name": "t", "kind": "tail_sign"},
                      {"name": "t", "kind": "ualpha_dichotomy"}]}, "got 't'"),
+        ({"chekcs": [{"name": "t", "kind": "tail_sign"}]},
+         "unknown config keys \\['chekcs'\\]"),
+        ({"schema": 2, "checks": [{"name": "t", "kind": "tail_sign"}]},
+         "schema must be 1, got 2"),
+        ({"schema": True, "checks": [{"name": "t", "kind": "tail_sign"}]},
+         "schema must be 1, got True"),
     ])
     def test_malformed_config_raises_before_any_check(self, monkeypatch,
                                                       config, match):
         # these raised AttributeError or TypeError (after every check, in
-        # the sort by name), or gave two reports under one name
+        # the sort by name), or gave two reports under one name; a
+        # misspelled "checks" ran nothing and passed, and a schema other
+        # than 1 ran its checks as if it were 1
         ran = self._stub_checks(monkeypatch)
         with pytest.raises(ValueError, match=match):
             run_acceptance(config)
@@ -784,12 +792,35 @@ class TestRunAcceptance:
          ValueError, "points must be an integer at least 16"),
         ({"kind": "half_alpha_residual", "xs": [1.0, math.inf],
           "threshold": 1e-7}, ValueError, "xs must be a list of finite"),
+        ({"kind": "tail_sign", "alpha_step": 1}, ValueError,
+         "alpha_step must be a number in \\(0, 0.4\\)"),
+        ({"kind": "tail_sign", "alpha_step": 0.4}, ValueError,
+         "alpha_step must be a number in \\(0, 0.4\\)"),
+        ({"kind": "ualpha_dichotomy", "alpha_step": 2}, ValueError,
+         "alpha_step must be a number in \\(0, 0.4\\)"),
+        ({"kind": "ualpha_dichotomy", "alpha_step": 0.45}, ValueError,
+         "alpha_step must be a number in \\(0, 0.4\\)"),
+        ({"kind": "closed_form", "alpha": 0.5, "threshold": 1e-8,
+          "x_lo": 0}, ValueError, "x_lo must be a finite number above 0"),
+        ({"kind": "msu_dichotomy", "alphas_msu": [0.3], "x_lo": 5,
+          "x_hi": 1}, ValueError, "x_lo must be below x_hi, got 5 and 1"),
+        ({"kind": "lemma1_inequality", "triples": [[0.4, 0.6, 0.9]],
+          "floor": -1e-10, "x_lo": 30.0}, ValueError,
+         "x_lo must be below x_hi, got 30.0 and 20.0"),
+        ({"kind": "whitt_inequality", "x_hi": -1}, ValueError,
+         "x_hi must be a finite number above 0"),
+        ({"kind": "ualpha_dichotomy", "x_max": 0.0}, ValueError,
+         "x_max must be a finite number above 0"),
     ])
     def test_malformed_spec_raises_before_any_check(self, monkeypatch, entry,
                                                     error, match):
         # these raised ZeroDivisionError or TypeError, raised only when
         # their check ran, or were truncated to integers and ran; a NaN
-        # threshold ran every check, then failed the JSON write
+        # threshold ran every check, then failed the JSON write.  An
+        # alpha_step of 0.4 or more tested one side of 1/2 at most and
+        # passed; a grid bound at or below 0, or x_lo above x_hi, reached
+        # its check, which raised, warned, or ran on a reversed or
+        # one-point grid
         ran = self._stub_checks(monkeypatch)
         with pytest.raises(error, match=match):
             run_acceptance({"checks": [
