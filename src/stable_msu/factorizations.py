@@ -5,8 +5,9 @@
 * the Beta x Gamma product representing Z_{p/n}^{-p} for n > 2p;
 * Mellin transforms (fractional moments) of all of the above, which is
   how the product identities are verified;
-* the quadrature kernels behind the Beta x Gamma log-concavity
-  inequality and the Whittaker-side inequality for the 2/3 case.
+* the kernels behind the Beta x Gamma log-concavity inequality and the
+  Whittaker-side inequality for the 2/3 case, each one call of the
+  Tricomi quadrature kernel of :mod:`stable_msu.specfun`.
 
 Gamma and Beta variates use numpy's Generator (standard rejection
 samplers, unit scale), matching the unit-scale density convention
@@ -25,7 +26,6 @@ import numpy as np
 from . import specfun
 from .density import as_alpha
 from .errors import DomainError, HypothesisError, PreconditionError
-from .quadrature import _half_table, de_halfline
 
 _BETA = "beta"
 _GAMMA = "gamma"
@@ -293,7 +293,7 @@ def mellin_product(fl: FactorList) -> MellinProfile:
 # Beta x Gamma log-concavity kernels
 # ---------------------------------------------------------------------------
 
-def _lemma1_quad(alpha: float, beta: float, c: float, shifts: tuple,
+def _lemma1_rows(alpha: float, beta: float, c: float, shifts: tuple,
                  x: float):
     """g_{a,b,c+shift}(x) of :func:`lemma1_g` and its error bar for each
     shift in shifts, one quadrature row each, as two lists of floats."""
@@ -307,18 +307,9 @@ def _lemma1_quad(alpha: float, beta: float, c: float, shifts: tuple,
         raise DomainError("lemma1_g requires x >= 0")
     if x == 0.0 and alpha <= c + max(shifts):
         raise DomainError("integral diverges at x = 0 unless alpha > c + shift")
-    bm1 = beta - 1.0
-    expo = np.array([[(c + shift) - (alpha + beta)] for shift in shifts])
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        _, nodes = _half_table(u)
-        e = -x * u + bm1 * nodes.half_log + expo * nodes.half_log1p
-        return np.where(e < -745.0, 0.0, np.exp(e))
-
-    args = (alpha, beta, c, shifts, x)
-    res = de_halfline(specfun._guard("lemma1_g", args, integrand),
-                      rel_tol=1e-11)
-    return specfun._scaled("lemma1_g", args, res, math.exp(-x))
+    expos = tuple((c + shift) - (alpha + beta) for shift in shifts)
+    return specfun._tricomi("lemma1_g", (alpha, beta, c, shifts, x), x,
+                            beta - 1.0, expos, -x, 1e-11)
 
 
 def lemma1_g(alpha: float, beta: float, c: float, shift: int,
@@ -329,7 +320,7 @@ def lemma1_g(alpha: float, beta: float, c: float, shift: int,
     the exponential ensures convergence.  Raises :class:`DomainError`
     where the integrand or g overflows a double.
     """
-    (value,), (error,) = _lemma1_quad(alpha, beta, c, (shift,), x)
+    (value,), (error,) = _lemma1_rows(alpha, beta, c, (shift,), x)
     return specfun.SpecEval(value, error, "quadrature")
 
 
@@ -346,7 +337,7 @@ def lemma1_inequality(alpha: float, beta: float, c: float, x: float) -> float:
         raise HypothesisError("requires beta <= 1")
     if alpha + beta < c:
         raise HypothesisError("requires alpha + beta >= c")
-    (g0, gm, gp), _ = _lemma1_quad(alpha, beta, c, (0, -1, 1), x)
+    (g0, gm, gp), _ = _lemma1_rows(alpha, beta, c, (0, -1, 1), x)
     lhs = (x * g0 + (alpha + beta - c) * gm) * (gp - g0)
     rhs = (beta - 1.0) * gm * gm
     return lhs - rhs
@@ -360,6 +351,8 @@ def whitt_margin(x: float) -> float:
     U7 >= U4 >= U1 makes it hold."""
     if not 0.0 < x < math.inf:  # NaN fails too
         raise DomainError("whitt_margin requires finite x > 0")
-    (u1, u4, u7), _ = specfun._psi_quad(
-        1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0), x, specfun.DEFAULT_REL_TOL)
+    a, cs = 1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0)
+    (u1, u4, u7), _ = specfun._tricomi(
+        "psi_chf", (a, cs, x), x, a - 1.0, tuple(c - a - 1.0 for c in cs),
+        -math.lgamma(a), specfun.DEFAULT_REL_TOL)
     return (x * u4 - u1 / 6.0) * (u7 - u4) + 5.0 * u4 * u4 / 6.0

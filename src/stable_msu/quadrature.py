@@ -37,11 +37,10 @@ reduce over that row alone.
 that is not finite counts as 0 (in its own row), and so does every node
 where ``f`` is 0.  The node tables of a level, and those of the head,
 are built on first use, cached and read-only.  Besides the nodes and
-weights of both maps, they hold log x, log1p x and cosh x at the
-exp-sinh nodes x, so that an integrand of :func:`de_halfline` can read
-them instead of computing them on every call: ``_half_table(x)`` gives
-the table of the array that ``f`` is handed, and the levels it holds,
-which name it in caches of other functions of x.
+weights of both maps, they hold log x and log1p x at the exp-sinh nodes
+x, so that an integrand of :func:`de_halfline` can read them instead of
+computing them on every call: ``_half_table(x)`` gives the table of the
+array that ``f`` is handed.
 """
 
 from __future__ import annotations
@@ -86,11 +85,10 @@ class _Nodes(NamedTuple):
     # exp-sinh: x = exp(pi/2 sinh t), weight dx/dt = x pi/2 cosh t
     half_x: np.ndarray
     half_w: np.ndarray
-    # log x, log1p x and cosh x at those nodes, read by integrands that
-    # would otherwise recompute them on every call (see _half_table)
+    # log x and log1p x at those nodes, read by integrands that would
+    # otherwise recompute them on every call (see _half_table)
     half_log: np.ndarray
     half_log1p: np.ndarray
-    half_cosh: np.ndarray
     # tanh-sinh on [-1, 1], nodes with |u| <= _U_CAP only (u = pi/2 sinh t):
     # distance 1 - |tanh u| = 2 / (1 + e^{2|u|}) from the endpoint on
     # the side of u, and weight pi/2 cosh t sech^2 u
@@ -120,31 +118,23 @@ def _level_t(level: int) -> np.ndarray:
     return k * h
 
 
-# Every node table built, by the id of its half_x: the levels (first,
-# last) it holds and the table.  The entries keep the tables alive, so
-# no id is reused; there is one per table of _nodes and _head.
-_HALF_TABLES: dict[int, tuple[tuple[int, int], _Nodes]] = {}
+# Every node table built, by the id of its half_x.  The entries keep
+# the tables alive, so no id is reused; there is one per table of
+# _nodes and _head.
+_HALF_TABLES: dict[int, _Nodes] = {}
 
 
-def _register(levels: tuple[int, int], nodes: _Nodes) -> _Nodes:
-    """nodes, made read-only and registered as the table of levels."""
+def _register(nodes: _Nodes) -> _Nodes:
+    """nodes, made read-only and registered under its half_x."""
     for a in nodes:
         a.flags.writeable = False
-    _HALF_TABLES[id(nodes.half_x)] = (levels, nodes)
+    _HALF_TABLES[id(nodes.half_x)] = nodes
     return nodes
 
 
-def _half_table(x: np.ndarray) -> tuple[tuple[int, int], _Nodes]:
-    """The levels (first, last) and the node table of x, an array of
-    exp-sinh nodes that de_halfline handed its integrand; the levels
-    name the table in a cache of other functions of x."""
+def _half_table(x: np.ndarray) -> _Nodes:
+    """The node table of x, the nodes de_halfline handed its integrand."""
     return _HALF_TABLES[id(x)]
-
-
-def _levels_table(levels: tuple[int, int]) -> _Nodes:
-    """The node table that _half_table names by levels."""
-    first, last = levels
-    return _nodes(last) if first == last else _head(last).nodes
 
 
 @lru_cache(maxsize=None)
@@ -153,16 +143,13 @@ def _nodes(level: int) -> _Nodes:
     u = _HALF_PI * np.sinh(t)
     half_x = np.exp(u)
     half_w = half_x * (_HALF_PI * np.cosh(t))
-    with np.errstate(over="ignore"):
-        half_cosh = np.cosh(half_x)  # inf past x ~ 710
     keep = np.abs(u) <= _U_CAP
     tk, uk = t[keep], u[keep]
     au = np.abs(uk)
     fin_d = 2.0 / (1.0 + np.exp(2.0 * au))
     fin_w = _HALF_PI * np.cosh(tk) / np.cosh(uk) ** 2
-    return _register((level, level), _Nodes(
-        t, half_x, half_w, np.log(half_x), np.log1p(half_x), half_cosh,
-        uk >= 0.0, fin_d, fin_w))
+    return _register(_Nodes(t, half_x, half_w, np.log(half_x),
+                            np.log1p(half_x), uk >= 0.0, fin_d, fin_w))
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +157,7 @@ def _head(top: int) -> _Run:
     """The nodes of levels 0..top as one run."""
     levels = [_nodes(level) for level in range(top + 1)]
     nodes = _Nodes(*(np.concatenate(field) for field in zip(*levels)))
-    return _Run(_register((0, top), nodes),
+    return _Run(_register(nodes),
                 tuple(itertools.accumulate(n.t.size for n in levels)),
                 tuple(itertools.accumulate(n.fin_d.size for n in levels)))
 

@@ -2,24 +2,23 @@
 
 All operations are pure functions returning a :class:`SpecEval` bundling
 the value with a conservative absolute error estimate and the method
-used.  The quadrature-backed kernels use the double-exponential rules
-from :mod:`stable_msu.quadrature` at a default relative tolerance of
-1e-10; their error estimates are the difference between the last two
-refinement levels.
+used.  The quadrature-backed kernels, and the Lemma 1 kernels of
+:mod:`stable_msu.factorizations`, are each one call of :func:`_tricomi`:
+Tricomi's integral by the exp-sinh rule of :mod:`stable_msu.quadrature`
+(default relative tolerance 1e-10), with the difference between the last
+two refinement levels as its error estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .quadrature import (Integrand, QuadResult, _half_table, _levels_table,
-                         de_halfline)
-from .util import log_cosh, sinpi
+from .quadrature import _half_table, de_halfline
+from .util import sinpi
 
 DEFAULT_REL_TOL = 1e-10
 
@@ -67,92 +66,57 @@ def log_gamma(x: float) -> SpecEval:
     return SpecEval(value, 5e-15 * (1.0 + abs(value)), "lgamma", sign)
 
 
-def _guard(name: str, args: tuple, integrand: Integrand) -> Integrand:
-    """integrand, raising DomainError naming the kernel call
-    ``name(*args)`` where it overflows a double at a node.  The
-    quadrature would count such a node as 0."""
+def _tricomi(name: str, args: tuple, z: float, am1: float, expos: tuple,
+             log_scale: float, rel_tol: float):
+    """exp(log_scale) int_0^inf e^{-z s} s^am1 (1+s)^expo ds and its
+    error bar for each expo in expos, one quadrature row each, as two
+    lists of floats; 0 +- 0 at z = inf.  The scale sits inside the
+    exponent, so a value whose unscaled integral overflows evaluates.
+    Raises DomainError naming ``name(*args)`` where the exponent passes
+    709 (or is NaN) at a node, or a value or bar is not finite."""
+    if z == math.inf:
+        return [0.0] * len(expos), [0.0] * len(expos)
+    expo = np.array([[e] for e in expos])
 
-    def guarded(x: np.ndarray) -> np.ndarray:
-        values = integrand(x)
-        if values.max() == math.inf:
+    def integrand(s: np.ndarray) -> np.ndarray:
+        nodes = _half_table(s)
+        e = expo * nodes.half_log1p
+        e += am1 * nodes.half_log - z * s + log_scale
+        if not e.max() <= 709.0:
             raise DomainError(f"{name}{args} overflows a double: its "
-                              "integrand is infinite at a quadrature node")
-        return values
+                              "integrand passes e^709 at a quadrature node")
+        return np.exp(e, out=e)
 
-    return guarded
-
-
-def _scaled(name: str, args: tuple, res: QuadResult, scale: float):
-    """(scale * value, scale * error) of res, as floats for one integral
-    and as lists of floats for rows, raising DomainError naming the
-    kernel call ``name(*args)`` unless all of them are finite."""
-    if isinstance(res.value, float):
-        value, error = scale * res.value, scale * res.error
-        finite = math.isfinite(value) and math.isfinite(error)
-    else:
-        value = [scale * v for v in res.value.tolist()]
-        error = [scale * e for e in res.error.tolist()]
-        finite = all(map(math.isfinite, value + error))
-    if not finite:
+    res = de_halfline(integrand, rel_tol=rel_tol)
+    value, error = res.value.tolist(), res.error.tolist()
+    if not all(map(math.isfinite, value + error)):
         raise DomainError(f"{name}{args} overflows a double: its "
                           "quadrature value is not finite")
     return value, error
 
 
-@lru_cache(maxsize=16)
-def _log_cosh_nodes(nu: float, levels: tuple[int, int]) -> np.ndarray:
-    """log cosh(nu x) at the exp-sinh nodes x of the given levels (see
-    quadrature._half_table), read-only.  Every caller in the package
-    passes nu = 1/3, whose tables up to level 10 take six entries."""
-    out = log_cosh(nu * _levels_table(levels).half_x)
-    out.flags.writeable = False
-    return out
-
-
 def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
     """Macdonald function K_nu(x), nu >= 0, x > 0.
 
-    Evaluated from the cosh integral representation
-    ``K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt``
-    by double-exponential quadrature.  Raises :class:`DomainError` where
-    the integrand or K_nu(x) overflows a double.
+    Evaluated as the Tricomi function
+    ``K_nu(x) = sqrt(pi) (2x)^nu e^{-x} U(nu + 1/2, 2 nu + 1, 2x)``
+    (DLMF 10.39.6) by double-exponential quadrature; 0 at x = inf.
+    Raises :class:`DomainError` where the integrand or K_nu(x)
+    overflows a double.
     """
     if not x > 0.0:
         raise DomainError("bessel_k requires x > 0")
-    if not nu >= 0.0:
-        raise DomainError("bessel_k requires nu >= 0")
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        levels, nodes = _half_table(t)
-        e = x * nodes.half_cosh - _log_cosh_nodes(nu, levels)
-        return np.where((t > 700.0) | (e > 745.0), 0.0, np.exp(-e))
-
+    if not 0.0 <= nu < math.inf:
+        raise DomainError("bessel_k requires finite nu >= 0")
     args = (nu, x)
-    res = de_halfline(_guard("bessel_k", args, integrand), rel_tol=rel_tol)
-    return SpecEval(*_scaled("bessel_k", args, res, 1.0), "quadrature")
-
-
-def _psi_quad(a: float, cs: tuple, x: float, rel_tol: float):
-    """Psi(a, c, x) and its error bar for each c in cs, one quadrature
-    row each, as two lists of floats."""
-    if not a > 0.0:
-        raise DomainError("psi_chf requires a > 0")
-    if not x > 0.0:
-        raise DomainError("psi_chf requires x > 0")
-    if any(math.isnan(c) for c in cs):
-        raise DomainError("psi_chf requires a number c, got nan")
-    am1 = a - 1.0
-    cam1 = np.array([[c - a - 1.0] for c in cs])
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        _, nodes = _half_table(s)
-        e = -x * s + am1 * nodes.half_log + cam1 * nodes.half_log1p
-        return np.where(e > 709.0, math.inf,
-                        np.where(e < -745.0, 0.0, np.exp(e)))
-
-    args = (a, cs, x)
-    res = de_halfline(_guard("psi_chf", args, integrand), rel_tol=rel_tol)
-    return _scaled("psi_chf", args, res, 1.0 / math.gamma(a))
+    try:
+        log_scale = (nu * math.log(2.0 * x) - x + 0.5 * math.log(math.pi)
+                     - math.lgamma(nu + 0.5))
+    except OverflowError:  # lgamma overflows for nu past about 2.5e305
+        raise DomainError(f"bessel_k{args} overflows a double") from None
+    (value,), (error,) = _tricomi("bessel_k", args, 2.0 * x, nu - 0.5,
+                                  (nu - 0.5,), log_scale, rel_tol)
+    return SpecEval(value, error, "quadrature")
 
 
 def psi_chf(a: float, c: float, x: float,
@@ -161,12 +125,19 @@ def psi_chf(a: float, c: float, x: float,
 
     ``Psi(a, c, x) = Gamma(a)^-1 int_0^inf e^{-x s} s^{a-1} (1+s)^{c-a-1} ds``
 
-    for a > 0, x > 0 (Tricomi's U(a, c, x)).  Strictly decreasing in x
-    and strictly increasing in c.  Raises :class:`DomainError` where the
-    integrand (taken as overflowing past e^709) or Psi overflows a
-    double.
+    for a > 0, x > 0 (Tricomi's U(a, c, x)); 0 at x = inf.  Strictly
+    decreasing in x and strictly increasing in c.  Raises
+    :class:`DomainError` where the integrand (taken as overflowing past
+    e^709) or Psi overflows a double.
     """
-    (value,), (error,) = _psi_quad(a, (c,), x, rel_tol)
+    if not a > 0.0:
+        raise DomainError("psi_chf requires a > 0")
+    if not x > 0.0:
+        raise DomainError("psi_chf requires x > 0")
+    if math.isnan(c):
+        raise DomainError("psi_chf requires a number c, got nan")
+    (value,), (error,) = _tricomi("psi_chf", (a, (c,), x), x, a - 1.0,
+                                  (c - a - 1.0,), -math.lgamma(a), rel_tol)
     return SpecEval(value, error, "quadrature")
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def sinpi(y: float) -> float:
     """sin(pi*y) with exact zeros at integer y.
@@ -23,12 +21,4 @@ def sinpi(y: float) -> float:
 def cospi(y: float) -> float:
     """cos(pi*y) with exact zeros at half-integer y."""
     return sinpi(y + 0.5)
-
-
-def log_cosh(y: np.ndarray) -> np.ndarray:
-    """log(cosh(y)) elementwise, without overflow for large |y|."""
-    ay = np.abs(y)
-    with np.errstate(over="ignore"):
-        return np.where(ay < 350.0, np.log(np.cosh(ay)),
-                        ay + np.log1p(np.exp(-2.0 * ay)) - math.log(2.0))
 

@@ -625,11 +625,13 @@ def _count(floor: int) -> _Rule:
 
 
 _REAL = _Rule("a finite number", _is_real)
-_POSITIVE = _Rule("a finite number above 0",
-                  lambda value: _is_real(value) and value > 0.0)
-# an alpha step of 0.4 or more can leave one side of 1/2 untested
-_STEP = _Rule("a number in (0, 0.4)",
-              lambda value: _is_real(value) and 0.0 < value < 0.4)
+# 1e6 is far above every default; near 1e300 grids and closed forms overflow
+_GRID = _Rule("a number in (0, 1e6]",
+              lambda value: _is_real(value) and 0.0 < value <= 1e6)
+# an alpha step of 0.4 or more can leave one side of 1/2 untested, and
+# one below 1e-4 makes a sweep of more than 10^4 alphas
+_STEP = _Rule("a number in [1e-4, 0.4)",
+              lambda value: _is_real(value) and 1e-4 <= value < 0.4)
 _REALS = _Rule("a list of finite numbers", _items(_is_real))
 _TRIPLES = _Rule("a list of triples [a, b, c] of finite numbers",
                  _items(lambda t: _items(_is_real)(t) and len(t) == 3))
@@ -650,13 +652,13 @@ _REQUIRED = object()  # the default of a key that an entry must give
 CHECK_PARAMS: dict[str, dict[str, tuple[_Rule, object]]] = {
     "closed_form": {"alpha": (_ALPHA, _REQUIRED),
                     "threshold": (_REAL, _REQUIRED),
-                    "x_lo": (_POSITIVE, 0.2), "x_hi": (_POSITIVE, 20.0),
+                    "x_lo": (_GRID, 0.2), "x_hi": (_GRID, 20.0),
                     "points": (_count(1), 50)},
     "laplace": {"alpha": (_ALPHA, _REQUIRED), "lambdas": (_REALS, ()),
                 "threshold": (_REAL, _REQUIRED)},
     "msu_dichotomy": {"alphas_violation": (_ALPHAS, ()),
-                      "alphas_msu": (_ALPHAS, ()), "x_lo": (_POSITIVE, 0.5),
-                      "x_hi": (_POSITIVE, 50.0), "points": (_count(16), 400)},
+                      "alphas_msu": (_ALPHAS, ()), "x_lo": (_GRID, 0.5),
+                      "x_hi": (_GRID, 50.0), "points": (_count(16), 400)},
     "tail_sign": {"alpha_step": (_STEP, 0.01)},
     "half_alpha_residual": {"xs": (_REALS, (0.5, 1.0, 2.0, 10.0)),
                             "threshold": (_REAL, _REQUIRED)},
@@ -669,12 +671,12 @@ CHECK_PARAMS: dict[str, dict[str, tuple[_Rule, object]]] = {
                       "n_samples": (_count(_DIFF_MIN_SAMPLES), 1_000_000),
                       "seed": (_count(0), 4321)},
     "ualpha_dichotomy": {"alpha_step": (_STEP, 0.01),
-                         "x_max": (_POSITIVE, 50.0)},
-    "whitt_inequality": {"x_hi": (_POSITIVE, 40.0),
+                         "x_max": (_GRID, 50.0)},
+    "whitt_inequality": {"x_hi": (_GRID, 40.0),
                          "safe_points": (_count(1), 40),
                          "scan_points": (_count(1), 60)},
     "lemma1_inequality": {"triples": (_TRIPLES, ()),
-                          "x_lo": (_POSITIVE, 0.01), "x_hi": (_POSITIVE, 20.0),
+                          "x_lo": (_GRID, 0.01), "x_hi": (_GRID, 20.0),
                           "points": (_count(1), 100),
                           "floor": (_REAL, _REQUIRED)},
     "bb_crosscheck": {"alphas": (_ALPHAS, ()), "order": (_count(1), 30),

@@ -231,15 +231,24 @@ class TestUsageErrors:
         ({"kind": "sampler_fidelity", "alphas": [0.5], "n_samples": 1.5},
          "n_samples must be an integer"),
         ({"kind": "tail_sign", "alpha_step": 1}, "alpha_step must be"),
+        ({"kind": "tail_sign", "alpha_step": 1e-9}, "alpha_step must be"),
+        ({"kind": "ualpha_dichotomy", "alpha_step": 5e-5},
+         "alpha_step must be"),
+        ({"kind": "ualpha_dichotomy", "x_max": 1e308}, "x_max must be"),
+        ({"kind": "closed_form", "alpha": [1, 2], "threshold": 1e-8,
+          "x_hi": 1e300}, "x_hi must be"),
     ], ids=["zero-denominator", "alphas-not-a-list", "three-integers",
             "float-numerator", "float-pair", "list-n-samples",
-            "float-n-samples", "step-1"])
+            "float-n-samples", "step-1", "step-1e-9", "step-5e-5",
+            "x-max-1e308", "x-hi-1e300"])
     def test_acceptance_malformed_spec(self, capsys, tmp_path, entry,
                                        reason):
         # zero-denominator, alphas-not-a-list and list-n-samples ended in
         # a traceback with exit code 1; the others were truncated to
         # another alpha, pair or sample size and passed, or, for the step,
-        # tested no alpha and passed
+        # tested no alpha and passed.  A step of 1e-9 swept about 10^9
+        # alphas; x_max 1e308 failed on a NaN grid and x_hi 1e300 ended
+        # in an OverflowError traceback
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": [{"name": "bad", **entry}]}))
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))

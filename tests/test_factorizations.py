@@ -481,7 +481,7 @@ class TestLemma1Inequality:
                 assert lemma1_inequality(a, b, c, x) == old, (a, b, c, x)
 
     def test_one_quadrature_call(self, monkeypatch):
-        counts = _count_calls(monkeypatch, [(factorizations, "de_halfline"),
+        counts = _count_calls(monkeypatch, [(specfun, "de_halfline"),
                                             (factorizations, "lemma1_g")])
         lemma1_inequality(0.4, 0.6, 0.9, 1.0)
         assert counts == {"de_halfline": 1}

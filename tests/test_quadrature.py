@@ -11,7 +11,6 @@ from scipy import special
 from stable_msu import factorizations, specfun
 from stable_msu import quadrature as quad
 from stable_msu.quadrature import de_halfline, tanh_sinh
-from stable_msu.util import log_cosh
 
 
 def test_finite_smooth():
@@ -83,10 +82,11 @@ class TestNodeTables:
                 "from stable_msu import density, quadrature\n"
                 "print(quadrature._nodes.cache_info().currsize,\n"
                 "      quadrature._head.cache_info().currsize,\n"
+                "      len(quadrature._HALF_TABLES),\n"
                 "      density._lambda_free.cache_info().currsize)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)
-        assert out.stdout.split() == ["0", "0", "0"]
+        assert out.stdout.split() == ["0", "0", "0", "0"]
 
     def test_range_check_builds_no_table(self):
         code = ("from stable_msu import quadrature as q\n"
@@ -131,18 +131,16 @@ class TestNodeTables:
 
 class TestNodeTransforms:
     """The exp-sinh fields that integrands read in place of computing
-    log x, log1p x and cosh x at the nodes."""
+    log x and log1p x at the nodes."""
 
-    FRESH = {"half_log": np.log, "half_log1p": np.log1p,
-             "half_cosh": np.cosh}
+    FRESH = {"half_log": np.log, "half_log1p": np.log1p}
 
     def _check(self, nodes):
-        with np.errstate(over="ignore"):
-            for field, fn in self.FRESH.items():
-                stored = getattr(nodes, field)
-                assert not stored.flags.writeable, field
-                np.testing.assert_array_equal(
-                    stored.view(np.int64), fn(nodes.half_x).view(np.int64))
+        for field, fn in self.FRESH.items():
+            stored = getattr(nodes, field)
+            assert not stored.flags.writeable, field
+            np.testing.assert_array_equal(
+                stored.view(np.int64), fn(nodes.half_x).view(np.int64))
 
     @pytest.mark.parametrize("level", range(0, 11))
     def test_level_fields_equal_fresh_transforms(self, level):
@@ -156,11 +154,9 @@ class TestNodeTransforms:
         de_halfline(lambda x: np.cos(1e3 * x), max_level=8)
         for level in range(9):
             nodes = quad._nodes(level)
-            assert quad._half_table(nodes.half_x) == ((level, level), nodes)
-            assert quad._levels_table((level, level)) is nodes
+            assert quad._half_table(nodes.half_x) is nodes
         head = quad._head(quad._HEAD).nodes
-        assert quad._half_table(head.half_x) == ((0, quad._HEAD), head)
-        assert quad._levels_table((0, quad._HEAD)) is head
+        assert quad._half_table(head.half_x) is head
         # one entry per table built, so the registry is as bounded as
         # the tables
         assert len(quad._HALF_TABLES) == (quad._nodes.cache_info().currsize
@@ -168,61 +164,23 @@ class TestNodeTransforms:
 
     def test_integrands_are_handed_registered_tables(self):
         seen = []
-        de_halfline(lambda x: seen.append(quad._half_table(x)[0])
+        de_halfline(lambda x: seen.append(quad._half_table(x))
                     or np.cos(1e3 * x), max_level=7)
-        assert seen == [(0, quad._HEAD), (6, 6), (7, 7)]
-
-    def test_nu_cache_stays_empty_on_import(self):
-        code = ("import stable_msu\n"
-                "from stable_msu import quadrature, specfun\n"
-                "info = specfun._log_cosh_nodes.cache_info()\n"
-                "print(info.currsize, info.maxsize,\n"
-                "      len(quadrature._HALF_TABLES))\n")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.split() == ["0", "16", "0"]
-
-    def test_nu_cache_is_bounded_and_read_only(self):
-        for nu in np.linspace(0.0, 3.0, 20).tolist():
-            specfun.bessel_k(nu, 1.0)
-        info = specfun._log_cosh_nodes.cache_info()
-        assert info.currsize == info.maxsize == 16
-        table = specfun._log_cosh_nodes(1.0 / 3.0, (0, quad._HEAD))
-        assert not table.flags.writeable
-        np.testing.assert_array_equal(
-            table.view(np.int64),
-            log_cosh((1.0 / 3.0) * quad._head(quad._HEAD).nodes.half_x)
-            .view(np.int64))
+        expected = [quad._head(quad._HEAD).nodes, quad._nodes(6),
+                    quad._nodes(7)]
+        assert len(seen) == 3
+        assert all(a is b for a, b in zip(seen, expected))
 
 
-# The kernels' integrands before they read the node tables, kept as the
-# reference the kernels must match bit for bit.
-
-def _reference_bessel_k(nu, x):
-    def integrand(t):
-        e = x * np.cosh(t) - log_cosh(nu * t)
-        return np.where((t > 700.0) | (e > 745.0), 0.0, np.exp(-e))
-    return integrand
-
-
-def _reference_psi(a, cs, x):
-    am1 = a - 1.0
-    cam1 = np.array([[c - a - 1.0] for c in cs])
+def _reference(z, am1, expos, log_scale):
+    """The one kernel integrand of specfun._tricomi, computing log s and
+    log1p s afresh: the kernels must match it bit for bit."""
+    expo = np.array([[e] for e in expos])
 
     def integrand(s):
-        e = -x * s + am1 * np.log(s) + cam1 * np.log1p(s)
-        return np.where(e > 709.0, math.inf,
-                        np.where(e < -745.0, 0.0, np.exp(e)))
-    return integrand
-
-
-def _reference_lemma1(alpha, beta, c, shifts, x):
-    bm1 = beta - 1.0
-    expo = np.array([[(c + shift) - (alpha + beta)] for shift in shifts])
-
-    def integrand(u):
-        e = -x * u + bm1 * np.log(u) + expo * np.log1p(u)
-        return np.where(e < -745.0, 0.0, np.exp(e))
+        e = expo * np.log1p(s)
+        e += am1 * np.log(s) - z * s + log_scale
+        return np.exp(e)
     return integrand
 
 
@@ -235,7 +193,7 @@ class TestKernelsMatchReference:
     TRIPLES = [(0.4, 0.6, 0.9), (0.3, 0.5, 0.7), (0.5, 1.0, 1.2),
                (0.7, 0.8, 1.5), (0.2, 0.9, 1.0)]
 
-    def _run(self, monkeypatch, module, call):
+    def _run(self, monkeypatch, call):
         """call()'s result and the one QuadResult of its de_halfline."""
         seen = []
 
@@ -243,7 +201,7 @@ class TestKernelsMatchReference:
             seen.append(de_halfline(f, **kw))
             return seen[-1]
 
-        monkeypatch.setattr(module, "de_halfline", recording)
+        monkeypatch.setattr(specfun, "de_halfline", recording)
         out = call()
         assert len(seen) == 1
         return out, seen[0]
@@ -253,69 +211,75 @@ class TestKernelsMatchReference:
         np.testing.assert_array_equal(_bits(res.error), _bits(ref.error))
         assert res.levels == ref.levels
 
+    def _assert_value(self, out, ref):
+        """out's value and error bar are ref's only row."""
+        assert _bits([out.value, out.abs_error_estimate]).tolist() == (
+            _bits([ref.value[0], ref.error[0]]).tolist())
+
     @pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 2.5])
     def test_bessel_k(self, monkeypatch, nu):
         for x in self.XS:
-            out, res = self._run(monkeypatch, specfun,
+            out, res = self._run(monkeypatch,
                                  lambda: specfun.bessel_k(nu, x))
-            ref = de_halfline(_reference_bessel_k(nu, x), rel_tol=1e-10)
+            log_scale = (nu * math.log(2.0 * x) - x
+                         + 0.5 * math.log(math.pi) - math.lgamma(nu + 0.5))
+            ref = de_halfline(_reference(2.0 * x, nu - 0.5, (nu - 0.5,),
+                                         log_scale), rel_tol=1e-10)
             self._assert_same(res, ref)
-            assert _bits([out.value, out.abs_error_estimate]).tolist() == (
-                _bits([ref.value, ref.error]).tolist())
+            self._assert_value(out, ref)
 
     @pytest.mark.parametrize("a,c", [(1.0 / 6.0, 1.0 / 3.0),
                                      (1.0 / 6.0, 4.0 / 3.0),
                                      (1.0 / 6.0, 7.0 / 3.0), (2.0, 0.5)])
     def test_psi_chf(self, monkeypatch, a, c):
-        scale = 1.0 / math.gamma(a)
         for x in self.XS:
-            out, res = self._run(monkeypatch, specfun,
+            out, res = self._run(monkeypatch,
                                  lambda: specfun.psi_chf(a, c, x))
-            ref = de_halfline(_reference_psi(a, (c,), x), rel_tol=1e-10)
+            ref = de_halfline(_reference(x, a - 1.0, (c - a - 1.0,),
+                                         -math.lgamma(a)), rel_tol=1e-10)
             self._assert_same(res, ref)
-            assert _bits([out.value, out.abs_error_estimate]).tolist() == (
-                _bits([(scale * ref.value).item(),
-                       (scale * ref.error).item()]).tolist())
+            self._assert_value(out, ref)
 
     def test_whitt_margin(self, monkeypatch):
-        cs = (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0)
-        scale = 1.0 / math.gamma(1.0 / 6.0)
+        a = 1.0 / 6.0
+        expos = tuple(c - a - 1.0 for c in (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0))
         for x in self.XS:
-            out, res = self._run(monkeypatch, specfun,
+            out, res = self._run(monkeypatch,
                                  lambda: factorizations.whitt_margin(x))
-            ref = de_halfline(_reference_psi(1.0 / 6.0, cs, x),
+            ref = de_halfline(_reference(x, a - 1.0, expos, -math.lgamma(a)),
                               rel_tol=1e-10)
             self._assert_same(res, ref)
-            u1, u4, u7 = (scale * ref.value).tolist()
+            u1, u4, u7 = ref.value.tolist()
             margin = (x * u4 - u1 / 6.0) * (u7 - u4) + 5.0 * u4 * u4 / 6.0
             assert _bits(out) == _bits(margin)
+
+    @staticmethod
+    def _lemma1_reference(alpha, beta, c, shifts, x):
+        expos = tuple((c + shift) - (alpha + beta) for shift in shifts)
+        return de_halfline(_reference(x, beta - 1.0, expos, -x),
+                           rel_tol=1e-11)
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_lemma1_g(self, monkeypatch, triple):
         for shift in (-1, 0, 1):
             for x in self.XS:
                 out, res = self._run(
-                    monkeypatch, factorizations,
+                    monkeypatch,
                     lambda: factorizations.lemma1_g(*triple, shift, x))
-                ref = de_halfline(_reference_lemma1(*triple, (shift,), x),
-                                  rel_tol=1e-11)
+                ref = self._lemma1_reference(*triple, (shift,), x)
                 self._assert_same(res, ref)
-                scale = math.exp(-x)
-                assert _bits([out.value, out.abs_error_estimate]).tolist() == (
-                    _bits([(scale * ref.value).item(),
-                           (scale * ref.error).item()]).tolist())
+                self._assert_value(out, ref)
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_lemma1_inequality(self, monkeypatch, triple):
         alpha, beta, c = triple
         for x in self.XS:
             out, res = self._run(
-                monkeypatch, factorizations,
+                monkeypatch,
                 lambda: factorizations.lemma1_inequality(*triple, x))
-            ref = de_halfline(_reference_lemma1(*triple, (0, -1, 1), x),
-                              rel_tol=1e-11)
+            ref = self._lemma1_reference(*triple, (0, -1, 1), x)
             self._assert_same(res, ref)
-            g0, gm, gp = (math.exp(-x) * ref.value).tolist()
+            g0, gm, gp = ref.value.tolist()
             lhs = (x * g0 + (alpha + beta - c) * gm) * (gp - g0)
             assert _bits(out) == _bits(lhs - (beta - 1.0) * gm * gm)
 
@@ -407,10 +371,10 @@ class TestKernels:
         g = factorizations.lemma1_g(alpha, beta, c, shift, x)
         assert g.value == pytest.approx(float(ref), rel=1e-10)
 
-    # levels taken by the scalar-loop engine this one replaced
+    # levels of the one Tricomi kernel behind all five
     LEVELS = [
-        (specfun, "bessel_k", (1.0 / 3.0, 1e-3), 8),
-        (specfun, "bessel_k", (1.0 / 3.0, 1.0), 6),
+        (specfun, "bessel_k", (1.0 / 3.0, 1e-3), 6),
+        (specfun, "bessel_k", (1.0 / 3.0, 1.0), 4),
         (specfun, "bessel_k", (2.5, 50.0), 4),
         (specfun, "bessel_k", (0.0, 300.0), 5),
         (specfun, "psi_chf", (1.0 / 6.0, 1.0 / 3.0, 1e-3), 5),
@@ -433,7 +397,7 @@ class TestKernels:
             seen.append(res.levels)
             return res
 
-        monkeypatch.setattr(module, "de_halfline", recording)
+        monkeypatch.setattr(specfun, "de_halfline", recording)
         getattr(module, name)(*args)
         assert seen == [levels]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from stable_msu import specfun
 from stable_msu.errors import DomainError, PoleError
 from stable_msu.factorizations import lemma2_product
 from stable_msu.specfun import (bessel_k, log_gamma, psi_chf,
@@ -189,6 +190,31 @@ class TestBesselK:
         assert bessel_k(150.0, 1.0).value == pytest.approx(
             2.7135812385643e305, rel=1e-13)
 
+    @pytest.mark.parametrize("nu", [50.0, 150.0])
+    @pytest.mark.parametrize("x", [1e-3, 1.0])
+    def test_high_orders_against_mpmath(self, nu, x):
+        # the scale sits inside the exponent, so K evaluates wherever it
+        # is a double; K_150(1e-3) = 2.7e755 is not, and raises
+        with mp.workdps(30):
+            ref = mp.besselk(nu, x)
+        if ref > mp.mpf(1.7976931348623157e308):
+            with pytest.raises(DomainError, match="overflows"):
+                bessel_k(nu, x)
+        else:
+            assert bessel_k(nu, x).value == pytest.approx(float(ref),
+                                                          rel=1e-10)
+
+    def test_infinite_x_is_zero_without_quadrature(self, monkeypatch):
+        # (2x)^nu e^{-x} would be inf * 0 = nan inside the exponent
+        monkeypatch.setattr(specfun, "de_halfline", None)
+        for nu in (0.0, 1.0 / 3.0, 2.5):
+            ev = bessel_k(nu, math.inf)
+            assert (ev.value, ev.abs_error_estimate) == (0.0, 0.0)
+
+    def test_infinite_order_raises(self):
+        with pytest.raises(DomainError):
+            bessel_k(math.inf, 1.0)
+
 
 class TestPsi:
     def test_family_ordering_at_one(self):
@@ -248,6 +274,12 @@ class TestPsi:
         # a nan c used to return 0.0 +- 0.0
         with pytest.raises(DomainError):
             psi_chf(1 / 6, math.nan, 1.0)
+
+    def test_infinite_x_is_zero_without_quadrature(self, monkeypatch):
+        monkeypatch.setattr(specfun, "de_halfline", None)
+        for a, c in ((1.0 / 6.0, 4.0 / 3.0), (2.0, 0.5)):
+            ev = psi_chf(a, c, math.inf)
+            assert (ev.value, ev.abs_error_estimate) == (0.0, 0.0)
 
     def test_overflow_raises(self):
         # the true value, about 3.4e308, overflows a double

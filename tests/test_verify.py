@@ -793,24 +793,33 @@ class TestRunAcceptance:
         ({"kind": "half_alpha_residual", "xs": [1.0, math.inf],
           "threshold": 1e-7}, ValueError, "xs must be a list of finite"),
         ({"kind": "tail_sign", "alpha_step": 1}, ValueError,
-         "alpha_step must be a number in \\(0, 0.4\\)"),
+         "alpha_step must be a number in \\[1e-4, 0.4\\)"),
         ({"kind": "tail_sign", "alpha_step": 0.4}, ValueError,
-         "alpha_step must be a number in \\(0, 0.4\\)"),
+         "alpha_step must be a number in \\[1e-4, 0.4\\)"),
         ({"kind": "ualpha_dichotomy", "alpha_step": 2}, ValueError,
-         "alpha_step must be a number in \\(0, 0.4\\)"),
+         "alpha_step must be a number in \\[1e-4, 0.4\\)"),
         ({"kind": "ualpha_dichotomy", "alpha_step": 0.45}, ValueError,
-         "alpha_step must be a number in \\(0, 0.4\\)"),
+         "alpha_step must be a number in \\[1e-4, 0.4\\)"),
         ({"kind": "closed_form", "alpha": 0.5, "threshold": 1e-8,
-          "x_lo": 0}, ValueError, "x_lo must be a finite number above 0"),
+          "x_lo": 0}, ValueError, "x_lo must be a number in \\(0, 1e6\\]"),
         ({"kind": "msu_dichotomy", "alphas_msu": [0.3], "x_lo": 5,
           "x_hi": 1}, ValueError, "x_lo must be below x_hi, got 5 and 1"),
         ({"kind": "lemma1_inequality", "triples": [[0.4, 0.6, 0.9]],
           "floor": -1e-10, "x_lo": 30.0}, ValueError,
          "x_lo must be below x_hi, got 30.0 and 20.0"),
         ({"kind": "whitt_inequality", "x_hi": -1}, ValueError,
-         "x_hi must be a finite number above 0"),
+         "x_hi must be a number in \\(0, 1e6\\]"),
         ({"kind": "ualpha_dichotomy", "x_max": 0.0}, ValueError,
-         "x_max must be a finite number above 0"),
+         "x_max must be a number in \\(0, 1e6\\]"),
+        ({"kind": "tail_sign", "alpha_step": 1e-9}, ValueError,
+         "alpha_step must be a number in \\[1e-4, 0.4\\)"),
+        ({"kind": "ualpha_dichotomy", "alpha_step": 5e-5}, ValueError,
+         "alpha_step must be a number in \\[1e-4, 0.4\\)"),
+        ({"kind": "ualpha_dichotomy", "x_max": 1e308}, ValueError,
+         "x_max must be a number in \\(0, 1e6\\]"),
+        ({"kind": "closed_form", "alpha": [1, 2], "threshold": 1e-8,
+          "x_hi": 1e300}, ValueError,
+         "x_hi must be a number in \\(0, 1e6\\]"),
     ])
     def test_malformed_spec_raises_before_any_check(self, monkeypatch, entry,
                                                     error, match):
@@ -818,9 +827,10 @@ class TestRunAcceptance:
         # their check ran, or were truncated to integers and ran; a NaN
         # threshold ran every check, then failed the JSON write.  An
         # alpha_step of 0.4 or more tested one side of 1/2 at most and
-        # passed; a grid bound at or below 0, or x_lo above x_hi, reached
-        # its check, which raised, warned, or ran on a reversed or
-        # one-point grid
+        # passed, and one of 1e-9 swept about 10^9 alphas; a grid bound
+        # at or below 0, or x_lo above x_hi, reached its check, which
+        # raised, warned, or ran on a reversed or one-point grid, and
+        # one of 1e300 or more overflowed its grid or closed form
         ran = self._stub_checks(monkeypatch)
         with pytest.raises(error, match=match):
             run_acceptance({"checks": [
