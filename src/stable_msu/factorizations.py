@@ -9,9 +9,12 @@
   Whittaker-side inequality for the 2/3 case, each one call of the
   Tricomi quadrature kernel of :mod:`stable_msu.specfun`.
 
-Gamma and Beta variates use numpy's Generator (standard rejection
-samplers, unit scale), matching the unit-scale density convention
-Gamma(c): y^{c-1} e^{-y} / Gamma(c).
+Factors are drawn in log space, matching the unit-scale density
+convention Gamma(c): y^{c-1} e^{-y} / Gamma(c).  Beta(a, b) with a, b <= 1
+comes from Johnk's rejection method over vectorised rounds of uniforms,
+Gamma(c) with c < 1 as Exp(1) x Beta(c, 1 - c), and Gamma(1) as Exp(1);
+every factor that williams_product and lemma2_product build is of these
+kinds.  A factor with a parameter above 1 is drawn by numpy's Generator.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ _GAMMA = "gamma"
 # temporaries stay this size at any sample size
 _BLOCK = 1 << 14
 
+# candidates per round of the Johnk sampler, which holds three buffers
+# of this many values
+_ROUND = _BLOCK // 2
+
 
 # ---------------------------------------------------------------------------
 # factors and factor lists
@@ -50,7 +57,8 @@ class Factor:
         if self.kind not in (_BETA, _GAMMA):
             raise PreconditionError(f"unknown factor kind {self.kind!r}")
         n = 2 if self.kind == _BETA else 1
-        if len(self.params) != n or any(not p > 0.0 for p in self.params):
+        if len(self.params) != n or not all(0.0 < p < math.inf
+                                            for p in self.params):
             raise PreconditionError(f"bad parameters {self.params} for {self.kind}")
 
     @classmethod
@@ -74,9 +82,30 @@ class Factor:
         return math.lgamma(s + c) - math.lgamma(c)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        if self.kind == _BETA:
-            return rng.beta(self.params[0], self.params[1], size)
-        return rng.gamma(self.params[0], 1.0, size)
+        """Draws of the factor, a scalar for size=None: the exponentials
+        of ``_add_logs``' draws."""
+        out = np.zeros(size if size is not None else ())
+        self._add_logs(rng, out.reshape(-1))
+        np.exp(out, out=out)
+        return out if size is not None else out[()]
+
+    def _add_logs(self, rng: np.random.Generator, flat: np.ndarray) -> None:
+        """Add the logs of ``flat.size`` draws to the flat float64 array
+        ``flat``, in order."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == _GAMMA:
+                c, = self.params
+                if c < 1.0:
+                    _add_log_johnk(rng, c, 1.0 - c, flat, exponential=True)
+                elif c == 1.0:
+                    _add_log_draws(rng.standard_exponential, flat)
+                else:
+                    _add_log_draws(lambda r: rng.gamma(c, 1.0, r), flat)
+            elif max(self.params) <= 1.0:
+                _add_log_johnk(rng, *self.params, flat)
+            else:
+                # Johnk's acceptance rate G(1+a)G(1+b)/G(1+a+b) collapses
+                _add_log_draws(lambda r: rng.beta(*self.params, r), flat)
 
 
 @dataclass(frozen=True)
@@ -88,23 +117,89 @@ class FactorList:
     represents: str = ""
 
     def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise PreconditionError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise PreconditionError("scale must be positive and finite")
         if not self.factors:
             raise PreconditionError("factor list must be non-empty")
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Draws of the product, a scalar for size=None.  Each factor's
-        draws are multiplied into the result block by block, one factor
-        after another: the random stream and every product are those of
-        whole-array draws, in block-sized temporaries."""
-        out = np.full(size if size is not None else (), self.scale, dtype=float)
+        """Draws of the product, a scalar for size=None.  The result
+        starts at log(scale); each factor's log draws are added into it
+        (see ``Factor._add_logs``), one factor after another, and one
+        ``exp`` closes the draw.  Beside the result the working set is
+        three buffers of ``_ROUND`` values."""
+        out = np.full(size if size is not None else (), math.log(self.scale))
         flat = out.reshape(-1)
         for factor in self.factors:
-            for lo in range(0, flat.size, _BLOCK):
-                block = flat[lo:lo + _BLOCK]
-                block *= factor.sample(rng, block.size)
+            factor._add_logs(rng, flat)
+        np.exp(out, out=out)
         return out if size is not None else out[()]
+
+
+def _add_log_draws(draw: Callable[[int], np.ndarray], flat: np.ndarray) -> None:
+    """Add the logs of ``draw(r)``, a new array of r draws, to the flat
+    float64 array ``flat``, ``_ROUND`` values at a time."""
+    for lo in range(0, flat.size, _ROUND):
+        block = flat[lo:lo + _ROUND]
+        draws = draw(block.size)
+        block += np.log(draws, out=draws)
+        del draws  # freed before the next round's draws are made
+
+
+def _add_log_johnk(rng: np.random.Generator, a: float, b: float,
+                   flat: np.ndarray, exponential: bool = False) -> None:
+    """Add the logs of Beta(a, b) draws, a, b <= 1, to the flat float64
+    array ``flat``, by Johnk's method (Metrika 8, 1964); with
+    ``exponential`` each draw is times a standard exponential, which
+    makes Exp(1) x Beta(c, 1 - c) a Gamma(c) draw.
+
+    For uniforms U, V on [0, 1) let lx = log(U)/a, ly = log(V)/b and
+    d = lx - ly.  Johnk keeps a candidate when X + Y <= 1, X = e^lx and
+    Y = e^ly, and draws X/(X + Y).  In logs it is kept when
+    max(lx, ly) + log1p(e^-|d|) <= 0, and its log draw is
+    min(d, 0) - log1p(e^-|d|): near 1 that is -e^-d to full precision,
+    where lx - log(X + Y) would round to 0.  A candidate with U = 0 or
+    V = 0 has no finite |d| and is rejected.
+
+    Each round draws min(_ROUND, draws missing) uniforms U, then as many
+    V, and then, with ``exponential``, one exponential per kept
+    candidate; the kept candidates fill ``flat`` in order.  The caller
+    ignores numpy's divide and invalid warnings (log 0, -inf - -inf).
+    """
+    size = flat.size
+    cap = min(size, _ROUND)
+    uv = np.empty(2 * cap)
+    d = np.empty(cap)
+    keep = np.empty(cap, dtype=bool)
+    finite = np.empty_like(keep)
+    done = 0
+    while done < size:
+        r = min(size - done, _ROUND)
+        both = uv[:2 * r]
+        rng.random(out=both)  # the round's U's, then its V's
+        np.log(both, out=both)
+        x, y = both[:r], both[r:]
+        x /= a
+        y /= b
+        t = np.subtract(x, y, out=d[:r])
+        np.maximum(x, y, out=x)
+        np.copysign(t, -1.0, out=y)  # -|d|
+        f = np.greater(y, -math.inf, out=finite[:r])
+        np.exp(y, out=y)
+        np.log1p(y, out=y)  # log1p(e^-|d|)
+        x += y
+        k = np.less_equal(x, 0.0, out=keep[:r])
+        k &= f
+        np.minimum(t, 0.0, out=t)
+        t -= y
+        draws = t[k]
+        kept = draws.size
+        if exponential:
+            e = rng.standard_exponential(out=uv[:kept])
+            draws += np.log(e, out=e)
+        flat[done:done + kept] += draws
+        del draws  # freed before the next round's draws are made
+        done += kept
 
 
 @dataclass(frozen=True)

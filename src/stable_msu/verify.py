@@ -105,27 +105,60 @@ def _ks_one(s: np.ndarray, cdf) -> KsResult:
     return KsResult(stat, n, crit, stat < crit)
 
 
-def _ecdf_gap(own: np.ndarray, other: np.ndarray) -> float:
-    """max |F_own - F_other| over the values of ``own``, for two sorted
-    flat samples, taken block by block at each value's last tied copy:
-    there F_own is the copy's rank, and F_other counts the values of
-    ``other`` up to it by binary search."""
-    size = own.size
+def _merged_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |F_a - F_b| over the values of two sorted flat samples.
+
+    The samples are merged a piece at a time.  A piece takes, of the next
+    ``_BLOCK // 2`` values of each sample, those below the smaller of the
+    two blocks' last values, so that no value has copies in two pieces.
+    A stable argsort merges the piece; running counts of the positions
+    that hold a's values, and of the others, give the ranks of each
+    merged value in a and in b, read at the last copy of each value
+    (where they count every copy, in any order).  When no value lies
+    below that cut, the cut is the least value left, and its copies are
+    counted in each sample by one binary search.  The counts are exact
+    floats, and the divisions those of counting each value's rank by
+    binary search.
+    """
+    n, m = a.size, b.size
+    half = fact._BLOCK // 2
+    piece = np.empty(2 * half)
+    merged = np.empty_like(piece)
+    ranks = np.arange(1.0, 2 * half + 1.0)
+    last = np.empty(2 * half, dtype=bool)
     worst = 0.0
-    for lo in range(0, size, fact._BLOCK):
-        hi = min(lo + fact._BLOCK, size)
-        last = np.empty(hi - lo, dtype=bool)
-        np.not_equal(own[lo:hi - 1], own[lo + 1:hi], out=last[:-1])
-        last[-1] = hi == size or own[hi - 1] != own[hi]
-        at = np.flatnonzero(last)
-        if at.size:
-            values = own[lo:hi][at]
-            at += lo + 1
-            gap = at / size
-            # the other sample's share, written over the spent values
-            gap -= np.divide(np.searchsorted(other, values, side="right"),
-                             other.size, out=values)
-            worst = max(worst, float(np.max(np.abs(gap, out=gap))))
+    i = j = 0
+    while i < n or j < m:
+        cut = min(s[min(lo + half, s.size) - 1]
+                  for s, lo in ((a, i), (b, j)) if lo < s.size)
+        ka = int(np.searchsorted(a[i:i + half], cut))
+        kb = int(np.searchsorted(b[j:j + half], cut))
+        if ka == kb == 0:
+            i += int(np.searchsorted(a[i:], cut, side="right"))
+            j += int(np.searchsorted(b[j:], cut, side="right"))
+            worst = max(worst, abs(i / n - j / m))
+            continue
+        k = ka + kb
+        p = piece[:k]
+        p[:ka] = a[i:i + ka]
+        p[ka:] = b[j:j + kb]
+        order = np.argsort(p, kind="stable")
+        values = np.take(p, order, out=merged[:k], mode="clip")
+        at_last = last[:k]
+        np.not_equal(values[:-1], values[1:], out=at_last[:-1])
+        at_last[-1] = True
+        ca = np.less(order, ka, out=p)  # 1 where a value of a sits
+        del order  # freed before the next piece's argsort
+        np.cumsum(ca, out=ca)
+        cb = np.subtract(ranks[:k], ca, out=values)
+        ca += i
+        cb += j
+        gap = np.divide(ca, n, out=ca)
+        gap -= np.divide(cb, m, out=cb)
+        np.abs(gap, out=gap)
+        worst = max(worst, float(np.max(gap, where=at_last, initial=0.0)))
+        i += ka
+        j += kb
     return worst
 
 
@@ -133,9 +166,9 @@ def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
     """Two-sample KS between the flat float64 samples ``a`` and ``b``;
     sorts each in place.
 
-    The empirical CDFs differ most at a value of one of the samples;
-    each sample's values are visited in turn (see ``_ecdf_gap``).
-    Besides the samples the working set is block-sized.
+    The empirical CDFs differ most at the last copy of a value of the
+    merged samples (see ``_merged_gap``).  Besides the samples the
+    working set is block-sized.
     """
     n, m = a.size, b.size
     if n == 0 or m == 0:
@@ -144,7 +177,7 @@ def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
     b.sort()
     _reject_nan(a, "ks_two_sample")
     _reject_nan(b, "ks_two_sample")
-    stat = max(_ecdf_gap(a, b), _ecdf_gap(b, a))
+    stat = _merged_gap(a, b)
     crit = KS_COEFF_1PCT * math.sqrt((n + m) / (n * m))
     return KsResult(stat, n, crit, stat < crit, m_samples=m)
 

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from stable_msu import factorizations, specfun
 from stable_msu.errors import DomainError, HypothesisError, PreconditionError
@@ -15,6 +16,8 @@ from stable_msu.factorizations import (Factor, FactorList, kanter_b, lemma1_g,
                                        sample_stable, whitt_margin,
                                        williams_product)
 from stable_msu.verify import DEFAULT_ACCEPTANCE_CONFIG
+
+import johnk_reference
 
 
 class TestKanterB:
@@ -252,19 +255,136 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("p,n", [(2, 5), (3, 7)])
     def test_factor_list_sample(self, p, n, size):
-        # each factor's draws, taken block by block, are multiplied in
-        # one factor after another: the whole-array products, with the
-        # stream left where whole-array draws leave it
+        # each factor's log draws, taken round by round into three
+        # buffers, are added in one factor after another: the
+        # whole-array sums, with the stream left where whole rounds
+        # leave it
         fl = lemma2_product(p, n)
         rng = np.random.default_rng(45)
         got = fl.sample(rng, size)
         ref_rng = np.random.default_rng(45)
-        ref = np.full(size, fl.scale)
-        for factor in fl.factors:
-            ref = ref * factor.sample(ref_rng, size)
+        ref = johnk_reference.product_sample(fl, ref_rng, size)
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("size", [None, 1, B // 2 + 1, 3 * B + 7])
+    @pytest.mark.parametrize("factor", [
+        Factor.beta(0.4, 0.1), Factor.beta(1.0, 1.0), Factor.gamma(1 / 7),
+        Factor.gamma(1.0), Factor.beta(2.5, 0.5), Factor.gamma(1.5)])
+    def test_factor_sample(self, factor, size):
+        # Johnk rounds for parameters up to 1, numpy's samplers above
+        rng = np.random.default_rng(46)
+        got = factor.sample(rng, size)
+        ref_rng = np.random.default_rng(46)
+        ref = np.exp(johnk_reference.factor_logs(
+            factor, ref_rng, 1 if size is None else size))
+        if size is None:
+            assert np.ndim(got) == 0 and got == ref[0]
+        else:
+            assert np.array_equal(got, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _product_factors():
+    """Each distinct factor of the products that check 07 and demo 03
+    sample."""
+    factors = []
+    for fl in (lemma2_product(2, 5), lemma2_product(3, 7), williams_product(3)):
+        factors += [f for f in fl.factors if f not in factors]
+    return factors
+
+
+def _log_cdf(factor):
+    """The exact CDF of log X for the factor X, from scipy."""
+    if factor.kind == "gamma":
+        law = stats.gamma(factor.params[0])
+        return lambda y: law.cdf(np.exp(y))
+    a, b = factor.params
+    law, mirror = stats.beta(a, b), stats.beta(b, a)
+
+    def cdf(y):
+        y = np.asarray(y, dtype=float)
+        # near 1, P(X <= e^y) = P(1 - X >= -expm1(y)) keeps the tail
+        # that e^y rounds away
+        near_one = y > -math.log(2.0)
+        return np.where(near_one, mirror.sf(-np.expm1(y)),
+                        law.cdf(np.exp(y)))
+    return cdf
+
+
+class TestJohnkLaw:
+    """The log draws of every factor the products build, against the
+    exact law: a one-sample KS of the log draws, and fractional moments
+    E X^s against log_mellin within five standard errors."""
+
+    N = 100_000
+
+    @staticmethod
+    def _logs(factor, seed):
+        logs = np.zeros(TestJohnkLaw.N)
+        factor._add_logs(np.random.default_rng(seed), logs)
+        return logs
+
+    @pytest.mark.parametrize("k,factor", enumerate(_product_factors()))
+    def test_log_cdf(self, k, factor):
+        logs = self._logs(factor, 800 + k)
+        assert np.all(np.isfinite(logs))
+        assert stats.kstest(logs, _log_cdf(factor)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("k,factor", enumerate(_product_factors()))
+    def test_mellin(self, k, factor):
+        logs = self._logs(factor, 900 + k)
+        # E X^2s is finite for both s
+        for s in (factor.mellin_lower_bound() / 4.0, 1.0):
+            x_s = np.exp(s * logs)
+            se = x_s.std() / math.sqrt(x_s.size)
+            assert abs(x_s.mean() - math.exp(factor.log_mellin(s))) < 5.0 * se
+
+    def test_beta_tail_near_one(self):
+        # Beta(2/7, 1/21) puts about a seventh of its mass within 1e-16
+        # of 1; its log draws keep that tail instead of rounding it to 0
+        factor = Factor.beta(2 / 7, 1 / 21)
+        logs = self._logs(factor, 990)
+        assert np.count_nonzero(logs == 0.0) == 0
+        share = np.mean(logs > -1e-16)
+        exact = stats.beta(1 / 21, 2 / 7).cdf(-math.expm1(-1e-16))
+        se = math.sqrt(exact * (1.0 - exact) / logs.size)
+        assert abs(share - exact) < 5.0 * se
+
+
+class TestJohnkKernel:
+    def test_zero_uniforms_rejected_without_warning(self):
+        # a generator whose uniforms 0, 1 (U's) and 5, 7 (V's) are 0:
+        # the first round's five candidates 0 (both 0: NaN), 1 (U = 0:
+        # log draw -inf) and 2 (V = 0: draw 1) may not be kept
+        class Source:
+            ZEROS = np.array([0, 1, 5, 7])
+
+            def __init__(self):
+                self.rng = np.random.default_rng(47)
+                self.drawn = 0
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                out = self.rng.random(size, dtype, out)
+                at = self.ZEROS - self.drawn
+                out[at[(at >= 0) & (at < out.size)]] = 0.0
+                self.drawn += out.size
+                return out
+
+            def standard_exponential(self, size=None, out=None):
+                return self.rng.standard_exponential(size, out=out)
+
+        for factor in (Factor.beta(0.5, 0.5), Factor.gamma(0.5)):
+            logs = np.zeros(5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                factor._add_logs(Source(), logs)
+                ref = johnk_reference.factor_logs(factor, Source(), 5)
+            assert np.all(np.isfinite(logs))
+            if factor.kind == "beta":
+                assert np.all(logs < 0.0)
+            assert np.array_equal(logs, ref)
 
 
 class TestWilliamsProduct:
@@ -558,6 +678,16 @@ class TestFactorValidation:
             Factor.gamma(-1.0)
         with pytest.raises(PreconditionError):
             Factor.beta(1.0, math.nan)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Factor.gamma(math.inf), lambda: Factor.beta(0.5, math.inf),
+        lambda: Factor.beta(math.inf, 0.5), lambda: Factor.beta(-math.inf, 1.0),
+        lambda: FactorList(math.inf, (Factor.gamma(0.5),)),
+        lambda: FactorList(-math.inf, (Factor.gamma(0.5),))])
+    def test_non_finite_rejected(self, make):
+        # these sampled inf or 0 and had NaN moments
+        with pytest.raises(PreconditionError):
+            make()
 
     def test_factor_list_validation(self):
         with pytest.raises(PreconditionError):

@@ -23,6 +23,8 @@ from stable_msu.verify import (CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG,
                                check_sampler_ks, ks_one_sample, ks_two_sample,
                                run_acceptance, ualpha_cdf)
 
+import johnk_reference
+
 
 class TestKsOneSample:
     def test_calibration(self):
@@ -126,10 +128,9 @@ def _ks_two_gather(a, b):
 
 
 class TestKsTwoCore:
-    """The two-sample core sorts each sample in place and visits each
-    sample's values in blocks of _BLOCK, counting the other sample by
-    binary search; its statistic is that of the whole-array
-    argsort-and-gather form."""
+    """The two-sample core sorts each sample in place and merges them a
+    piece of at most _BLOCK values at a time; its statistic is that of
+    the whole-array argsort-and-gather form."""
 
     @staticmethod
     def _core(a, b):
@@ -187,6 +188,43 @@ class TestKsTwoCore:
         b = np.array([2.5, 0.5])
         ks_two_sample(a, b)
         assert a.tolist() == [3.0, 1.0, 2.0] and b.tolist() == [2.5, 0.5]
+
+
+class TestKsTwoMerge:
+    """Pieces of the merge at the edges: a cut value both blocks reach
+    is never straddled, a sample may end long before the other, and a
+    run of ties longer than a block is counted by binary search."""
+
+    @staticmethod
+    def _both_orders(a, b):
+        ref = _ks_two_gather(a, b)
+        assert _ks_two(np.array(a, dtype=float),
+                       np.array(b, dtype=float)).statistic == ref
+        assert _ks_two(np.array(b, dtype=float),
+                       np.array(a, dtype=float)).statistic == ref
+        return ref
+
+    def test_disjoint_samples_over_many_blocks(self):
+        a = np.arange(3 * _BLOCK + 5, dtype=float)
+        b = np.arange(2 * _BLOCK + 1, dtype=float) + 10 * _BLOCK
+        assert self._both_orders(a, b) == 1.0
+        assert self._both_orders(-a, b) == 1.0
+
+    def test_one_sample_inside_one_block_of_the_other(self):
+        rng = np.random.default_rng(81)
+        a = np.linspace(0.0, 1.0, 5 * _BLOCK)
+        b = rng.uniform(a[_BLOCK + 10], a[_BLOCK + 100], 3 * _BLOCK)
+        # the whole of b lies between two neighbouring values of a
+        b[:7] = a[_BLOCK + 10]
+        assert self._both_orders(a, b) > 0.7
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_tie_runs_longer_than_a_block_on_both_sides(self, shift):
+        levels = np.array([-np.inf, 0.0, 1.0, 2.0, np.inf])
+        a = np.repeat(levels, [3, 2 * _BLOCK + 5, 3, _BLOCK + 1, 7])
+        b = np.repeat(levels + shift, [_BLOCK + 2, _BLOCK + 9, 3 * _BLOCK, 2,
+                                       2 * _BLOCK])
+        self._both_orders(a, b)
 
 
 class TestKsNan:
@@ -435,22 +473,22 @@ class TestInPlaceBuffers:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_factor_list_sample(self, p, n, seed):
         fl = lemma2_product(p, n)
-        got = fl.sample(np.random.default_rng(seed), 5_000)
         rng = np.random.default_rng(seed)
-        ref = np.full(5_000, fl.scale)
-        for factor in fl.factors:
-            ref = ref * factor.sample(rng, 5_000)
+        got = fl.sample(rng, 5_000)
+        ref_rng = np.random.default_rng(seed)
+        ref = johnk_reference.product_sample(fl, ref_rng, 5_000)
         assert np.array_equal(got, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_factor_list_scalar(self):
         fl = lemma2_product(2, 5)
-        got = fl.sample(np.random.default_rng(4))
         rng = np.random.default_rng(4)
-        ref = np.full((), fl.scale)
-        for factor in fl.factors:
-            ref = ref * factor.sample(rng)
+        got = fl.sample(rng)
+        ref_rng = np.random.default_rng(4)
+        ref = johnk_reference.product_sample(fl, ref_rng, None)
         assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
         assert got == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("p,n,seed", [(2, 5, 21), (3, 7, 22), (3, 8, 23)])
     def test_factorization_mc(self, p, n, seed):
