@@ -12,9 +12,10 @@
 Factors are drawn in log space, matching the unit-scale density
 convention Gamma(c): y^{c-1} e^{-y} / Gamma(c).  Beta(a, b) with a, b <= 1
 comes from Johnk's rejection method over vectorised rounds of uniforms,
-Gamma(c) with c < 1 as Exp(1) x Beta(c, 1 - c), and Gamma(1) as Exp(1);
-every factor that williams_product and lemma2_product build is of these
-kinds.  A factor with a parameter above 1 is drawn by numpy's Generator.
+and Gamma(c) with c < 1 as Exp(1) x Beta(c, 1 - c); every factor that
+williams_product and lemma2_product build is of these kinds.  A factor
+with a parameter above 1, or below _JOHNK_MIN, is drawn by numpy's
+Generator.
 """
 
 from __future__ import annotations
@@ -37,9 +38,16 @@ _GAMMA = "gamma"
 # temporaries stay this size at any sample size
 _BLOCK = 1 << 14
 
-# candidates per round of the Johnk sampler, which holds three buffers
-# of this many values
-_ROUND = _BLOCK // 2
+# half a block: the candidates per round of the Johnk sampler, which
+# holds three buffers of this many values, and the values each sample
+# gives to a piece of the two-sample KS merge
+_HALF = _BLOCK // 2
+
+# smallest parameter the Johnk sampler takes.  Generator.random's least
+# positive value is 2**-53, so from here up log(U) / a stays finite and
+# only U = 0 or V = 0 gives an infinite d; below it log(U) / a overflows
+# for most U and the kernel would reject nearly every candidate
+_JOHNK_MIN = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +103,15 @@ class Factor:
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.kind == _GAMMA:
                 c, = self.params
-                if c < 1.0:
+                if _JOHNK_MIN <= c < 1.0:
                     _add_log_johnk(rng, c, 1.0 - c, flat, exponential=True)
-                elif c == 1.0:
-                    _add_log_draws(rng.standard_exponential, flat)
                 else:
                     _add_log_draws(lambda r: rng.gamma(c, 1.0, r), flat)
-            elif max(self.params) <= 1.0:
+            elif _JOHNK_MIN <= min(self.params) and max(self.params) <= 1.0:
                 _add_log_johnk(rng, *self.params, flat)
             else:
-                # Johnk's acceptance rate G(1+a)G(1+b)/G(1+a+b) collapses
+                # above 1 Johnk's acceptance rate G(1+a)G(1+b)/G(1+a+b)
+                # collapses; below _JOHNK_MIN log(U) / a overflows
                 _add_log_draws(lambda r: rng.beta(*self.params, r), flat)
 
 
@@ -127,7 +134,7 @@ class FactorList:
         starts at log(scale); each factor's log draws are added into it
         (see ``Factor._add_logs``), one factor after another, and one
         ``exp`` closes the draw.  Beside the result the working set is
-        three buffers of ``_ROUND`` values."""
+        three buffers of ``_HALF`` values."""
         out = np.full(size if size is not None else (), math.log(self.scale))
         flat = out.reshape(-1)
         for factor in self.factors:
@@ -138,9 +145,9 @@ class FactorList:
 
 def _add_log_draws(draw: Callable[[int], np.ndarray], flat: np.ndarray) -> None:
     """Add the logs of ``draw(r)``, a new array of r draws, to the flat
-    float64 array ``flat``, ``_ROUND`` values at a time."""
-    for lo in range(0, flat.size, _ROUND):
-        block = flat[lo:lo + _ROUND]
+    float64 array ``flat``, ``_HALF`` values at a time."""
+    for lo in range(0, flat.size, _HALF):
+        block = flat[lo:lo + _HALF]
         draws = draw(block.size)
         block += np.log(draws, out=draws)
         del draws  # freed before the next round's draws are made
@@ -149,7 +156,8 @@ def _add_log_draws(draw: Callable[[int], np.ndarray], flat: np.ndarray) -> None:
 def _add_log_johnk(rng: np.random.Generator, a: float, b: float,
                    flat: np.ndarray, exponential: bool = False) -> None:
     """Add the logs of Beta(a, b) draws, a, b <= 1, to the flat float64
-    array ``flat``, by Johnk's method (Metrika 8, 1964); with
+    array ``flat``, by Johnk's method (Metrika 8, 1964), for
+    a, b >= _JOHNK_MIN; with
     ``exponential`` each draw is times a standard exponential, which
     makes Exp(1) x Beta(c, 1 - c) a Gamma(c) draw.
 
@@ -158,23 +166,24 @@ def _add_log_johnk(rng: np.random.Generator, a: float, b: float,
     Y = e^ly, and draws X/(X + Y).  In logs it is kept when
     max(lx, ly) + log1p(e^-|d|) <= 0, and its log draw is
     min(d, 0) - log1p(e^-|d|): near 1 that is -e^-d to full precision,
-    where lx - log(X + Y) would round to 0.  A candidate with U = 0 or
-    V = 0 has no finite |d| and is rejected.
+    where lx - log(X + Y) would round to 0.  For a, b >= _JOHNK_MIN only
+    a candidate with U = 0 or V = 0 has no finite |d|, and it is
+    rejected.
 
-    Each round draws min(_ROUND, draws missing) uniforms U, then as many
+    Each round draws min(_HALF, draws missing) uniforms U, then as many
     V, and then, with ``exponential``, one exponential per kept
     candidate; the kept candidates fill ``flat`` in order.  The caller
     ignores numpy's divide and invalid warnings (log 0, -inf - -inf).
     """
     size = flat.size
-    cap = min(size, _ROUND)
+    cap = min(size, _HALF)
     uv = np.empty(2 * cap)
     d = np.empty(cap)
     keep = np.empty(cap, dtype=bool)
     finite = np.empty_like(keep)
     done = 0
     while done < size:
-        r = min(size - done, _ROUND)
+        r = min(size - done, _HALF)
         both = uv[:2 * r]
         rng.random(out=both)  # the round's U's, then its V's
         np.log(both, out=both)

@@ -109,7 +109,7 @@ def _merged_gap(a: np.ndarray, b: np.ndarray) -> float:
     """max |F_a - F_b| over the values of two sorted flat samples.
 
     The samples are merged a piece at a time.  A piece takes, of the next
-    ``_BLOCK // 2`` values of each sample, those below the smaller of the
+    ``_HALF`` values of each sample, those below the smaller of the
     two blocks' last values, so that no value has copies in two pieces.
     A stable argsort merges the piece; running counts of the positions
     that hold a's values, and of the others, give the ranks of each
@@ -121,7 +121,7 @@ def _merged_gap(a: np.ndarray, b: np.ndarray) -> float:
     binary search.
     """
     n, m = a.size, b.size
-    half = fact._BLOCK // 2
+    half = fact._HALF
     piece = np.empty(2 * half)
     merged = np.empty_like(piece)
     ranks = np.arange(1.0, 2 * half + 1.0)

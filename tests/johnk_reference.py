@@ -10,19 +10,19 @@ import math
 
 import numpy as np
 
-from stable_msu.factorizations import _ROUND
+from stable_msu.factorizations import _HALF, _JOHNK_MIN
 
 
 def johnk_logs(rng, a, b, n, exponential=False):
     """The logs of n Beta(a, b) draws by Johnk's method, each times a
     standard exponential with ``exponential``: rounds of
-    min(_ROUND, missing) candidates draw their U's, then their V's, then
+    min(_HALF, missing) candidates draw their U's, then their V's, then
     one exponential per kept candidate."""
     logs = []
     missing = n
     with np.errstate(divide="ignore", invalid="ignore"):
         while missing:
-            r = min(_ROUND, missing)
+            r = min(_HALF, missing)
             lx = np.log(rng.random(r)) / a
             ly = np.log(rng.random(r)) / b
             d = lx - ly
@@ -40,13 +40,11 @@ def factor_logs(factor, rng, n):
     """The logs of n draws of ``factor``, as one whole array."""
     if factor.kind == "gamma":
         c, = factor.params
-        if c < 1.0:
+        if _JOHNK_MIN <= c < 1.0:
             return johnk_logs(rng, c, 1.0 - c, n, exponential=True)
-        if c == 1.0:
-            return np.log(rng.standard_exponential(n))
         return np.log(rng.gamma(c, 1.0, n))
     a, b = factor.params
-    if max(a, b) <= 1.0:
+    if _JOHNK_MIN <= min(a, b) and max(a, b) <= 1.0:
         return johnk_logs(rng, a, b, n)
     return np.log(rng.beta(a, b, n))
 

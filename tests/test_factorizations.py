@@ -386,6 +386,34 @@ class TestJohnkKernel:
                 assert np.all(logs < 0.0)
             assert np.array_equal(logs, ref)
 
+    @pytest.mark.parametrize("factor", [
+        Factor.gamma(5e-324), Factor.beta(5e-324, 5e-324),
+        Factor.beta(1e-310, 0.5), Factor.beta(0.5, 1e-301)])
+    def test_parameter_below_floor_drawn_by_numpy(self, factor):
+        # log(U) / a would overflow for most U, and the kernel would
+        # reject nearly every candidate: numpy's samplers draw these
+        rng = np.random.default_rng(48)
+        got = factor.sample(rng, 10)
+        ref_rng = np.random.default_rng(48)
+        if factor.kind == "gamma":
+            ref = ref_rng.gamma(factor.params[0], 1.0, 10)
+        else:
+            ref = ref_rng.beta(*factor.params, 10)
+        assert np.array_equal(got, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_parameters_at_floor(self):
+        # at a = b = 1e-300 every candidate is kept, in one round, and
+        # the draw is 0 or 1 with even odds
+        n = 1000
+        rng = np.random.default_rng(49)
+        got = Factor.beta(1e-300, 1e-300).sample(rng, n)
+        ref_rng = np.random.default_rng(49)
+        ref_rng.random(2 * n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.all((got == 0.0) | (got == 1.0))
+        assert abs(np.mean(got) - 0.5) < 5.0 * math.sqrt(0.25 / n)
+
 
 class TestWilliamsProduct:
     def test_p2(self):
