@@ -2,10 +2,10 @@
 """The special-function kernels underneath everything else.
 
 Log-gamma (the standard library's ``math.lgamma``) with the sign of
-Gamma at negative arguments, the Macdonald function from its cosh
-integral, and the confluent kernel family Psi(1/6, c, x) with the
-contiguity pattern that turns derivative inequalities into parameter
-shifts.
+Gamma at negative arguments, the Macdonald function as the Tricomi
+function U(nu + 1/2, 2 nu + 1, 2x), and the confluent kernel family
+Psi(1/6, c, x) with the contiguity pattern that turns derivative
+inequalities into parameter shifts.
 """
 
 import math
@@ -14,8 +14,8 @@ from stable_msu import bessel_k, log_gamma, psi_chf, whittaker_w_stable
 
 print("=== log-gamma with signs ===")
 for x in (0.5, 5.0, -0.6, -1.2, -2.5):
-    ev = log_gamma(x)
-    print(f"x = {x:5.2f}: log|Gamma| = {ev.value: .10g}, sign = {ev.sign:+d}, "
+    ev, sign = log_gamma(x)
+    print(f"x = {x:5.2f}: log|Gamma| = {ev.value: .10g}, sign = {sign:+d}, "
           f"Gamma = {math.gamma(x): .8g}")
 
 print("\n=== Macdonald function K_nu ===")

@@ -21,8 +21,7 @@ from .factorizations import (Factor, FactorList, MellinProfile, kanter_b,
 from .msu import (BbExpansion, MsuReport, NO_VIOLATION, VIOLATION,
                   bb_expansion, bb_log_density, lce_residual, msu_scan,
                   tail_residual_sign, ualpha_logconcavity_margin)
-from .specfun import (SpecEval, bessel_k, log_gamma, psi_chf,
-                      whittaker_w_stable)
+from .specfun import bessel_k, log_gamma, psi_chf, whittaker_w_stable
 from .verify import (DEFAULT_ACCEPTANCE_CONFIG, IdentityReport, KsResult,
                      StableCdf, build_cdf, check_diff_identity,
                      check_factorization_mc, check_laplace,
@@ -36,7 +35,7 @@ __all__ = [
     "DensityJet", "DomainError", "EvalResult",
     "Factor", "FactorList", "HypothesisError", "IdentityReport", "KsResult",
     "MellinProfile", "MsuReport", "NO_VIOLATION", "PoleError",
-    "PreconditionError", "SeriesConfig", "SpecEval", "StableCdf",
+    "PreconditionError", "SeriesConfig", "StableCdf",
     "UnreliableScanError", "UnsupportedAlphaError", "VIOLATION",
     "bb_expansion", "bb_log_density", "bessel_k",
     "build_cdf", "check_diff_identity", "check_factorization_mc",

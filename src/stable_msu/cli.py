@@ -181,9 +181,9 @@ def _cmd_special(args) -> int:
     rows = []
     if args.function == "log-gamma":
         for x in np.linspace(args.x_min, args.x_max, args.points):
-            ev = specfun.log_gamma(float(x))
-            rows.append((float(x), ev.value, ev.sign, ev.abs_error_estimate,
-                         ev.method))
+            ev, sign = specfun.log_gamma(float(x))
+            rows.append((float(x), ev.value, sign, ev.abs_error_estimate,
+                         "lgamma"))
         _write_csv(sys.stdout, rows,
                    ("x", "log_abs_gamma", "sign", "abs_error", "method"))
         return 0
@@ -194,7 +194,7 @@ def _cmd_special(args) -> int:
             ev = specfun.psi_chf(args.a, args.c, float(x))
         else:
             ev = specfun.whittaker_w_stable(float(x))
-        rows.append((float(x), ev.value, ev.abs_error_estimate, ev.method))
+        rows.append((float(x), ev.value, ev.abs_error_estimate, "quadrature"))
     _write_csv(sys.stdout, rows, ("x", "value", "abs_error", "method"))
     return 0
 

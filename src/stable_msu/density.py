@@ -11,10 +11,10 @@ combinations x f' and x^2 f'' + x f' share the same coefficients with
 multipliers -(1+a n) and +(1+a n)^2.  The sine form makes terms with
 ``a n`` integer vanish exactly, and summation is compensated
 (Neumaier).  At small x the terms grow before they decay and the sum
-cancels catastrophically; a configurable guard flags such evaluations
-as unreliable instead of returning noise.  An optional extended
-precision mode (``SeriesConfig.dps``) pushes the reliable region down
-by evaluating with mpmath.
+cancels catastrophically; a guard (the constant ``_CANCELLATION_GUARD``)
+flags such evaluations as unreliable instead of returning noise.  An
+optional extended precision mode (``SeriesConfig.dps``) pushes the
+reliable region down by evaluating with mpmath.
 
 The series engine has two paths with one set of rules (truncation,
 compensation, overflow cut, error bars and flags):
@@ -60,7 +60,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, UnsupportedAlphaError
-from .util import sinpi
+from .util import EvalResult, sinpi
 
 _LN_PI = math.log(math.pi)
 _EPS = 2.220446049250313e-16
@@ -141,21 +141,6 @@ class SeriesConfig:
 
 
 DEFAULT_SERIES_CONFIG = SeriesConfig()
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """A series value with error estimate and reliability flag.
-
-    ``reliable`` is False whenever the cancellation guard tripped or the
-    term budget ran out before the relative tolerance was met.  The
-    ``*_grid`` operations return one EvalResult whose fields are arrays.
-    """
-
-    value: float
-    abs_error_estimate: float
-    terms_used: int
-    reliable: bool
 
 
 @dataclass(frozen=True)
@@ -691,40 +676,36 @@ def tail_coefficient(alpha) -> float:
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 
-def _closed_half(x: float) -> float:
-    return math.exp(-0.25 / x) / (_TWO_SQRT_PI * x ** 1.5)
-
-
-def _two_thirds_shape(x: float) -> float:
-    # Whittaker form of f_{2/3} (Zolotarev, One-dimensional Stable
-    # Distributions, 1986): sqrt(3/pi)/x exp(-2/(27x^2)) W_{1/2,1/6}(4/(27x^2))
-    z = 4.0 / (27.0 * x * x)
-    w = specfun.whittaker_w_stable(z, rel_tol=1e-12)
-    return (math.sqrt(3.0 / math.pi) / x) * math.exp(-2.0 / (27.0 * x * x)) * w.value
-
-
 def density_closed(alpha, x: float) -> EvalResult:
     """Closed forms for alpha in {1/3, 1/2, 2/3}.
 
     * 1/2: elementary.
     * 1/3: Macdonald function of order 1/3.
     * 2/3: Whittaker kernel.
+
+    The kernel forms pass their kernel's levels and convergence through.
     """
     alpha = as_alpha(alpha)
     if not x > 0.0:
         raise DomainError("density_closed requires x > 0")
     a = alpha.value
     if a == 0.5:
-        v = _closed_half(x)
+        v = math.exp(-0.25 / x) / (_TWO_SQRT_PI * x ** 1.5)
         return EvalResult(v, 4.0 * _EPS * v, 1, True)
     if a == 1.0 / 3.0:
         arg = (2.0 / (3.0 * math.sqrt(3.0))) / math.sqrt(x)
         k = specfun.bessel_k(1.0 / 3.0, arg, rel_tol=1e-12)
         scale = 1.0 / (3.0 * math.pi * x ** 1.5)
-        return EvalResult(scale * k.value, scale * k.abs_error_estimate, 1, True)
+        return EvalResult(scale * k.value, scale * k.abs_error_estimate,
+                          k.terms_used, k.reliable)
     if a == 2.0 / 3.0:
-        v = _two_thirds_shape(x)
-        return EvalResult(v, 1e-9 * abs(v), 1, True)
+        # Whittaker form of f_{2/3} (Zolotarev, One-dimensional Stable
+        # Distributions, 1986):
+        # sqrt(3/pi)/x exp(-2/(27x^2)) W_{1/2,1/6}(4/(27x^2))
+        w = specfun.whittaker_w_stable(4.0 / (27.0 * x * x), rel_tol=1e-12)
+        v = ((math.sqrt(3.0 / math.pi) / x) * math.exp(-2.0 / (27.0 * x * x))
+             * w.value)
+        return EvalResult(v, 1e-9 * abs(v), w.terms_used, w.reliable)
     raise UnsupportedAlphaError(
         f"no closed form for alpha = {a}; supported: 1/3, 1/2, 2/3")
 

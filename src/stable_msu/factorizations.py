@@ -30,6 +30,7 @@ import numpy as np
 from . import specfun
 from .density import as_alpha
 from .errors import DomainError, HypothesisError, PreconditionError
+from .util import EvalResult
 
 _BETA = "beta"
 _GAMMA = "gamma"
@@ -399,8 +400,8 @@ def mellin_product(fl: FactorList) -> MellinProfile:
 
 def _lemma1_rows(alpha: float, beta: float, c: float, shifts: tuple,
                  x: float):
-    """g_{a,b,c+shift}(x) of :func:`lemma1_g` and its error bar for each
-    shift in shifts, one quadrature row each, as two lists of floats."""
+    """g_{a,b,c+shift}(x) of :func:`lemma1_g` for each shift in shifts,
+    one quadrature row each, as :func:`specfun._tricomi` gives them."""
     if not beta > 0.0:
         raise DomainError("lemma1_g requires beta > 0")
     if math.isnan(alpha) or math.isnan(c):
@@ -417,15 +418,14 @@ def _lemma1_rows(alpha: float, beta: float, c: float, shifts: tuple,
 
 
 def lemma1_g(alpha: float, beta: float, c: float, shift: int,
-             x: float) -> specfun.SpecEval:
+             x: float) -> EvalResult:
     """g_{a,b,c+shift}(x) = e^{-x} int_0^inf e^{-x u} u^{b-1} (u+1)^{(c+shift)-(a+b)} du.
 
     At x = 0 the integral converges only when a > c + shift; for x > 0
     the exponential ensures convergence.  Raises :class:`DomainError`
     where the integrand or g overflows a double.
     """
-    (value,), (error,) = _lemma1_rows(alpha, beta, c, (shift,), x)
-    return specfun.SpecEval(value, error, "quadrature")
+    return EvalResult(*_lemma1_rows(alpha, beta, c, (shift,), x)[0])
 
 
 def lemma1_inequality(alpha: float, beta: float, c: float, x: float) -> float:
@@ -441,7 +441,7 @@ def lemma1_inequality(alpha: float, beta: float, c: float, x: float) -> float:
         raise HypothesisError("requires beta <= 1")
     if alpha + beta < c:
         raise HypothesisError("requires alpha + beta >= c")
-    (g0, gm, gp), _ = _lemma1_rows(alpha, beta, c, (0, -1, 1), x)
+    g0, gm, gp = [g[0] for g in _lemma1_rows(alpha, beta, c, (0, -1, 1), x)]
     lhs = (x * g0 + (alpha + beta - c) * gm) * (gp - g0)
     rhs = (beta - 1.0) * gm * gm
     return lhs - rhs
@@ -456,7 +456,7 @@ def whitt_margin(x: float) -> float:
     if not 0.0 < x < math.inf:  # NaN fails too
         raise DomainError("whitt_margin requires finite x > 0")
     a, cs = 1.0 / 6.0, (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0)
-    (u1, u4, u7), _ = specfun._tricomi(
+    u1, u4, u7 = [u[0] for u in specfun._tricomi(
         "psi_chf", (a, cs, x), x, a - 1.0, tuple(c - a - 1.0 for c in cs),
-        -math.lgamma(a), specfun.DEFAULT_REL_TOL)
+        -math.lgamma(a), specfun.DEFAULT_REL_TOL)]
     return (x * u4 - u1 / 6.0) * (u7 - u4) + 5.0 * u4 * u4 / 6.0

@@ -94,11 +94,10 @@ def tail_residual_sign(alpha) -> tuple[float, bool]:
     a = alpha.value
     if a == 0.5:
         raise PoleError("tail coefficient degenerates at alpha = 1/2")
-    g1 = specfun.log_gamma(-a)
-    g2 = specfun.log_gamma(-2.0 * a)
+    g1, sign1 = specfun.log_gamma(-a)
+    g2, sign2 = specfun.log_gamma(-2.0 * a)
     log_c = 2.0 * math.log(a) - math.log(2.0) - g1.value - g2.value
-    sign = g1.sign * g2.sign
-    coefficient = sign * math.exp(log_c)
+    coefficient = sign1 * sign2 * math.exp(log_c)
     return coefficient, coefficient > 0.0
 
 

@@ -10,8 +10,8 @@ Two transformations cover every integral in this library:
 
 Both refine a trapezoid rule in the transformed variable t, halving the
 step per level, and report the difference between the last two levels
-as a conservative error estimate.  The levels are nested: level 0 holds
-the nodes t = k, level L > 0 only the odd multiples of 2^-L, all with
+as the error estimate.  The levels are nested: level 0 holds the
+nodes t = k, level L > 0 only the odd multiples of 2^-L, all with
 |t| <= ``_T_MAX``.  The level-L trapezoid sum is the running sum over
 the nodes of levels 0..L times 2^-L, so no node is evaluated twice.
 
@@ -186,6 +186,14 @@ def _level_sums(block: np.ndarray) -> list[float]:
 RunTerms = Callable[[_Run], tuple[np.ndarray, Sequence[int]]]
 
 
+def _unconverged(values: list, errors: list, rel_tol: float, rows) -> list:
+    """The stopping test of _refine: the rows, of those given, whose value
+    is not finite or whose last two levels do not agree to rel_tol."""
+    return [i for i in rows
+            if not (math.isfinite(values[i])
+                    and errors[i] <= rel_tol * (abs(values[i]) + _TINY))]
+
+
 def _level_blocks(values: np.ndarray, ends: Sequence[int],
                   run_terms: RunTerms,
                   runs: Iterator[_Run]) -> Iterator[np.ndarray]:
@@ -232,9 +240,7 @@ def _refine(run_terms: RunTerms, rel_tol: float, max_level: int) -> QuadResult:
                              else math.inf)
                 values[i] = new
                 levels[i] = level
-            running = [i for i in running
-                       if not (math.isfinite(values[i]) and errors[i]
-                               <= rel_tol * (abs(values[i]) + _TINY))]
+            running = _unconverged(values, errors, rel_tol, running)
             if not running:
                 break
     if one:

@@ -1,55 +1,31 @@
 """Special-function kernels: log-gamma, Macdonald K_nu, Tricomi-type Psi.
 
-All operations are pure functions returning a :class:`SpecEval` bundling
-the value with a conservative absolute error estimate and the method
-used.  The quadrature-backed kernels, and the Lemma 1 kernels of
-:mod:`stable_msu.factorizations`, are each one call of :func:`_tricomi`:
-Tricomi's integral by the exp-sinh rule of :mod:`stable_msu.quadrature`
-(default relative tolerance 1e-10), with the difference between the last
-two refinement levels as its error estimate.
+Each kernel returns an :class:`~stable_msu.util.EvalResult`, and
+:func:`log_gamma` the sign of Gamma(x) beside it.  The quadrature-backed
+kernels, and the Lemma 1 kernels of :mod:`stable_msu.factorizations`,
+are each one call of :func:`_tricomi`: Tricomi's integral by the
+exp-sinh rule of :mod:`stable_msu.quadrature` (default relative
+tolerance 1e-10), with the difference between the last two levels as
+its error estimate, the levels taken as ``terms_used`` and the rule's
+own stopping test as ``reliable``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .quadrature import _half_table, de_halfline
-from .util import sinpi
+from .quadrature import _half_table, _unconverged, de_halfline
+from .util import EvalResult, sinpi
 
 DEFAULT_REL_TOL = 1e-10
 
-_METHODS = ("lgamma", "quadrature")
 
-
-@dataclass(frozen=True)
-class SpecEval:
-    """A special-function value with an absolute error estimate.
-
-    ``sign`` is only meaningful for :func:`log_gamma`, where the value is
-    log|Gamma(x)| and the sign of Gamma(x) is reported separately; the
-    strictly positive kernels always carry sign +1.
-    """
-
-    value: float
-    abs_error_estimate: float
-    method: str
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if not (math.isfinite(self.abs_error_estimate)
-                and self.abs_error_estimate >= 0.0):
-            raise ValueError("abs_error_estimate must be finite and >= 0")
-
-
-def log_gamma(x: float) -> SpecEval:
-    """log|Gamma(x)| together with the sign of Gamma(x), from the
-    standard library's ``math.lgamma``.
+def log_gamma(x: float) -> tuple[EvalResult, int]:
+    """log|Gamma(x)| and the sign of Gamma(x), from the standard
+    library's ``math.lgamma``.
 
     Nonpositive integers raise :class:`PoleError`; a non-finite x, or x
     whose log|Gamma(x)| overflows a double, raises :class:`DomainError`.
@@ -63,19 +39,21 @@ def log_gamma(x: float) -> SpecEval:
     except OverflowError:
         raise DomainError(f"log Gamma({x}) overflows a double") from None
     sign = 1 if x > 0.0 or sinpi(x) > 0.0 else -1
-    return SpecEval(value, 5e-15 * (1.0 + abs(value)), "lgamma", sign)
+    return EvalResult(value, 5e-15 * (1.0 + abs(value)), 1, True), sign
 
 
 def _tricomi(name: str, args: tuple, z: float, am1: float, expos: tuple,
              log_scale: float, rel_tol: float):
-    """exp(log_scale) int_0^inf e^{-z s} s^am1 (1+s)^expo ds and its
-    error bar for each expo in expos, one quadrature row each, as two
-    lists of floats; 0 +- 0 at z = inf.  The scale sits inside the
-    exponent, so a value whose unscaled integral overflows evaluates.
+    """exp(log_scale) int_0^inf e^{-z s} s^am1 (1+s)^expo ds for each
+    expo in expos, one quadrature row each, as one tuple per row in the
+    field order of EvalResult: value, error bar, the deepest level any
+    row took, and whether the row converged; 0 +- 0 at z = inf.  The
+    scale sits inside the exponent, so a value whose unscaled integral
+    overflows evaluates.
     Raises DomainError naming ``name(*args)`` where the exponent passes
     709 (or is NaN) at a node, or a value or bar is not finite."""
     if z == math.inf:
-        return [0.0] * len(expos), [0.0] * len(expos)
+        return [(0.0, 0.0, 0, True)] * len(expos)
     expo = np.array([[e] for e in expos])
 
     def integrand(s: np.ndarray) -> np.ndarray:
@@ -92,10 +70,13 @@ def _tricomi(name: str, args: tuple, z: float, am1: float, expos: tuple,
     if not all(map(math.isfinite, value + error)):
         raise DomainError(f"{name}{args} overflows a double: its "
                           "quadrature value is not finite")
-    return value, error
+    unconverged = _unconverged(value, error, rel_tol, range(len(value)))
+    return [(v, e, res.levels, i not in unconverged)
+            for i, (v, e) in enumerate(zip(value, error))]
 
 
-def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
+def bessel_k(nu: float, x: float,
+             rel_tol: float = DEFAULT_REL_TOL) -> EvalResult:
     """Macdonald function K_nu(x), nu >= 0, x > 0.
 
     Evaluated as the Tricomi function
@@ -114,13 +95,12 @@ def bessel_k(nu: float, x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
                      - math.lgamma(nu + 0.5))
     except OverflowError:  # lgamma overflows for nu past about 2.5e305
         raise DomainError(f"bessel_k{args} overflows a double") from None
-    (value,), (error,) = _tricomi("bessel_k", args, 2.0 * x, nu - 0.5,
-                                  (nu - 0.5,), log_scale, rel_tol)
-    return SpecEval(value, error, "quadrature")
+    return EvalResult(*_tricomi("bessel_k", args, 2.0 * x, nu - 0.5,
+                                (nu - 0.5,), log_scale, rel_tol)[0])
 
 
 def psi_chf(a: float, c: float, x: float,
-            rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
+            rel_tol: float = DEFAULT_REL_TOL) -> EvalResult:
     """Confluent hypergeometric kernel
 
     ``Psi(a, c, x) = Gamma(a)^-1 int_0^inf e^{-x s} s^{a-1} (1+s)^{c-a-1} ds``
@@ -136,12 +116,12 @@ def psi_chf(a: float, c: float, x: float,
         raise DomainError("psi_chf requires x > 0")
     if math.isnan(c):
         raise DomainError("psi_chf requires a number c, got nan")
-    (value,), (error,) = _tricomi("psi_chf", (a, (c,), x), x, a - 1.0,
-                                  (c - a - 1.0,), -math.lgamma(a), rel_tol)
-    return SpecEval(value, error, "quadrature")
+    return EvalResult(*_tricomi("psi_chf", (a, (c,), x), x, a - 1.0,
+                                (c - a - 1.0,), -math.lgamma(a), rel_tol)[0])
 
 
-def whittaker_w_stable(x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
+def whittaker_w_stable(x: float,
+                       rel_tol: float = DEFAULT_REL_TOL) -> EvalResult:
     """The Whittaker kernel W_{1/2,1/6}(x) for x > 0.
 
     Reduced to the Psi kernel: ``W(x) = e^{-x/2} x^{2/3} Psi(1/6, 4/3, x)``.
@@ -150,5 +130,5 @@ def whittaker_w_stable(x: float, rel_tol: float = DEFAULT_REL_TOL) -> SpecEval:
         raise DomainError("whittaker_w_stable requires x > 0")
     psi = psi_chf(1.0 / 6.0, 4.0 / 3.0, x, rel_tol=rel_tol)
     factor = math.exp(-0.5 * x + (2.0 / 3.0) * math.log(x))
-    return SpecEval(factor * psi.value, factor * psi.abs_error_estimate,
-                    "quadrature")
+    return EvalResult(factor * psi.value, factor * psi.abs_error_estimate,
+                      psi.terms_used, psi.reliable)

@@ -1,8 +1,24 @@
-"""Small numeric helpers used across modules."""
+"""Small numeric helpers, and the estimate record, used across modules."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class EvalResult:
+    """A value, its absolute error estimate, the work it took (series
+    terms or DE levels; 1 for an elementary form) and whether it met its
+    tolerance: False where a series' cancellation guard tripped or its
+    term budget ran out, or a DE row stopped at ``max_level``.  The
+    ``*_grid`` operations return one EvalResult whose fields are arrays.
+    """
+
+    value: float
+    abs_error_estimate: float
+    terms_used: int
+    reliable: bool
 
 
 def sinpi(y: float) -> float:

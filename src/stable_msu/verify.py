@@ -397,6 +397,14 @@ def _parse_alpha(spec) -> Alpha:
     return Alpha.from_fraction(int(spec[0]), int(spec[1]))
 
 
+def _rel_diff(value: float, reference: float) -> float:
+    """|value - reference| / |reference|; 0/0 is 0, x/0 and NaN inf."""
+    if reference == 0.0:
+        return 0.0 if value == 0.0 else math.inf
+    diff = abs(value - reference) / abs(reference)
+    return math.inf if math.isnan(diff) else diff  # max() skips a NaN
+
+
 # Each check reads its entry's keys as given; an absent key is at its
 # default in CHECK_PARAMS (see CHECK_KINDS).
 
@@ -409,8 +417,7 @@ def _check_closed_form(params: dict) -> IdentityReport:
     series = dens.density_series_grid(alpha, xs, cfg).value
     worst = 0.0
     for x, s in zip(xs.tolist(), series.tolist()):
-        c = dens.density_closed(alpha, x)
-        worst = max(worst, abs(s - c.value) / abs(c.value))
+        worst = max(worst, _rel_diff(s, dens.density_closed(alpha, x).value))
     return IdentityReport(
         name=params["name"], discrepancy=worst, threshold=tol,
         passed=worst < tol,
@@ -423,18 +430,23 @@ def _check_laplace(params: dict) -> IdentityReport:
     return replace(rep, name=params["name"])
 
 
+def _dichotomy_cases(params: dict) -> list:
+    """(details key, alpha, expected classification) of each scan."""
+    return [(f"{a:g}", a, expected)
+            for key, expected in (("alphas_violation", msu_mod.VIOLATION),
+                                  ("alphas_msu", msu_mod.NO_VIOLATION))
+            for a in params[key]]
+
+
 def _check_msu_dichotomy(params: dict) -> IdentityReport:
     misclassified = []
     details = {}
-    for key, expected in (("alphas_violation", msu_mod.VIOLATION),
-                          ("alphas_msu", msu_mod.NO_VIOLATION)):
-        for a in params[key]:
-            rep = msu_mod.msu_scan(float(a), float(params["x_lo"]),
-                                   float(params["x_hi"]),
-                                   int(params["points"]))
-            details[f"{a:g}"] = rep.summary()
-            if rep.classification != expected:
-                misclassified.append(a)
+    for case, a, expected in _dichotomy_cases(params):
+        rep = msu_mod.msu_scan(float(a), float(params["x_lo"]),
+                               float(params["x_hi"]), int(params["points"]))
+        details[case] = rep.summary()
+        if rep.classification != expected:
+            misclassified.append(a)
     return IdentityReport(
         params["name"], float(len(misclassified)), 0.5,
         not misclassified, details={"misclassified": misclassified,
@@ -463,7 +475,7 @@ def _check_half_residual(params: dict) -> IdentityReport:
         r = msu_mod.lce_residual(0.5, float(x))
         f = dens.density_closed(0.5, float(x)).value
         exact = -f * f / (4.0 * float(x))
-        worst = max(worst, abs(r.value - exact) / abs(exact))
+        worst = max(worst, _rel_diff(r.value, exact))
     return IdentityReport(params["name"], worst, tol, worst < tol,
                           details={"xs": list(xs)})
 
@@ -627,7 +639,7 @@ def _check_bb_crosscheck(params: dict) -> IdentityReport:
         for t, d in zip(ts.tolist(), direct.tolist()):
             r = msu_mod.bb_log_density(float(a), t, expansion)
             if r.reliable:
-                worst = max(worst, abs(r.value - d) / abs(d))
+                worst = max(worst, _rel_diff(r.value, d))
     return IdentityReport(params["name"], worst, rel_tol, worst < rel_tol,
                           details={"alphas": list(params["alphas"])})
 
@@ -734,8 +746,9 @@ _CASE_LISTS: dict[str, tuple[tuple[str, ...], ...]] = {
 }
 
 
-# the cases of the Monte Carlo kinds, whose details keys must not repeat
-_MC_CASES: dict[str, Callable[[dict], list]] = {
+# the cases of the kinds whose details are keyed by case, the key first
+_KEYED_CASES: dict[str, Callable[[dict], list]] = {
+    "msu_dichotomy": _dichotomy_cases,
     "sampler_fidelity": _fidelity_cases,
     "diff_identity": _diff_cases,
 }
@@ -817,8 +830,8 @@ def _entries(config) -> list:
             if not any(entry[key] for key in group):
                 raise ValueError(f"check {name!r}: no cases in "
                                  f"{' or '.join(group)}")
-        if kind in _MC_CASES:
-            keys = [case[0] for case in _MC_CASES[kind](entry)]
+        if kind in _KEYED_CASES:
+            keys = [case[0] for case in _KEYED_CASES[kind](entry)]
             repeated = sorted({key for key in keys if keys.count(key) > 1})
             if repeated:
                 raise ValueError(f"check {name!r}: repeated cases {repeated}")

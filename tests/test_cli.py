@@ -90,14 +90,20 @@ class TestSampleCommand:
 
 
 class TestSpecialCommand:
-    def test_bessel_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "special", "--function", "bessel-k",
-                               "--nu", "0.3333333333333333", "--x-min", "1",
-                               "--x-max", "1", "--points", "1")
+    @pytest.mark.parametrize("function,header,method", [
+        ("log-gamma", ["x", "log_abs_gamma", "sign", "abs_error", "method"],
+         "lgamma"),
+        ("bessel-k", ["x", "value", "abs_error", "method"], "quadrature"),
+        ("psi", ["x", "value", "abs_error", "method"], "quadrature"),
+        ("whittaker-w", ["x", "value", "abs_error", "method"], "quadrature"),
+    ], ids=["log-gamma", "bessel-k", "psi", "whittaker-w"])
+    def test_csv(self, capsys, function, header, method):
+        code, out, _ = run_cli(capsys, "special", "--function", function,
+                               "--x-min", "1", "--x-max", "1", "--points", "1")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["x", "value", "abs_error", "method"]
-        assert rows[1][3] == "quadrature"
+        assert rows[0] == header
+        assert len(rows) == 2 and rows[1][-1] == method
 
     def test_bessel_overflow_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "special", "--function", "bessel-k",
@@ -237,10 +243,22 @@ class TestUsageErrors:
         ({"kind": "ualpha_dichotomy", "x_max": 1e308}, "x_max must be"),
         ({"kind": "closed_form", "alpha": [1, 2], "threshold": 1e-8,
           "x_hi": 1e300}, "x_hi must be"),
+        ({"kind": "msu_dichotomy", "alphas_violation": [0.7, 0.7000001]},
+         "repeated cases ['0.7']"),
+        ({"kind": "closed_form", "alpha": [1, 2], "threshold": 1e-8,
+          "x_lo": 1e-4}, "not JSON compliant"),
+        ({"kind": "half_alpha_residual", "xs": [6e-4], "threshold": 1e-7},
+         "not JSON compliant"),
+        ({"kind": "half_alpha_residual", "xs": [8e-4], "threshold": 1e-7},
+         "not JSON compliant"),
+        ({"kind": "bb_crosscheck", "alphas": [0.3], "t_lo": 690,
+          "t_hi": 700, "threshold": 1e-5}, "not JSON compliant"),
     ], ids=["zero-denominator", "alphas-not-a-list", "three-integers",
             "float-numerator", "float-pair", "list-n-samples",
             "float-n-samples", "step-1", "step-1e-9", "step-5e-5",
-            "x-max-1e308", "x-hi-1e300"])
+            "x-max-1e308", "x-hi-1e300", "repeated-scan",
+            "closed-form-zero-reference", "half-residual-zero-reference",
+            "half-residual-nan", "bb-zero-reference"])
     def test_acceptance_malformed_spec(self, capsys, tmp_path, entry,
                                        reason):
         # zero-denominator, alphas-not-a-list and list-n-samples ended in
@@ -248,7 +266,13 @@ class TestUsageErrors:
         # another alpha, pair or sample size and passed, or, for the step,
         # tested no alpha and passed.  A step of 1e-9 swept about 10^9
         # alphas; x_max 1e308 failed on a NaN grid and x_hi 1e300 ended
-        # in an OverflowError traceback
+        # in an OverflowError traceback.  A repeated scan key overwrote
+        # one scan's summary with the other's, and passed.  The three
+        # zero references (the closed form at x = 1e-4, f^2 underflowing
+        # at x = 6e-4, the series density at t = 690) ended in a
+        # ZeroDivisionError traceback; their discrepancy is now inf.  At
+        # x = 8e-4 the series residual is NaN, which max() passed over:
+        # check 05 passed with discrepancy 0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": [{"name": "bad", **entry}]}))
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))

@@ -18,6 +18,7 @@ from stable_msu.density import (Alpha, EvalResult, SeriesConfig, as_alpha,
                                 tail_coefficient)
 from stable_msu.errors import DomainError, UnsupportedAlphaError
 from stable_msu.verify import check_laplace
+from test_specfun import spy_de_halfline
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
@@ -406,6 +407,16 @@ class TestDensityClosed:
                        * mp.whitw(mp.mpf(1) / 2, mp.mpf(1) / 6, z))
             assert density_closed(a, x).value == pytest.approx(float(ref),
                                                                rel=1e-10)
+
+    @pytest.mark.parametrize("p,n", [(1, 3), (2, 3)])
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_kernel_levels_and_convergence(self, monkeypatch, p, n, cap):
+        # the kernel forms used to report terms_used=1 and reliable=True
+        # whatever the kernel did; two DE levels cannot agree to 1e-12
+        levels = spy_de_halfline(monkeypatch, cap)
+        r = density_closed(Alpha.from_fraction(p, n), 1.0)
+        assert len(levels) == 1 and r.terms_used == levels[0]
+        assert r.reliable is (cap is None)
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedAlphaError):

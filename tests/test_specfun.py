@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from stable_msu import specfun
+from stable_msu import quadrature, specfun
 from stable_msu.errors import DomainError, PoleError
-from stable_msu.factorizations import lemma2_product
+from stable_msu.factorizations import lemma1_g, lemma2_product
 from stable_msu.specfun import (bessel_k, log_gamma, psi_chf,
                                 whittaker_w_stable)
 from stable_msu.verify import DEFAULT_ACCEPTANCE_CONFIG
@@ -19,29 +19,29 @@ GAMMA_THIRD = math.gamma(1.0 / 3.0)
 
 class TestLogGamma:
     def test_at_one(self):
-        ev = log_gamma(1.0)
+        ev, sign = log_gamma(1.0)
         assert ev.value == pytest.approx(0.0, abs=1e-14)
-        assert ev.sign == 1
+        assert sign == 1
 
     def test_at_half(self):
-        ev = log_gamma(0.5)
+        ev, sign = log_gamma(0.5)
         assert ev.value == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-        assert ev.sign == 1
+        assert sign == 1
 
     def test_reflection_point(self):
         # Gamma(-0.6) = Gamma(0.4)/(-0.6), oracle via math.gamma
-        ev = log_gamma(-0.6)
-        assert ev.sign == -1
+        ev, sign = log_gamma(-0.6)
+        assert sign == -1
         assert math.exp(ev.value) == pytest.approx(math.gamma(0.4) / 0.6,
                                                    rel=1e-12)
 
     @pytest.mark.parametrize("x", [0.05, 0.31, 1.0, 2.5, 7.0, 33.3, 171.0,
                                    -0.2, -1.7, -4.3, -9.99])
     def test_against_stdlib(self, x):
-        ev = log_gamma(x)
+        ev, sign = log_gamma(x)
         assert ev.value == pytest.approx(math.lgamma(x), rel=1e-12)
-        assert ev.sign == special.gammasgn(x)
-        assert ev.method == "lgamma"
+        assert sign == special.gammasgn(x)
+        assert (ev.terms_used, ev.reliable) == (1, True)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
     def test_poles(self, x):
@@ -51,19 +51,20 @@ class TestLogGamma:
     @given(st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=25, deadline=None)
     def test_reflection_sign_pattern(self, x):
-        assert log_gamma(-x).sign == -1
-        assert log_gamma(-1.0 - x).sign == 1
+        assert log_gamma(-x)[1] == -1
+        assert log_gamma(-1.0 - x)[1] == 1
 
     def test_overflow_raises_domain_error(self):
         # log|Gamma(x)| passes the largest double near x = 2.56e305
-        assert math.isfinite(log_gamma(2.5e305).value)
+        assert math.isfinite(log_gamma(2.5e305)[0].value)
         with pytest.raises(DomainError):
             log_gamma(1e306)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_raises_domain_error(self, x):
-        # nan and inf used to reach the caller as SpecEval's own
-        # ValueError, -inf as an OverflowError from math.floor
+        # nan and inf used to reach the caller as the ValueError of the
+        # result record's own check, -inf as an OverflowError from
+        # math.floor
         with pytest.raises(DomainError):
             log_gamma(x)
 
@@ -125,6 +126,49 @@ class TestLgammaPremise:
         rng = np.random.default_rng(20261018)
         xs += rng.uniform(-30.0, 0.5, 2000).tolist()
         self._assert_premise(xs, "negative x near the poles and on (-30, 0.5)")
+
+
+def spy_de_halfline(monkeypatch, cap=None):
+    """Route specfun's DE calls through de_halfline, at max_level cap if
+    one is given; returns the list that collects each call's levels."""
+    levels = []
+
+    def spy(f, rel_tol=1e-10, max_level=10):
+        res = quadrature.de_halfline(
+            f, rel_tol=rel_tol, max_level=max_level if cap is None else cap)
+        levels.append(res.levels)
+        return res
+
+    monkeypatch.setattr(specfun, "de_halfline", spy)
+    return levels
+
+
+KERNELS = {
+    "bessel_k": lambda: bessel_k(1.0 / 3.0, 0.7),
+    "psi_chf": lambda: psi_chf(1.0 / 6.0, 4.0 / 3.0, 0.7),
+    "whittaker_w_stable": lambda: whittaker_w_stable(0.7),
+    "lemma1_g": lambda: lemma1_g(0.4, 0.6, 0.9, 1, 0.7),
+}
+
+
+class TestKernelRecord:
+    """Each DE kernel reports the levels its row took as terms_used, and
+    whether the row met its tolerance as reliable."""
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_converged(self, monkeypatch, name):
+        levels = spy_de_halfline(monkeypatch)
+        ev = KERNELS[name]()
+        assert len(levels) == 1 and levels[0] > 1
+        assert (ev.terms_used, ev.reliable) == (levels[0], True)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_stopped_at_max_level(self, monkeypatch, name):
+        # two levels cannot agree to 1e-10
+        levels = spy_de_halfline(monkeypatch, cap=1)
+        ev = KERNELS[name]()
+        assert levels == [1]
+        assert (ev.terms_used, ev.reliable) == (1, False)
 
 
 class TestBesselK:
