@@ -296,7 +296,9 @@ def _log_stable(a: float, source: np.random.Generator, n) -> np.ndarray:
     them in place; then the exponentials are drawn block by block, so
     the rest of the working set is block-sized.
     """
-    z = source.uniform(0.0, math.pi, n)
+    # pi U: numpy's uniform(0, pi) forms 0 + pi U, the same bits, slower
+    z = source.random(n)
+    z *= math.pi
     # endpoint draws are measure zero but would hit the log singularities
     if z.size and (z.min() <= 0.0 or z.max() >= math.pi):
         bad = (z <= 0.0) | (z >= math.pi)

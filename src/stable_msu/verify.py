@@ -5,6 +5,11 @@ Kolmogorov-Smirnov fixtures at the asymptotic 1 percent level
 distributional identity checks, and the acceptance-suite runner that
 executes a JSON config of named checks and emits a deterministic JSON
 summary.
+
+The KS cores bound the gap of each piece of 64 sorted values by the
+exact gaps at its ends, as CDFs do not decrease, and take the gap at
+every point only in the pieces that can hold the maximum; the
+statistic is that of the full per-point pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,84 +86,218 @@ def _reject_nan(sorted_sample: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} requires samples that are not NaN")
 
 
+# Both KS cores cut each sorted sample every _PIECE values, take the
+# exact gap at the cuts, bound the gap of every piece between two cuts
+# by monotonicity, and run the per-point pass only on the pieces whose
+# bound exceeds the largest gap found so far.  A first pass takes the
+# gap at up to _CUTS points of each sample spread over it, so that the
+# largest gap so far is near the maximum from the start; the cut pass
+# then takes _CUTS cuts of a sample at a time.  Neither working set
+# grows with n.
+_PIECE = 64
+_CUTS = fact._BLOCK // 16
+# what a one-sample bound allows for a CDF whose value at a point moves
+# by a few ulps from one evaluation to the next (StableCdf, ualpha_cdf)
+_CDF_SLACK = 1e-12
+
+
+def _spread(n: int) -> np.ndarray:
+    """At most _CUTS positions spread evenly over a sample of n."""
+    return np.arange(0, n, max(_PIECE, -(-n // _CUTS)))
+
+
+def _clipped_cdf(cdf, x: np.ndarray) -> np.ndarray:
+    return np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
+
+
+def _step_gap(idx: np.ndarray, f: np.ndarray, n: int) -> float:
+    """The largest of (k+1)/n - f and f - k/n over the sorted positions
+    k in ``idx``, whose CDF values are ``f``: the empirical CDF of n
+    points is (k+1)/n just after the k-th and k/n just before it."""
+    steps = idx + 1.0
+    steps /= n
+    after = float(np.max(np.subtract(steps, f, out=steps)))
+    np.divide(idx, n, out=steps)
+    return max(after, float(np.max(np.subtract(f, steps, out=steps))))
+
+
+def _cdf_gap(s: np.ndarray, cdf) -> float:
+    """max over k of (k+1)/n - F(s_k) and F(s_k) - k/n, for the sorted
+    flat sample ``s`` of n values and F = ``cdf`` clipped to [0, 1].
+
+    F is taken at the first point of each piece of _PIECE points, and at
+    the last point.  As F does not decrease, no point of the piece from
+    lo to hi (exclusive) has a gap above max(hi/n - F(first), F(next
+    piece's first) - lo/n).  The pieces whose bound, plus _CDF_SLACK,
+    exceeds the largest gap so far (less the slack where it was taken
+    from the cuts) are evaluated point by point, in batches of at most
+    ``_HALF`` points; the others cannot hold the maximum, which is
+    therefore that of the full per-point pass bit for bit.  Raises
+    DomainError where F decreases by more than the slack from one cut
+    to the next.
+    """
+    n = s.size
+    probe = _spread(n)
+    floor = _step_gap(probe, _clipped_cdf(cdf, s[probe]), n) - _CDF_SLACK
+    offsets = np.arange(_PIECE)
+    batch = fact._HALF // _PIECE
+    worst = -math.inf
+    for lo in range(0, n, _CUTS * _PIECE):
+        hi = min(lo + _CUTS * _PIECE, n)
+        first = np.arange(lo, hi, _PIECE)
+        f = _clipped_cdf(cdf, np.append(s[first], s[min(hi, n - 1)]))
+        if not np.all(f[1:] >= f[:-1] - _CDF_SLACK):
+            raise DomainError("ks_one_sample requires a non-decreasing cdf")
+        floor = max(floor, _step_gap(first, f[:-1], n) - _CDF_SLACK)
+        bound = np.maximum(np.minimum(first + _PIECE, n) / n - f[:-1],
+                           f[1:] - first / n)
+        bound += _CDF_SLACK
+        live = first[bound > floor]
+        for k in range(0, live.size, batch):
+            # the last piece may be short: its index runs end in copies
+            # of the last point, which repeat one gap
+            idx = np.add.outer(live[k:k + batch], offsets).ravel()
+            np.minimum(idx, n - 1, out=idx)
+            worst = max(worst, _step_gap(idx, _clipped_cdf(cdf, s[idx]), n))
+        floor = max(floor, worst)
+    return worst
+
+
 def _ks_one(s: np.ndarray, cdf) -> KsResult:
     """One-sample KS of the flat float64 sample ``s`` against ``cdf``;
-    sorts ``s`` in place.  ``cdf`` is evaluated, and the gaps taken, one
-    block at a time, so the rest of the working set is block-sized."""
+    sorts ``s`` in place.
+
+    ``cdf`` must not decrease.  It is evaluated at every _PIECE-th
+    sorted point and then only on the pieces that can hold the largest
+    gap (see ``_cdf_gap``), so the statistic is that of evaluating it at
+    every point, and the rest of the working set is block-sized.
+    """
     n = s.size
     if n == 0:
         raise PreconditionError("ks_one_sample requires samples")
     s.sort()
     _reject_nan(s, "ks_one_sample")
-    worst = []
-    for lo in range(0, n, fact._BLOCK):
-        sb = s[lo:lo + fact._BLOCK]
-        f = np.clip(np.asarray(cdf(sb), dtype=float), 0.0, 1.0)
-        # steps[k] = (lo + k)/n: the empirical CDF is steps[1:] just
-        # after each sorted sample and steps[:-1] just before
-        steps = np.arange(lo, lo + sb.size + 1, dtype=float)
-        steps /= n
-        worst.append(np.max(steps[1:] - f))
-        worst.append(np.max(f - steps[:-1]))
-    stat = float(np.max(worst))
+    stat = _cdf_gap(s, cdf)
     crit = KS_COEFF_1PCT / math.sqrt(n)
     return KsResult(stat, n, crit, stat < crit)
 
 
-def _merged_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """max |F_a - F_b| over the values of two sorted flat samples.
+def _cut_counts(a: np.ndarray, b: np.ndarray, qa: np.ndarray,
+                qb: np.ndarray) -> tuple:
+    """The values a[qa] and b[qb] of two sorted samples in ascending
+    order, with the counts of a and of b at or below each."""
+    cuts = np.sort(np.concatenate((a[qa], b[qb])))
+    return (cuts, np.searchsorted(a, cuts, side="right"),
+            np.searchsorted(b, cuts, side="right"))
 
-    The samples are merged a piece at a time.  A piece takes, of the next
-    ``_HALF`` values of each sample, those below the smaller of the
-    two blocks' last values, so that no value has copies in two pieces.
-    A stable argsort merges the piece; running counts of the positions
-    that hold a's values, and of the others, give the ranks of each
-    merged value in a and in b, read at the last copy of each value
-    (where they count every copy, in any order).  When no value lies
-    below that cut, the cut is the least value left, and its copies are
-    counted in each sample by one binary search.  The counts are exact
-    floats, and the divisions those of counting each value's rank by
-    binary search.
+
+def _merged_gap(a: np.ndarray, b: np.ndarray, a0: np.ndarray, a1: np.ndarray,
+                b0: np.ndarray, b1: np.ndarray, buffers: tuple) -> float:
+    """max |F_a - F_b| over the values of the pieces a[a0[k]:a1[k]] and
+    b[b0[k]:b1[k]] of two sorted flat samples.
+
+    The pieces are ascending: each holds every value of either sample
+    in its range, at most _PIECE - 1 of each, and a0[k] and b0[k] count
+    the values below it.  Batches of pieces are gathered into the shared
+    ``buffers`` and merged by one stable argsort.  Running counts of
+    the positions that hold a's values, and of the others, with each
+    piece's skipped counts added at its first position, give the ranks
+    of each merged value in a and in b, read at the last copy of each
+    value (where they count every copy, in any order).  The counts are
+    exact floats, and the divisions those of counting each value's rank
+    by binary search.
     """
     n, m = a.size, b.size
-    half = fact._HALF
-    piece = np.empty(2 * half)
-    merged = np.empty_like(piece)
-    ranks = np.arange(1.0, 2 * half + 1.0)
-    last = np.empty(2 * half, dtype=bool)
+    piece, merged, ranks, last = buffers
+    size_a, size_b = a1 - a0, b1 - b0
+    full = np.flatnonzero(size_a + size_b)
+    ends = np.cumsum(size_a[full] + size_b[full])
     worst = 0.0
-    i = j = 0
-    while i < n or j < m:
-        cut = min(s[min(lo + half, s.size) - 1]
-                  for s, lo in ((a, i), (b, j)) if lo < s.size)
-        ka = int(np.searchsorted(a[i:i + half], cut))
-        kb = int(np.searchsorted(b[j:j + half], cut))
-        if ka == kb == 0:
-            i += int(np.searchsorted(a[i:], cut, side="right"))
-            j += int(np.searchsorted(b[j:], cut, side="right"))
-            worst = max(worst, abs(i / n - j / m))
-            continue
-        k = ka + kb
-        p = piece[:k]
-        p[:ka] = a[i:i + ka]
-        p[ka:] = b[j:j + kb]
+    lo = 0
+    while lo < full.size:
+        # as many pieces as the buffers hold; one piece always fits
+        start = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, start + piece.size, side="right"))
+        k = full[lo:hi]
+        lo = hi
+        la, lb = size_a[k], size_b[k]
+        ends_a, ends_b = np.cumsum(la), np.cumsum(lb)
+        na, size = int(ends_a[-1]), int(ends_a[-1] + ends_b[-1])
+        ia = np.repeat(a0[k] - ends_a + la, la)
+        ia += ranks[:na]
+        np.take(a, ia, out=piece[:na])
+        ib = np.repeat(b0[k] - ends_b + lb, lb)
+        ib += ranks[:size - na]
+        np.take(b, ib, out=piece[na:size])
+        del ia, ib
+        p = piece[:size]
         order = np.argsort(p, kind="stable")
-        values = np.take(p, order, out=merged[:k], mode="clip")
-        at_last = last[:k]
+        values = np.take(p, order, out=merged[:size], mode="clip")
+        at_last = last[:size]
         np.not_equal(values[:-1], values[1:], out=at_last[:-1])
         at_last[-1] = True
-        ca = np.less(order, ka, out=p)  # 1 where a value of a sits
-        del order  # freed before the next piece's argsort
+        ca = np.less(order, na, out=p)  # 1 where a value of a sits
+        del order  # freed before the next batch's argsort
+        cb = np.subtract(1.0, ca, out=values)
+        starts = ends_a + ends_b - la - lb
+        ca[starts] += a0[k] - np.append(0, a1[k[:-1]])
+        cb[starts] += b0[k] - np.append(0, b1[k[:-1]])
         np.cumsum(ca, out=ca)
-        cb = np.subtract(ranks[:k], ca, out=values)
-        ca += i
-        cb += j
+        np.cumsum(cb, out=cb)
         gap = np.divide(ca, n, out=ca)
         gap -= np.divide(cb, m, out=cb)
         np.abs(gap, out=gap)
         worst = max(worst, float(np.max(gap, where=at_last, initial=0.0)))
-        i += ka
-        j += kb
+    return worst
+
+
+def _two_sample_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |F_a - F_b| over the values of two sorted flat samples.
+
+    Each sample is cut at every _PIECE-th value, _CUTS cuts of each at a
+    time, up to the smaller of the two last cut values taken.  At each
+    cut the counts of both samples at or below it are exact, and so is
+    the gap there.  Between two neighbouring cuts the counts lie between
+    theirs, so no value strictly between has a gap above
+    max(F_a(next) - F_b(prev), F_b(next) - F_a(prev)); the values
+    strictly between the cuts whose bound exceeds the largest gap so far
+    are merged by ``_merged_gap``.  The others cannot hold the maximum,
+    which is therefore that of merging every value, bit for bit.
+    """
+    n, m = a.size, b.size
+    half = fact._HALF
+    buffers = (np.empty(half), np.empty(half), np.arange(half),
+               np.empty(half, dtype=bool))
+    _, ca, cb = _cut_counts(a, b, _spread(n), _spread(m))
+    worst = float(np.max(np.abs(ca / n - cb / m)))
+    i = j = 0  # the counts of a and of b at or below the last cut
+    while True:
+        qa = np.arange(i + _PIECE - 1, min(n, i + _CUTS * _PIECE), _PIECE)
+        qb = np.arange(j + _PIECE - 1, min(m, j + _CUTS * _PIECE), _PIECE)
+        if not (qa.size or qb.size):
+            break
+        top = min(s[q[-1]] for s, q in ((a, qa), (b, qb)) if q.size)
+        qa = qa[:np.searchsorted(a[qa], top, side="right")]
+        qb = qb[:np.searchsorted(b[qb], top, side="right")]
+        cuts, ca, cb = _cut_counts(a, b, qa, qb)
+        fa, fb = ca / n, cb / m
+        worst = max(worst, float(np.max(np.abs(fa - fb))))
+        bound = np.maximum(fa - np.append(j / m, fb[:-1]),
+                           fb - np.append(i / n, fa[:-1]))
+        live = np.flatnonzero(bound > worst)
+        if live.size:
+            # the pieces end below their cut, whose copies are counted
+            below = cuts[live]
+            worst = max(worst, _merged_gap(
+                a, b, np.append(i, ca[:-1])[live],
+                np.searchsorted(a, below), np.append(j, cb[:-1])[live],
+                np.searchsorted(b, below), buffers))
+        i, j = int(ca[-1]), int(cb[-1])
+    # fewer than _PIECE values of each sample lie above the last cut
+    if max(1.0 - j / m, 1.0 - i / n) > worst:
+        worst = max(worst, _merged_gap(
+            a, b, np.array([i]), np.array([n]), np.array([j]),
+            np.array([m]), buffers))
     return worst
 
 
@@ -167,8 +306,9 @@ def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
     sorts each in place.
 
     The empirical CDFs differ most at the last copy of a value of the
-    merged samples (see ``_merged_gap``).  Besides the samples the
-    working set is block-sized.
+    merged samples; only the pieces between cuts that can hold the
+    largest gap are merged (see ``_two_sample_gap``).  Besides the
+    samples the working set is block-sized.
     """
     n, m = a.size, b.size
     if n == 0 or m == 0:
@@ -177,7 +317,7 @@ def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
     b.sort()
     _reject_nan(a, "ks_two_sample")
     _reject_nan(b, "ks_two_sample")
-    stat = _merged_gap(a, b)
+    stat = _two_sample_gap(a, b)
     crit = KS_COEFF_1PCT * math.sqrt((n + m) / (n * m))
     return KsResult(stat, n, crit, stat < crit, m_samples=m)
 
@@ -185,7 +325,12 @@ def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
 def ks_one_sample(samples, cdf) -> KsResult:
     """Sup-norm distance between the empirical CDF and ``cdf``; samples
     of any shape count as one flat sample, and a NaN sample raises
-    :class:`DomainError`."""
+    :class:`DomainError`.
+
+    ``cdf`` maps an array of points to their CDF values and must be
+    non-decreasing: the statistic is exact only for such a function
+    (values may wobble by up to 1e-12), and a decrease seen between two
+    of the points where it is first evaluated raises DomainError."""
     return _ks_one(np.asarray(samples, dtype=float).flatten(), cdf)
 
 
@@ -408,15 +553,25 @@ def _rel_diff(value: float, reference: float) -> float:
 # Each check reads its entry's keys as given; an absent key is at its
 # default in CHECK_PARAMS (see CHECK_KINDS).
 
+def _unreliable(params: dict, x: float) -> ValueError:
+    """The error of a check that would compare a series value that the
+    series flags unreliable at ``x``: skipping the point could leave
+    nothing compared."""
+    return ValueError(f"check {params['name']!r}: the series is flagged "
+                      f"unreliable at x = {x!r}")
+
+
 def _check_closed_form(params: dict) -> IdentityReport:
     alpha = _parse_alpha(params["alpha"])
     tol = float(params["threshold"])
     n_pts = int(params["points"])
     cfg = SeriesConfig(rel_tol=1e-14)
     xs = np.geomspace(float(params["x_lo"]), float(params["x_hi"]), n_pts)
-    series = dens.density_series_grid(alpha, xs, cfg).value
+    series = dens.density_series_grid(alpha, xs, cfg)
+    if not np.all(series.reliable):
+        raise _unreliable(params, float(xs[np.argmin(series.reliable)]))
     worst = 0.0
-    for x, s in zip(xs.tolist(), series.tolist()):
+    for x, s in zip(xs.tolist(), series.value.tolist()):
         worst = max(worst, _rel_diff(s, dens.density_closed(alpha, x).value))
     return IdentityReport(
         name=params["name"], discrepancy=worst, threshold=tol,
@@ -473,6 +628,8 @@ def _check_half_residual(params: dict) -> IdentityReport:
     worst = 0.0
     for x in xs:
         r = msu_mod.lce_residual(0.5, float(x))
+        if not r.reliable:
+            raise _unreliable(params, float(x))
         f = dens.density_closed(0.5, float(x)).value
         exact = -f * f / (4.0 * float(x))
         worst = max(worst, _rel_diff(r.value, exact))
@@ -480,13 +637,18 @@ def _check_half_residual(params: dict) -> IdentityReport:
                           details={"xs": list(xs)})
 
 
+def _mellin_cases(params: dict) -> list:
+    """(details key, p, n) of each pair."""
+    return [(f"{p}/{n}", int(p), int(n)) for p, n in params["pairs"]]
+
+
 def _check_lemma2_mellin(params: dict) -> IdentityReport:
     worst = 0.0
     details = {}
-    for p, n in params["pairs"]:
-        rep = check_mellin_factorization(int(p), int(n), params["s_values"],
+    for case, p, n in _mellin_cases(params):
+        rep = check_mellin_factorization(p, n, params["s_values"],
                                          threshold=float(params["threshold"]))
-        details[f"{p}/{n}"] = rep.discrepancy
+        details[case] = rep.discrepancy
         worst = max(worst, rep.discrepancy)
     return IdentityReport(params["name"], worst, float(params["threshold"]),
                           worst < float(params["threshold"]), details=details)
@@ -600,16 +762,21 @@ def _check_whitt(params: dict) -> IdentityReport:
                  "witness_x": x_star, "witness_margin": margin_star})
 
 
+def _lemma1_cases(params: dict) -> list:
+    """(details key, a, b, c) of each triple."""
+    return [(f"({a},{b},{c})", float(a), float(b), float(c))
+            for a, b, c in params["triples"]]
+
+
 def _check_lemma1(params: dict) -> IdentityReport:
     floor = float(params["floor"])  # tolerance comes from the config
     worst = math.inf
     details = {}
     xs = np.geomspace(float(params["x_lo"]), float(params["x_hi"]),
                       int(params["points"]))
-    for a, b, c in params["triples"]:
-        m = min(fact.lemma1_inequality(float(a), float(b), float(c), float(x))
-                for x in xs)
-        details[f"({a},{b},{c})"] = m
+    for case, a, b, c in _lemma1_cases(params):
+        m = min(fact.lemma1_inequality(a, b, c, float(x)) for x in xs)
+        details[case] = m
         worst = min(worst, m)
     return IdentityReport(params["name"], max(0.0, -worst), -floor,
                           worst >= floor, details=details)
@@ -749,8 +916,10 @@ _CASE_LISTS: dict[str, tuple[tuple[str, ...], ...]] = {
 # the cases of the kinds whose details are keyed by case, the key first
 _KEYED_CASES: dict[str, Callable[[dict], list]] = {
     "msu_dichotomy": _dichotomy_cases,
+    "lemma2_mellin": _mellin_cases,
     "sampler_fidelity": _fidelity_cases,
     "diff_identity": _diff_cases,
+    "lemma1_inequality": _lemma1_cases,
 }
 
 
@@ -883,6 +1052,21 @@ DEFAULT_ACCEPTANCE_CONFIG: dict = {
 }
 
 
+def _non_finite(value, path: str = ""):
+    """(path, number) of the first float in ``value``, through nested
+    dicts and lists, that is not finite; None if there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, (list, tuple))
+             else ())
+    for key, item in items:
+        bad = _non_finite(item, f"{path}.{key}" if path else str(key))
+        if bad is not None:
+            return bad
+    return None
+
+
 def run_acceptance(config) -> dict:
     """Execute the checks listed in ``config`` and return a deterministic
     JSON-ready summary.
@@ -890,8 +1074,10 @@ def run_acceptance(config) -> dict:
     ``config`` is a dict, a ``Path`` to a JSON file, or a string: JSON
     text when its first non-blank character is ``{``, else a file path.
     Check failures are aggregated, never raised; a malformed config
-    raises before any check runs (see ``_entries`` and ``CHECK_PARAMS``).
-    Identical configs and seeds produce identical summaries.
+    raises before any check runs (see ``_entries`` and ``CHECK_PARAMS``),
+    and a report holding a number that is not finite (not valid JSON)
+    raises ValueError as soon as its check returns.  Identical configs
+    and seeds produce identical summaries.
     """
     if isinstance(config, str) and config.lstrip().startswith("{"):
         config = json.loads(config)
@@ -899,7 +1085,14 @@ def run_acceptance(config) -> dict:
         config = json.loads(Path(config).read_text())
     if config is None:
         config = {}
-    reports = [CHECK_KINDS[entry["kind"]](entry) for entry in _entries(config)]
+    reports = []
+    for entry in _entries(config):
+        report = CHECK_KINDS[entry["kind"]](entry)
+        bad = _non_finite(report.to_dict())
+        if bad is not None:
+            raise ValueError(f"check {entry['name']!r}: {bad[0]} is "
+                             f"{bad[1]!r}, not a finite number")
+        reports.append(report)
     reports.sort(key=lambda r: r.name)
     return {
         "schema": 1,

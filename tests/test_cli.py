@@ -246,19 +246,29 @@ class TestUsageErrors:
         ({"kind": "msu_dichotomy", "alphas_violation": [0.7, 0.7000001]},
          "repeated cases ['0.7']"),
         ({"kind": "closed_form", "alpha": [1, 2], "threshold": 1e-8,
-          "x_lo": 1e-4}, "not JSON compliant"),
+          "x_lo": 1e-4}, "check 'bad': the series is flagged unreliable "
+         "at x = 0.0001"),
         ({"kind": "half_alpha_residual", "xs": [6e-4], "threshold": 1e-7},
-         "not JSON compliant"),
+         "check 'bad': the series is flagged unreliable at x = 0.0006"),
         ({"kind": "half_alpha_residual", "xs": [8e-4], "threshold": 1e-7},
-         "not JSON compliant"),
+         "check 'bad': the series is flagged unreliable at x = 0.0008"),
         ({"kind": "bb_crosscheck", "alphas": [0.3], "t_lo": 690,
-          "t_hi": 700, "threshold": 1e-5}, "not JSON compliant"),
+          "t_hi": 700, "threshold": 1e-5},
+         "check 'bad': discrepancy is inf, not a finite number"),
+        ({"kind": "half_alpha_residual", "xs": [0.01], "threshold": 1e-7},
+         "check 'bad': the series is flagged unreliable at x = 0.01"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5], [2, 5]],
+          "s_values": [1.0], "threshold": 1e-10}, "repeated cases ['2/5']"),
+        ({"kind": "lemma1_inequality",
+          "triples": [[0.4, 0.6, 0.9], [0.4, 0.6, 0.9]], "floor": -1e-10},
+         "repeated cases ['(0.4,0.6,0.9)']"),
     ], ids=["zero-denominator", "alphas-not-a-list", "three-integers",
             "float-numerator", "float-pair", "list-n-samples",
             "float-n-samples", "step-1", "step-1e-9", "step-5e-5",
             "x-max-1e308", "x-hi-1e300", "repeated-scan",
             "closed-form-zero-reference", "half-residual-zero-reference",
-            "half-residual-nan", "bb-zero-reference"])
+            "half-residual-nan", "bb-zero-reference",
+            "half-residual-unreliable", "repeated-pair", "repeated-triple"])
     def test_acceptance_malformed_spec(self, capsys, tmp_path, entry,
                                        reason):
         # zero-denominator, alphas-not-a-list and list-n-samples ended in
@@ -270,9 +280,12 @@ class TestUsageErrors:
         # one scan's summary with the other's, and passed.  The three
         # zero references (the closed form at x = 1e-4, f^2 underflowing
         # at x = 6e-4, the series density at t = 690) ended in a
-        # ZeroDivisionError traceback; their discrepancy is now inf.  At
-        # x = 8e-4 the series residual is NaN, which max() passed over:
-        # check 05 passed with discrepancy 0
+        # ZeroDivisionError traceback, and then in the JSON write's
+        # error, naming no check, once every check had run.  At x = 8e-4
+        # the series residual is NaN, which max() passed over: check 05
+        # passed with discrepancy 0.  At x = 0.01 check 05 failed on a
+        # residual that the series flags unreliable.  A repeated pair or
+        # triple ran twice under one details key and passed
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": [{"name": "bad", **entry}]}))
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))

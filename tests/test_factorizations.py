@@ -145,6 +145,20 @@ class TestSampleStable:
         assert np.max(np.abs(z / ref - 1.0)) < 1e-13
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_uniforms_are_those_of_numpys_uniform(self, monkeypatch):
+        # Kanter's b is taken at pi U, the bits of uniform(0, pi)
+        seen = []
+        kernel = factorizations._log_kanter_b
+
+        def spy(a, u, out):
+            seen.append(u.copy())
+            return kernel(a, u, out)
+
+        monkeypatch.setattr(factorizations, "_log_kanter_b", spy)
+        factorizations._log_stable(0.6, np.random.default_rng(12), 30_000)
+        ref = np.random.default_rng(12).uniform(0.0, math.pi, 30_000)
+        assert np.array_equal(seen[0], ref)
+
     def test_tuple_size_keeps_shape(self):
         z = sample_stable(0.6, np.random.default_rng(8), (3, 4))
         flat = sample_stable(0.6, np.random.default_rng(8), 12)
@@ -157,18 +171,17 @@ class TestSampleStable:
         assert z == sample_stable(0.6, np.random.default_rng(9), 1)[0]
 
     def test_endpoint_uniforms_redrawn_without_warning(self):
-        # a source whose first uniforms hit both endpoints and the two
-        # extreme interior doubles; only the endpoints are redrawn
+        # a source whose first uniforms, times pi, hit both endpoints and
+        # the two extreme interior doubles; only the endpoints are
+        # redrawn, by uniform(0, pi)
         class Source:
             def __init__(self):
                 self.rng = np.random.default_rng(10)
-                self.first = True
+
+            def random(self, size):
+                return np.array([0.0, 2.0 ** -53, 1.0, 1.0 - 2.0 ** -53])
 
             def uniform(self, lo, hi, n):
-                if self.first:
-                    self.first = False
-                    return np.array([0.0, math.pi * 2.0 ** -53, math.pi,
-                                     math.nextafter(math.pi, 0.0)])
                 return self.rng.uniform(lo, hi, n)
 
             def standard_exponential(self, size=None, out=None):

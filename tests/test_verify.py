@@ -16,14 +16,16 @@ from stable_msu.density import survival_series
 from stable_msu.errors import DomainError, PreconditionError
 from stable_msu.factorizations import (_BLOCK, _log_stable, lemma2_product,
                                        sample_stable)
-from stable_msu.verify import (CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG,
-                               IdentityReport, _ks_one, _ks_two, build_cdf,
+from stable_msu.verify import (_CUTS, _PIECE, CHECK_KINDS,
+                               DEFAULT_ACCEPTANCE_CONFIG, IdentityReport,
+                               _ks_one, _ks_two, build_cdf,
                                check_diff_identity, check_factorization_mc,
                                check_laplace, check_mellin_factorization,
                                check_sampler_ks, ks_one_sample, ks_two_sample,
                                run_acceptance, ualpha_cdf)
 
 import johnk_reference
+import ks_reference
 
 
 class TestKsOneSample:
@@ -227,6 +229,139 @@ class TestKsTwoMerge:
         self._both_orders(a, b)
 
 
+@pytest.fixture(scope="module")
+def cdf_05():
+    return build_cdf(0.5)
+
+
+def _step_cdf(x):
+    """A CDF with plateaus: steps of 0.1 at the integers -5 .. 4."""
+    return np.clip(np.floor(np.asarray(x, dtype=float)) + 5.0, 0.0, 10.0) / 10
+
+
+# sizes at and around one piece, and sizes over several blocks and
+# several passes of cuts
+_KS_SIZES = [1, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _BLOCK + 17,
+             2 * _CUTS * _PIECE + _PIECE // 2]
+
+
+class TestKsPruned:
+    """The cores take exact gaps only on the pieces whose bound can hold
+    the maximum; their statistics equal the exhaustive references of
+    ks_reference bit for bit."""
+
+    @staticmethod
+    def _two(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        ref = ks_reference.merged_gap(np.sort(a), np.sort(b))
+        assert _ks_two(a.copy(), b.copy()).statistic == ref
+        assert _ks_two(b.copy(), a.copy()).statistic == ref
+        return ref
+
+    @staticmethod
+    def _one(s, cdf):
+        s = np.asarray(s, dtype=float)
+        ref = ks_reference.ks_one_stat(np.sort(s), cdf)
+        assert _ks_one(s.copy(), cdf).statistic == ref
+        return ref
+
+    @pytest.mark.parametrize("n", _KS_SIZES)
+    @pytest.mark.parametrize("m", [1, _PIECE - 1, _PIECE, _PIECE + 1,
+                                   3 * _BLOCK + 17])
+    def test_two_sample_sizes(self, n, m):
+        rng = np.random.default_rng(n + 7 * m)
+        self._two(rng.standard_normal(n), rng.standard_normal(m) + 0.01)
+        self._two(rng.integers(0, 9, n), rng.integers(0, 11, m))
+
+    @pytest.mark.parametrize("n", _KS_SIZES)
+    def test_one_sample_sizes(self, n):
+        rng = np.random.default_rng(n)
+        self._one(rng.logistic(size=n), ualpha_cdf(0.4))
+        self._one(rng.integers(-7, 7, n), _step_cdf)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cases(self, seed, cdf_05):
+        # normal or tied samples, some infinite, of random sizes; the
+        # one-sample CDFs are a StableCdf, ualpha_cdf and a step CDF
+        rng = np.random.default_rng(8800 + seed)
+        n, m = rng.integers(1, 40 * _PIECE, 2)
+        levels = np.concatenate([[-np.inf, np.inf], 5.0 *
+                                 rng.standard_normal(rng.integers(1, 30))])
+        if seed % 2:
+            a = rng.choice(levels, n)
+            b = rng.choice(levels, m)
+        else:
+            a = rng.standard_normal(n)
+            b = rng.standard_normal(m)
+            a[rng.random(n) < 0.02] = np.inf
+            b[rng.random(m) < 0.02] = -np.inf
+        self._two(a, b)
+        cdf = (cdf_05, ualpha_cdf(0.7), _step_cdf)[seed % 3]
+        self._one(np.abs(a) if seed % 3 == 0 else a, cdf)
+
+    @pytest.mark.parametrize("shift", [0, 1, _PIECE - 1])
+    def test_tie_runs_across_pieces_and_blocks(self, shift):
+        # runs of ties that start just before a piece, a block or a pass
+        # of cuts ends and carry on past it
+        lengths = [_PIECE - 2 + shift, 2 * _PIECE + 1, 5, _BLOCK + 3,
+                   _CUTS * _PIECE + 9, 1, _PIECE]
+        a = np.repeat(np.arange(len(lengths), dtype=float), lengths)
+        b = np.repeat(np.arange(len(lengths), dtype=float) + 0.5 * (shift % 2),
+                      lengths[::-1])
+        self._two(a, b)
+        self._two(a, a[::3])
+        self._one(a - 3.0, _step_cdf)
+        self._one(np.append(a, [np.inf, -np.inf]), ualpha_cdf(0.3))
+
+    def test_disjoint_samples(self):
+        a = np.arange(3 * _BLOCK + 5, dtype=float)
+        assert self._two(a, a + 10 * _BLOCK) == 1.0
+        assert self._two(-a - 1.0, a) == 1.0
+
+    def test_one_sample_inside_one_piece_of_the_other(self):
+        rng = np.random.default_rng(82)
+        a = np.linspace(0.0, 1.0, 40 * _PIECE)
+        b = rng.uniform(a[3 * _PIECE + 2], a[3 * _PIECE + 9], 3 * _BLOCK)
+        b[:5] = a[3 * _PIECE + 2]
+        assert self._two(a, b) > 0.9
+
+    def test_every_piece_can_hold_the_maximum(self):
+        # every gap is the same size, so no piece is passed over
+        n = 3 * _BLOCK + 1
+        s = (np.arange(n) + 0.5) / n
+        assert self._one(s, lambda x: np.clip(x, 0.0, 1.0)) == \
+            pytest.approx(0.5 / n)
+        a = 2.0 * np.arange(n)
+        assert self._two(a, a + 1.0) == pytest.approx(1.0 / n)
+
+    def test_stable_cdf(self, cdf_05):
+        z = sample_stable(0.5, np.random.default_rng(83), 3 * _BLOCK)
+        z[:3] = [0.0, np.inf, 1e300]
+        self._one(z, cdf_05)
+
+    def test_cdf_decreasing_at_the_cuts_raises(self):
+        # a CDF must not decrease; where it visibly does, between two
+        # cuts, the bounds are void and the core raises
+        s = np.linspace(0.0, 1.0, 10 * _PIECE)
+        with pytest.raises(DomainError, match="non-decreasing"):
+            ks_one_sample(s, lambda x: 1.0 - np.asarray(x))
+        with pytest.raises(DomainError, match="non-decreasing"):
+            ks_one_sample(s, lambda x: np.where(np.asarray(x) > 0.5, 0.2,
+                                                np.asarray(x)))
+
+    def test_cdf_wobbling_within_the_slack_is_allowed(self):
+        # a plateau whose values dip by 4e-13 here and there, as rounding
+        # can make a CDF do: the cut values decrease, within the slack
+        def cdf(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x < 0.5, 0.25 - 4e-13 * (np.floor(x * 997) % 2),
+                            x)
+
+        s = np.linspace(0.0, 1.0, 40 * _PIECE)
+        assert np.any(np.diff(cdf(s[::_PIECE])) < 0.0)
+        self._one(s, cdf)
+
+
 class TestKsNan:
     """A NaN sample has no empirical CDF: the KS functions and their
     cores raise DomainError; infinite samples are allowed."""
@@ -324,6 +459,22 @@ class TestWorkingSet:
         peak = self._peak(lambda: fl.sample(np.random.default_rng(75),
                                             self.N))
         assert peak <= 1.25 * 8 * self.N
+
+    def test_ks_cores_do_not_grow_with_n(self):
+        # every piece can hold the maximum, so every batch is full: the
+        # cores' extra peak at 10^6 is that at 2 10^5 but for a few KB,
+        # where an array of n/_PIECE doubles would add 100 KB
+        def extra(n):
+            s = (np.arange(n) + 0.5) / n
+            a = 2.0 * np.arange(n)
+            cdf = lambda x: np.clip(x, 0.0, 1.0)  # noqa: E731
+            return (self._peak(lambda: _ks_one(s.copy(), cdf)) - 8 * n,
+                    self._peak(lambda: _ks_two(a.copy(), a + 1.0))
+                    - 3 * 8 * n)
+
+        small, big = extra(self.N), extra(5 * self.N)
+        assert big[0] <= small[0] + 16_384
+        assert big[1] <= small[1] + 16_384
 
     def test_ks_cores(self):
         # beyond the samples they sort, the cores hold block-sized
@@ -625,6 +776,46 @@ class TestRunAcceptance:
             ]})
         assert ran == []
 
+    @pytest.mark.parametrize("report,field", [
+        (IdentityReport("bad", math.inf, 1.0, False), "discrepancy is inf"),
+        (IdentityReport("bad", 0.5, 1.0, True,
+                        details={"per_lambda": {"0.5": math.nan}}),
+         "details.per_lambda.0.5 is nan"),
+        (IdentityReport("bad", 0.5, 1.0, True,
+                        details={"scans": [1.0, -math.inf]}),
+         "details.scans.1 is -inf"),
+    ])
+    def test_non_finite_report_raises_before_the_next_check(
+            self, monkeypatch, report, field):
+        # the JSON write refused such a report only after every check of
+        # the config had run, and named neither the check nor the field
+        ran = self._stub_checks(monkeypatch)
+        monkeypatch.setitem(CHECK_KINDS, "laplace", lambda params: report)
+        with pytest.raises(ValueError, match=f"check 'bad': {field}, not a "
+                           "finite number"):
+            run_acceptance({"checks": [
+                {"name": "t", "kind": "tail_sign", "alpha_step": 0.2},
+                {"name": "bad", "kind": "laplace", "alpha": 0.5,
+                 "lambdas": [1.0], "threshold": 1e-5},
+                {"name": "u", "kind": "tail_sign", "alpha_step": 0.2}]})
+        assert ran == ["t"]
+
+    @pytest.mark.parametrize("entry,x", [
+        ({"kind": "half_alpha_residual", "xs": [0.01], "threshold": 1e-7},
+         "0.01"),
+        ({"kind": "half_alpha_residual", "xs": [1.0, 8e-4, 2.0],
+          "threshold": 1e-7}, "0.0008"),
+        ({"kind": "closed_form", "alpha": [1, 2], "threshold": 1e-8,
+          "x_lo": 1e-4}, "0.0001"),
+    ])
+    def test_unreliable_series_point_raises(self, entry, x):
+        # check 05 at x = 0.01 failed with discrepancy 1.24e15 from a
+        # residual of 0.476 +- 30 flagged unreliable; skipping such a
+        # point could pass an entry with nothing compared
+        with pytest.raises(ValueError, match=f"check 'bad': the series is "
+                           f"flagged unreliable at x = {x}$"):
+            run_acceptance({"checks": [{"name": "bad", **entry}]})
+
     def test_default_config_keys_validate(self, monkeypatch):
         ran = self._stub_checks(monkeypatch)
         summary = run_acceptance(DEFAULT_ACCEPTANCE_CONFIG)
@@ -858,6 +1049,12 @@ class TestRunAcceptance:
         ({"kind": "closed_form", "alpha": [1, 2], "threshold": 1e-8,
           "x_hi": 1e300}, ValueError,
          "x_hi must be a number in \\(0, 1e6\\]"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5], [3, 7], [2, 5]],
+          "s_values": [1.0], "threshold": 1e-10}, ValueError,
+         "repeated cases \\['2/5'\\]"),
+        ({"kind": "lemma1_inequality",
+          "triples": [[0.4, 0.6, 0.9], [0.4, 0.6, 0.9]], "floor": -1e-10},
+         ValueError, "repeated cases \\['\\(0.4,0.6,0.9\\)'\\]"),
     ])
     def test_malformed_spec_raises_before_any_check(self, monkeypatch, entry,
                                                     error, match):
@@ -868,7 +1065,8 @@ class TestRunAcceptance:
         # passed, and one of 1e-9 swept about 10^9 alphas; a grid bound
         # at or below 0, or x_lo above x_hi, reached its check, which
         # raised, warned, or ran on a reversed or one-point grid, and
-        # one of 1e300 or more overflowed its grid or closed form
+        # one of 1e300 or more overflowed its grid or closed form.  A
+        # repeated pair or triple ran twice under one details key
         ran = self._stub_checks(monkeypatch)
         with pytest.raises(error, match=match):
             run_acceptance({"checks": [
