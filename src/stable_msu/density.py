@@ -690,8 +690,19 @@ def density_closed(alpha, x: float) -> EvalResult:
         raise DomainError("density_closed requires x > 0")
     a = alpha.value
     if a == 0.5:
-        v = math.exp(-0.25 / x) / (_TWO_SQRT_PI * x ** 1.5)
-        return EvalResult(v, 4.0 * _EPS * v, 1, True)
+        t = 0.25 / x
+        e = math.exp(-t)
+        d = _TWO_SQRT_PI * x ** 1.5
+        v = e / d
+        # Each rounding is at most half an ulp, or one for exp and **.
+        # t's rounding is an error of t eps/2 in exp's argument, and so
+        # relative in e; 2 sqrt(pi) (math.pi and the sqrt), x**1.5 and
+        # the product add 4.5 half-ulps of d, rounded up to 5 for the
+        # products of all these; then one ulp of e, over d, and half an
+        # ulp of v.  The last two hold where e or v is subnormal, too.
+        bar = (0.5 * _EPS * (t + 5.0) * v + math.ulp(e) / d
+               + 0.5 * math.ulp(v))
+        return EvalResult(v, bar, 1, True)
     if a == 1.0 / 3.0:
         arg = (2.0 / (3.0 * math.sqrt(3.0))) / math.sqrt(x)
         k = specfun.bessel_k(1.0 / 3.0, arg, rel_tol=1e-12)

@@ -17,30 +17,36 @@ the nodes of levels 0..L times 2^-L, so no node is evaluated twice.
 
 ``f`` takes a 1-D float ndarray of nodes.  Its first call covers the
 nodes of levels 0.._HEAD at once (the head: their tables concatenated
-in level order), and each later call the nodes of one level.  Each
-level's sum is still taken over that level's own values, and the
-stopping test still runs level by level, so the head only changes how
-many calls the integrand gets, not a bit of the result.  It relies on
-numpy's ufuncs giving an argument the same bits at any position and in
-any array length.
+in level order), and each later call the nodes of one level.  One
+``np.add.reduceat`` per call (a run) takes every level's sum in it, and
+the stopping test then runs level by level over those sums, so the head
+only changes how many calls the integrand gets, not a bit of the
+result.  It relies on numpy's ufuncs giving an argument the same bits
+at any position and in any array length, and on ``reduceat`` giving a
+level's sum the same bits wherever the level starts in the array.
 
 ``f`` returns either an array of the nodes' shape, for one integral, or
 a ``(k, n)`` array, for k sibling integrals over the same nodes (rows).
 Each row stops at its own level; the result then holds float64 arrays
-of length k for ``value`` and ``error``, and ``levels`` is the deepest
-level any row took.  Rows that have stopped are still evaluated, and
-ignored, while others refine.  Each level's sums for all rows come from
-one reduce along the rows' axis, which gives each row the bits of a
-reduce over that row alone.
+of length k for ``value`` and ``error``, each row's level and stopping
+verdict in ``row_levels`` and ``converged``, and ``levels`` is the
+deepest level any row took.  Rows that have stopped are still
+evaluated, and ignored, while others refine.  One integral is summed as
+one row, and the ``reduceat`` along the rows' axis gives each row the
+bits of a ``reduceat`` over that row alone.
 
 ``f`` is called under ``np.errstate(all="ignore")``; a weighted value
 that is not finite counts as 0 (in its own row), and so does every node
-where ``f`` is 0.  The node tables of a level, and those of the head,
-are built on first use, cached and read-only.  Besides the nodes and
-weights of both maps, they hold log x and log1p x at the exp-sinh nodes
-x, so that an integrand of :func:`de_halfline` can read them instead of
-computing them on every call: ``_half_table(x)`` gives the table of the
-array that ``f`` is handed.
+where ``f`` is 0: where a run's sums are not all finite, its non-finite
+values are set to 0 and the ``reduceat`` is taken again, which leaves
+the sums of the other levels and rows as they were.
+
+The node tables of a level, and those of the head, are built on first
+use, cached and read-only.  Besides the nodes and weights of both maps,
+they hold log x and log1p x at the exp-sinh nodes x, so that an
+integrand of :func:`de_halfline` can read them instead of computing
+them on every call: ``_half_table(x)`` gives the table of the array
+that ``f`` is handed.
 """
 
 from __future__ import annotations
@@ -70,12 +76,17 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 class QuadResult(NamedTuple):
-    """floats for one integral; float64 arrays of length k for k rows,
-    with ``levels`` the deepest level any row took."""
+    """floats for one integral; float64 arrays of length k for k rows.
+    ``levels`` is the deepest level any row took; ``row_levels`` and
+    ``converged`` give each row's own level and whether it passed the
+    stopping test, as an int and a bool for one integral and as tuples
+    of length k for k rows."""
 
     value: Union[float, np.ndarray]
     error: Union[float, np.ndarray]
     levels: int
+    row_levels: Union[int, tuple[int, ...]]
+    converged: Union[bool, tuple[bool, ...]]
 
 
 class _Nodes(NamedTuple):
@@ -171,82 +182,76 @@ def _runs(max_level: int) -> Iterator[_Run]:
         yield _Run(nodes, (nodes.t.size,), (nodes.fin_d.size,))
 
 
-def _level_sums(block: np.ndarray) -> list[float]:
-    """Each row's sum of its finite values (the sum of all of them,
-    unless that is not finite).  One reduce covers every row, and gives
-    each row the bits of a reduce over that row alone."""
-    sums = np.add.reduce(block, axis=1).tolist()
-    for i, total in enumerate(sums):
-        if not math.isfinite(total):
-            finite = np.where(np.isfinite(block[i]), block[i], 0.0)
-            sums[i] = float(np.add.reduce(finite))
-    return sums
-
-
 RunTerms = Callable[[_Run], tuple[np.ndarray, Sequence[int]]]
 
 
-def _unconverged(values: list, errors: list, rel_tol: float, rows) -> list:
-    """The stopping test of _refine: the rows, of those given, whose value
-    is not finite or whose last two levels do not agree to rel_tol."""
-    return [i for i in rows
-            if not (math.isfinite(values[i])
-                    and errors[i] <= rel_tol * (abs(values[i]) + _TINY))]
-
-
-def _level_blocks(values: np.ndarray, ends: Sequence[int],
-                  run_terms: RunTerms,
-                  runs: Iterator[_Run]) -> Iterator[np.ndarray]:
-    """The weighted values at the new nodes of each level as a (rows,
-    nodes) block: first the levels of one evaluated run (its values, 1-D
-    or one row per integral, and each level's end), then those of the
-    remaining runs, evaluated with run_terms as they are reached."""
-    while True:
-        rows = values.reshape(-1, values.shape[-1])
-        start = 0
-        for end in ends:
-            yield rows[:, start:end]
-            start = end
-        run = next(runs, None)
-        if run is None:
-            return
-        values, ends = run_terms(run)
+def _run_sums(terms: np.ndarray, ends: Sequence[int]) -> list[list[float]]:
+    """Each row's sum over each level of a run (a list per row, a float
+    per level).  One reduceat covers every row and level, and gives each
+    row the bits of a reduceat over that row alone.  Where a sum is not
+    finite, it is taken again with the run's non-finite terms as 0, so a
+    level's sum is that of its finite terms unless those overflow."""
+    rows = terms.reshape(-1, terms.shape[-1])
+    starts = (0, *ends[:-1])
+    sums = np.add.reduceat(rows, starts, axis=1).tolist()
+    # a sum of the sums is finite only if every sum is
+    if not math.isfinite(sum(map(sum, sums))):
+        sums = np.add.reduceat(np.where(np.isfinite(rows), rows, 0.0),
+                               starts, axis=1).tolist()
+    return sums
 
 
 def _refine(run_terms: RunTerms, rel_tol: float, max_level: int) -> QuadResult:
     """Refine each row until two levels agree to rel_tol; run_terms(run)
     gives the weighted integrand values at a run's nodes and the end of
-    each of its levels in them.  A row whose value is not finite (its
-    running sum overflowed) never counts as converged, and its error is
-    inf."""
+    each of its levels in them (no level empty).  A row whose value is
+    not finite (its running sum overflowed) never counts as converged,
+    and its error is inf."""
     if not 0 <= max_level <= _LEVEL_CAP:
         raise ValueError(f"max_level must be in [0, {_LEVEL_CAP}]")
     with np.errstate(all="ignore"):
         runs = _runs(max_level)
-        head, ends = run_terms(next(runs))
-        one = head.ndim == 1
-        blocks = _level_blocks(head, ends, run_terms, runs)
-        totals = _level_sums(next(blocks))
+        terms, ends = run_terms(next(runs))
+        one = terms.ndim == 1
+        sums = _run_sums(terms, ends)
+        # level 0 has no error estimate; the stopping test starts at 1
+        totals = [row[0] for row in sums]
         values = list(totals)
-        errors = [math.inf] * len(totals)
-        levels = [0] * len(totals)
-        running = range(len(totals))
-        for level, block in enumerate(blocks, 1):
-            sums = _level_sums(block)
+        errors = [math.inf] * len(sums)
+        levels = [0] * len(sums)
+        converged = [False] * len(sums)
+        running = range(len(sums))
+        level, first = 0, 1  # the deepest level summed; sums' next column
+        while True:
             for i in running:
-                totals[i] += sums[i]
-                new = totals[i] * 0.5 ** level
-                errors[i] = (abs(new - values[i]) if math.isfinite(new)
-                             else math.inf)
-                values[i] = new
-                levels[i] = level
-            running = _unconverged(values, errors, rel_tol, running)
-            if not running:
+                total, value, error, depth = (totals[i], values[i],
+                                              errors[i], level)
+                for s in sums[i][first:]:
+                    depth += 1
+                    total += s
+                    new = total * 0.5 ** depth
+                    if not math.isfinite(new):
+                        value, error = new, math.inf
+                        continue
+                    value, error = new, abs(new - value)
+                    if error <= rel_tol * (abs(value) + _TINY):
+                        converged[i] = True
+                        break
+                totals[i], values[i], errors[i], levels[i] = (
+                    total, value, error, depth)
+            running = [i for i in running if not converged[i]]
+            level += len(ends) - first
+            run = next(runs, None) if running else None
+            if run is None:
                 break
+            terms, ends = run_terms(run)
+            sums, first = _run_sums(terms, ends), 0
     if one:
-        return QuadResult(values[0], errors[0], levels[0])
+        return QuadResult(values[0], errors[0], levels[0], levels[0],
+                          converged[0])
     return QuadResult(np.array(values), np.array(errors),
-                      max(levels, default=0))
+                      max(levels, default=0), tuple(levels),
+                      tuple(converged))
 
 
 def tanh_sinh(f: Integrand, a: float, b: float,
@@ -264,7 +269,14 @@ def tanh_sinh(f: Integrand, a: float, b: float,
         x = np.where(nodes.fin_right, b - d, a + d)
         inside = (x > a) & (x < b)
         ends = np.cumsum(inside)[[end - 1 for end in run.fin_ends]]
-        return f(x[inside]) * (half * nodes.fin_w[inside]), ends.tolist()
+        terms = f(x[inside]) * (half * nodes.fin_w[inside])
+        # on a narrow interval a level can have no node inside (a, b);
+        # it gets one term, 0, since no level of a run may be empty
+        empty = np.diff(ends, prepend=0) == 0
+        if empty.any():
+            terms = np.insert(terms, ends[empty], 0.0, axis=-1)
+            ends = ends + np.cumsum(empty)
+        return terms, ends.tolist()
 
     return _refine(run_terms, rel_tol, max_level)
 

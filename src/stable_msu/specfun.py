@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .quadrature import _half_table, _unconverged, de_halfline
+from .quadrature import _half_table, de_halfline
 from .util import EvalResult, sinpi
 
 DEFAULT_REL_TOL = 1e-10
@@ -46,10 +46,10 @@ def _tricomi(name: str, args: tuple, z: float, am1: float, expos: tuple,
              log_scale: float, rel_tol: float):
     """exp(log_scale) int_0^inf e^{-z s} s^am1 (1+s)^expo ds for each
     expo in expos, one quadrature row each, as one tuple per row in the
-    field order of EvalResult: value, error bar, the deepest level any
-    row took, and whether the row converged; 0 +- 0 at z = inf.  The
-    scale sits inside the exponent, so a value whose unscaled integral
-    overflows evaluates.
+    field order of EvalResult: value, error bar, the row's own level,
+    and whether the row converged; 0 +- 0 at z = inf.  The scale sits
+    inside the exponent, so a value whose unscaled integral overflows
+    evaluates.
     Raises DomainError naming ``name(*args)`` where the exponent passes
     709 (or is NaN) at a node, or a value or bar is not finite."""
     if z == math.inf:
@@ -70,9 +70,7 @@ def _tricomi(name: str, args: tuple, z: float, am1: float, expos: tuple,
     if not all(map(math.isfinite, value + error)):
         raise DomainError(f"{name}{args} overflows a double: its "
                           "quadrature value is not finite")
-    unconverged = _unconverged(value, error, rel_tol, range(len(value)))
-    return [(v, e, res.levels, i not in unconverged)
-            for i, (v, e) in enumerate(zip(value, error))]
+    return list(zip(value, error, res.row_levels, res.converged))
 
 
 def bessel_k(nu: float, x: float,

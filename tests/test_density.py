@@ -392,6 +392,22 @@ class TestDensityClosed:
         assert r.value == pytest.approx(math.exp(-1.0 / 16.0) / (TWO_SQRT_PI * 8.0),
                                         rel=1e-12)
 
+    @pytest.mark.parametrize("xs", [
+        np.geomspace(1e-3, 1e3, 200),
+        # exp(-1/(4x)) is subnormal here, or 0 below 3.36e-4
+        np.geomspace(3.2e-4, 3.6e-4, 20)])
+    def test_half_bar_covers_mpmath(self, xs):
+        # reliable => |value - f| <= bar against 40-digit mpmath; the old
+        # bar of 4 eps v missed at 36 of the first 200 points, since
+        # 1/(4x) is rounded before exp
+        for x in xs.tolist():
+            r = density_closed(0.5, x)
+            with mp.workdps(40):
+                xm = mp.mpf(x)
+                ref = mp.exp(-1 / (4 * xm)) / (2 * mp.sqrt(mp.pi) * xm ** 1.5)
+                err = abs(mp.mpf(r.value) - ref)
+            assert r.reliable and err <= r.abs_error_estimate, x
+
     def test_third_value(self):
         r = density_closed(Alpha.from_fraction(1, 3), 1.0)
         ref = special.kv(1.0 / 3.0, 2.0 / (3.0 * math.sqrt(3.0))) / (3.0 * math.pi)

@@ -1,7 +1,9 @@
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,6 +13,21 @@ from scipy import special
 from stable_msu import factorizations, specfun
 from stable_msu import quadrature as quad
 from stable_msu.quadrature import de_halfline, tanh_sinh
+
+import de_reference
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_fresh(code: str) -> list[str]:
+    """The words code prints in a fresh interpreter that imports
+    stable_msu from this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env)
+    return out.stdout.split()
 
 
 def test_finite_smooth():
@@ -84,9 +101,7 @@ class TestNodeTables:
                 "      quadrature._head.cache_info().currsize,\n"
                 "      len(quadrature._HALF_TABLES),\n"
                 "      density._lambda_free.cache_info().currsize)\n")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.split() == ["0", "0", "0", "0"]
+        assert _run_fresh(code) == ["0", "0", "0", "0"]
 
     def test_range_check_builds_no_table(self):
         code = ("from stable_msu import quadrature as q\n"
@@ -98,9 +113,7 @@ class TestNodeTables:
                 "        pass\n"
                 "print(q._nodes.cache_info().currsize,\n"
                 "      q._head.cache_info().currsize)\n")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.split() == ["0", "0"]
+        assert _run_fresh(code) == ["0", "0"]
 
     @pytest.mark.parametrize("top", range(0, quad._HEAD + 1))
     def test_head_concatenates_levels_in_order(self, top):
@@ -282,6 +295,47 @@ class TestKernelsMatchReference:
             g0, gm, gp = ref.value.tolist()
             lhs = (x * g0 + (alpha + beta - c) * gm) * (gp - g0)
             assert _bits(out) == _bits(lhs - (beta - 1.0) * gm * gm)
+
+
+class TestAgainstPerLevelReduce:
+    """The kernels' integrand on TestKernelsMatchReference's grids: the
+    rule takes the levels of the per-level reference, and its values and
+    error estimates differ from the reference's by a few ulps of the
+    value at most."""
+
+    XS = TestKernelsMatchReference.XS
+
+    def _assert_close(self, integrand, rel_tol=1e-10):
+        res = de_halfline(integrand, rel_tol=rel_tol)
+        values, errors, levels = de_reference.de_halfline(integrand,
+                                                          rel_tol=rel_tol)
+        assert res.row_levels == tuple(levels)
+        tol = 4.0 * np.finfo(float).eps * np.abs(values)
+        assert np.all(np.abs(res.value - values) <= tol)
+        assert np.all(np.abs(res.error - errors) <= tol)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 2.5])
+    def test_bessel_k(self, nu):
+        for x in self.XS:
+            log_scale = (nu * math.log(2.0 * x) - x
+                         + 0.5 * math.log(math.pi) - math.lgamma(nu + 0.5))
+            self._assert_close(_reference(2.0 * x, nu - 0.5, (nu - 0.5,),
+                                          log_scale))
+
+    def test_psi_rows(self):
+        a = 1.0 / 6.0
+        expos = tuple(c - a - 1.0 for c in (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0))
+        for x in self.XS:
+            self._assert_close(_reference(x, a - 1.0, expos,
+                                          -math.lgamma(a)))
+
+    @pytest.mark.parametrize("triple", TestKernelsMatchReference.TRIPLES)
+    def test_lemma1_rows(self, triple):
+        alpha, beta, c = triple
+        expos = tuple((c + shift) - (alpha + beta) for shift in (0, -1, 1))
+        for x in self.XS:
+            self._assert_close(_reference(x, beta - 1.0, expos, -x),
+                               rel_tol=1e-11)
 
 
 class TestNonFiniteTerms:
@@ -483,40 +537,209 @@ class TestRows:
         assert rows.value.shape == (1,)
 
 
+class TestRowLevels:
+    """Each row's own level and stopping verdict come out of the rule,
+    equal to those of the same integral integrated alone."""
+
+    @pytest.mark.parametrize("max_level", [0, 3, quad._HEAD, 6, 10])
+    def test_rows_report_their_own_level_and_verdict(self, max_level):
+        singles = [de_halfline(f, max_level=max_level)
+                   for f in ROW_INTEGRANDS]
+        rows = de_halfline(_stack(ROW_INTEGRANDS), max_level=max_level)
+        assert rows.row_levels == tuple(r.levels for r in singles)
+        assert rows.converged == tuple(r.converged for r in singles)
+        for r in singles:
+            assert type(r.row_levels) is int and r.row_levels == r.levels
+            assert type(r.converged) is bool
+            # the verdict is the stopping test on the returned fields
+            assert r.converged is (math.isfinite(r.value) and r.error <= (
+                1e-10 * (abs(r.value) + quad._TINY)))
+        if max_level == 10:
+            # the slow algebraic decay runs out of levels
+            assert rows.converged == (True,) * 5 + (False, True)
+
+    def test_finite_interval_rows_report_their_own_level(self):
+        fs = [np.sin, lambda x: np.cos(30.0 * x),
+              lambda x: np.exp(x) * np.cos(x)]
+        singles = [tanh_sinh(f, 0.0, 1.0) for f in fs]
+        rows = tanh_sinh(_stack(fs), 0.0, 1.0)
+        assert rows.row_levels == tuple(r.levels for r in singles)
+        assert rows.converged == tuple(r.converged for r in singles)
+        assert len(set(rows.row_levels)) > 1
+
+    # (call, the recorded _tricomi rows' single-row calls); each x makes
+    # the three rows stop at two different levels
+    CALLS = [
+        (lambda: factorizations.lemma1_inequality(0.4, 0.6, 0.9, 0.01),
+         [lambda s=s: factorizations.lemma1_g(0.4, 0.6, 0.9, s, 0.01)
+          for s in (0, -1, 1)]),
+        (lambda: factorizations.lemma1_inequality(0.5, 1.0, 1.2, 20.0),
+         [lambda s=s: factorizations.lemma1_g(0.5, 1.0, 1.2, s, 20.0)
+          for s in (0, -1, 1)]),
+        (lambda: factorizations.whitt_margin(1e-3),
+         [lambda c=c: specfun.psi_chf(1.0 / 6.0, c, 1e-3)
+          for c in (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0)]),
+        (lambda: factorizations.whitt_margin(3.8),
+         [lambda c=c: specfun.psi_chf(1.0 / 6.0, c, 3.8)
+          for c in (1.0 / 3.0, 4.0 / 3.0, 7.0 / 3.0)]),
+    ]
+
+    def _rows_and_singles(self, monkeypatch, call, alone, cap):
+        """The rows of call's one _tricomi call, and the same rows called
+        alone, as (value, bar, level, flag), with the levels capped at
+        cap if one is given."""
+        monkeypatch.undo()
+
+        def capped(f, rel_tol=1e-10, max_level=10):
+            return de_halfline(f, rel_tol=rel_tol,
+                               max_level=max_level if cap is None else cap)
+
+        def recording(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        seen, real = [], specfun._tricomi
+        monkeypatch.setattr(specfun, "de_halfline", capped)
+        monkeypatch.setattr(specfun, "_tricomi", recording)
+        call()
+        (rows,) = seen
+        singles = [(r.value, r.abs_error_estimate, r.terms_used, r.reliable)
+                   for r in (fn() for fn in alone)]
+        return rows, singles
+
+    @pytest.mark.parametrize("call,alone", CALLS)
+    def test_kernel_rows_match_their_single_calls(self, monkeypatch, call,
+                                                  alone):
+        # a 3-row kernel call gives each row the level and flag (and the
+        # value and bar) of the same row called alone, not the deepest
+        # row's
+        rows, singles = self._rows_and_singles(monkeypatch, call, alone,
+                                               None)
+        assert rows == singles
+        assert len({row[2] for row in rows}) > 1
+        assert all(row[3] for row in rows)
+        # capped at the shallowest row's level, the deeper rows stop
+        # unconverged there, and the shallowest still converges
+        cap = min(row[2] for row in rows)
+        rows, singles = self._rows_and_singles(monkeypatch, call, alone, cap)
+        assert rows == singles
+        assert {row[3] for row in rows} == {True, False}
+
+
+class TestNonFiniteRows:
+    """A non-finite weighted value counts as 0 in its own row, also in a
+    call of several rows: the other rows keep the bits of their single
+    calls, and the spiky row equals its clean twin."""
+
+    # a node of level 0 (x = 1) and one of level 4, both in the head
+    SPIKES = (1.0, float(quad._nodes(4).half_x[40]))
+
+    @classmethod
+    def _spiky(cls, f, bad):
+        return lambda x: np.where(np.isin(x, cls.SPIKES), bad, f(x))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("max_level", [3, quad._HEAD, 10])
+    def test_spiky_row_equals_its_clean_twin(self, bad, max_level):
+        fs = [_decaying(0.05, 1e-3, 0.0), lambda x: np.exp(-x),
+              _decaying(0.5, 1.0, 1.0)]
+        clean = [fs[0], self._spiky(fs[1], 0.0), fs[2]]
+        spiky = [fs[0], self._spiky(fs[1], bad), fs[2]]
+        singles = [de_halfline(f, max_level=max_level) for f in clean]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = de_halfline(_stack(spiky), max_level=max_level)
+            alone = de_halfline(spiky[1], max_level=max_level)
+        _assert_rows_match(rows, singles)
+        assert rows.row_levels == tuple(r.levels for r in singles)
+        assert rows.converged == tuple(r.converged for r in singles)
+        assert alone == singles[1]
+        assert math.isfinite(rows.value[1])
+
+
+def test_finite_interval_level_with_no_inner_node_sums_to_zero():
+    # on [1, 1 + 2 eps] every node of level 1 rounds to an endpoint, so
+    # that level contributes nothing; the result is the trapezoid sums
+    # of the nodes that lie inside
+    a, b = 1.0, 1.0 + 2.0 * np.finfo(float).eps
+    half = 0.5 * (b - a)
+    inner = []
+    for level in range(4):
+        nodes = quad._nodes(level)
+        d = half * nodes.fin_d
+        x = np.where(nodes.fin_right, b - d, a + d)
+        inside = (x > a) & (x < b)
+        inner.append(math.fsum((half * nodes.fin_w[inside]).tolist()))
+    assert inner[1] == 0.0 and inner[0] > 0.0
+    for max_level in range(4):
+        res = tanh_sinh(np.ones_like, a, b, max_level=max_level)
+        assert res.levels == max_level
+        assert res.value == pytest.approx(
+            math.fsum(inner[:max_level + 1]) * 0.5 ** max_level, rel=1e-15)
+
+
 def test_level_sum_of_a_slice_is_position_free():
-    # Each level's sum is np.add.reduce over its slice of a longer
-    # array; the results equal the separate calls' only if that sum
-    # does not depend on where the slice starts in memory.
+    # Each level's sum is one segment of a np.add.reduceat over a run;
+    # a level summed inside the head must equal the same level summed as
+    # its own run, which holds only if a segment's sum does not depend on
+    # where the segment starts in the array.
     x = np.random.default_rng(7).standard_normal(2000) * np.geomspace(
         1e-30, 1e30, 2000)
     for n in (1, 7, 8, 9, 127, 128, 129, 441, 1500):
         for i in range(40):
-            assert (np.add.reduce(x[i:i + n]).view(np.int64)
-                    == np.add.reduce(x[i:i + n].copy()).view(np.int64)), (
-                "np.add.reduce gives different bits for the same values "
-                "depending on their offset in memory; the batched head "
+            assert (np.add.reduceat(x, [i, i + n])[0].view(np.int64)
+                    == np.add.reduceat(x[i:i + n].copy(), [0])[0].view(
+                        np.int64)), (
+                "np.add.reduceat gives different bits for the same values "
+                "depending on their offset in the array; the batched head "
                 "of stable_msu.quadrature cannot reproduce the level sums "
                 "of separate calls on this platform")
 
 
+def test_run_sums_keep_the_accuracy_of_a_pairwise_reduce():
+    # reduceat adds a level in another order than np.add.reduce did, so
+    # sums move in their last bits; they stay within the pairwise
+    # summation bound eps (log2 n + 16) sum|x| of the exact sum, for
+    # the head's levels and single levels up to 12, 1-D and in rows
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    sizes = [13, 14, 28, 54, 108, 218] + [
+        quad._nodes(level).t.size for level in range(6, 13)]
+    for x in (np.full(sum(sizes), 0.1),
+              rng.standard_normal(sum(sizes)) * np.geomspace(
+                  1e-3, 1e3, sum(sizes))):
+        start, exact = 0, []
+        for n in sizes:
+            level = x[start:start + n]
+            exact.append((math.fsum(level.tolist()),
+                          eps * (math.log2(n) + 16.0)
+                          * math.fsum(np.abs(level).tolist()), n))
+            start += n
+        ends = np.cumsum(sizes).tolist()
+        for got in (quad._run_sums(x, ends)[0],
+                    quad._run_sums(np.stack([x, -x]), ends)[0]):
+            for s, (ref, bound, n) in zip(got, exact):
+                assert abs(s - ref) <= bound, n
+
+
 @pytest.mark.parametrize("rows", [1, 3, 7])
 def test_one_reduce_over_rows_gives_each_row_its_bits(rows):
-    # _refine sums a level's slice of every row in one reduce along
-    # axis 1; the rows match separate calls only if each row's sum
-    # equals a 1-D reduce over that row's slice alone.  Level lengths
-    # are the head's (levels 0..5), then those of levels 6..10.
+    # _refine sums every level of a run, for every row, in one reduceat
+    # along axis 1; the rows match separate calls only if each row's
+    # sums equal a reduceat over that row alone, as a 1-D array or as a
+    # one-row block.  Level lengths are the head's (levels 0..5), then
+    # those of levels 6..10.
     sizes = [13, 14, 28, 54, 108, 218] + [
         quad._nodes(level).t.size for level in range(6, 11)]
-    ends = np.cumsum(sizes).tolist()
-    a = np.random.default_rng(rows).standard_normal((rows, ends[-1])) * (
-        np.geomspace(1e-30, 1e30, ends[-1]))
-    start = 0
-    for end in ends:
-        sums = np.add.reduce(a[:, start:end], axis=1)
-        for i in range(rows):
-            assert (sums[i].view(np.int64)
-                    == np.add.reduce(a[i, start:end]).view(np.int64)), (
-                "np.add.reduce along axis 1 gives a row other bits than a "
-                "reduce over that row alone; stable_msu.quadrature's "
+    starts = np.cumsum([0] + sizes[:-1])
+    a = np.random.default_rng(rows).standard_normal((rows, sum(sizes))) * (
+        np.geomspace(1e-30, 1e30, sum(sizes)))
+    sums = np.add.reduceat(a, starts, axis=1)
+    for i in range(rows):
+        for alone in (np.add.reduceat(a[i], starts),
+                      np.add.reduceat(a[i:i + 1], starts, axis=1)[0]):
+            np.testing.assert_array_equal(
+                sums[i].view(np.int64), alone.view(np.int64),
+                "np.add.reduceat along axis 1 gives a row other bits than "
+                "a reduceat over that row alone; stable_msu.quadrature's "
                 "level sums cannot match separate calls on this platform")
-        start = end
