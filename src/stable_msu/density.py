@@ -594,12 +594,15 @@ def _series_result(sums) -> EvalResult:
 
 def _jet_result(sums, x) -> DensityJet:
     totals, errors, flags, n_used, _ = sums
+    fields = ((totals[0], errors[0]), (totals[1] / x, errors[1] / x),
+              ((totals[2] - totals[1]) / (x * x),
+               (errors[2] + errors[1]) / (x * x)))
+    # a derivative overflows where x is tiny: no field is reliable unless
+    # every value and bar is finite
     ok = flags[0] & flags[1] & flags[2]
-    f = EvalResult(totals[0], errors[0], n_used, ok)
-    fp = EvalResult(totals[1] / x, errors[1] / x, n_used, ok)
-    fpp = EvalResult((totals[2] - totals[1]) / (x * x),
-                     (errors[2] + errors[1]) / (x * x), n_used, ok)
-    return DensityJet(f=f, fp=fp, fpp=fpp)
+    for part in (p for field in fields for p in field):
+        ok = ok & (abs(part) < math.inf)
+    return DensityJet(*(EvalResult(v, e, n_used, ok) for v, e in fields))
 
 
 def density_series(alpha, x: float,
@@ -614,7 +617,8 @@ def density_jet(alpha, x: float,
 
     The series produce f, x f' and x^2 f'' + x f' directly; the
     derivatives are recovered by dividing out the powers of x.  All
-    three results carry one shared reliability verdict.
+    three results carry one shared reliability verdict, which also asks
+    that every value and bar be finite.
     """
     sums = _hp_sums(as_alpha(alpha), x, cfg, order=2)
     if x * x != 0.0:
@@ -624,7 +628,7 @@ def density_jet(alpha, x: float,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         jet = _jet_result(sums, np.float64(x))
     return DensityJet(*(EvalResult(float(r.value), float(r.abs_error_estimate),
-                                   r.terms_used, r.reliable)
+                                   r.terms_used, bool(r.reliable))
                         for r in (jet.f, jet.fp, jet.fpp)))
 
 
@@ -674,6 +678,11 @@ def tail_coefficient(alpha) -> float:
 
 
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
+_INV_TWO_SQRT_PI = 1.0 / _TWO_SQRT_PI
+# density_closed at the x where its x**1.5 or x*x underflows (below
+# 1e-162): each closed form has a factor exp(-c/x^p) with c/x^p above
+# 1e99 there, so f is below the least subnormal
+_UNDERFLOWED = EvalResult(0.0, math.ulp(0.0), 1, True)
 
 
 def density_closed(alpha, x: float) -> EvalResult:
@@ -690,9 +699,16 @@ def density_closed(alpha, x: float) -> EvalResult:
         raise DomainError("density_closed requires x > 0")
     a = alpha.value
     if a == 0.5:
+        if x > 1e205:
+            # x**1.5 would overflow; f < 1e-308 here, so its roundings
+            # add less than 2 eps of it and half a subnormal ulp
+            v = _INV_TWO_SQRT_PI / x / math.sqrt(x)
+            return EvalResult(v, 2.0 * _EPS * v + math.ulp(0.0), 1, True)
         t = 0.25 / x
         e = math.exp(-t)
         d = _TWO_SQRT_PI * x ** 1.5
+        if d == 0.0:
+            return _UNDERFLOWED
         v = e / d
         # Each rounding is at most half an ulp, or one for exp and **.
         # t's rounding is an error of t eps/2 in exp's argument, and so
@@ -704,8 +720,16 @@ def density_closed(alpha, x: float) -> EvalResult:
                + 0.5 * math.ulp(v))
         return EvalResult(v, bar, 1, True)
     if a == 1.0 / 3.0:
+        if x < 1e-200:
+            return _UNDERFLOWED
         arg = (2.0 / (3.0 * math.sqrt(3.0))) / math.sqrt(x)
         k = specfun.bessel_k(1.0 / 3.0, arg, rel_tol=1e-12)
+        if x > 1e205:
+            # x**1.5 would overflow: divide by its factors in turn
+            r = 3.0 * math.pi * math.sqrt(x)
+            v = k.value / r / x
+            return EvalResult(v, k.abs_error_estimate / r / x + math.ulp(v),
+                              k.terms_used, k.reliable)
         scale = 1.0 / (3.0 * math.pi * x ** 1.5)
         return EvalResult(scale * k.value, scale * k.abs_error_estimate,
                           k.terms_used, k.reliable)
@@ -713,9 +737,11 @@ def density_closed(alpha, x: float) -> EvalResult:
         # Whittaker form of f_{2/3} (Zolotarev, One-dimensional Stable
         # Distributions, 1986):
         # sqrt(3/pi)/x exp(-2/(27x^2)) W_{1/2,1/6}(4/(27x^2))
-        w = specfun.whittaker_w_stable(4.0 / (27.0 * x * x), rel_tol=1e-12)
-        v = ((math.sqrt(3.0 / math.pi) / x) * math.exp(-2.0 / (27.0 * x * x))
-             * w.value)
+        y = 27.0 * x * x
+        if y == 0.0:
+            return _UNDERFLOWED
+        w = specfun.whittaker_w_stable(4.0 / y, rel_tol=1e-12)
+        v = (math.sqrt(3.0 / math.pi) / x) * math.exp(-2.0 / y) * w.value
         return EvalResult(v, 1e-9 * abs(v), w.terms_used, w.reliable)
     raise UnsupportedAlphaError(
         f"no closed form for alpha = {a}; supported: 1/3, 1/2, 2/3")
@@ -915,11 +941,13 @@ def laplace_check(alpha, lam: float) -> float:
     ts, ws, fs = (np.concatenate(arrs) for arrs in zip(
         (rec.nodes[:64 * k], rec.weights[:64 * k], rec.f[:64 * k]),
         _middle(alpha, edges[k:])))
-    mid = float(np.dot(ws, np.exp(-lam * ts) * fs))
-    # int_0^{x_m} e^{-lam t} f dt by parts: e^{-lam x_m} F(x_m)
-    #   + lam * int_0^{x_m} e^{-lam t} F(t) dt  with F = 1 - S
-    inner = float(np.dot(rec.left_weights,
-                         np.exp(-lam * rec.left_nodes) * rec.left_f))
+    # a huge lam takes -lam t past -inf, where e^{-lam t} is 0
+    with np.errstate(over="ignore"):
+        mid = float(np.dot(ws, np.exp(-lam * ts) * fs))
+        # int_0^{x_m} e^{-lam t} f dt by parts: e^{-lam x_m} F(x_m)
+        #   + lam * int_0^{x_m} e^{-lam t} F(t) dt  with F = 1 - S
+        inner = float(np.dot(rec.left_weights,
+                             np.exp(-lam * rec.left_nodes) * rec.left_f))
     # below x_s: F rises from 0 to F(x_s); trapezoid estimate, the
     # dropped curvature is bounded by lam * x_s * F(x_s)
     inner += 0.5 * rec.x_s * math.exp(-lam * rec.x_s) * rec.f_s

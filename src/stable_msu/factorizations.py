@@ -40,8 +40,8 @@ _GAMMA = "gamma"
 _BLOCK = 1 << 14
 
 # half a block: the candidates per round of the Johnk sampler, which
-# holds three buffers of this many values, and the values each sample
-# gives to a piece of the two-sample KS merge
+# holds three buffers of this many values, and the most points the KS
+# core evaluates in one batch
 _HALF = _BLOCK // 2
 
 # smallest parameter the Johnk sampler takes.  Generator.random's least
@@ -214,7 +214,8 @@ def _add_log_johnk(rng: np.random.Generator, a: float, b: float,
 
 @dataclass(frozen=True)
 class MellinProfile:
-    """s -> fractional moment, with its open interval of validity."""
+    """s -> fractional moment, with its open interval of validity; a
+    moment that overflows a double raises DomainError."""
 
     evaluator: Callable[[float], float]
     valid_s: tuple[float, float]
@@ -223,7 +224,11 @@ class MellinProfile:
         lo, hi = self.valid_s
         if not (lo < s < hi):
             raise DomainError(f"s = {s} outside the validity interval ({lo}, {hi})")
-        return self.evaluator(s)
+        try:
+            return self.evaluator(s)
+        except OverflowError:
+            raise DomainError(f"the moment at s = {s} overflows a double") \
+                from None
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +281,21 @@ def kanter_b(alpha, u):
     """The factor b(u) = (sin(a u)/sin u)^a (sin((1-a)u)/sin u)^{1-a}
     on (0, pi); tends to a^a (1-a)^{1-a} at 0+ and diverges at pi-.
 
-    Accepts a scalar or an ndarray for u.
+    b(u) = b(0+) (1 + a (1-a) u^2/2 + O(u^4)), so below u = 1e-8 it is
+    its limit in doubles, and the limit is returned there: the sines of
+    a u or (1-a) u underflow for tiny u.  Accepts a scalar or an ndarray
+    for u.
     """
     a = as_alpha(alpha).value
     u_arr = np.asarray(u, dtype=float)
     if not np.all((u_arr > 0.0) & (u_arr < math.pi)):  # NaN fails too
         raise DomainError("kanter_b requires u strictly inside (0, pi)")
-    val = np.empty(u_arr.shape)
-    _log_kanter_b(a, u_arr.reshape(-1), val.reshape(-1))
-    np.exp(val, out=val)
+    val = np.full(u_arr.shape, math.exp(a * math.log(a)
+                                        + (1.0 - a) * math.log1p(-a)))
+    far = u_arr >= 1e-8
+    logs = np.empty(np.count_nonzero(far))
+    _log_kanter_b(a, u_arr[far], logs)
+    val[far] = np.exp(logs)
     return float(val) if np.isscalar(u) or u_arr.ndim == 0 else val
 
 
@@ -438,7 +449,11 @@ def lemma1_inequality(alpha: float, beta: float, c: float, x: float) -> float:
 
     under the hypotheses b <= 1 and a + b >= c; nonnegative there, which
     is what makes Beta(a,b) x Gamma(c) multiplicative strongly unimodal.
+    Raises :class:`DomainError` for an x that is not finite, where the
+    g's are 0 and the margin has no value.
     """
+    if not math.isfinite(x):
+        raise DomainError("lemma1_inequality requires a finite x")
     if beta > 1.0:
         raise HypothesisError("requires beta <= 1")
     if alpha + beta < c:

@@ -50,12 +50,14 @@ def _residual(x: np.ndarray, jet: DensityJet) -> EvalResult:
         for v in (jet.f.value, jet.fp.value, jet.fpp.value,
                   jet.f.abs_error_estimate, jet.fp.abs_error_estimate,
                   jet.fpp.abs_error_estimate))
-    theta2 = x * x * fpp + x * fp
-    g = theta2 * f - (x * fp) ** 2
-    # the error bar of a cancelling point may overflow to inf
-    with np.errstate(over="ignore"):
+    # at a huge x the products overflow, and g or its bar is inf or nan
+    # there: such a point is flagged
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta2 = x * x * fpp + x * fp
+        g = theta2 * f - (x * fp) ** 2
         err = (np.abs(f) * (x * x * efpp + x * efp) + np.abs(theta2) * ef
                + 2.0 * np.abs(x * fp) * x * efp)
+    usable &= np.isfinite(g) & np.isfinite(err)
     return EvalResult(np.where(usable, g, math.nan),
                       np.where(usable, err, math.inf),
                       jet.f.terms_used, jet.f.reliable & usable)
@@ -357,6 +359,9 @@ def ualpha_logconcavity_margin(alpha, x):
     """
     a = as_alpha(alpha).value
     ax = a * np.asarray(x, dtype=float)
+    if np.isnan(ax).any():
+        raise DomainError("ualpha_logconcavity_margin requires x that is "
+                          "not NaN")
     c = cospi(a)
     far = np.abs(ax) > 700.0
     limit = math.inf if c > 0.0 else (1.0 if c == 0.0 else -math.inf)

@@ -122,11 +122,14 @@ def whittaker_w_stable(x: float,
                        rel_tol: float = DEFAULT_REL_TOL) -> EvalResult:
     """The Whittaker kernel W_{1/2,1/6}(x) for x > 0.
 
-    Reduced to the Psi kernel: ``W(x) = e^{-x/2} x^{2/3} Psi(1/6, 4/3, x)``.
+    Reduced to the Psi kernel: ``W(x) = e^{-x/2} x^{2/3} Psi(1/6, 4/3, x)``;
+    0 at x = inf.
     """
     if not x > 0.0:
         raise DomainError("whittaker_w_stable requires x > 0")
     psi = psi_chf(1.0 / 6.0, 4.0 / 3.0, x, rel_tol=rel_tol)
+    if x == math.inf:
+        return psi  # 0 +- 0; e^{-x/2} x^{2/3} would make it inf * 0
     factor = math.exp(-0.5 * x + (2.0 / 3.0) * math.log(x))
     return EvalResult(factor * psi.value, factor * psi.abs_error_estimate,
                       psi.terms_used, psi.reliable)

@@ -6,10 +6,15 @@ distributional identity checks, and the acceptance-suite runner that
 executes a JSON config of named checks and emits a deterministic JSON
 summary.
 
-The KS cores bound the gap of each piece of 64 sorted values by the
-exact gaps at its ends, as CDFs do not decrease, and take the gap at
-every point only in the pieces that can hold the maximum; the
-statistic is that of the full per-point pass, bit for bit.
+One pruned KS core serves both statistics.  It bounds the gap of each
+piece of 64 sorted values by the exact gaps at its ends, as CDFs do not
+decrease, and takes the gap at every point only in the pieces that can
+hold the maximum; the statistic is that of the full per-point pass, bit
+for bit.  The two-sample statistic is the core's over one sample
+against the other's empirical CDF, read as a right limit after each
+sorted value and a left limit before it: those gaps are values of
+|F_a - F_b| at merged values and reach its maximum, so no merge is
+needed.
 """
 
 from __future__ import annotations
@@ -86,18 +91,13 @@ def _reject_nan(sorted_sample: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} requires samples that are not NaN")
 
 
-# Both KS cores cut each sorted sample every _PIECE values, take the
-# exact gap at the cuts, bound the gap of every piece between two cuts
-# by monotonicity, and run the per-point pass only on the pieces whose
-# bound exceeds the largest gap found so far.  A first pass takes the
-# gap at up to _CUTS points of each sample spread over it, so that the
-# largest gap so far is near the maximum from the start; the cut pass
-# then takes _CUTS cuts of a sample at a time.  Neither working set
-# grows with n.
+# The KS core cuts the sorted sample every _PIECE values, _CUTS cuts at
+# a time, after a first pass over up to _CUTS points spread over it (see
+# _cdf_gap); its working set does not grow with n.
 _PIECE = 64
 _CUTS = fact._BLOCK // 16
-# what a one-sample bound allows for a CDF whose value at a point moves
-# by a few ulps from one evaluation to the next (StableCdf, ualpha_cdf)
+# what a bound allows for a CDF whose value at a point moves by a few
+# ulps from one evaluation to the next (StableCdf, ualpha_cdf)
 _CDF_SLACK = 1e-12
 
 
@@ -106,29 +106,42 @@ def _spread(n: int) -> np.ndarray:
     return np.arange(0, n, max(_PIECE, -(-n // _CUTS)))
 
 
-def _clipped_cdf(cdf, x: np.ndarray) -> np.ndarray:
-    return np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
-
-
-def _step_gap(idx: np.ndarray, f: np.ndarray, n: int) -> float:
-    """The largest of (k+1)/n - f and f - k/n over the sorted positions
-    k in ``idx``, whose CDF values are ``f``: the empirical CDF of n
-    points is (k+1)/n just after the k-th and k/n just before it."""
+def _step_gap(idx: np.ndarray, f: np.ndarray, f_left: np.ndarray,
+              n: int) -> float:
+    """The largest of (k+1)/n - f and f_left - k/n over the sorted
+    positions k in ``idx``, whose CDF has the right limits ``f`` and the
+    left limits ``f_left`` there: the empirical CDF of n points is
+    (k+1)/n just after the k-th and k/n just before it."""
     steps = idx + 1.0
     steps /= n
     after = float(np.max(np.subtract(steps, f, out=steps)))
     np.divide(idx, n, out=steps)
-    return max(after, float(np.max(np.subtract(f, steps, out=steps))))
+    return max(after, float(np.max(np.subtract(f_left, steps, out=steps))))
 
 
-def _cdf_gap(s: np.ndarray, cdf) -> float:
-    """max over k of (k+1)/n - F(s_k) and F(s_k) - k/n, for the sorted
-    flat sample ``s`` of n values and F = ``cdf`` clipped to [0, 1].
+def _cdf_gap(s: np.ndarray, limits) -> float:
+    """max over k of (k+1)/n - F(s_k) and F(s_k-) - k/n, for the sorted
+    flat sample ``s`` of n values and the pair of arrays of right and
+    left limits of F that ``limits`` maps points to.
+
+    Against a continuous CDF this is the one-sample statistic.  Against
+    the empirical CDF F_b of a second sample, whose limits are the
+    counts of it at or below and below each point over its size, it is
+    the two-sample statistic max |F_s - F_b| over the merged values,
+    bit for bit.  Each value of F_s - F_b there is at most the after gap
+    at the last copy of the largest value of s at or below it, or at
+    most 0 where there is none; each value of F_b - F_s is at most the
+    before gap at the first copy of the smallest value of s above it,
+    or at most 0 where there is none.  Each such gap is itself a value
+    of |F_s - F_b| at a merged value (or 0), formed by the same
+    divisions of exact counts and the same subtraction as a merge forms
+    it; the gaps at other copies are no larger, and as rounding is
+    monotone the bounds hold in floats.
 
     F is taken at the first point of each piece of _PIECE points, and at
     the last point.  As F does not decrease, no point of the piece from
     lo to hi (exclusive) has a gap above max(hi/n - F(first), F(next
-    piece's first) - lo/n).  The pieces whose bound, plus _CDF_SLACK,
+    piece's first-) - lo/n).  The pieces whose bound, plus _CDF_SLACK,
     exceeds the largest gap so far (less the slack where it was taken
     from the cuts) are evaluated point by point, in batches of at most
     ``_HALF`` points; the others cannot hold the maximum, which is
@@ -138,19 +151,20 @@ def _cdf_gap(s: np.ndarray, cdf) -> float:
     """
     n = s.size
     probe = _spread(n)
-    floor = _step_gap(probe, _clipped_cdf(cdf, s[probe]), n) - _CDF_SLACK
+    floor = _step_gap(probe, *limits(s[probe]), n) - _CDF_SLACK
     offsets = np.arange(_PIECE)
     batch = fact._HALF // _PIECE
     worst = -math.inf
     for lo in range(0, n, _CUTS * _PIECE):
         hi = min(lo + _CUTS * _PIECE, n)
         first = np.arange(lo, hi, _PIECE)
-        f = _clipped_cdf(cdf, np.append(s[first], s[min(hi, n - 1)]))
+        f, f_left = limits(np.append(s[first], s[min(hi, n - 1)]))
         if not np.all(f[1:] >= f[:-1] - _CDF_SLACK):
             raise DomainError("ks_one_sample requires a non-decreasing cdf")
-        floor = max(floor, _step_gap(first, f[:-1], n) - _CDF_SLACK)
+        floor = max(floor, _step_gap(first, f[:-1], f_left[:-1], n)
+                    - _CDF_SLACK)
         bound = np.maximum(np.minimum(first + _PIECE, n) / n - f[:-1],
-                           f[1:] - first / n)
+                           f_left[1:] - first / n)
         bound += _CDF_SLACK
         live = first[bound > floor]
         for k in range(0, live.size, batch):
@@ -158,7 +172,7 @@ def _cdf_gap(s: np.ndarray, cdf) -> float:
             # of the last point, which repeat one gap
             idx = np.add.outer(live[k:k + batch], offsets).ravel()
             np.minimum(idx, n - 1, out=idx)
-            worst = max(worst, _step_gap(idx, _clipped_cdf(cdf, s[idx]), n))
+            worst = max(worst, _step_gap(idx, *limits(s[idx]), n))
         floor = max(floor, worst)
     return worst
 
@@ -177,138 +191,27 @@ def _ks_one(s: np.ndarray, cdf) -> KsResult:
         raise PreconditionError("ks_one_sample requires samples")
     s.sort()
     _reject_nan(s, "ks_one_sample")
-    stat = _cdf_gap(s, cdf)
+
+    def limits(x):  # a CDF's right and left limits, one array
+        f = np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
+        return f, f
+    stat = _cdf_gap(s, limits)
     crit = KS_COEFF_1PCT / math.sqrt(n)
     return KsResult(stat, n, crit, stat < crit)
-
-
-def _cut_counts(a: np.ndarray, b: np.ndarray, qa: np.ndarray,
-                qb: np.ndarray) -> tuple:
-    """The values a[qa] and b[qb] of two sorted samples in ascending
-    order, with the counts of a and of b at or below each."""
-    cuts = np.sort(np.concatenate((a[qa], b[qb])))
-    return (cuts, np.searchsorted(a, cuts, side="right"),
-            np.searchsorted(b, cuts, side="right"))
-
-
-def _merged_gap(a: np.ndarray, b: np.ndarray, a0: np.ndarray, a1: np.ndarray,
-                b0: np.ndarray, b1: np.ndarray, buffers: tuple) -> float:
-    """max |F_a - F_b| over the values of the pieces a[a0[k]:a1[k]] and
-    b[b0[k]:b1[k]] of two sorted flat samples.
-
-    The pieces are ascending: each holds every value of either sample
-    in its range, at most _PIECE - 1 of each, and a0[k] and b0[k] count
-    the values below it.  Batches of pieces are gathered into the shared
-    ``buffers`` and merged by one stable argsort.  Running counts of
-    the positions that hold a's values, and of the others, with each
-    piece's skipped counts added at its first position, give the ranks
-    of each merged value in a and in b, read at the last copy of each
-    value (where they count every copy, in any order).  The counts are
-    exact floats, and the divisions those of counting each value's rank
-    by binary search.
-    """
-    n, m = a.size, b.size
-    piece, merged, ranks, last = buffers
-    size_a, size_b = a1 - a0, b1 - b0
-    full = np.flatnonzero(size_a + size_b)
-    ends = np.cumsum(size_a[full] + size_b[full])
-    worst = 0.0
-    lo = 0
-    while lo < full.size:
-        # as many pieces as the buffers hold; one piece always fits
-        start = int(ends[lo - 1]) if lo else 0
-        hi = int(np.searchsorted(ends, start + piece.size, side="right"))
-        k = full[lo:hi]
-        lo = hi
-        la, lb = size_a[k], size_b[k]
-        ends_a, ends_b = np.cumsum(la), np.cumsum(lb)
-        na, size = int(ends_a[-1]), int(ends_a[-1] + ends_b[-1])
-        ia = np.repeat(a0[k] - ends_a + la, la)
-        ia += ranks[:na]
-        np.take(a, ia, out=piece[:na])
-        ib = np.repeat(b0[k] - ends_b + lb, lb)
-        ib += ranks[:size - na]
-        np.take(b, ib, out=piece[na:size])
-        del ia, ib
-        p = piece[:size]
-        order = np.argsort(p, kind="stable")
-        values = np.take(p, order, out=merged[:size], mode="clip")
-        at_last = last[:size]
-        np.not_equal(values[:-1], values[1:], out=at_last[:-1])
-        at_last[-1] = True
-        ca = np.less(order, na, out=p)  # 1 where a value of a sits
-        del order  # freed before the next batch's argsort
-        cb = np.subtract(1.0, ca, out=values)
-        starts = ends_a + ends_b - la - lb
-        ca[starts] += a0[k] - np.append(0, a1[k[:-1]])
-        cb[starts] += b0[k] - np.append(0, b1[k[:-1]])
-        np.cumsum(ca, out=ca)
-        np.cumsum(cb, out=cb)
-        gap = np.divide(ca, n, out=ca)
-        gap -= np.divide(cb, m, out=cb)
-        np.abs(gap, out=gap)
-        worst = max(worst, float(np.max(gap, where=at_last, initial=0.0)))
-    return worst
-
-
-def _two_sample_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """max |F_a - F_b| over the values of two sorted flat samples.
-
-    Each sample is cut at every _PIECE-th value, _CUTS cuts of each at a
-    time, up to the smaller of the two last cut values taken.  At each
-    cut the counts of both samples at or below it are exact, and so is
-    the gap there.  Between two neighbouring cuts the counts lie between
-    theirs, so no value strictly between has a gap above
-    max(F_a(next) - F_b(prev), F_b(next) - F_a(prev)); the values
-    strictly between the cuts whose bound exceeds the largest gap so far
-    are merged by ``_merged_gap``.  The others cannot hold the maximum,
-    which is therefore that of merging every value, bit for bit.
-    """
-    n, m = a.size, b.size
-    half = fact._HALF
-    buffers = (np.empty(half), np.empty(half), np.arange(half),
-               np.empty(half, dtype=bool))
-    _, ca, cb = _cut_counts(a, b, _spread(n), _spread(m))
-    worst = float(np.max(np.abs(ca / n - cb / m)))
-    i = j = 0  # the counts of a and of b at or below the last cut
-    while True:
-        qa = np.arange(i + _PIECE - 1, min(n, i + _CUTS * _PIECE), _PIECE)
-        qb = np.arange(j + _PIECE - 1, min(m, j + _CUTS * _PIECE), _PIECE)
-        if not (qa.size or qb.size):
-            break
-        top = min(s[q[-1]] for s, q in ((a, qa), (b, qb)) if q.size)
-        qa = qa[:np.searchsorted(a[qa], top, side="right")]
-        qb = qb[:np.searchsorted(b[qb], top, side="right")]
-        cuts, ca, cb = _cut_counts(a, b, qa, qb)
-        fa, fb = ca / n, cb / m
-        worst = max(worst, float(np.max(np.abs(fa - fb))))
-        bound = np.maximum(fa - np.append(j / m, fb[:-1]),
-                           fb - np.append(i / n, fa[:-1]))
-        live = np.flatnonzero(bound > worst)
-        if live.size:
-            # the pieces end below their cut, whose copies are counted
-            below = cuts[live]
-            worst = max(worst, _merged_gap(
-                a, b, np.append(i, ca[:-1])[live],
-                np.searchsorted(a, below), np.append(j, cb[:-1])[live],
-                np.searchsorted(b, below), buffers))
-        i, j = int(ca[-1]), int(cb[-1])
-    # fewer than _PIECE values of each sample lie above the last cut
-    if max(1.0 - j / m, 1.0 - i / n) > worst:
-        worst = max(worst, _merged_gap(
-            a, b, np.array([i]), np.array([n]), np.array([j]),
-            np.array([m]), buffers))
-    return worst
 
 
 def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
     """Two-sample KS between the flat float64 samples ``a`` and ``b``;
     sorts each in place.
 
-    The empirical CDFs differ most at the last copy of a value of the
-    merged samples; only the pieces between cuts that can hold the
-    largest gap are merged (see ``_two_sample_gap``).  Besides the
-    samples the working set is block-sized.
+    The statistic is ``_cdf_gap``'s over ``a`` against the empirical CDF
+    of ``b``, whose right and left limits at a point are the counts of
+    b at or below it and below it, over m.  The after gaps at the last
+    copies of a's values and the before gaps at their first copies
+    reach max |F_a - F_b| over the merged values, and are such values,
+    bit for bit (see ``_cdf_gap``); nothing is merged.  b is searched
+    only at the cuts of a and in the pieces that can hold the largest
+    gap, so besides the samples the working set is block-sized.
     """
     n, m = a.size, b.size
     if n == 0 or m == 0:
@@ -317,7 +220,8 @@ def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
     b.sort()
     _reject_nan(a, "ks_two_sample")
     _reject_nan(b, "ks_two_sample")
-    stat = _two_sample_gap(a, b)
+    stat = _cdf_gap(a, lambda x: (np.searchsorted(b, x, side="right") / m,
+                                  np.searchsorted(b, x, side="left") / m))
     crit = KS_COEFF_1PCT * math.sqrt((n + m) / (n * m))
     return KsResult(stat, n, crit, stat < crit, m_samples=m)
 
@@ -353,7 +257,8 @@ class StableCdf:
     Cumulative quadrature of the density over the reliable domain,
     anchored on the right by the termwise-integrated tail series; below
     the grid the CDF falls linearly to (0, 0), above it the survival
-    series is evaluated on the points there.
+    series is evaluated on the points there.  A NaN point raises
+    DomainError.
     """
 
     alpha: Alpha
@@ -364,6 +269,8 @@ class StableCdf:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
+        if np.isnan(x).any():
+            raise DomainError("StableCdf requires points that are not NaN")
         out = np.interp(np.log(np.clip(x, math.exp(self.log_xs[0]), None)),
                         self.log_xs, self.values)
         x_lo = math.exp(self.log_xs[0])
@@ -416,13 +323,16 @@ def ualpha_cdf(alpha):
     """CDF of the log-difference density u_a, in closed form:
     F(x) = 1/2 + arctan(tan(pi a/2) tanh(a x/2)) / (pi a).
 
-    The returned function maps x (scalar or array) to an array."""
+    The returned function maps x (scalar or array) to an array, and
+    raises DomainError at a NaN point."""
     a = as_alpha(alpha).value
     slope = math.tan(0.5 * math.pi * a)
     scale = 1.0 / (math.pi * a)
 
     def cdf(x):
         t = np.tanh(0.5 * a * np.atleast_1d(np.asarray(x, dtype=float)))
+        if np.isnan(t).any():
+            raise DomainError("ualpha_cdf requires points that are not NaN")
         return np.clip(0.5 + scale * np.arctan(slope * t), 0.0, 1.0)
 
     return cdf
@@ -446,6 +356,11 @@ def check_laplace(alpha, lambdas, threshold: float = 1e-5) -> IdentityReport:
         details={"per_lambda": per})
 
 
+def _ks_report(name: str, ks: KsResult, seed: int) -> IdentityReport:
+    return IdentityReport(name, ks.statistic, ks.critical_1pct, ks.passed,
+                          {"ks": ks.to_dict(), "seed": seed})
+
+
 # the fewest draws check_diff_identity takes
 _DIFF_MIN_SAMPLES = 10_000
 
@@ -461,10 +376,7 @@ def check_diff_identity(alpha, n_samples: int, seed: int) -> IdentityReport:
     diff = fact._log_stable(alpha.value, rng, n_samples)
     diff -= fact._log_stable(alpha.value, rng, n_samples)
     ks = _ks_one(diff, ualpha_cdf(alpha))
-    return IdentityReport(
-        name=f"diff-identity-alpha-{alpha.value:g}",
-        discrepancy=ks.statistic, threshold=ks.critical_1pct,
-        passed=ks.passed, details={"ks": ks.to_dict(), "seed": seed})
+    return _ks_report(f"diff-identity-alpha-{alpha.value:g}", ks, seed)
 
 
 def check_factorization_mc(p: int, n: int, n_samples: int,
@@ -477,10 +389,7 @@ def check_factorization_mc(p: int, n: int, n_samples: int,
     z = fact.sample_stable(alpha, rng, n_samples)
     np.power(z, -float(p), out=z)
     ks = _ks_two(z, fl.sample(rng, n_samples))
-    return IdentityReport(
-        name=f"factorization-mc-{p}-{n}",
-        discrepancy=ks.statistic, threshold=ks.critical_1pct,
-        passed=ks.passed, details={"ks": ks.to_dict(), "seed": seed})
+    return _ks_report(f"factorization-mc-{p}-{n}", ks, seed)
 
 
 def check_sampler_ks(alpha, n_samples: int, seed: int) -> IdentityReport:
@@ -489,10 +398,7 @@ def check_sampler_ks(alpha, n_samples: int, seed: int) -> IdentityReport:
     rng = np.random.default_rng(seed)
     z = fact.sample_stable(alpha, rng, n_samples)
     ks = _ks_one(z, build_cdf(alpha))
-    return IdentityReport(
-        name=f"sampler-ks-alpha-{alpha.value:g}",
-        discrepancy=ks.statistic, threshold=ks.critical_1pct,
-        passed=ks.passed, details={"ks": ks.to_dict(), "seed": seed})
+    return _ks_report(f"sampler-ks-alpha-{alpha.value:g}", ks, seed)
 
 
 def check_mellin_factorization(p: int, n: int, s_values,

@@ -1,10 +1,11 @@
-"""Exhaustive references for the pruned KS cores.
+"""Exhaustive references for the pruned KS core.
 
 ``ks_one_stat`` evaluates the CDF and both step gaps at every sorted
 point, one block at a time; ``merged_gap`` merges every value of two
-sorted samples a piece at a time.  The cores in ``verify`` evaluate
-only the pieces that can hold the maximum and must return these
-statistics bit for bit.
+sorted samples a piece at a time.  The core in ``verify`` evaluates
+only the pieces that can hold the maximum, and reads the two-sample
+statistic against an empirical CDF without merging; both statistics
+must equal these bit for bit.
 """
 
 import numpy as np

@@ -1,0 +1,141 @@
+"""The contract of every public evaluator at the fringes of its domain.
+
+Each evaluator is called at a fixed table of extreme arguments (no
+randomness, so the test is deterministic), with warnings raised as
+errors as everywhere in the suite.  Each call must end in one of three
+ways:
+
+* reliable, with a finite value and a finite bar;
+* flagged unreliable;
+* a package error (DomainError, PreconditionError and their kinds).
+
+So it never gives NaN under ``reliable=True``, and never raises a raw
+ZeroDivisionError, OverflowError or RuntimeWarning.  An evaluator that
+returns a plain number has no flag: its number must be finite, but for
+``ualpha_logconcavity_margin``, whose limit +-inf far out is documented.
+
+Not covered: ``sample_stable`` returns draws, not an estimate, and its
+draws overflow to inf at tiny alpha by design (see the README).
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+import stable_msu as pkg
+from stable_msu.errors import DomainError, PreconditionError
+
+XS = [0.0, -1.0, 5e-324, 1e-300, 1e-20, 1.0, 1e20, 1e300, 1.7e308,
+      math.inf, math.nan]
+ALPHAS = [1e-300, 1e-8, 0.01, 0.3, 0.5, 0.7, 0.999, 1.0 - 1e-12, 0.0, 1.0,
+          math.nan, 1.0 / 3.0, 2.0 / 3.0]
+
+
+@functools.lru_cache(maxsize=None)
+def _cdf(alpha):
+    return pkg.build_cdf(alpha)
+
+
+# evaluators of (alpha, x); the grid forms take x as a one-point grid
+EVALUATORS = {
+    "density_closed": pkg.density_closed,
+    "density_series": pkg.density_series,
+    "density_jet": pkg.density_jet,
+    "survival_series": pkg.survival_series,
+    "density_series_grid": lambda a, x: pkg.density_series_grid(a, [x]),
+    "density_jet_grid": lambda a, x: pkg.density_jet_grid(a, [x]),
+    "survival_series_grid": lambda a, x: pkg.survival_series_grid(a, [x]),
+    "laplace_check": pkg.laplace_check,
+    "lce_residual": pkg.lce_residual,
+    "bb_log_density": lambda a, t: pkg.bb_log_density(
+        a, t, pkg.bb_expansion(4)),
+    "kanter_b": pkg.kanter_b,
+    "mellin_stable": lambda a, s: pkg.mellin_stable(a)(s),
+    "lemma1_g": lambda a, x: pkg.lemma1_g(a, 0.5, a, 0, x),
+    "lemma1_inequality": lambda a, x: pkg.lemma1_inequality(a, 0.5, a, x),
+    "bessel_k": pkg.bessel_k,
+    "psi_chf": lambda a, x: pkg.psi_chf(a, a + 1.0, x),
+    "ualpha_cdf": lambda a, x: pkg.ualpha_cdf(a)(x),
+    "ualpha_logconcavity_margin": pkg.ualpha_logconcavity_margin,
+    "StableCdf": lambda a, x: _cdf(a)(x),
+    "tail_coefficient": lambda a, x: pkg.tail_coefficient(a),
+    "tail_residual_sign": lambda a, x: pkg.tail_residual_sign(a)[0],
+    # evaluators of x alone
+    "whittaker_w_stable": lambda a, x: pkg.whittaker_w_stable(x),
+    "whitt_margin": lambda a, x: pkg.whitt_margin(x),
+    "log_gamma": lambda a, x: pkg.log_gamma(x)[0],
+    "mellin_product": lambda a, s: pkg.mellin_product(
+        pkg.lemma2_product(2, 5))(s),
+}
+INF_LIMIT = {"ualpha_logconcavity_margin"}
+
+
+def _broken(name, fn, alpha, x):
+    """What breaks the contract in the call fn(alpha, x), or None."""
+    try:
+        out = fn(alpha, x)
+    except (DomainError, PreconditionError):
+        return None
+    except Exception as exc:  # noqa: BLE001 - a raw error is the finding
+        return f"raises {type(exc).__name__}: {exc}"
+    if isinstance(out, pkg.DensityJet):
+        results = [out.f, out.fp, out.fpp]
+    elif isinstance(out, pkg.EvalResult):
+        results = [out]
+    else:
+        v = np.asarray(out, dtype=float)
+        ok = ~np.isnan(v) if name in INF_LIMIT else np.isfinite(v)
+        return None if np.all(ok) else f"returns {out!r}"
+    for r in results:
+        finite = np.isfinite(np.asarray(r.value, dtype=float)) & np.isfinite(
+            np.asarray(r.abs_error_estimate, dtype=float))
+        if np.any(np.asarray(r.reliable) & ~finite):
+            return f"returns {r!r}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_every_call_ends_in_a_kept_promise(name):
+    fn = EVALUATORS[name]
+    broken = [f"({alpha!r}, {x!r}) {why}"
+              for alpha in ALPHAS for x in XS
+              if (why := _broken(name, fn, alpha, x)) is not None]
+    assert broken == []
+
+
+class TestFormerHits:
+    """The calls that broke the contract before, one by one."""
+
+    @pytest.mark.parametrize("alpha,x", [
+        (0.5, 5e-324), (0.5, 1e-300), (0.5, 1e300), (0.5, 1.7e308),
+        (1.0 / 3.0, 1e-300), (1.0 / 3.0, 1e300), (2.0 / 3.0, 1e-300),
+        (2.0 / 3.0, 1e-160)])
+    def test_density_closed_at_extreme_x(self, alpha, x):
+        # the density is below 1e-300 here, and so are the value and bar
+        r = pkg.density_closed(alpha, x)
+        assert 0.0 <= r.value <= 1e-300
+        assert 0.0 <= r.abs_error_estimate <= 1e-300
+
+    def test_whittaker_w_at_inf_is_zero(self):
+        assert pkg.whittaker_w_stable(math.inf) == pkg.psi_chf(
+            1.0 / 6.0, 4.0 / 3.0, math.inf)
+        assert pkg.whittaker_w_stable(math.inf).value == 0.0
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_lemma1_inequality_needs_finite_x(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            pkg.lemma1_inequality(0.3, 0.5, 0.3, x)
+
+    def test_lce_residual_overflow_is_flagged(self):
+        r = pkg.lce_residual(1e-300, 1e300)
+        assert not r.reliable
+
+    @pytest.mark.parametrize("a", [1e-300, 0.01, 0.3, 0.7, 1.0 - 1e-12])
+    def test_kanter_b_below_1e_8_is_its_limit(self, a):
+        limit = math.exp(a * math.log(a) + (1.0 - a) * math.log1p(-a))
+        for u in (5e-324, 1e-300, 1e-9):
+            assert pkg.kanter_b(a, u) == limit
+        assert np.array_equal(pkg.kanter_b(a, np.array([5e-324, 1e-9])),
+                              [limit, limit])

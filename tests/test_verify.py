@@ -130,9 +130,10 @@ def _ks_two_gather(a, b):
 
 
 class TestKsTwoCore:
-    """The two-sample core sorts each sample in place and merges them a
-    piece of at most _BLOCK values at a time; its statistic is that of
-    the whole-array argsort-and-gather form."""
+    """The two-sample core sorts each sample in place and reads one
+    against the other's empirical CDF, taking that CDF's limits by
+    binary search in batches of at most _BLOCK values; its statistic is
+    that of the whole-array argsort-and-gather form."""
 
     @staticmethod
     def _core(a, b):
@@ -193,9 +194,10 @@ class TestKsTwoCore:
 
 
 class TestKsTwoMerge:
-    """Pieces of the merge at the edges: a cut value both blocks reach
-    is never straddled, a sample may end long before the other, and a
-    run of ties longer than a block is counted by binary search."""
+    """The edges of a merge, in both argument orders: the whole of one
+    sample may lie between two values of the other, a sample may end
+    long before the other, and the copies of a run of ties longer than
+    a block are counted by binary search."""
 
     @staticmethod
     def _both_orders(a, b):
