@@ -20,24 +20,22 @@ The series engine has two paths with one set of rules (truncation,
 compensation, overflow cut, error bars and flags):
 
 * ``_hp_sums`` sums one float x in a plain Python loop, with each
-  Neumaier sum in its own local variables.  The scalar operations
-  (``density_series``, ``density_jet``, ``survival_series``) use it,
-  and so do their pointwise callers: golden-section and bisection
-  refinements, ``reliable_x_min``, and the x_hi ladder and tail value
-  of ``laplace_check``.
+  Neumaier sum in its own local variables.  The scalar operations use
+  it, and so do the pointwise callers: ``msu.lce_residual``, the mode
+  and inflection refinements of ``msu.msu_scan``, ``reliable_x_min``,
+  and the x_hi ladder and tail value of ``laplace_check``.
 * ``_hp_sums_grid`` sums a whole x array, one column per point, a block
   of terms at a time: 8 terms, then 16, 32 and so on, fewer where the
   grid is wide.  In a block the running sums and the running sums of
   the Neumaier corrections are taken along the term axis, adding in
   the float loop's order; each column then stops at the first term that
-  the float loop would stop at, and leaves the working arrays.  The
-  ``*_grid`` operations use it, and every caller with a grid goes
-  through them: ``msu.msu_scan`` and ``msu.lce_residual``, both
-  segments of ``verify.build_cdf``, the closed-form and expansion
-  acceptance checks, ``laplace_check`` (once per alpha its
-  left piece with both endpoints and the lambda = 0 ladder's middle
-  piece; on every lambda > 0 call the rest of its middle piece) and the
-  ``density`` CLI.
+  the float loop would stop at, and leaves the working arrays.
+  ``msu.msu_scan`` and the ``*_grid`` operations use it, and every
+  other caller with a grid goes through those: both segments of
+  ``verify.build_cdf``, the closed-form and expansion acceptance checks,
+  ``laplace_check`` (once per alpha its left piece with both endpoints
+  and the lambda = 0 ladder's middle piece; on every lambda > 0 call the
+  rest of its middle piece) and the ``density`` CLI.
 
 Both paths return bit-identical values, error bars, term counts and
 flags.  They read each term's log from the same coefficient arrays
@@ -95,6 +93,8 @@ class Alpha:
 
     @classmethod
     def from_fraction(cls, p: int, n: int) -> "Alpha":
+        if n == 0:
+            raise DomainError(f"alpha = {p}/{n} has a zero denominator")
         g = math.gcd(p, n)
         p, n = p // g, n // g
         return cls(p / n, (p, n))
@@ -758,7 +758,7 @@ def reliable_x_min(alpha: Alpha, survival: bool = False) -> float:
     def ok(x: float) -> bool:
         if survival:
             return survival_series(alpha, x).reliable
-        return density_jet(alpha, x).f.reliable
+        return all(_hp_sums(alpha, x, DEFAULT_SERIES_CONFIG, order=2)[2])
 
     hi = 1.0
     tries = 0

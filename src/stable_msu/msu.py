@@ -5,12 +5,14 @@ log-concave, i.e. when the residual
 
     g(x) = (x^2 f''(x) + x f'(x)) f(x) - x^2 (f'(x))^2
 
-is nonpositive for all x > 0 (g / f^2 is the second derivative of
-log f(e^t)).  This module evaluates g from the density jets, scans grids
-for sign violations, computes the closed tail-sign coefficient, and
-carries two independent cross-checks: the alternative expansion of the
-log-density through the 1/Gamma(1+z) Taylor coefficients, and the
-log-difference law whose density dichotomy is elementary.
+is nonpositive for all x > 0.  With theta = x d/dx, g = S0 S2 - S1^2
+from the series' theta-sums S0 = f, S1 = x f', S2 = x^2 f'' + x f', and
+g / f^2 = S2/S0 - (S1/S0)^2 is theta^2 log f, the second derivative of
+log f(e^t).  This module evaluates g, scans grids for sign violations,
+computes the closed tail-sign coefficient, and carries two independent
+cross-checks: the alternative expansion of the log-density through the
+1/Gamma(1+z) Taylor coefficients, and the log-difference law whose
+density dichotomy is elementary.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from typing import Optional
 import numpy as np
 
 from . import specfun
-from .density import (Alpha, DensityJet, EvalResult, as_alpha, density_jet,
-                      density_jet_grid, density_series)
+from .density import (DEFAULT_SERIES_CONFIG, Alpha, EvalResult, _hp_sums,
+                      _hp_sums_grid, as_alpha, density_series)
 from .errors import DomainError, PoleError, UnreliableScanError
 from .util import cospi
-
-_TINY = 1e-300
 
 NO_VIOLATION = "no_violation_found"
 VIOLATION = "violation_found"
@@ -37,30 +37,24 @@ VIOLATION = "violation_found"
 # residual and tail sign
 # ---------------------------------------------------------------------------
 
-def _residual(x: np.ndarray, jet: DensityJet) -> EvalResult:
-    """g and its error bound on the x array from the density jets there,
-    whose fields are arrays; every field of the result is an array."""
-    # magnitude cap keeps the products below the overflow threshold;
-    # anything that large is cancellation garbage anyway
-    usable = np.isfinite(jet.fpp.abs_error_estimate)
-    for v in (jet.f.value, jet.fp.value, jet.fpp.value):
-        usable &= np.isfinite(v) & (np.abs(v) < 1e120)
-    f, fp, fpp, ef, efp, efpp = (
-        np.where(usable, v, 0.0)
-        for v in (jet.f.value, jet.fp.value, jet.fpp.value,
-                  jet.f.abs_error_estimate, jet.fp.abs_error_estimate,
-                  jet.fpp.abs_error_estimate))
-    # at a huge x the products overflow, and g or its bar is inf or nan
-    # there: such a point is flagged
+def _residual(sums) -> EvalResult:
+    """g = S0 S2 - S1^2 and its first-order bar from the theta-sums as
+    _hp_sums_grid returns them at order 2, as arrays over a grid.  A point
+    is reliable where all three sums are, g and its bar are finite (else
+    they are nan and inf) and a product is a normal double: where f
+    underflows, g and its bar are 0 or subnormal and tell nothing."""
+    (s0, s1, s2), (e0, e1, e2), flags, terms_used, _ = sums
     with np.errstate(over="ignore", invalid="ignore"):
-        theta2 = x * x * fpp + x * fp
-        g = theta2 * f - (x * fp) ** 2
-        err = (np.abs(f) * (x * x * efpp + x * efp) + np.abs(theta2) * ef
-               + 2.0 * np.abs(x * fp) * x * efp)
-    usable &= np.isfinite(g) & np.isfinite(err)
-    return EvalResult(np.where(usable, g, math.nan),
-                      np.where(usable, err, math.inf),
-                      jet.f.terms_used, jet.f.reliable & usable)
+        p0, p1 = s2 * s0, s1 * s1
+        g = p0 - p1
+        err = (np.abs(s0) * (e2 + 2.0 * e1) + np.abs(s2) * e0
+               + 2.0 * np.abs(s1) * e1)
+    # the products overflow at a tiny alpha and x and underflow where f does
+    finite = np.isfinite(g) & np.isfinite(err)
+    normal = np.maximum(np.abs(p0), p1) >= np.finfo(float).tiny
+    return EvalResult(np.where(finite, g, math.nan),
+                      np.where(finite, err, math.inf),
+                      terms_used, flags.all(axis=0) & finite & normal)
 
 
 def _points(r: EvalResult) -> list[EvalResult]:
@@ -73,15 +67,11 @@ def _points(r: EvalResult) -> list[EvalResult]:
 def lce_residual(alpha, x: float) -> EvalResult:
     """g(x) = (x^2 f'' + x f') f - x^2 (f')^2; MSU at x iff g(x) <= 0.
 
-    The scalar jet enters msu_scan's residual formula as one-element
-    arrays; the scalar and grid jets are bit-identical, so the result
-    repeats msu_scan's arithmetic exactly."""
-    jet = density_jet(alpha, x)
-    one = [EvalResult(np.array([r.value]), np.array([r.abs_error_estimate]),
-                      np.array([r.terms_used]), np.array([r.reliable]))
-           for r in (jet.f, jet.fp, jet.fpp)]
-    xs = np.array([x], dtype=float)
-    return _points(_residual(xs, DensityJet(*one)))[0]
+    g comes from the float loop's theta-sums, which enter msu_scan's
+    residual formula as one-point arrays, so it is msu_scan's residual
+    bit for bit.  g / f^2 is theta^2 log f."""
+    sums = _hp_sums(as_alpha(alpha), x, DEFAULT_SERIES_CONFIG, order=2)
+    return _points(_residual(tuple(np.array(v)[..., None] for v in sums)))[0]
 
 
 def tail_residual_sign(alpha) -> tuple[float, bool]:
@@ -168,15 +158,17 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int) -> MsuReport:
         raise DomainError("need at least 16 grid points")
     grid = np.geomspace(x_lo, x_hi, points)
 
-    jets = density_jet_grid(alpha, grid)
-    res = _residual(grid, jets)
+    sums = _hp_sums_grid(alpha, grid, DEFAULT_SERIES_CONFIG, order=2)
+    res = _residual(sums)
     g, err = res.value, res.abs_error_estimate
-    f, fpp = jets.f.value, jets.fpp.value
+    f, s1, s2 = sums[0]
+    curv = s2 - s1  # x^2 f'', with the sign of f''
+    # g / f^2 as theta^2 log f, which forms no f^2 to underflow
     ok = res.reliable & (f > 0.0)
     norm = np.full(points, math.nan)
-    norm[ok] = g[ok] / (f[ok] * f[ok])
+    norm[ok] = s2[ok] / f[ok] - (s1[ok] / f[ok]) ** 2
 
-    # the reliable points, in grid order; g, f and f'' are finite there
+    # the reliable points, in grid order; g and the sums are finite there
     idx = np.flatnonzero(res.reliable)
     unreliable_fraction = 1.0 - len(idx) / points
     if unreliable_fraction > 0.5:
@@ -207,17 +199,17 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int) -> MsuReport:
     # right one at or beyond the mode, where f'' goes from < 0 to >= 0
     inflection = None
     left, right = idx[:-1], idx[1:]
-    turns = np.flatnonzero((grid[right] >= mode) & (fpp[left] < 0.0)
-                           & (fpp[right] >= 0.0))
+    turns = np.flatnonzero((grid[right] >= mode) & (curv[left] < 0.0)
+                           & (curv[right] >= 0.0))
     if turns.size:
         lo, hi = float(grid[left[turns[0]]]), float(grid[right[turns[0]]])
         for _ in range(60):
             midp = math.sqrt(lo * hi)
             if not lo < midp < hi:
-                # midp is lo (f'' < 0) or hi (f'' >= 0 or nan), so
-                # the bracket would not move again
+                # midp is lo or hi: the bracket would not move again
                 break
-            if density_jet(alpha, midp).fpp.value < 0.0:
+            t = _hp_sums(alpha, midp, DEFAULT_SERIES_CONFIG, order=2)[0]
+            if t[2] - t[1] < 0.0:
                 lo = midp
             else:
                 hi = midp
@@ -228,7 +220,7 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int) -> MsuReport:
     # inflection lies below the grid and the check is vacuous
     if inflection is not None:
         check_upto = inflection
-    elif fpp[idx[0]] > 0.0:
+    elif curv[idx[0]] > 0.0:
         check_upto = -math.inf
     else:
         check_upto = grid[-1]
@@ -279,12 +271,9 @@ def bb_expansion(order: int) -> BbExpansion:
     if order < 1:
         raise ValueError("order must be >= 1")
     # log(1/Gamma(1+z)) = gamma z + sum_{k>=2} (-1)^{k-1} zeta(k) z^k / k
-    # zeta(k) correctly rounded, whatever mpmath's global precision
-    import mpmath as mp  # imported on use: it adds 4 MB and 40 ms to import
     log_coeffs = [0.0, float(np.euler_gamma)]
-    with mp.workdps(30):
-        for kk in range(2, order + 1):
-            log_coeffs.append((-1.0) ** (kk - 1) * float(mp.zeta(kk)) / kk)
+    for kk in range(2, order + 1):
+        log_coeffs.append((-1.0) ** (kk - 1) * specfun._zeta(kk) / kk)
     b = [1.0]
     for j in range(1, order + 1):
         acc = 0.0

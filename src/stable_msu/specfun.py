@@ -1,4 +1,5 @@
-"""Special-function kernels: log-gamma, Macdonald K_nu, Tricomi-type Psi.
+"""Special-function kernels: log-gamma, Macdonald K_nu, Tricomi-type Psi,
+and zeta at the integers from a table.
 
 Each kernel returns an :class:`~stable_msu.util.EvalResult`, and
 :func:`log_gamma` the sign of Gamma(x) beside it.  The quadrature-backed
@@ -40,6 +41,35 @@ def log_gamma(x: float) -> tuple[EvalResult, int]:
         raise DomainError(f"log Gamma({x}) overflows a double") from None
     sign = 1 if x > 0.0 or sinpi(x) > 0.0 else -1
     return EvalResult(value, 5e-15 * (1.0 + abs(value)), 1, True), sign
+
+
+# zeta(k) for k = 2..53, correctly rounded; from k = 54 on,
+# zeta(k) = 1 + 2^-k + 3^-k + ... is within half an ulp of 1 and rounds
+# to 1.0
+_ZETA = (
+    1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+    1.03692775514337, 1.0173430619844492, 1.008349277381923,
+    1.0040773561979444, 1.0020083928260821, 1.000994575127818,
+    1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+    1.0000612481350588, 1.000030588236307, 1.0000152822594086,
+    1.0000076371976379, 1.000003817293265, 1.0000019082127165,
+    1.0000009539620338, 1.0000004769329869, 1.0000002384505027,
+    1.000000119219926, 1.000000059608189, 1.0000000298035034,
+    1.0000000149015549, 1.0000000074507118, 1.000000003725334,
+    1.0000000018626598, 1.0000000009313275, 1.0000000004656628,
+    1.000000000232831, 1.0000000001164155, 1.0000000000582077,
+    1.0000000000291038, 1.000000000014552, 1.000000000007276,
+    1.000000000003638, 1.000000000001819, 1.0000000000009095,
+    1.0000000000004547, 1.0000000000002274, 1.0000000000001137,
+    1.0000000000000568, 1.0000000000000284, 1.0000000000000142,
+    1.000000000000007, 1.0000000000000036, 1.0000000000000018,
+    1.0000000000000009, 1.0000000000000004, 1.0000000000000002,
+    1.0000000000000002)
+
+
+def _zeta(k: int) -> float:
+    """The Riemann zeta function at an integer k >= 2, correctly rounded."""
+    return _ZETA[k - 2] if k < 54 else 1.0
 
 
 def _tricomi(name: str, args: tuple, z: float, am1: float, expos: tuple,

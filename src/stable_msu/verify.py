@@ -404,7 +404,8 @@ def check_sampler_ks(alpha, n_samples: int, seed: int) -> IdentityReport:
 def check_mellin_factorization(p: int, n: int, s_values,
                                threshold: float = 1e-10) -> IdentityReport:
     """Relative discrepancy of the product Mellin transform against
-    Gamma(ns+1)/Gamma(ps+1)."""
+    Gamma(ns+1)/Gamma(ps+1); an empty list of s is rejected, as it would
+    pass with nothing checked."""
     fl = fact.lemma2_product(p, n)
     profile = fact.mellin_product(fl)
     per = {}
@@ -416,6 +417,9 @@ def check_mellin_factorization(p: int, n: int, s_values,
         rel = abs(lhs / rhs - 1.0)
         per[str(s)] = rel
         worst = max(worst, rel)
+    if not per:
+        raise PreconditionError(
+            "check_mellin_factorization needs at least one s")
     return IdentityReport(
         name=f"mellin-factorization-{p}-{n}",
         discrepancy=worst, threshold=threshold, passed=worst < threshold,

@@ -132,6 +132,13 @@ class TestCheckCommands:
         assert payload["pass"] is True
         assert payload["discrepancy"] < 1e-10
 
+    def test_verify_factorization_empty_s_grid(self, capsys):
+        # it used to print a passing report with nothing checked, exit 0
+        code, out, err = run_cli(capsys, "verify-factorization", "--p", "2",
+                                 "--n", "5", "--s-grid", ",")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_verify_factorization_failure_exit(self, capsys):
         code, out, _ = run_cli(capsys, "verify-factorization", "--p", "2",
                                "--n", "5", "--threshold", "1e-30")
@@ -181,6 +188,16 @@ class TestUsageErrors:
     def test_bad_alpha_value(self, capsys):
         code, _, err = run_cli(capsys, "density", "--alpha", "1.5")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["density", "scan-msu", "sample",
+                                         "check-laplace", "check-identities"])
+    @pytest.mark.parametrize("alpha", ["1/0", "0/0"])
+    def test_zero_denominator_alpha(self, capsys, command, alpha):
+        # Alpha.from_fraction raised ZeroDivisionError: a traceback with
+        # exit code 1
+        code, out, err = run_cli(capsys, command, "--alpha", alpha)
+        assert code == 2
+        assert out == "" and "--alpha" in err
 
     def test_threads_option_removed(self, capsys):
         code, _, _ = run_cli(capsys, "scan-msu", "--alpha", "0.6",

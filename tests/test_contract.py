@@ -14,6 +14,10 @@ ZeroDivisionError, OverflowError or RuntimeWarning.  An evaluator that
 returns a plain number has no flag: its number must be finite, but for
 ``ualpha_logconcavity_margin``, whose limit +-inf far out is documented.
 
+``msu_scan`` is a classifier over a grid, not an evaluator at a point:
+on grids that reach the ends of the doubles it must end in a report or
+``UnreliableScanError``, with every reliable residual finite.
+
 Not covered: ``sample_stable`` returns draws, not an estimate, and its
 draws overflow to inf at tiny alpha by design (see the README).
 """
@@ -105,6 +109,36 @@ def test_every_call_ends_in_a_kept_promise(name):
     assert broken == []
 
 
+SCAN_GRIDS = [(1e-300, 1e300), (5e-324, 1.7e308), (1e-20, 1e20)]
+SCAN_ALPHAS = [1e-300, 1e-8, 0.01, 0.05, 0.3, 0.5, 0.7, 0.999, 1.0 - 1e-12,
+               1.0 / 3.0, 2.0 / 3.0]
+
+
+def _broken_scan(alpha, x_lo, x_hi):
+    """What breaks msu_scan's contract on a 200-point grid, or None: it
+    must end in a report or UnreliableScanError, with every reliable
+    residual finite."""
+    try:
+        rep = pkg.msu_scan(alpha, x_lo, x_hi, 200)
+    except pkg.UnreliableScanError:
+        return None
+    except Exception as exc:  # noqa: BLE001 - a raw error is the finding
+        return f"raises {type(exc).__name__}: {exc}"
+    bad = [r for r in rep.residuals if r.reliable and not (
+        math.isfinite(r.value) and math.isfinite(r.abs_error_estimate))]
+    return f"returns {bad[0]!r}" if bad else None
+
+
+@pytest.mark.parametrize("x_lo,x_hi", SCAN_GRIDS)
+def test_msu_scan_at_the_fringes(x_lo, x_hi):
+    # a classifier over a grid, not an evaluator at a point: where f^2
+    # underflowed at a reliable point, g / f^2 raised an "invalid value"
+    # RuntimeWarning
+    broken = [f"{alpha!r} {why}" for alpha in SCAN_ALPHAS
+              if (why := _broken_scan(alpha, x_lo, x_hi)) is not None]
+    assert broken == []
+
+
 class TestFormerHits:
     """The calls that broke the contract before, one by one."""
 
@@ -129,8 +163,29 @@ class TestFormerHits:
             pkg.lemma1_inequality(0.3, 0.5, 0.3, x)
 
     def test_lce_residual_overflow_is_flagged(self):
-        r = pkg.lce_residual(1e-300, 1e300)
+        # the theta-sums are about 7e162 here, and g's own products
+        # overflow
+        r = pkg.lce_residual(1e-160, 5e-324)
         assert not r.reliable
+        # (1e-300, 1e300) was flagged for the overflow of the f' and f''
+        # that g was once rebuilt from; all three sums are 0 there, so g
+        # reads the jet's 0 +- 0, and is flagged because f underflowed
+        r = pkg.lce_residual(1e-300, 1e300)
+        f = pkg.density_jet(1e-300, 1e300).f
+        assert (r.value, r.abs_error_estimate) == \
+            (f.value, f.abs_error_estimate) == (0.0, 0.0)
+        assert not r.reliable
+
+    def test_underflowed_residuals_are_no_evidence(self):
+        # f underflows over this whole grid, and g read 0 +- 0 at every
+        # point, which once passed for reliable evidence that g <= 0;
+        # the tail sign says g > 0 out there
+        assert not pkg.tail_residual_sign(0.7)[1]
+        try:
+            rep = pkg.msu_scan(0.7, 1e160, 1e300, 200)
+        except pkg.UnreliableScanError:
+            return
+        assert rep.classification == pkg.VIOLATION
 
     @pytest.mark.parametrize("a", [1e-300, 0.01, 0.3, 0.7, 1.0 - 1e-12])
     def test_kanter_b_below_1e_8_is_its_limit(self, a):

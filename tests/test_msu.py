@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from stable_msu import density as density_mod
 from stable_msu import msu as msu_mod
-from stable_msu.density import (Alpha, DensityJet, EvalResult,
-                                SeriesConfig, density_jet, density_jet_grid,
+from stable_msu.density import (SeriesConfig, density_jet, density_jet_grid,
                                 density_series)
 from stable_msu.errors import DomainError, PoleError, UnreliableScanError
 from stable_msu.msu import (NO_VIOLATION, VIOLATION, _bb_terms,
@@ -155,14 +155,16 @@ class TestMsuScan:
     @pytest.mark.parametrize("alpha", [0.65, 0.7, 0.8, 0.9])
     def test_inflection_bisection_stops_early(self, alpha, monkeypatch):
         # once sqrt(lo*hi) is lo or hi the bracket cannot move, so the
-        # early stop must give the 60-step loop's result with fewer jets
+        # early stop must give the 60-step loop's result with fewer
+        # theta-sums
         calls = []
+        real_sums = msu_mod._hp_sums
 
-        def counting_jet(a, x):
+        def counting_sums(a, x, *args, **kwargs):
             calls.append(x)
-            return density_jet(a, x)
+            return real_sums(a, x, *args, **kwargs)
 
-        monkeypatch.setattr(msu_mod, "density_jet", counting_jet)
+        monkeypatch.setattr(msu_mod, "_hp_sums", counting_sums)
         rep = msu_scan(alpha, 0.5, 50.0, 400)
         assert rep.inflection_estimate is not None
 
@@ -197,18 +199,19 @@ def _loop_summary(alpha, x_lo, x_hi, points):
     """msu_scan's summary as the scan once classified it: with index
     loops over Python copies of its arrays.  Kept as a reference for the
     array classification; it raises UnreliableScanError where the scan
-    must."""
+    must.  Its f'' signs come from the density jets, so that it checks
+    the scan's signs of S2 - S1."""
     alpha = msu_mod.as_alpha(alpha)
     grid = np.geomspace(x_lo, x_hi, points)
-    jets = msu_mod.density_jet_grid(alpha, grid)
-    res = msu_mod._residual(grid, jets)
-    f = jets.f.value
+    sums = msu_mod._hp_sums_grid(alpha, grid, SeriesConfig(), order=2)
+    res = msu_mod._residual(sums)
+    f, s1, s2 = sums[0]
     ok = res.reliable & (f > 0.0)
     norm = np.full(points, math.nan)
-    norm[ok] = res.value[ok] / (f[ok] * f[ok])
+    norm[ok] = s2[ok] / f[ok] - (s1[ok] / f[ok]) ** 2
     residuals = msu_mod._points(res)
     normalized = norm.tolist()
-    fs, fpps = f.tolist(), jets.fpp.value.tolist()
+    fs, fpps = f.tolist(), density_jet_grid(alpha, grid).fpp.value.tolist()
     grid = grid.tolist()
 
     reliable_idx = [i for i, r in enumerate(residuals) if r.reliable]
@@ -247,7 +250,7 @@ def _loop_summary(alpha, x_lo, x_hi, points):
                 midp = math.sqrt(lo * hi)
                 if not lo < midp < hi:
                     break
-                if msu_mod.density_jet(alpha, midp).fpp.value < 0.0:
+                if density_jet(alpha, midp).fpp.value < 0.0:
                     lo = midp
                 else:
                     hi = midp
@@ -316,18 +319,20 @@ class TestScanMatchesLoopReference:
         # f' = 0 and exact values make g = x^2 f'' f and its error bar 0,
         # so the signs set which points are candidates and which scores
         # are nan; the pattern repeats over the grid, and the
-        # refinements still evaluate the real density
+        # refinements still evaluate the real density.  The theta-sums
+        # are S0 = f, S1 = x f' = 0 and S2 = x^2 f'', in the scan and in
+        # the jets that the reference takes its f'' signs from
         pattern = np.array(signs, dtype=float)
         points = 32
 
-        def jets(alpha, grid):
+        def sums(alpha, grid, cfg, order):
             f, fpp = np.resize(pattern, (points, 2)).T
-            zero = np.zeros(points)
-            return DensityJet(*(EvalResult(v, zero, np.full(points, 8),
-                                           np.ones(points, dtype=bool))
-                                for v in (f, zero, fpp)))
+            return (np.stack([f, np.zeros(points), grid * grid * fpp]),
+                    np.zeros((3, points)), np.ones((3, points), dtype=bool),
+                    np.full(points, 8), np.ones(points, dtype=bool))
 
-        monkeypatch.setattr(msu_mod, "density_jet_grid", jets)
+        monkeypatch.setattr(msu_mod, "_hp_sums_grid", sums)
+        monkeypatch.setattr(density_mod, "_hp_sums_grid", sums)
         self._assert_same(0.6, 0.5, 5.0, points)
 
 

@@ -45,8 +45,9 @@ def test_no_scipy_module_loaded():
 
 
 def test_mpmath_loaded_only_on_use():
-    # double-precision series, scans and CDFs leave mpmath unimported;
-    # the extended precision mode and bb_expansion import it themselves
+    # double-precision series, scans, CDFs and bb_expansion (its zeta
+    # values are a table) leave mpmath unimported; the extended precision
+    # mode imports it itself
     out = _run_fresh("""
         import sys
         import stable_msu
@@ -56,10 +57,11 @@ def test_mpmath_loaded_only_on_use():
         laplace_check(0.5, 1.0)
         build_cdf(0.3)
         msu_scan(0.7, 0.5, 50.0, 64)
+        b1 = bb_expansion(5).b_coeffs[1]
         print("mpmath" in sys.modules)
         r = density_series(0.5, 0.01, SeriesConfig(dps=30, max_terms=600))
         print(r.reliable, "mpmath" in sys.modules)
-        print(bb_expansion(5).b_coeffs[1])
+        print(b1)
     """)
     assert out.splitlines()[:2] == ["False", "True True"]
     assert float(out.splitlines()[2]) != 0.0

@@ -81,6 +81,15 @@ def _lgamma_worst(xs):
     return max(worst)
 
 
+class TestZetaTable:
+    def test_against_mpmath(self):
+        # the table through k = 53, and 1.0 from k = 54 on, are zeta(k)
+        # correctly rounded
+        with mp.workdps(30):
+            ref = [float(mp.zeta(k)) for k in range(2, 81)]
+        assert [specfun._zeta(k) for k in range(2, 81)] == ref
+
+
 class TestLgammaPremise:
     """The package takes every double-precision Gamma from ``math.lgamma``
     and ``math.gamma``; log_gamma's bar 5e-15 (1 + |v|) and the series

@@ -617,6 +617,11 @@ class TestChecks:
         assert rep.passed
         assert rep.discrepancy < 1e-12
 
+    def test_mellin_factorization_needs_an_s(self):
+        # it used to pass with nothing checked
+        with pytest.raises(PreconditionError):
+            check_mellin_factorization(2, 5, [])
+
 
 class TestInPlaceBuffers:
     """The Monte-Carlo checks reuse their draw buffers; each result is
