@@ -23,7 +23,8 @@ compensation, overflow cut, error bars and flags):
   Neumaier sum in its own local variables.  The scalar operations use
   it, and so do the pointwise callers: ``msu.lce_residual``, the mode
   and inflection refinements of ``msu.msu_scan``, ``reliable_x_min``,
-  and the x_hi ladder and tail value of ``laplace_check``.
+  and the lambda = 0 ladder of ``laplace_check`` and its tail value for
+  a cutoff past that ladder.
 * ``_hp_sums_grid`` sums a whole x array, one column per point, a block
   of terms at a time: 8 terms, then 16, 32 and so on, fewer where the
   grid is wide.  In a block the running sums and the running sums of
@@ -34,8 +35,9 @@ compensation, overflow cut, error bars and flags):
   other caller with a grid goes through those: both segments of
   ``verify.build_cdf``, the closed-form and expansion acceptance checks,
   ``laplace_check`` (once per alpha its left piece with both endpoints
-  and the lambda = 0 ladder's middle piece; on every lambda > 0 call the
-  rest of its middle piece) and the ``density`` CLI.
+  and the lambda = 0 ladder's piece ends, and that ladder's middle
+  piece; a lambda > 0 call only for a cutoff past the ladder, the rest
+  of its middle piece) and the ``density`` CLI.
 
 Both paths return bit-identical values, error bars, term counts and
 flags.  They read each term's log from the same coefficient arrays
@@ -49,7 +51,9 @@ stay on the float loop.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -63,6 +67,7 @@ from .util import EvalResult, sinpi
 _LN_PI = math.log(math.pi)
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
+_NORMAL_MIN = sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +256,10 @@ def _bars(totals, maxabs, lastnz, n_used: int, status: int,
 
     ``ulp`` is the unit roundoff of the loop that summed: _EPS for the
     float loop, 10**-dps for the mpmath loop, which passes its maxima and
-    last terms as mpf and calls this under its working precision.
-    _hp_sums_grid applies the same rule to whole arrays.
+    last terms as mpf and calls this under its working precision.  A sum
+    whose largest |term| is below the least normal double is unreliable:
+    its terms have underflowed, to 0 or to subnormals, and its value and
+    bar with them.  _hp_sums_grid applies the same rule to whole arrays.
     """
     if status == _BLOWN:
         return [math.inf] * len(totals), [False] * len(totals)
@@ -268,7 +275,8 @@ def _bars(totals, maxabs, lastnz, n_used: int, status: int,
         else:
             trunc = abs(last) + mx * cfg.rel_tol
         errors.append(trunc + 2.0 * noise)
-        flags.append(converged and mx <= guard * (abs(total) + _TINY))
+        flags.append(converged and _NORMAL_MIN <= mx
+                     <= guard * (abs(total) + _TINY))
     return errors, flags
 
 
@@ -578,8 +586,8 @@ def _hp_sums_grid(alpha: Alpha, xs, cfg: SeriesConfig, order: int,
                          3.0 * out_last + cfg.rel_tol * np.abs(out_tot),
                          np.abs(out_last) + out_max * cfg.rel_tol)
         errors = np.where(status == _BLOWN, math.inf, trunc + 2.0 * noise)
-        flags = converged & (out_max <= cfg.effective_guard()
-                             * (np.abs(out_tot) + _TINY))
+        flags = converged & (out_max >= _NORMAL_MIN) & (
+            out_max <= cfg.effective_guard() * (np.abs(out_tot) + _TINY))
     return out_tot, errors, flags, out_n, converged
 
 
@@ -797,14 +805,57 @@ def _decade_edges(lo: float, hi: float) -> tuple[float, ...]:
     return tuple(edges)
 
 
-@lru_cache(maxsize=None)
-def _legendre64():
-    """The 64-point Gauss-Legendre nodes and weights on [-1, 1],
-    read-only; numpy's leggauss runs once per process."""
-    t, w = np.polynomial.legendre.leggauss(64)
+# The positive half of the 64-point Gauss-Legendre rule on [-1, 1]:
+# (node, weight) in increasing node order, as numpy's leggauss(64) gives
+# them (it symmetrises the rule exactly, and its weights sum to 2).
+_GL64_HALF = (
+    ('0x1.8ef487a8cbc32p-6', '0x1.8ee0567ee2e5dp-5'),
+    ('0x1.2afad5ee95ad0p-4', '0x1.8dee238192cdcp-5'),
+    ('0x1.f182ff48e8a26p-4', '0x1.8c0a5097676c0p-5'),
+    ('0x1.5b6e88ad5c00fp-3', '0x1.89360387fe3b9p-5'),
+    ('0x1.bd489b79ec83bp-3', '0x1.8572f41fbb53dp-5'),
+    ('0x1.0f0a26c56e49cp-2', '0x1.80c36b24bdd21p-5'),
+    ('0x1.3ecb6c46c76cbp-2', '0x1.7b2a40f3ccde2p-5'),
+    ('0x1.6dcb1f0620fffp-2', '0x1.74aadbc614fb9p-5'),
+    ('0x1.9becb55272c9dp-2', '0x1.6d492da0c2510p-5'),
+    ('0x1.c9142c5898fc5p-2', '0x1.6509b1efb8dfcp-5'),
+    ('0x1.f52619257c3a1p-2', '0x1.5bf16accdf431p-5'),
+    ('0x1.1003dca600f34p-1', '0x1.5205ddf5a36e2p-5'),
+    ('0x1.24cf81925487fp-1', '0x1.474d117092830p-5'),
+    ('0x1.38e95ace7b3c3p-1', '0x1.3bcd87e50de1ep-5'),
+    ('0x1.4c4533c68b412p-1', '0x1.2f8e3ca7574e3p-5'),
+    ('0x1.5ed74b4532f83p-1', '0x1.22969f7b5c8bdp-5'),
+    ('0x1.70945a96f12c4p-1', '0x1.14ee9010d92e3p-5'),
+    ('0x1.81719c62ec68ep-1', '0x1.069e593b92368p-5'),
+    ('0x1.9164d335425e2p-1', '0x1.ef5d57d53b4b8p-6'),
+    ('0x1.a0644fb6d8db8p-1', '0x1.d05133c3af946p-6'),
+    ('0x1.ae66f68eedbc6p-1', '0x1.b02b2071c0c76p-6'),
+    ('0x1.bb6445eadae2cp-1', '0x1.8efea34684612p-6'),
+    ('0x1.c7545aa8c0dadp-1', '0x1.6cdfe10bba36ep-6'),
+    ('0x1.d22ff5221288ap-1', '0x1.49e391bd2143cp-6'),
+    ('0x1.dbf07d935a5afp-1', '0x1.261ef40a7a2d6p-6'),
+    ('0x1.e490081f2891bp-1', '0x1.01a7c0a5c98d9p-6'),
+    ('0x1.ec09586b58faap-1', '0x1.b9283b35df8d9p-7'),
+    ('0x1.f257e4db5aabcp-1', '0x1.6df524de84deap-7'),
+    ('0x1.f777d976cfadap-1', '0x1.21e400109d33cp-7'),
+    ('0x1.fb661ac8c85a9p-1', '0x1.aa46b24145aa3p-8'),
+    ('0x1.fe204ab274eccp-1', '0x1.0fc7ac3ac3b55p-8'),
+    ('0x1.ffa4e911f7533p-1', '0x1.d379f1845dadfp-10'),
+)
+
+
+def _legendre64_rule():
+    """The 64-point rule's nodes and weights on [-1, 1], read-only, with
+    the negative half mirrored from _GL64_HALF."""
+    half = np.array([[float.fromhex(h) for h in pair] for pair in _GL64_HALF])
+    t = np.concatenate((-half[::-1, 0], half[:, 0]))
+    w = np.concatenate((half[::-1, 1], half[:, 1]))
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
+
+
+_GL64_NODES, _GL64_WEIGHTS = _legendre64_rule()
 
 
 def _rule(lo, hi):
@@ -812,7 +863,7 @@ def _rule(lo, hi):
     weights concatenated in interval order.  Each node is computed from
     its own interval alone, so an interval's nodes have the same bits in
     any batch."""
-    t, w = _legendre64()
+    t, w = _GL64_NODES, _GL64_WEIGHTS
     lo = np.asarray(lo, dtype=float)[:, None]
     hi = np.asarray(hi, dtype=float)[:, None]
     half = 0.5 * (hi - lo)
@@ -848,9 +899,10 @@ class _LambdaFree(NamedTuple):
 
     * the bounds x_s <= x_m, the 64-point rule on (x_s, x_m) (empty when
       x_s = x_m), and F = 1 - S at its nodes, at x_s and at x_m;
-    * the full decades of the lambda = 0 ladder's middle piece, 64
-      nodes, weights and density values each (at most 28, for
-      alpha <= 0.08);
+    * the lambda = 0 ladder's middle piece: the ends of its pieces
+      (from _decade_edges, x_m excluded), S at each end, how many of the
+      pieces are full decades, and the 64 nodes, weights and density
+      values of every piece (at most 29 pieces, for alpha <= 0.08);
     * the lambda = 0 value.
     """
 
@@ -861,6 +913,9 @@ class _LambdaFree(NamedTuple):
     left_f: np.ndarray
     f_s: float
     f_m: float
+    ends: tuple[float, ...]
+    s_ends: tuple[float, ...]
+    full: int
     nodes: np.ndarray
     weights: np.ndarray
     f: np.ndarray
@@ -869,18 +924,16 @@ class _LambdaFree(NamedTuple):
 
 @lru_cache(maxsize=128)
 def _lambda_free(alpha: Alpha) -> _LambdaFree:
-    """laplace_check's record for alpha: one survival grid call
-    over the left rule's nodes and both ends, the lambda = 0 ladder on
-    the float loop, and one density grid call over the ladder's pieces
-    (the grid's bits are the float loop's)."""
+    """laplace_check's record for alpha: the lambda = 0 ladder on the
+    float loop, then one survival grid call over the left rule's nodes,
+    both bounds and the ladder's piece ends, and one density grid call
+    over the ladder's pieces (the grid's bits are the float loop's)."""
     x_m = reliable_x_min(alpha)
     x_s = min(reliable_x_min(alpha, survival=True), x_m)
     if x_s < x_m:
         left_nodes, left_weights = _rule([x_s], [x_m])
     else:
         left_nodes = left_weights = np.empty(0)
-    s = survival_series_grid(alpha, np.append(left_nodes, (x_s, x_m))).value
-    f_m = 1.0 - float(s[-1])
 
     # lambda = 0: raise the cutoff tenfold until S(x_hi) <= 1e-3
     x_hi = max(10.0, 4.0 * x_m)
@@ -889,14 +942,18 @@ def _lambda_free(alpha: Alpha) -> _LambdaFree:
         x_hi *= 10.0
         s_hi = survival_series(alpha, x_hi).value
     edges = _decade_edges(x_m, x_hi)
+    n = left_nodes.size
+    s = survival_series_grid(
+        alpha, np.concatenate((left_nodes, (x_s, x_m), edges[1:]))).value
+    f_m = 1.0 - float(s[n + 1])
     nodes, weights, f = _middle(alpha, edges)
     at_zero = abs(f_m + float(np.dot(weights, f)) + s_hi - 1.0)
-    full = slice(64 * _full_decades(edges))
     return _LambdaFree(x_s, x_m,
-                       *_read_only(left_nodes, left_weights, 1.0 - s[:-2]),
-                       1.0 - float(s[-2]), f_m,
-                       *_read_only(nodes[full], weights[full], f[full]),
-                       at_zero)
+                       *_read_only(left_nodes, left_weights, 1.0 - s[:n]),
+                       1.0 - float(s[n]), f_m,
+                       edges[1:], tuple(s[n + 2:].tolist()),
+                       _full_decades(edges),
+                       *_read_only(nodes, weights, f), at_zero)
 
 
 def laplace_check(alpha, lam: float) -> float:
@@ -914,15 +971,21 @@ def laplace_check(alpha, lam: float) -> float:
 
     Once per alpha, and cached in one record (_lambda_free): the
     bounds x_s and x_m, the left rule's nodes and F = 1 - S there and at
-    both bounds, the full decades of the lambda = 0 ladder's middle
-    piece with the density at their nodes, and the lambda = 0 value.  A
-    call with lam > 0 takes the record's decades up to its cutoff
-    50/lam and evaluates the rest of its middle piece in one grid call:
-    the last piece, clipped at the cutoff, and any decade past the
-    ladder's (every call, for lam below about 9e-3 at alpha = 0.9).
-    It then computes the weights e^{-lam t}, the trapezoid below x_s and
-    the tail.  Raises :class:`DomainError` for lam below about 5.6e-307,
-    where twice the cutoff overflows a double.
+    both bounds, the pieces of the lambda = 0 ladder's middle piece with
+    the density at their nodes and S at their ends, and the lambda = 0
+    value.  A call with lam > 0 whose cutoff max(50/lam, 4 x_m, 10) the
+    ladder reaches takes the ladder's whole pieces up to the first that
+    ends at or past the cutoff, and the tail e^{-lam end} S(end) at that
+    end: it makes no series call.  The stretch past the cutoff weighs at
+    most e^{-50}, and 64 nodes resolve a decade [A, 10 A] of
+    e^{-lam t} t^{-1-a} with lam A <= 50 to rounding.  A cutoff past the
+    ladder (lam below 50 over the ladder's end: about 0.05 at
+    alpha = 0.9, 5e-5 at 0.5) takes the ladder's full decades below it
+    and evaluates the rest of its middle piece, clipped at the cutoff,
+    in one grid call, and the tail from the float loop.  Either way it
+    then computes the weights e^{-lam t} and the trapezoid below x_s.
+    Raises :class:`DomainError` for lam below about 5.6e-307, where
+    twice the cutoff overflows a double.
     """
     alpha = as_alpha(alpha)
     if not 0.0 <= lam < math.inf:
@@ -936,11 +999,19 @@ def laplace_check(alpha, lam: float) -> float:
     if lam == 0.0:
         return rec.at_zero
     x_hi = max(50.0 / lam, 4.0 * rec.x_m, 10.0)
-    edges = _decade_edges(rec.x_m, x_hi)
-    k = min(_full_decades(edges), rec.nodes.size // 64)
-    ts, ws, fs = (np.concatenate(arrs) for arrs in zip(
-        (rec.nodes[:64 * k], rec.weights[:64 * k], rec.f[:64 * k]),
-        _middle(alpha, edges[k:])))
+    j = bisect.bisect_left(rec.ends, x_hi)
+    if j < len(rec.ends):
+        # the ladder's pieces 0..j, the last one ending at or past x_hi
+        n = 64 * (j + 1)
+        ts, ws, fs = rec.nodes[:n], rec.weights[:n], rec.f[:n]
+        x_hi, s_hi = rec.ends[j], rec.s_ends[j]
+    else:
+        edges = _decade_edges(rec.x_m, x_hi)
+        k = min(_full_decades(edges), rec.full)
+        ts, ws, fs = (np.concatenate(arrs) for arrs in zip(
+            (rec.nodes[:64 * k], rec.weights[:64 * k], rec.f[:64 * k]),
+            _middle(alpha, edges[k:])))
+        s_hi = survival_series(alpha, x_hi).value
     # a huge lam takes -lam t past -inf, where e^{-lam t} is 0
     with np.errstate(over="ignore"):
         mid = float(np.dot(ws, np.exp(-lam * ts) * fs))
@@ -952,5 +1023,5 @@ def laplace_check(alpha, lam: float) -> float:
     # dropped curvature is bounded by lam * x_s * F(x_s)
     inner += 0.5 * rec.x_s * math.exp(-lam * rec.x_s) * rec.f_s
     left = math.exp(-lam * rec.x_m) * rec.f_m + lam * inner
-    tail = math.exp(-lam * x_hi) * survival_series(alpha, x_hi).value
+    tail = math.exp(-lam * x_hi) * s_hi
     return abs(left + mid + tail - math.exp(-lam ** alpha.value))

@@ -122,7 +122,8 @@ def _step_gap(idx: np.ndarray, f: np.ndarray, f_left: np.ndarray,
 def _cdf_gap(s: np.ndarray, limits) -> float:
     """max over k of (k+1)/n - F(s_k) and F(s_k-) - k/n, for the sorted
     flat sample ``s`` of n values and the pair of arrays of right and
-    left limits of F that ``limits`` maps points to.
+    left limits of F that ``limits`` maps points to (it is handed them
+    in ascending order).
 
     Against a continuous CDF this is the one-sample statistic.  Against
     the empirical CDF F_b of a second sample, whose limits are the
@@ -211,7 +212,8 @@ def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
     reach max |F_a - F_b| over the merged values, and are such values,
     bit for bit (see ``_cdf_gap``); nothing is merged.  b is searched
     only at the cuts of a and in the pieces that can hold the largest
-    gap, so besides the samples the working set is block-sized.
+    gap, each time over the slice of b between the first and last points
+    searched, so besides the samples the working set is block-sized.
     """
     n, m = a.size, b.size
     if n == 0 or m == 0:
@@ -220,8 +222,15 @@ def _ks_two(a: np.ndarray, b: np.ndarray) -> KsResult:
     b.sort()
     _reject_nan(a, "ks_two_sample")
     _reject_nan(b, "ks_two_sample")
-    stat = _cdf_gap(a, lambda x: (np.searchsorted(b, x, side="right") / m,
-                                  np.searchsorted(b, x, side="left") / m))
+
+    def limits(x):
+        # x comes sorted, so b's values below x[0] count in both limits
+        # and those above x[-1] in neither: search the slice between
+        lo = int(np.searchsorted(b, x[0], side="left"))
+        part = b[lo:int(np.searchsorted(b, x[-1], side="right"))]
+        return ((np.searchsorted(part, x, side="right") + lo) / m,
+                (np.searchsorted(part, x, side="left") + lo) / m)
+    stat = _cdf_gap(a, limits)
     crit = KS_COEFF_1PCT * math.sqrt((n + m) / (n * m))
     return KsResult(stat, n, crit, stat < crit, m_samples=m)
 

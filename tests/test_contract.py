@@ -187,6 +187,17 @@ class TestFormerHits:
             return
         assert rep.classification == pkg.VIOLATION
 
+    def test_underflowed_series_are_flagged(self):
+        # f is about 1e-600 at each of these points: every term of the
+        # series underflows, and the sum read 0 +- 0 with reliable=True
+        jet = pkg.density_jet(1e-300, 1e300)
+        for r in (jet.f, jet.fp, jet.fpp, pkg.density_series(0.999, 1e300)):
+            assert (r.value, r.reliable) == (0.0, False)
+        grid = pkg.density_series_grid(1e-300, [1e300, 1.0])
+        assert grid.value[0] == 0.0 and not grid.reliable[0]
+        # the second point's f is 3.7e-301, a normal double: reliable
+        assert grid.value[1] > 0.0 and grid.reliable[1]
+
     @pytest.mark.parametrize("a", [1e-300, 0.01, 0.3, 0.7, 1.0 - 1e-12])
     def test_kanter_b_below_1e_8_is_its_limit(self, a):
         limit = math.exp(a * math.log(a) + (1.0 - a) * math.log1p(-a))

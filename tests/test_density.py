@@ -523,17 +523,16 @@ class TestLaplace:
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 4.0])
     def test_decade_rule_against_mpmath(self, lam):
-        # the middle piece's rule, on [x_m, x_hi] as laplace_check picks
-        # them, applied to the alpha = 1/2 closed form times e^{-lam t}
-        x_m = reliable_x_min(as_alpha(0.5))
-        if lam == 0.0:
-            x_hi = max(10.0, 4.0 * x_m)
-            while math.erf(0.5 / math.sqrt(x_hi)) > 1e-3:
-                x_hi *= 10.0
-        else:
-            x_hi = max(50.0 / lam, 4.0 * x_m, 10.0)
-        edges = density_mod._decade_edges(x_m, x_hi)
-        assert edges[0] == x_m and edges[-1] == x_hi
+        # the middle piece's rule, on the edges laplace_check picks (whole
+        # pieces of the lambda = 0 ladder up to the first end at or past
+        # the cutoff), applied to the alpha = 1/2 closed form times
+        # e^{-lam t}
+        alpha = as_alpha(0.5)
+        edges = _middle_edges(alpha, lam)
+        assert edges[0] == reliable_x_min(alpha)
+        if lam > 0.0:
+            x_hi = max(50.0 / lam, 4.0 * edges[0], 10.0)
+            assert edges[-2] < x_hi <= edges[-1]
         ts, ws = density_mod._rule(edges[:-1], edges[1:])
         assert ts.shape == ws.shape == (64 * (len(edges) - 1),)
         got = float(np.dot(ws, [closed_half(t) * math.exp(-lam * t)
@@ -557,29 +556,47 @@ LAPLACE_ALPHAS = [Alpha(v) for v in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
 LAPLACE_LAMBDAS = (0.0, 1e-6, 1e-3, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
-def _laplace_reference(alpha, lam):
-    """laplace_check assembled from the public pieces for this lambda
-    alone: every survival value at x_s and x_m from the float loop, and
-    fresh grid calls over the left rule and the whole middle piece."""
-    a = alpha.value
+def _ladder(alpha):
+    """The lambda = 0 ladder's edges, from x_m to the first cutoff whose
+    survival is at most 1e-3, as laplace_check builds them."""
     x_m = density_mod.reliable_x_min(alpha)
+    x_hi = max(10.0, 4.0 * x_m)
+    while survival_series(alpha, x_hi).value > 1e-3 and x_hi < 1e15:
+        x_hi *= 10.0
+    return density_mod._decade_edges(x_m, x_hi)
+
+
+def _middle_edges(alpha, lam):
+    """The edges of laplace_check's middle piece: the whole ladder at
+    lambda = 0; for lambda > 0 its pieces up to the first that ends at
+    or past the cutoff, or, for a cutoff past the ladder, the decades up
+    to the cutoff with the last one clipped there."""
+    ladder = _ladder(alpha)
+    if lam == 0.0:
+        return ladder
+    x_hi = max(50.0 / lam, 4.0 * ladder[0], 10.0)
+    if x_hi > ladder[-1]:
+        return density_mod._decade_edges(ladder[0], x_hi)
+    return ladder[:next(i for i, e in enumerate(ladder) if e >= x_hi) + 1]
+
+
+def _assembly(alpha, lam, edges):
+    """laplace_check assembled from the public pieces for this lambda
+    alone, with the middle piece on ``edges``: every survival value at
+    x_s, x_m and the last edge from the float loop, and fresh grid calls
+    over the left rule and the whole middle piece."""
+    a = alpha.value
+    x_m = edges[0]
     x_s = min(density_mod.reliable_x_min(alpha, survival=True), x_m)
 
     def surv(t):
         return survival_series(alpha, t).value
 
-    def mid_piece(x_hi):
-        edges = density_mod._decade_edges(x_m, x_hi)
-        ts, ws = density_mod._rule(edges[:-1], edges[1:])
-        fs = density_series_grid(alpha, ts).value
-        return float(np.dot(ws, np.exp(-lam * ts) * fs))
-
+    ts, ws = density_mod._rule(edges[:-1], edges[1:])
+    fs = density_series_grid(alpha, ts).value
+    mid = float(np.dot(ws, np.exp(-lam * ts) * fs))
     if lam == 0.0:
-        x_hi = max(10.0, 4.0 * x_m)
-        while surv(x_hi) > 1e-3 and x_hi < 1e15:
-            x_hi *= 10.0
-        return abs(1.0 - surv(x_m) + mid_piece(x_hi) + surv(x_hi) - 1.0)
-    x_hi = max(50.0 / lam, 4.0 * x_m, 10.0)
+        return abs(1.0 - surv(x_m) + mid + surv(edges[-1]) - 1.0)
     inner = 0.0
     if x_s < x_m:
         ts, ws = density_mod._rule([x_s], [x_m])
@@ -587,8 +604,24 @@ def _laplace_reference(alpha, lam):
         inner += float(np.dot(ws, np.exp(-lam * ts) * (1.0 - s_nodes)))
     inner += 0.5 * x_s * math.exp(-lam * x_s) * (1.0 - surv(x_s))
     left = math.exp(-lam * x_m) * (1.0 - surv(x_m)) + lam * inner
-    tail = math.exp(-lam * x_hi) * surv(x_hi)
-    return abs(left + mid_piece(x_hi) + tail - math.exp(-lam ** a))
+    tail = math.exp(-lam * edges[-1]) * surv(edges[-1])
+    return abs(left + mid + tail - math.exp(-lam ** a))
+
+
+def _laplace_reference(alpha, lam):
+    """laplace_check's value, assembled on the edges it picks."""
+    return _assembly(alpha, lam, _middle_edges(alpha, lam))
+
+
+def _clipped_reference(alpha, lam):
+    """The earlier assembly for lambda > 0: the ladder's decades up to the
+    cutoff max(50/lam, 4 x_m, 10) with the last one clipped there,
+    whether or not the ladder reaches the cutoff."""
+    if lam == 0.0:
+        return _laplace_reference(alpha, lam)
+    x_m = density_mod.reliable_x_min(alpha)
+    return _assembly(alpha, lam, density_mod._decade_edges(
+        x_m, max(50.0 / lam, 4.0 * x_m, 10.0)))
 
 
 @pytest.fixture
@@ -681,21 +714,47 @@ class TestLaplaceDecades:
                                                fresh_records, a):
         sizes = _count_density_grid_points(monkeypatch)
         check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0])
-        # one grid call over the whole lambda = 0 ladder, its full
-        # decades and its last piece, then one per lambda > 0 over its
-        # last piece alone
-        stored = fresh_records(Alpha(a)).nodes.size
-        assert stored > 0
-        assert sizes == [stored + 64] + [64] * 4
+        # one grid call over every piece of the lambda = 0 ladder; each
+        # lambda > 0 here has its cutoff inside the ladder and takes whole
+        # pieces of it, last piece included, with no grid call
+        rec = fresh_records(Alpha(a))
+        assert rec.nodes.size == 64 * len(rec.ends) > 0
+        assert sizes == [rec.nodes.size]
         sizes.clear()
         check_laplace(a, [0.5, 1.0, 2.0, 4.0])
-        assert sizes == [64] * 4
+        assert sizes == []
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])
+    def test_warm_lambda_in_the_ladder_makes_no_series_call(
+            self, monkeypatch, fresh_records, a):
+        lams = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+        alpha = Alpha(a)
+        laplace_check(alpha, 0.0)
+        # the smallest lambda's cutoff 200 lies inside the ladder
+        assert fresh_records(alpha).ends[-1] >= 200.0
+        calls = _count_calls(monkeypatch, "density_series_grid",
+                             "survival_series", "survival_series_grid",
+                             "_hp_sums")
+        got = [laplace_check(alpha, lam) for lam in lams]
+        assert calls == []
+        monkeypatch.undo()
+        assert ([g.hex() for g in got]
+                == [_laplace_reference(alpha, lam).hex() for lam in lams])
+
+    @pytest.mark.parametrize("alpha", LAPLACE_ALPHAS,
+                             ids=lambda a: f"{a.value:.4g}-default")
+    def test_whole_pieces_match_the_clipped_rule(self, alpha):
+        # taking the ladder's piece whole past the cutoff 50/lam moves
+        # the value by rounding only: the stretch weighs at most e^{-50}
+        for lam in LAPLACE_LAMBDAS:
+            assert abs(laplace_check(alpha, lam)
+                       - _clipped_reference(alpha, lam)) <= 1e-14, lam
 
     def test_cached_and_fresh_pieces_match_one_grid_call(self, monkeypatch,
                                                          fresh_records):
-        # x_m raised above 1 so that a cutoff below 10 x_m clips the
+        # x_m raised above 1 so that a cutoff below 10 x_m falls in the
         # first decade; at alpha = 0.99 the ladder itself is clipped
-        # (S(20) < 1e-3) and the record holds no decade
+        # (S(20) < 1e-3) and the record holds no full decade
         real = density_mod.reliable_x_min
         for a, x_m in ((0.9, 2.5), (0.99, 5.0)):
             monkeypatch.setattr(
@@ -707,18 +766,27 @@ class TestLaplaceDecades:
                 # a lambda > 0 first, so that it builds the record
                 assert (laplace_check(alpha, lam).hex()
                         == _laplace_reference(alpha, lam).hex()), lam
-            # lambda = 8 clips the first decade
-            edges = density_mod._decade_edges(
-                x_m, max(50.0 / 8.0, 4.0 * x_m, 10.0))
-            assert len(edges) == 3 and edges[-1] < 10.0 * x_m
-            assert (fresh_records(alpha).nodes.size == 0) == (a == 0.99)
+            rec = fresh_records(alpha)
+            assert (rec.full == 0) == (a == 0.99)
+            # lambda = 8 cuts off at 10, inside the ladder's first decade,
+            # which it takes whole; 1e-3 and 1e-6 cut off past the ladder,
+            # and the reference clips their last decade at the cutoff
+            assert _middle_edges(alpha, 8.0)[-1] == min(10.0 * x_m,
+                                                        rec.ends[-1])
+            for lam in (1e-3, 1e-6):
+                assert _middle_edges(alpha, lam)[-1] == 50.0 / lam
 
     def test_cached_arrays_read_only(self, fresh_records):
         alpha = Alpha(0.5)
         laplace_check(alpha, 0.5)
         rec = fresh_records(alpha)
-        assert rec.nodes.size == rec.weights.size == rec.f.size > 0
-        assert rec.nodes.size % 64 == 0
+        assert rec.nodes.size == rec.weights.size == rec.f.size \
+            == 64 * len(rec.ends) == 64 * len(rec.s_ends)
+        assert rec.full == len(rec.ends) - 1
+        # the survival grid call's values at the piece ends are the
+        # float loop's
+        assert rec.s_ends == tuple(survival_series(alpha, e).value
+                                   for e in rec.ends)
         assert rec.left_nodes.size == rec.left_weights.size \
             == rec.left_f.size == 64
         for field in ("left_nodes", "left_weights", "left_f",
@@ -728,23 +796,27 @@ class TestLaplaceDecades:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
-    def test_leggauss_once_per_process(self, monkeypatch, fresh_records):
-        calls = []
-        real = np.polynomial.legendre.leggauss
 
-        def counting(n):
-            calls.append(n)
-            return real(n)
+class TestLegendre64:
+    def test_matches_leggauss(self):
+        t, w = np.polynomial.legendre.leggauss(64)
+        for got, ref in ((density_mod._GL64_NODES, t),
+                         (density_mod._GL64_WEIGHTS, w)):
+            assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(np.abs(ref)))
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        density_mod._legendre64.cache_clear()
-        try:
-            for a in (0.3, 0.7):
-                check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0])
-                check_laplace(a, [0.25, 8.0])
-        finally:
-            density_mod._legendre64.cache_clear()
-        assert calls == [64]
+    def test_symmetric(self):
+        t, w = density_mod._GL64_NODES, density_mod._GL64_WEIGHTS
+        assert t.size == w.size == 64
+        assert np.all(t[1:] > t[:-1]) and t[32] > 0.0
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_weights_sum_to_two(self):
+        assert math.fsum(density_mod._GL64_WEIGHTS.tolist()) == 2.0
+
+    def test_read_only(self):
+        for arr in (density_mod._GL64_NODES, density_mod._GL64_WEIGHTS):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestLaplaceRecord:

@@ -12,6 +12,7 @@ from scipy import special
 
 from stable_msu import factorizations, specfun
 from stable_msu import quadrature as quad
+from stable_msu.errors import DomainError
 from stable_msu.quadrature import de_halfline, tanh_sinh
 
 import de_reference
@@ -657,25 +658,33 @@ class TestNonFiniteRows:
         assert math.isfinite(rows.value[1])
 
 
-def test_finite_interval_level_with_no_inner_node_sums_to_zero():
-    # on [1, 1 + 2 eps] every node of level 1 rounds to an endpoint, so
-    # that level contributes nothing; the result is the trapezoid sums
-    # of the nodes that lie inside
-    a, b = 1.0, 1.0 + 2.0 * np.finfo(float).eps
-    half = 0.5 * (b - a)
-    inner = []
-    for level in range(4):
-        nodes = quad._nodes(level)
-        d = half * nodes.fin_d
-        x = np.where(nodes.fin_right, b - d, a + d)
-        inside = (x > a) & (x < b)
-        inner.append(math.fsum((half * nodes.fin_w[inside]).tolist()))
-    assert inner[1] == 0.0 and inner[0] > 0.0
+@pytest.mark.parametrize("a,b", [(1e6, 1e6 + 1e-6),
+                                 (1.0, 1.0 + 2.0 * np.finfo(float).eps)],
+                         ids=["1e6-width-1e-6", "1-width-2eps"])
+def test_finite_interval_too_narrow_for_its_endpoints_raises(a, b):
+    # the nodes that round onto an endpoint are dropped with their
+    # weight: 1e-4 of it on the first interval, whose result was 1e-4
+    # relative off under an error estimate of 5.8e-13, and half of it on
+    # the second, where level 1 had no node inside and the result was
+    # half the integral
+    calls = []
     for max_level in range(4):
-        res = tanh_sinh(np.ones_like, a, b, max_level=max_level)
-        assert res.levels == max_level
-        assert res.value == pytest.approx(
-            math.fsum(inner[:max_level + 1]) * 0.5 ** max_level, rel=1e-15)
+        with pytest.raises(DomainError, match="too narrow"):
+            tanh_sinh(lambda x: calls.append(x) or np.ones_like(x), a, b,
+                      max_level=max_level)
+    assert calls == []
+
+
+def test_finite_interval_loses_no_more_than_rel_tol():
+    # on [1e6, 1e6 + 1] the dropped nodes carry 1.4e-10 of the weight:
+    # above the default rel_tol, below 1e-9
+    with pytest.raises(DomainError, match="too narrow"):
+        tanh_sinh(np.ones_like, 1e6, 1e6 + 1.0)
+    res = tanh_sinh(np.ones_like, 1e6, 1e6 + 1.0, rel_tol=1e-9)
+    assert res.value == pytest.approx(1.0, rel=1e-9)
+    # the share at 1 on [0, 1] is about 1e-16
+    assert tanh_sinh(np.ones_like, 0.0, 1.0, rel_tol=1e-15).value \
+        == pytest.approx(1.0, rel=1e-15)
 
 
 def test_level_sum_of_a_slice_is_position_free():

@@ -1,6 +1,6 @@
 """The package runs on numpy and mpmath alone; scipy is a test oracle,
-and mpmath and the thread pool are imported only by the code that uses
-them."""
+mpmath and the thread pool are imported only by the code that uses
+them, and numpy.polynomial not at all."""
 
 import os
 import subprocess
@@ -76,5 +76,21 @@ def test_thread_pool_loaded_only_on_use():
         import stable_msu
         import stable_msu.cli
         print("concurrent.futures" in sys.modules)
+    """)
+    assert out == "False"
+
+
+def test_numpy_polynomial_not_loaded():
+    # laplace_check's Gauss-Legendre rule is a table of literals; numpy's
+    # leggauss would import numpy.polynomial (about 1 MB and 7 ms)
+    out = _run_fresh("""
+        import sys
+        import stable_msu
+        import stable_msu.cli
+        from stable_msu import laplace_check
+        laplace_check(0.5, 0.0)
+        laplace_check(0.5, 1.0)
+        laplace_check(0.5, 1e-9)
+        print("numpy.polynomial" in sys.modules)
     """)
     assert out == "False"

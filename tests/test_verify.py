@@ -364,6 +364,22 @@ class TestKsPruned:
         self._one(s, cdf)
 
 
+class TestKsTwoAllLive:
+    def test_million_interleaved_values(self):
+        # every gap is the same size, so every piece is live and each
+        # batch searches its own slice of b, adding the slice's offset
+        # back
+        n = 10 ** 6
+        a = 2.0 * np.arange(n)
+        b = a + 1.0
+        ref = ks_reference.merged_gap(a, b)
+        assert ref == pytest.approx(1.0 / n)
+        rng = np.random.default_rng(84)
+        assert _ks_two(rng.permutation(a), rng.permutation(b)).statistic \
+            == ref
+        assert _ks_two(b.copy(), a.copy()).statistic == ref
+
+
 class TestKsNan:
     """A NaN sample has no empirical CDF: the KS functions and their
     cores raise DomainError; infinite samples are allowed."""
