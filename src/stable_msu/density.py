@@ -22,7 +22,7 @@ compensation, overflow cut, error bars and flags):
 * ``_hp_sums`` sums one float x in a plain Python loop, with each
   Neumaier sum in its own local variables.  The scalar operations use
   it, and so do the pointwise callers: ``msu.lce_residual``, the mode
-  and inflection refinements of ``msu.msu_scan``, ``reliable_x_min``,
+  and inflection bisections of ``msu.msu_scan``, ``reliable_x_min``,
   and the lambda = 0 ladder of ``laplace_check`` and its tail value for
   a cutoff past that ladder.
 * ``_hp_sums_grid`` sums a whole x array, one column per point, a block
@@ -62,7 +62,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, UnsupportedAlphaError
-from .util import EvalResult, sinpi
+from .util import EvalResult, bisect_log, sinpi
 
 _LN_PI = math.log(math.pi)
 _EPS = 2.220446049250313e-16
@@ -761,33 +761,25 @@ def density_closed(alpha, x: float) -> EvalResult:
 
 @lru_cache(maxsize=128)
 def reliable_x_min(alpha: Alpha, survival: bool = False) -> float:
-    """Smallest x (within ~5 percent) at which the series evaluation is
-    flagged reliable, found by bisecting the guard flag."""
-    def ok(x: float) -> bool:
+    """Smallest x at which the series evaluation is flagged reliable,
+    found by bisecting the guard flag: 25 geometric bisections of a
+    factor-2 bracket place it within about 2e-8 relative."""
+    def unreliable(x: float) -> bool:
         if survival:
-            return survival_series(alpha, x).reliable
-        return all(_hp_sums(alpha, x, DEFAULT_SERIES_CONFIG, order=2)[2])
+            return not survival_series(alpha, x).reliable
+        return not all(_hp_sums(alpha, x, DEFAULT_SERIES_CONFIG, order=2)[2])
 
     hi = 1.0
-    tries = 0
-    while not ok(hi):
+    while unreliable(hi):
         hi *= 2.0
-        tries += 1
-        if tries > 40:
+        if hi > 2.0 ** 40:
             raise DomainError("no reliable region found")
     lo = hi
-    while lo > 1e-12 and ok(lo * 0.5):
+    while lo > 1e-12 and not unreliable(lo * 0.5):
         lo *= 0.5
     if lo <= 1e-12:
         return 1e-12
-    bad, good = lo * 0.5, lo
-    for _ in range(25):
-        mid = math.sqrt(bad * good)
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    return bisect_log(unreliable, lo * 0.5, lo, steps=25)[1]
 
 
 def _decade_edges(lo: float, hi: float) -> tuple[float, ...]:

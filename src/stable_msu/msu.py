@@ -25,9 +25,9 @@ import numpy as np
 
 from . import specfun
 from .density import (DEFAULT_SERIES_CONFIG, Alpha, EvalResult, _hp_sums,
-                      _hp_sums_grid, as_alpha, density_series)
+                      _hp_sums_grid, as_alpha)
 from .errors import DomainError, PoleError, UnreliableScanError
-from .util import cospi
+from .util import bisect_log, cospi
 
 NO_VIOLATION = "no_violation_found"
 VIOLATION = "violation_found"
@@ -124,21 +124,14 @@ class MsuReport:
         }
 
 
-def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    return 0.5 * (a + b)
+def _turn(alpha: Alpha, combo, lo: float, hi: float) -> float:
+    """Where combo(S0, S1, S2) of the float loop's theta-sums turns from
+    negative to nonnegative in [lo, hi]: the midpoint of bisect_log's
+    last bracket."""
+    lo, hi = bisect_log(
+        lambda x: combo(_hp_sums(alpha, x, DEFAULT_SERIES_CONFIG,
+                                 order=2)[0]) < 0.0, lo, hi)
+    return 0.5 * (lo + hi)
 
 
 def msu_scan(alpha, x_lo: float, x_hi: float, points: int) -> MsuReport:
@@ -185,13 +178,13 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int) -> MsuReport:
         witness = float(grid[above[i]])
     classification = VIOLATION if witness is not None else NO_VIOLATION
 
-    # mode: first argmax of f over the reliable points, golden-section
-    # refined when both neighbours are reliable
+    # mode: first argmax of f over the reliable points; when both
+    # neighbours are reliable, refined between them to where S1 = x f'
+    # turns nonpositive
     i_mode = idx[np.argmax(f[idx])]
     if 0 < i_mode < points - 1 and res.reliable[i_mode - 1:i_mode + 2].all():
-        mode = _golden_max(
-            lambda x: density_series(alpha, x).value,
-            float(grid[i_mode - 1]), float(grid[i_mode + 1]))
+        mode = _turn(alpha, lambda s: -s[1], float(grid[i_mode - 1]),
+                     float(grid[i_mode + 1]))
     else:
         mode = float(grid[i_mode])
 
@@ -202,18 +195,9 @@ def msu_scan(alpha, x_lo: float, x_hi: float, points: int) -> MsuReport:
     turns = np.flatnonzero((grid[right] >= mode) & (curv[left] < 0.0)
                            & (curv[right] >= 0.0))
     if turns.size:
-        lo, hi = float(grid[left[turns[0]]]), float(grid[right[turns[0]]])
-        for _ in range(60):
-            midp = math.sqrt(lo * hi)
-            if not lo < midp < hi:
-                # midp is lo or hi: the bracket would not move again
-                break
-            t = _hp_sums(alpha, midp, DEFAULT_SERIES_CONFIG, order=2)[0]
-            if t[2] - t[1] < 0.0:
-                lo = midp
-            else:
-                hi = midp
-        inflection = 0.5 * (lo + hi)
+        inflection = _turn(alpha, lambda s: s[2] - s[1],
+                           float(grid[left[turns[0]]]),
+                           float(grid[right[turns[0]]]))
 
     # g <= 0 (within error) must hold up to the inflection point; when no
     # sign change of f'' is visible and the grid starts convex the

@@ -38,3 +38,16 @@ def cospi(y: float) -> float:
     """cos(pi*y) with exact zeros at half-integer y."""
     return sinpi(y + 0.5)
 
+
+def bisect_log(below, lo: float, hi: float,
+               steps: int = 60) -> tuple[float, float]:
+    """The last (lo, hi) of up to ``steps`` geometric bisections of
+    [lo, hi] onto where ``below`` turns false, from true at lo to false
+    at hi.  It stops early once sqrt(lo hi) rounds onto lo or hi: the
+    bracket cannot move again."""
+    for _ in range(steps):
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo, hi

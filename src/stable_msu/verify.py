@@ -304,7 +304,9 @@ def build_cdf(alpha) -> StableCdf:
     x_lo = dens.reliable_x_min(alpha, survival=True)
     x_switch = max(dens.reliable_x_min(alpha), x_lo)
     x_hi = max(10.0, 10.0 * x_switch)
-    while dens.survival_series(alpha, x_hi).value > 5e-6 and x_hi < 1e18:
+    # the tail at the last x_hi tried, which anchors the main segment
+    while (tail := dens.survival_series(alpha, x_hi).value) > 5e-6 \
+            and x_hi < 1e18:
         x_hi *= 10.0
 
     left = np.geomspace(x_lo, x_switch, _CDF_POINTS // 10) \
@@ -320,8 +322,7 @@ def build_cdf(alpha) -> StableCdf:
     logs = np.log(main)
     cum = np.concatenate(
         ([0.0], np.cumsum(np.diff(logs) * (y[1:] + y[:-1]) / 2.0)))
-    anchor = 1.0 - dens.survival_series(alpha, float(x_hi)).value
-    f_main = anchor - (cum[-1] - cum)
+    f_main = (1.0 - tail) - (cum[-1] - cum)
     xs = np.concatenate([left[:-1], main])
     vals = np.concatenate([f_left, f_main])
     vals = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
@@ -351,13 +352,22 @@ def ualpha_cdf(alpha):
 # identity checks
 # ---------------------------------------------------------------------------
 
+def _distinct(keys: list, who: str, what: str) -> None:
+    """Raise PreconditionError unless ``keys`` holds a key, and none twice."""
+    if not keys:
+        raise PreconditionError(f"{who} needs at least one {what}")
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise PreconditionError(f"{who}: repeated cases {repeated}")
+
+
 def check_laplace(alpha, lambdas, threshold: float = 1e-5) -> IdentityReport:
-    """Max Laplace-transform discrepancy over the given lambdas; an
-    empty list is rejected, as it would pass with nothing checked."""
+    """Max Laplace-transform discrepancy over the given lambdas: an
+    empty list (nothing checked) or a repeated lambda is rejected."""
     alpha = as_alpha(alpha)
+    lambdas = list(lambdas)
+    _distinct([float(lam) for lam in lambdas], "check_laplace", "lambda")
     per = {str(lam): dens.laplace_check(alpha, float(lam)) for lam in lambdas}
-    if not per:
-        raise PreconditionError("check_laplace needs at least one lambda")
     worst = max(per.values())
     return IdentityReport(
         name=f"laplace-alpha-{alpha.value:g}",
@@ -413,8 +423,11 @@ def check_sampler_ks(alpha, n_samples: int, seed: int) -> IdentityReport:
 def check_mellin_factorization(p: int, n: int, s_values,
                                threshold: float = 1e-10) -> IdentityReport:
     """Relative discrepancy of the product Mellin transform against
-    Gamma(ns+1)/Gamma(ps+1); an empty list of s is rejected, as it would
-    pass with nothing checked."""
+    Gamma(ns+1)/Gamma(ps+1); an empty list of s (nothing checked) or a
+    repeated s is rejected."""
+    s_values = list(s_values)
+    _distinct([float(s) for s in s_values], "check_mellin_factorization",
+              "s")
     fl = fact.lemma2_product(p, n)
     profile = fact.mellin_product(fl)
     per = {}
@@ -426,9 +439,6 @@ def check_mellin_factorization(p: int, n: int, s_values,
         rel = abs(lhs / rhs - 1.0)
         per[str(s)] = rel
         worst = max(worst, rel)
-    if not per:
-        raise PreconditionError(
-            "check_mellin_factorization needs at least one s")
     return IdentityReport(
         name=f"mellin-factorization-{p}-{n}",
         discrepancy=worst, threshold=threshold, passed=worst < threshold,
@@ -918,11 +928,13 @@ def _entries(config) -> list:
             if not any(entry[key] for key in group):
                 raise ValueError(f"check {name!r}: no cases in "
                                  f"{' or '.join(group)}")
+        # the details of these lists are keyed by value
+        groups = [[float(v) for v in entry[key]]
+                  for key in ("lambdas", "s_values") if key in params]
         if kind in _KEYED_CASES:
-            keys = [case[0] for case in _KEYED_CASES[kind](entry)]
-            repeated = sorted({key for key in keys if keys.count(key) > 1})
-            if repeated:
-                raise ValueError(f"check {name!r}: repeated cases {repeated}")
+            groups.append([case[0] for case in _KEYED_CASES[kind](entry)])
+        for keys in groups:
+            _distinct(keys, f"check {name!r}", "case")
     return checks
 
 

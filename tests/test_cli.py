@@ -279,13 +279,18 @@ class TestUsageErrors:
         ({"kind": "lemma1_inequality",
           "triples": [[0.4, 0.6, 0.9], [0.4, 0.6, 0.9]], "floor": -1e-10},
          "repeated cases ['(0.4,0.6,0.9)']"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": [0.5, 0.5, 1],
+          "threshold": 1e-5}, "check 'bad': repeated cases [0.5]"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5]], "s_values": [1, 1.0],
+          "threshold": 1e-10}, "check 'bad': repeated cases [1.0]"),
     ], ids=["zero-denominator", "alphas-not-a-list", "three-integers",
             "float-numerator", "float-pair", "list-n-samples",
             "float-n-samples", "step-1", "step-1e-9", "step-5e-5",
             "x-max-1e308", "x-hi-1e300", "repeated-scan",
             "closed-form-zero-reference", "half-residual-zero-reference",
             "half-residual-nan", "bb-zero-reference",
-            "half-residual-unreliable", "repeated-pair", "repeated-triple"])
+            "half-residual-unreliable", "repeated-pair", "repeated-triple",
+            "repeated-lambda", "repeated-s"])
     def test_acceptance_malformed_spec(self, capsys, tmp_path, entry,
                                        reason):
         # zero-denominator, alphas-not-a-list and list-n-samples ended in
@@ -302,7 +307,8 @@ class TestUsageErrors:
         # the series residual is NaN, which max() passed over: check 05
         # passed with discrepancy 0.  At x = 0.01 check 05 failed on a
         # residual that the series flags unreliable.  A repeated pair or
-        # triple ran twice under one details key and passed
+        # triple ran twice under one details key and passed; a repeated
+        # lambda or s was reported once
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": [{"name": "bad", **entry}]}))
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
@@ -342,10 +348,12 @@ class TestUsageErrors:
         assert out == "" and "threshold" in err
 
 
-    @pytest.mark.parametrize("lambdas", ["nan", "inf", "0,1,nan", ""])
+    @pytest.mark.parametrize("lambdas", ["nan", "inf", "0,1,nan", "",
+                                         "0.5,0.5", "1,1.0,2"])
     def test_check_laplace_bad_lambdas(self, capsys, lambdas):
-        # nan used to end in a traceback, inf to print "discrepancy": NaN
-        # and an empty list to pass with nothing checked
+        # nan used to end in a traceback, inf to print "discrepancy": NaN,
+        # an empty list to pass with nothing checked and a repeated lambda
+        # to report one case for two
         code, out, err = run_cli(capsys, "check-laplace", "--alpha", "0.5",
                                  "--lambdas", lambdas)
         assert code == 2

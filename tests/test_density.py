@@ -549,6 +549,21 @@ def test_reliable_x_min_monotone_in_alpha():
     assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
+@pytest.mark.parametrize("alpha,density_hex,survival_hex", [
+    (Alpha(0.3), "0x1.7b5f3bd47735ep-11", "0x1.801ae10ea9712p-14"),
+    (Alpha(0.5), "0x1.a0f148c75ef27p-6", "0x1.63b6a11e15d23p-7"),
+    (Alpha(0.7), "0x1.3b7860bdb1d32p-3", "0x1.b873fb7fc6581p-4"),
+    (Alpha(0.9), "0x1.20416ebd1a0d9p-1", "0x1.18014c5de46b2p-1"),
+    (Alpha.from_fraction(1, 3), "0x1.b01a3d8208bddp-10",
+     "0x1.2e886efac1e01p-12"),
+])
+def test_reliable_x_min_pinned(alpha, density_hex, survival_hex):
+    # the bounds of every Laplace ladder and CDF grid: a change in their
+    # bits moves those values
+    assert reliable_x_min(alpha).hex() == density_hex
+    assert reliable_x_min(alpha, survival=True).hex() == survival_hex
+
+
 LAPLACE_ALPHAS = [Alpha(v) for v in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
                                      0.9, 0.95, 0.99)] + [
     Alpha.from_fraction(1, 3), Alpha.from_fraction(2, 3)]

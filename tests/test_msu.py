@@ -158,13 +158,17 @@ class TestMsuScan:
         # early stop must give the 60-step loop's result with fewer
         # theta-sums
         calls = []
-        real_sums = msu_mod._hp_sums
+        real_bisect = msu_mod.bisect_log
 
-        def counting_sums(a, x, *args, **kwargs):
-            calls.append(x)
-            return real_sums(a, x, *args, **kwargs)
+        def counting_bisect(below, lo, hi, *args, **kwargs):
+            calls.append(0)
 
-        monkeypatch.setattr(msu_mod, "_hp_sums", counting_sums)
+            def counting_below(x):
+                calls[-1] += 1
+                return below(x)
+            return real_bisect(counting_below, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(msu_mod, "bisect_log", counting_bisect)
         rep = msu_scan(alpha, 0.5, 50.0, 400)
         assert rep.inflection_estimate is not None
 
@@ -186,7 +190,24 @@ class TestMsuScan:
             else:
                 hi = mid
         assert rep.inflection_estimate == 0.5 * (lo + hi)
-        assert len(calls) < 60
+        # the mode's bisection where the mode lies inside the grid, then
+        # the inflection's; each stops early
+        assert 1 <= len(calls) <= 2 and all(n < 60 for n in calls)
+
+    @pytest.mark.parametrize("x_lo,x_hi,points", [
+        (0.05, 5.0, 200), (0.08, 50.0, 120), (0.1, 1.0, 64)])
+    def test_half_mode_is_one_sixth(self, x_lo, x_hi, points):
+        # f_{1/2} = x^{-3/2} e^{-1/(4x)} / (2 sqrt(pi)) peaks at x = 1/6;
+        # a golden-section search on f placed it only to about sqrt(eps)
+        mode = msu_scan(0.5, x_lo, x_hi, points).mode_estimate
+        assert mode == pytest.approx(1.0 / 6.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 0.8, 0.85, 0.9])
+    def test_mode_does_not_depend_on_the_grid(self, alpha):
+        modes = [msu_scan(alpha, *grid).mode_estimate
+                 for grid in ((0.1, 50.0, 400), (0.08, 20.0, 150),
+                              (0.12, 5.0, 64))]
+        assert max(modes) / min(modes) - 1.0 < 1e-13
 
     def test_normalized_residuals_sign_match(self):
         rep = msu_scan(0.6, 0.5, 50.0, 100)
@@ -232,9 +253,16 @@ def _loop_summary(alpha, x_lo, x_hi, points):
     i_mode = max(fvals, key=fvals.get)
     if 0 < i_mode < points - 1 and (i_mode - 1) in fvals \
             and (i_mode + 1) in fvals:
-        mode = msu_mod._golden_max(
-            lambda x: msu_mod.density_series(alpha, x).value,
-            grid[i_mode - 1], grid[i_mode + 1])
+        lo, hi = grid[i_mode - 1], grid[i_mode + 1]
+        for _ in range(60):
+            midp = math.sqrt(lo * hi)
+            if not lo < midp < hi:
+                break
+            if density_jet(alpha, midp).fp.value > 0.0:
+                lo = midp
+            else:
+                hi = midp
+        mode = 0.5 * (lo + hi)
     else:
         mode = grid[i_mode]
 

@@ -527,6 +527,27 @@ class TestStableCdf:
         assert cdf(x) == pytest.approx(1.0 - survival_series(0.3, x).value,
                                        abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_tail_series_once_per_cutoff(self, alpha, monkeypatch):
+        # the anchor is the tail that ended the search for the right
+        # end, not a second call at that end
+        for survival in (False, True):
+            # cached, so that only build_cdf's own calls are counted
+            verify.dens.reliable_x_min(verify.dens.as_alpha(alpha), survival)
+        calls = []
+        real = verify.dens.survival_series
+
+        def counting(a, x, *args, **kwargs):
+            calls.append(x)
+            return real(a, x, *args, **kwargs)
+
+        monkeypatch.setattr(verify.dens, "survival_series", counting)
+        cdf = build_cdf(alpha)
+        monkeypatch.undo()
+        assert len(set(calls)) == len(calls)
+        assert math.exp(cdf.log_xs[-1]) == pytest.approx(calls[-1], rel=1e-14)
+        assert cdf.values[-1] == 1.0 - survival_series(alpha, calls[-1]).value
+
     def test_above_grid_matches_scalar_series(self):
         cdf = build_cdf(0.3)
         xs = np.geomspace(math.exp(cdf.log_xs[-1]) * 1.5, 1e30, 40)
@@ -584,6 +605,13 @@ class TestChecks:
         with pytest.raises(PreconditionError):
             check_laplace(0.5, [])
 
+    @pytest.mark.parametrize("lambdas", [[0.5, 0.5, 1.0], [1, 1.0]])
+    def test_laplace_check_rejects_a_repeated_lambda(self, lambdas):
+        # per_lambda kept one entry for [0.5, 0.5, 1], so 2 of 3 cases
+        # were reported; 1 and 1.0 are one lambda under two keys
+        with pytest.raises(PreconditionError, match="repeated cases"):
+            check_laplace(0.5, lambdas)
+
     def test_diff_identity(self):
         rep = check_diff_identity(0.5, 100_000, seed=3)
         assert rep.passed
@@ -637,6 +665,11 @@ class TestChecks:
         # it used to pass with nothing checked
         with pytest.raises(PreconditionError):
             check_mellin_factorization(2, 5, [])
+
+    @pytest.mark.parametrize("s_values", [[0.5, 2.0, 0.5], [2, 2.0]])
+    def test_mellin_factorization_rejects_a_repeated_s(self, s_values):
+        with pytest.raises(PreconditionError, match="repeated cases"):
+            check_mellin_factorization(2, 5, s_values)
 
 
 class TestInPlaceBuffers:
