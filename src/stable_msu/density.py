@@ -36,8 +36,8 @@ compensation, overflow cut, error bars and flags):
   ``verify.build_cdf``, the closed-form and expansion acceptance checks,
   ``laplace_check`` (once per alpha its left piece with both endpoints
   and the lambda = 0 ladder's piece ends, and that ladder's middle
-  piece; a lambda > 0 call only for a cutoff past the ladder, the rest
-  of its middle piece) and the ``density`` CLI.
+  piece; a lambda > 0 call only for a cutoff past the ladder, its
+  whole middle piece) and the ``density`` CLI.
 
 Both paths return bit-identical values, error bars, term counts and
 flags.  They read each term's log from the same coefficient arrays
@@ -863,13 +863,6 @@ def _rule(lo, hi):
     return (mid + half * t).ravel(), (half * w).ravel()
 
 
-def _full_decades(edges: tuple[float, ...]) -> int:
-    """How many pieces of ``edges`` (from _decade_edges) are full decades
-    x_m 10^k, the first one halved: all but the last, or none when the
-    first decade is clipped."""
-    return len(edges) - 2 if len(edges) > 3 else 0
-
-
 def _middle(alpha: Alpha, edges: tuple[float, ...]):
     """Nodes, weights and density values of the 64-point rule on each
     piece of ``edges``, from one grid call."""
@@ -892,9 +885,9 @@ class _LambdaFree(NamedTuple):
     * the bounds x_s <= x_m, the 64-point rule on (x_s, x_m) (empty when
       x_s = x_m), and F = 1 - S at its nodes, at x_s and at x_m;
     * the lambda = 0 ladder's middle piece: the ends of its pieces
-      (from _decade_edges, x_m excluded), S at each end, how many of the
-      pieces are full decades, and the 64 nodes, weights and density
-      values of every piece (at most 29 pieces, for alpha <= 0.08);
+      (from _decade_edges, x_m excluded), S at each end, and the 64
+      nodes, weights and density values of every piece (at most 29
+      pieces, for alpha <= 0.08);
     * the lambda = 0 value.
     """
 
@@ -907,7 +900,6 @@ class _LambdaFree(NamedTuple):
     f_m: float
     ends: tuple[float, ...]
     s_ends: tuple[float, ...]
-    full: int
     nodes: np.ndarray
     weights: np.ndarray
     f: np.ndarray
@@ -944,8 +936,13 @@ def _lambda_free(alpha: Alpha) -> _LambdaFree:
                        *_read_only(left_nodes, left_weights, 1.0 - s[:n]),
                        1.0 - float(s[n]), f_m,
                        edges[1:], tuple(s[n + 2:].tolist()),
-                       _full_decades(edges),
                        *_read_only(nodes, weights, f), at_zero)
+
+
+def _takes_lambda(lam: float) -> bool:
+    """Whether laplace_check takes a finite lam: 0, or above about
+    5.6e-307, where twice the cutoff 50/lam is a double."""
+    return lam == 0.0 or (lam > 0.0 and 100.0 / lam < math.inf)
 
 
 def laplace_check(alpha, lam: float) -> float:
@@ -972,9 +969,10 @@ def laplace_check(alpha, lam: float) -> float:
     most e^{-50}, and 64 nodes resolve a decade [A, 10 A] of
     e^{-lam t} t^{-1-a} with lam A <= 50 to rounding.  A cutoff past the
     ladder (lam below 50 over the ladder's end: about 0.05 at
-    alpha = 0.9, 5e-5 at 0.5) takes the ladder's full decades below it
-    and evaluates the rest of its middle piece, clipped at the cutoff,
-    in one grid call, and the tail from the float loop.  Either way it
+    alpha = 0.9, 5e-5 at 0.5) evaluates its whole middle piece, clipped
+    at the cutoff, in one grid call (a piece's nodes and density values
+    have the same bits as the ladder's), and the tail from the float
+    loop.  Either way it
     then computes the weights e^{-lam t} and the trapezoid below x_s.
     Raises :class:`DomainError` for lam below about 5.6e-307, where
     twice the cutoff overflows a double.
@@ -982,7 +980,7 @@ def laplace_check(alpha, lam: float) -> float:
     alpha = as_alpha(alpha)
     if not 0.0 <= lam < math.inf:
         raise DomainError("laplace_check requires a finite lambda >= 0")
-    if lam > 0.0 and not 100.0 / lam < math.inf:
+    if not _takes_lambda(lam):
         # the rule on the last piece adds its ends, the larger being the
         # cutoff 50/lam
         raise DomainError(f"lambda = {lam!r} is too small for laplace_check: "
@@ -998,11 +996,7 @@ def laplace_check(alpha, lam: float) -> float:
         ts, ws, fs = rec.nodes[:n], rec.weights[:n], rec.f[:n]
         x_hi, s_hi = rec.ends[j], rec.s_ends[j]
     else:
-        edges = _decade_edges(rec.x_m, x_hi)
-        k = min(_full_decades(edges), rec.full)
-        ts, ws, fs = (np.concatenate(arrs) for arrs in zip(
-            (rec.nodes[:64 * k], rec.weights[:64 * k], rec.f[:64 * k]),
-            _middle(alpha, edges[k:])))
+        ts, ws, fs = _middle(alpha, _decade_edges(rec.x_m, x_hi))
         s_hi = survival_series(alpha, x_hi).value
     # a huge lam takes -lam t past -inf, where e^{-lam t} is 0
     with np.errstate(over="ignore"):

@@ -91,12 +91,9 @@ class Factor:
         return math.lgamma(s + c) - math.lgamma(c)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Draws of the factor, a scalar for size=None: the exponentials
-        of ``_add_logs``' draws."""
-        out = np.zeros(size if size is not None else ())
-        self._add_logs(rng, out.reshape(-1))
-        np.exp(out, out=out)
-        return out if size is not None else out[()]
+        """Draws of the factor, a scalar for size=None: those of the
+        product of this factor alone."""
+        return FactorList(1.0, (self,)).sample(rng, size)
 
     def _add_logs(self, rng: np.random.Generator, flat: np.ndarray) -> None:
         """Add the logs of ``flat.size`` draws to the flat float64 array

@@ -4,7 +4,9 @@ Kolmogorov-Smirnov fixtures at the asymptotic 1 percent level
 (coefficient 1.628), empirical-versus-analytic CDF machinery, the
 distributional identity checks, and the acceptance-suite runner that
 executes a JSON config of named checks and emits a deterministic JSON
-summary.
+summary.  Each check kind is declared once, in ``_KINDS``: its check,
+its keys' rules and defaults, its case lists and how their cases are
+keyed; ``CHECK_PARAMS`` and ``CHECK_KINDS`` are read from it.
 
 One pruned KS core serves both statistics.  It bounds the gap of each
 piece of 64 sorted values by the exact gaps at its ends, as CDFs do not
@@ -479,9 +481,6 @@ def _rel_diff(value: float, reference: float) -> float:
     return math.inf if math.isnan(diff) else diff  # max() skips a NaN
 
 
-# Each check reads its entry's keys as given; an absent key is at its
-# default in CHECK_PARAMS (see CHECK_KINDS).
-
 def _unreliable(params: dict, x: float) -> ValueError:
     """The error of a check that would compare a series value that the
     series flags unreliable at ``x``: skipping the point could leave
@@ -537,16 +536,23 @@ def _check_msu_dichotomy(params: dict) -> IdentityReport:
                                     "scans": details})
 
 
+def _alpha_sweep(step: float):
+    """(a, a rounded to 10 places) for a = step, 2 step, ... below
+    1 - step/2, each a the sum of the one before and step."""
+    a = step
+    while a < 1.0 - step / 2:
+        yield a, round(a, 10)
+        a += step
+
+
 def _check_tail_sign(params: dict) -> IdentityReport:
     step = float(params["alpha_step"])
     bad = []
-    a = step
-    while a < 1.0 - step / 2:
+    for a, rounded in _alpha_sweep(step):
         if abs(a - 0.5) > step / 4:
-            _, compatible = msu_mod.tail_residual_sign(round(a, 10))
+            _, compatible = msu_mod.tail_residual_sign(rounded)
             if compatible != (a < 0.5):
                 bad.append(a)
-        a += step
     return IdentityReport(params["name"], float(len(bad)), 0.5, not bad,
                           details={"mismatches": bad})
 
@@ -572,15 +578,13 @@ def _mellin_cases(params: dict) -> list:
 
 
 def _check_lemma2_mellin(params: dict) -> IdentityReport:
-    worst = 0.0
-    details = {}
-    for case, p, n in _mellin_cases(params):
-        rep = check_mellin_factorization(p, n, params["s_values"],
-                                         threshold=float(params["threshold"]))
-        details[case] = rep.discrepancy
-        worst = max(worst, rep.discrepancy)
-    return IdentityReport(params["name"], worst, float(params["threshold"]),
-                          worst < float(params["threshold"]), details=details)
+    tol = float(params["threshold"])
+    details = {case: check_mellin_factorization(
+        p, n, params["s_values"], threshold=tol).discrepancy
+        for case, p, n in _mellin_cases(params)}
+    worst = max(details.values())
+    return IdentityReport(params["name"], worst, tol, worst < tol,
+                          details=details)
 
 
 # Monte Carlo cases in flight at once; the cap bounds memory, as each
@@ -662,13 +666,10 @@ def _check_ualpha_dichotomy(params: dict) -> IdentityReport:
     x_max = float(params["x_max"])
     xs = np.linspace(-x_max, x_max, 2001)
     bad = []
-    a = step
-    while a < 1.0 - step / 2:
-        aa = round(a, 10)
-        margin = float(np.min(msu_mod.ualpha_logconcavity_margin(aa, xs)))
-        if (margin >= 0.0) != (aa <= 0.5):
-            bad.append(aa)
-        a += step
+    for _, a in _alpha_sweep(step):
+        margin = float(np.min(msu_mod.ualpha_logconcavity_margin(a, xs)))
+        if (margin >= 0.0) != (a <= 0.5):
+            bad.append(a)
     return IdentityReport(params["name"], float(len(bad)), 0.5, not bad,
                           details={"mismatches": bad})
 
@@ -773,9 +774,19 @@ _GRID = _Rule("a number in (0, 1e6]",
 # one below 1e-4 makes a sweep of more than 10^4 alphas
 _STEP = _Rule("a number in [1e-4, 0.4)",
               lambda value: _is_real(value) and 1e-4 <= value < 0.4)
-_REALS = _Rule("a list of finite numbers", _items(_is_real))
-_TRIPLES = _Rule("a list of triples [a, b, c] of finite numbers",
-                 _items(lambda t: _items(_is_real)(t) and len(t) == 3))
+_POSITIVES = _Rule("a list of finite numbers, each above 0",
+                   _items(lambda value: _is_real(value) and value > 0.0))
+_LAMBDAS = _Rule("a list of finite numbers, each 0 or above about 5.6e-307",
+                 _items(lambda value: _is_real(value)
+                        and dens._takes_lambda(value)))
+# _mellin_domain tests each s against the pairs
+_S_VALUES = _Rule("a list of finite numbers inside the Mellin domain of "
+                  "every pair", _items(_is_real))
+_TRIPLES = _Rule("a list of triples [a, b, c] of finite numbers with "
+                 "0 < b <= 1 and a + b >= c",
+                 _items(lambda t: _items(_is_real)(t) and len(t) == 3
+                        and 0.0 < t[1] <= 1.0
+                        and float(t[0]) + float(t[1]) >= float(t[2])))
 _ALPHA = _Rule("a number in (0, 1) or a fraction [p, n] with n > 0",
                _parse_alpha)
 _ALPHAS = _Rule("a list of numbers in (0, 1)", _items(_alpha_number))
@@ -786,104 +797,96 @@ _PAIRS = _Rule("a list of pairs [p, n] of two integers with p >= 2 and "
 
 _REQUIRED = object()  # the default of a key that an entry must give
 
-# The keys each check kind reads besides "name" and "kind", with the rule
-# a value must pass and the default of an absent key; where a kind reads
-# both x_lo and x_hi, x_lo must also be below x_hi.  run_acceptance
-# checks every entry against this table before any check runs.
+
+def _mellin_domain(entry: dict) -> Optional[str]:
+    """The first s of a lemma2_mellin entry outside its pair's Mellin
+    domain, as an error; None if there is none."""
+    for p, n in entry["pairs"]:
+        lo, hi = fact.mellin_product(fact.lemma2_product(p, n)).valid_s
+        for s in entry["s_values"]:
+            if not lo < s < hi:
+                return (f"s_values must lie in ({lo!r}, {hi!r}) for pair "
+                        f"{[p, n]}, got {s!r}")
+    return None
+
+
+def _values(key: str) -> Callable[[dict], list]:
+    """The cases of the list ``key``: its values as floats, so that 1
+    and 1.0 are one case."""
+    return lambda entry: [(float(v),) for v in entry[key]]
+
+
+class _Kind(NamedTuple):
+    """One check kind: ``check`` runs a filled entry, which holds every
+    key of ``params`` (each at its rule and default; x_lo must be below
+    x_hi); ``groups`` maps case lists to the function that forms their
+    cases, each case's key first: they must give a case, or the entry
+    would pass with nothing checked, and no key twice; ``fault`` gives
+    the error of a value outside its check's domain, or None."""
+
+    check: Callable[[dict], IdentityReport]
+    params: dict[str, tuple[_Rule, object]]
+    groups: dict[tuple[str, ...], Callable[[dict], list]] = {}
+    fault: Callable[[dict], Optional[str]] = lambda entry: None
+
+
+# An absent case list takes its default, which is empty but for "xs".
+_KINDS: dict[str, _Kind] = {
+    "closed_form": _Kind(_check_closed_form, {
+        "alpha": (_ALPHA, _REQUIRED), "threshold": (_REAL, _REQUIRED),
+        "x_lo": (_GRID, 0.2), "x_hi": (_GRID, 20.0),
+        "points": (_count(1), 50)}),
+    "laplace": _Kind(_check_laplace, {
+        "alpha": (_ALPHA, _REQUIRED), "lambdas": (_LAMBDAS, ()),
+        "threshold": (_REAL, _REQUIRED)}, {("lambdas",): _values("lambdas")}),
+    "msu_dichotomy": _Kind(_check_msu_dichotomy, {
+        "alphas_violation": (_ALPHAS, ()), "alphas_msu": (_ALPHAS, ()),
+        "x_lo": (_GRID, 0.5), "x_hi": (_GRID, 50.0),
+        "points": (_count(16), 400)},
+        {("alphas_violation", "alphas_msu"): _dichotomy_cases}),
+    "tail_sign": _Kind(_check_tail_sign, {"alpha_step": (_STEP, 0.01)}),
+    "half_alpha_residual": _Kind(_check_half_residual, {
+        "xs": (_POSITIVES, (0.5, 1.0, 2.0, 10.0)),
+        "threshold": (_REAL, _REQUIRED)}, {("xs",): _values("xs")}),
+    "lemma2_mellin": _Kind(_check_lemma2_mellin, {
+        "pairs": (_PAIRS, ()), "s_values": (_S_VALUES, ()),
+        "threshold": (_REAL, _REQUIRED)},
+        {("pairs",): _mellin_cases, ("s_values",): _values("s_values")},
+        _mellin_domain),
+    "sampler_fidelity": _Kind(_check_sampler_fidelity, {
+        "alphas": (_ALPHAS, ()), "pairs": (_PAIRS, ()),
+        "n_samples": (_count(1), 1_000_000), "seed": (_count(0), 1234)},
+        {("alphas", "pairs"): _fidelity_cases}),
+    "diff_identity": _Kind(_check_diff_identity, {
+        "alphas": (_ALPHAS, ()),
+        "n_samples": (_count(_DIFF_MIN_SAMPLES), 1_000_000),
+        "seed": (_count(0), 4321)}, {("alphas",): _diff_cases}),
+    "ualpha_dichotomy": _Kind(_check_ualpha_dichotomy, {
+        "alpha_step": (_STEP, 0.01), "x_max": (_GRID, 50.0)}),
+    "whitt_inequality": _Kind(_check_whitt, {
+        "x_hi": (_GRID, 40.0), "safe_points": (_count(1), 40),
+        "scan_points": (_count(1), 60)}),
+    "lemma1_inequality": _Kind(_check_lemma1, {
+        "triples": (_TRIPLES, ()), "x_lo": (_GRID, 0.01),
+        "x_hi": (_GRID, 20.0), "points": (_count(1), 100),
+        "floor": (_REAL, _REQUIRED)}, {("triples",): _lemma1_cases}),
+    "bb_crosscheck": _Kind(_check_bb_crosscheck, {
+        "alphas": (_ALPHAS, ()), "order": (_count(1), 30),
+        "n_t": (_count(1), 20), "t_lo": (_REAL, 0.5), "t_hi": (_REAL, 6.0),
+        "threshold": (_REAL, _REQUIRED), "j_max_exact": (_count(0), 20)},
+        {("alphas",): _values("alphas")}),
+}
 CHECK_PARAMS: dict[str, dict[str, tuple[_Rule, object]]] = {
-    "closed_form": {"alpha": (_ALPHA, _REQUIRED),
-                    "threshold": (_REAL, _REQUIRED),
-                    "x_lo": (_GRID, 0.2), "x_hi": (_GRID, 20.0),
-                    "points": (_count(1), 50)},
-    "laplace": {"alpha": (_ALPHA, _REQUIRED), "lambdas": (_REALS, ()),
-                "threshold": (_REAL, _REQUIRED)},
-    "msu_dichotomy": {"alphas_violation": (_ALPHAS, ()),
-                      "alphas_msu": (_ALPHAS, ()), "x_lo": (_GRID, 0.5),
-                      "x_hi": (_GRID, 50.0), "points": (_count(16), 400)},
-    "tail_sign": {"alpha_step": (_STEP, 0.01)},
-    "half_alpha_residual": {"xs": (_REALS, (0.5, 1.0, 2.0, 10.0)),
-                            "threshold": (_REAL, _REQUIRED)},
-    "lemma2_mellin": {"pairs": (_PAIRS, ()), "s_values": (_REALS, ()),
-                      "threshold": (_REAL, _REQUIRED)},
-    "sampler_fidelity": {"alphas": (_ALPHAS, ()), "pairs": (_PAIRS, ()),
-                         "n_samples": (_count(1), 1_000_000),
-                         "seed": (_count(0), 1234)},
-    "diff_identity": {"alphas": (_ALPHAS, ()),
-                      "n_samples": (_count(_DIFF_MIN_SAMPLES), 1_000_000),
-                      "seed": (_count(0), 4321)},
-    "ualpha_dichotomy": {"alpha_step": (_STEP, 0.01),
-                         "x_max": (_GRID, 50.0)},
-    "whitt_inequality": {"x_hi": (_GRID, 40.0),
-                         "safe_points": (_count(1), 40),
-                         "scan_points": (_count(1), 60)},
-    "lemma1_inequality": {"triples": (_TRIPLES, ()),
-                          "x_lo": (_GRID, 0.01), "x_hi": (_GRID, 20.0),
-                          "points": (_count(1), 100),
-                          "floor": (_REAL, _REQUIRED)},
-    "bb_crosscheck": {"alphas": (_ALPHAS, ()), "order": (_count(1), 30),
-                      "n_t": (_count(1), 20), "t_lo": (_REAL, 0.5),
-                      "t_hi": (_REAL, 6.0), "threshold": (_REAL, _REQUIRED),
-                      "j_max_exact": (_count(0), 20)},
-}
-
-
-# the case lists of each list-driven kind, in groups: an entry must
-# give at least one case in every group, or it would pass with nothing
-# checked.  An absent list takes its default, which is empty but for "xs".
-_CASE_LISTS: dict[str, tuple[tuple[str, ...], ...]] = {
-    "laplace": (("lambdas",),),
-    "msu_dichotomy": (("alphas_violation", "alphas_msu"),),
-    "half_alpha_residual": (("xs",),),
-    "lemma2_mellin": (("pairs",), ("s_values",)),
-    "sampler_fidelity": (("alphas", "pairs"),),
-    "diff_identity": (("alphas",),),
-    "lemma1_inequality": (("triples",),),
-    "bb_crosscheck": (("alphas",),),
-}
-
-
-# the cases of the kinds whose details are keyed by case, the key first
-_KEYED_CASES: dict[str, Callable[[dict], list]] = {
-    "msu_dichotomy": _dichotomy_cases,
-    "lemma2_mellin": _mellin_cases,
-    "sampler_fidelity": _fidelity_cases,
-    "diff_identity": _diff_cases,
-    "lemma1_inequality": _lemma1_cases,
-}
-
-
-def _with_defaults(kind: str, params: dict) -> dict:
-    """``params`` with every absent key of its kind at its default."""
-    return {**{key: default for key, (_, default) in CHECK_PARAMS[kind].items()
-               if default is not _REQUIRED}, **params}
-
-
-def _reading_defaults(kind: str, check):
-    return functools.wraps(check)(
-        lambda params: check(_with_defaults(kind, params)))
-
-
+    kind: spec.params for kind, spec in _KINDS.items()}
 CHECK_KINDS: dict[str, Callable[[dict], IdentityReport]] = {
-    kind: _reading_defaults(kind, check) for kind, check in {
-        "closed_form": _check_closed_form,
-        "laplace": _check_laplace,
-        "msu_dichotomy": _check_msu_dichotomy,
-        "tail_sign": _check_tail_sign,
-        "half_alpha_residual": _check_half_residual,
-        "lemma2_mellin": _check_lemma2_mellin,
-        "sampler_fidelity": _check_sampler_fidelity,
-        "diff_identity": _check_diff_identity,
-        "ualpha_dichotomy": _check_ualpha_dichotomy,
-        "whitt_inequality": _check_whitt,
-        "lemma1_inequality": _check_lemma1,
-        "bb_crosscheck": _check_bb_crosscheck,
-    }.items()}
+    kind: spec.check for kind, spec in _KINDS.items()}
 
 
 def _entries(config) -> list:
-    """The check entries of ``config``, once its own keys, its schema
-    and each entry against the rules of its kind are checked; raises
-    ValueError (DomainError for an alpha) at the first fault."""
+    """The check entries of ``config``, each with every absent key at
+    its default, once its own keys, its schema and each entry against
+    its kind are checked; raises ValueError (DomainError for an alpha)
+    at the first fault."""
     checks = config.get("checks", []) if isinstance(config, dict) else None
     if not isinstance(checks, list):
         raise ValueError("a config must be an object with a list of checks")
@@ -895,47 +898,48 @@ def _entries(config) -> list:
     if not (_is_integer(schema) and schema == 1):
         raise ValueError(f"schema must be 1, got {schema!r}")
     names = set()
+    filled = []
     for entry in checks:
         if not isinstance(entry, dict):
             raise ValueError(f"a check must be an object, got {entry!r}")
         kind = entry.get("kind")
-        if not isinstance(kind, str) or kind not in CHECK_PARAMS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown check kind {kind!r}")
         name = entry.get("name")
         if not isinstance(name, str) or name in names:
             raise ValueError("every check needs a name, a string that no "
                              f"other check has; got {name!r}")
         names.add(name)
-        params = CHECK_PARAMS[kind]
-        unknown = set(entry) - set(params) - {"name", "kind"}
+        spec = _KINDS[kind]
+        unknown = set(entry) - set(spec.params) - {"name", "kind"}
         if unknown:
             raise ValueError(f"check {name!r}: unknown keys "
                              f"{sorted(unknown)} for kind {kind!r}")
-        missing = {key for key, (_, default) in params.items()
+        missing = {key for key, (_, default) in spec.params.items()
                    if default is _REQUIRED} - set(entry)
         if missing:
             raise ValueError(f"check {name!r}: missing keys "
                              f"{sorted(missing)} for kind {kind!r}")
-        for key, (rule, _) in params.items():
+        for key, (rule, _) in spec.params.items():
             if key in entry and not rule.ok(entry[key]):
                 raise ValueError(f"check {name!r}: {key} must be "
                                  f"{rule.what}, got {entry[key]!r}")
-        entry = _with_defaults(kind, entry)
-        if "x_lo" in params and not entry["x_lo"] < entry["x_hi"]:
+        entry = {**{key: default for key, (_, default) in spec.params.items()
+                    if default is not _REQUIRED}, **entry}
+        if "x_lo" in spec.params and not entry["x_lo"] < entry["x_hi"]:
             raise ValueError(f"check {name!r}: x_lo must be below x_hi, "
                              f"got {entry['x_lo']!r} and {entry['x_hi']!r}")
-        for group in _CASE_LISTS.get(kind, ()):
-            if not any(entry[key] for key in group):
+        fault = spec.fault(entry)
+        if fault is not None:
+            raise ValueError(f"check {name!r}: {fault}")
+        for keys, cases in spec.groups.items():
+            if not any(entry[key] for key in keys):
                 raise ValueError(f"check {name!r}: no cases in "
-                                 f"{' or '.join(group)}")
-        # the details of these lists are keyed by value
-        groups = [[float(v) for v in entry[key]]
-                  for key in ("lambdas", "s_values") if key in params]
-        if kind in _KEYED_CASES:
-            groups.append([case[0] for case in _KEYED_CASES[kind](entry)])
-        for keys in groups:
-            _distinct(keys, f"check {name!r}", "case")
-    return checks
+                                 f"{' or '.join(keys)}")
+            _distinct([case[0] for case in cases(entry)], f"check {name!r}",
+                      "case")
+        filled.append(entry)
+    return filled
 
 
 DEFAULT_ACCEPTANCE_CONFIG: dict = {
@@ -1004,11 +1008,14 @@ def run_acceptance(config) -> dict:
 
     ``config`` is a dict, a ``Path`` to a JSON file, or a string: JSON
     text when its first non-blank character is ``{``, else a file path.
-    Check failures are aggregated, never raised; a malformed config
-    raises before any check runs (see ``_entries`` and ``CHECK_PARAMS``),
-    and a report holding a number that is not finite (not valid JSON)
-    raises ValueError as soon as its check returns.  Identical configs
-    and seeds produce identical summaries.
+    Check failures are aggregated, never raised; a malformed config,
+    such as one with a case outside its check's domain, raises before
+    any check runs (see ``_entries`` and ``_KINDS``), and a report
+    holding a number that is not finite (not valid JSON) raises
+    ValueError as soon as its check returns.  Each entry's check, looked
+    up in ``CHECK_KINDS`` as it runs, gets the entry with every absent
+    key at its default.  Identical configs and seeds produce identical
+    summaries.
     """
     if isinstance(config, str) and config.lstrip().startswith("{"):
         config = json.loads(config)

@@ -15,8 +15,11 @@ from stable_msu.verify import CHECK_KINDS, DEFAULT_ACCEPTANCE_CONFIG
 
 
 def _entry(name_prefix: str) -> list[dict]:
-    return [c for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]
-            if c["name"].startswith(name_prefix)]
+    """The built-in entries whose names start with ``name_prefix``, each
+    with every absent key at its default, as run_acceptance runs them."""
+    return verify._entries({"checks": [
+        c for c in DEFAULT_ACCEPTANCE_CONFIG["checks"]
+        if c["name"].startswith(name_prefix)]})
 
 
 def _run(entry: dict, budget_s: float) -> verify.IdentityReport:

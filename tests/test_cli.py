@@ -315,6 +315,37 @@ class TestUsageErrors:
         assert code == 2
         assert out == "" and err.startswith("error:") and reason in err
 
+    @pytest.mark.parametrize("entry,key", [
+        ({"kind": "half_alpha_residual", "xs": [-1.0], "threshold": 1e-7},
+         "xs"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": [-1.0],
+          "threshold": 1e-5}, "lambdas"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": [1e-310],
+          "threshold": 1e-5}, "lambdas"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5]], "s_values": [-3.0],
+          "threshold": 1e-10}, "s_values"),
+        ({"kind": "lemma1_inequality", "triples": [[0.4, 1.5, 0.9]],
+          "floor": -1e-10}, "triples"),
+    ], ids=["negative-x", "negative-lambda", "tiny-lambda", "s-below-domain",
+            "b-above-1"])
+    def test_acceptance_case_outside_domain(self, capsys, tmp_path,
+                                            monkeypatch, entry, key):
+        # these raised DomainError or HypothesisError, naming neither the
+        # check nor the key, once check 04 before them had run
+        ran = []
+        for kind, check in list(verify.CHECK_KINDS.items()):
+            monkeypatch.setitem(verify.CHECK_KINDS, kind,
+                                lambda params, check=check:
+                                    ran.append(params["name"])
+                                    or check(params))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [
+            {"name": "t", "kind": "tail_sign"}, {"name": "bad", **entry}]}))
+        code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and ran == []
+        assert err.startswith(f"error: check 'bad': {key} must ")
+
     @pytest.mark.parametrize("config,reason", [
         ([1, 2], "a list of checks"),
         ({"checks": [1]}, "a check must be an object"),

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from stable_msu import verify
-from stable_msu.density import survival_series
+from stable_msu.density import laplace_check, survival_series
 from stable_msu.errors import DomainError, PreconditionError
 from stable_msu.factorizations import (_BLOCK, _log_stable, lemma2_product,
                                        sample_stable)
@@ -1151,6 +1151,67 @@ class TestRunAcceptance:
                 {"name": "bad", **entry}]})
         assert ran == []
 
+    @pytest.mark.parametrize("entry,match", [
+        ({"kind": "half_alpha_residual", "xs": [1.0, -1.0],
+          "threshold": 1e-7}, "xs must be a list of finite numbers, each "
+         "above 0, got \\[1.0, -1.0\\]"),
+        ({"kind": "half_alpha_residual", "xs": [0.0], "threshold": 1e-7},
+         "xs must be"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": [-1.0],
+          "threshold": 1e-5}, "lambdas must be a list of finite numbers, "
+         "each 0 or above about 5.6e-307, got \\[-1.0\\]"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": [0.0, 1e-310],
+          "threshold": 1e-5}, "lambdas must be"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5]], "s_values": [-3.0],
+          "threshold": 1e-10}, "s_values must lie in \\(-0.2, inf\\) for "
+         "pair \\[2, 5\\], got -3.0"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5]], "s_values": [-0.2],
+          "threshold": 1e-10}, "s_values must lie in \\(-0.2, inf\\)"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5], [4, 9]],
+          "s_values": [1.0, -0.15], "threshold": 1e-10},
+         "s_values must lie in \\(-0.1111111111111111, inf\\) for pair "
+         "\\[4, 9\\], got -0.15"),
+        ({"kind": "lemma1_inequality", "triples": [[0.4, 1.5, 0.9]],
+          "floor": -1e-10}, "triples must be a list of triples \\[a, b, c\\] "
+         "of finite numbers with 0 < b <= 1 and a \\+ b >= c"),
+        ({"kind": "lemma1_inequality", "triples": [[0.4, 0.6, 1.1]],
+          "floor": -1e-10}, "triples must be"),
+        ({"kind": "lemma1_inequality", "triples": [[0.4, 0.0, 0.3]],
+          "floor": -1e-10}, "triples must be"),
+        ({"kind": "half_alpha_residual", "xs": [1, 2.0, 1.0],
+          "threshold": 1e-7}, "repeated cases \\[1.0\\]"),
+        ({"kind": "bb_crosscheck", "alphas": [0.3, 0.5, 0.3],
+          "threshold": 1e-5}, "repeated cases \\[0.3\\]"),
+    ], ids=["negative-x", "zero-x", "negative-lambda", "tiny-lambda",
+            "s-below-domain", "s-at-bound", "s-below-second-pair",
+            "b-above-1", "c-above-a-plus-b", "b-zero", "repeated-x",
+            "repeated-bb-alpha"])
+    def test_bad_case_raises_before_any_check(self, monkeypatch, entry,
+                                              match):
+        # the first ten raised DomainError or HypothesisError from their
+        # check, naming neither the check nor the key, after every check
+        # before them had run; a repeated x or alpha was checked twice
+        ran = self._stub_checks(monkeypatch)
+        with pytest.raises(ValueError, match=f"^check 'bad': {match}"):
+            run_acceptance({"checks": [
+                {"name": "t", "kind": "tail_sign", "alpha_step": 0.2},
+                {"name": "bad", **entry}]})
+        assert ran == []
+
+    def test_lambda_rule_is_laplace_checks_own(self):
+        # the rule takes a lambda exactly where laplace_check does
+        ok = verify.CHECK_PARAMS["laplace"]["lambdas"][0].ok
+        smallest = 100.0 / sys.float_info.max
+        for lam in (0.0, -0.0, 1.0, 1e-300, smallest, math.nextafter(
+                smallest, 1.0), math.nextafter(smallest, 0.0), 1e-310,
+                5e-324, -1e-3, -1.0):
+            try:
+                laplace_check(0.5, lam)
+                takes = True
+            except DomainError:
+                takes = False
+            assert ok([lam]) == takes, lam
+
     def test_smallest_monte_carlo_entries_validate(self, monkeypatch):
         ran = self._stub_checks(monkeypatch)
         run_acceptance({"checks": [
@@ -1196,6 +1257,32 @@ class TestCheckParams:
     def test_table_covers_the_check_kinds(self):
         assert set(verify.CHECK_PARAMS) == set(CHECK_KINDS) == set(
             self.SMALLEST)
+
+    def test_every_case_list_has_its_rules(self):
+        # a list-valued key that no group holds would let an entry pass
+        # with nothing checked, and a group that forms no case keys
+        # would let it check one case twice
+        for kind, spec in verify._KINDS.items():
+            grouped = {key for keys in spec.groups for key in keys}
+            lists = {key for key, (_, default) in spec.params.items()
+                     if isinstance(default, tuple)}
+            assert lists == grouped, kind
+            assert all(map(callable, spec.groups.values())), kind
+        entries = verify._entries({"checks": [
+            {"name": kind, "kind": kind, **entry}
+            for kind, entry in self.SMALLEST.items()]})
+        for entry in entries:
+            for keys, cases in verify._KINDS[entry["kind"]].groups.items():
+                assert len(cases(entry)) == sum(map(len, (
+                    entry[key] for key in keys))), (entry["name"], keys)
+
+    def test_filled_entries_hold_every_key(self):
+        entries = verify._entries({"checks": [
+            {"name": kind, "kind": kind, **entry}
+            for kind, entry in self.SMALLEST.items()]})
+        for entry in entries:
+            assert set(entry) == set(verify.CHECK_PARAMS[entry["kind"]]) \
+                | {"name", "kind"}
 
     def test_every_default_passes_its_rule(self):
         for kind, params in verify.CHECK_PARAMS.items():
