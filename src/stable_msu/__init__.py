@@ -24,8 +24,7 @@ from .msu import (BbExpansion, MsuReport, NO_VIOLATION, VIOLATION,
 from .specfun import bessel_k, log_gamma, psi_chf, whittaker_w_stable
 from .verify import (DEFAULT_ACCEPTANCE_CONFIG, IdentityReport, KsResult,
                      StableCdf, build_cdf, check_diff_identity,
-                     check_factorization_mc, check_laplace,
-                     check_mellin_factorization, check_sampler_ks,
+                     check_factorization_mc, check_sampler_ks,
                      ks_one_sample, ks_two_sample, run_acceptance, ualpha_cdf)
 
 __version__ = "0.1.0"
@@ -39,7 +38,7 @@ __all__ = [
     "UnreliableScanError", "UnsupportedAlphaError", "VIOLATION",
     "bb_expansion", "bb_log_density", "bessel_k",
     "build_cdf", "check_diff_identity", "check_factorization_mc",
-    "check_laplace", "check_mellin_factorization", "check_sampler_ks",
+    "check_sampler_ks",
     "density_closed", "density_jet", "density_jet_grid", "density_series",
     "density_series_grid", "kanter_b", "ks_one_sample", "ks_two_sample",
     "laplace_check", "lce_residual", "lemma1_g", "lemma1_inequality",

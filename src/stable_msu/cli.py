@@ -2,8 +2,10 @@
 
 Each subcommand writes exactly one documented format to stdout (CSV or
 JSON, floats at full round-trip precision); diagnostics go to stderr.
-Exit codes: 0 success, 1 check failure, 2 usage error.  Stochastic
-subcommands default to a fixed seed (42) unless --entropy is passed.
+Exit codes: 0 success, 1 check failure, 2 usage error.  ``sample``
+defaults to a fixed seed (42) unless --entropy is passed; every check,
+of any kind, runs through ``acceptance --config``, whose checks carry
+their own seeds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -30,10 +31,6 @@ def _alpha_from_string(text: str) -> dens.Alpha:
         p, n = text.split("/", 1)
         return dens.Alpha.from_fraction(int(p), int(n))
     return dens.as_alpha(float(text))
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _fmt(x) -> str:
@@ -107,30 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0 / 6.0, help="psi parameter a")
     p.add_argument("--c", type=float, default=4.0 / 3.0, help="psi parameter c")
 
-    p = sub.add_parser("verify-factorization",
-                       help="JSON Mellin discrepancies of the Beta/Gamma "
-                            "product against Gamma(ns+1)/Gamma(ps+1)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s-grid", type=_float_list, default=[0.1, 0.5, 1.0, 2.0, 5.0])
-    p.add_argument("--threshold", type=float, default=1e-10)
-
-    p = sub.add_parser("check-laplace",
-                       help="JSON Laplace-transform discrepancy report")
-    p.add_argument("--alpha", required=True, type=_alpha_from_string)
-    p.add_argument("--lambdas", type=_float_list, default=[0.0, 0.5, 1.0, 2.0])
-    p.add_argument("--threshold", type=float, default=1e-5)
-
-    p = sub.add_parser("check-identities",
-                       help="JSON log-difference identity report (KS at 1%%)")
-    p.add_argument("--alpha", required=True, type=_alpha_from_string)
-    p.add_argument("--count", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
     p = sub.add_parser("acceptance",
-                       help="run the acceptance suite; JSON summary")
-    p.add_argument("--config", default=None,
-                   help="JSON config path (default: built-in suite)")
+                       help="run the acceptance suite, or any checks of "
+                            "any kind; JSON summary")
+    p.add_argument("--config", default=verify.DEFAULT_ACCEPTANCE_CONFIG,
+                   help="JSON config: a file path, or JSON text when it "
+                        "starts with '{' (default: built-in suite)")
 
     return parser
 
@@ -199,32 +178,8 @@ def _cmd_special(args) -> int:
     return 0
 
 
-def _cmd_verify_factorization(args) -> int:
-    rep = verify.check_mellin_factorization(args.p, args.n, args.s_grid,
-                                            threshold=args.threshold)
-    _emit_json(rep.to_dict())
-    return 0 if rep.passed else 1
-
-
-def _cmd_check_laplace(args) -> int:
-    rep = verify.check_laplace(args.alpha, args.lambdas,
-                               threshold=args.threshold)
-    _emit_json(rep.to_dict())
-    return 0 if rep.passed else 1
-
-
-def _cmd_check_identities(args) -> int:
-    rep = verify.check_diff_identity(args.alpha, args.count, args.seed)
-    _emit_json(rep.to_dict())
-    return 0 if rep.passed else 1
-
-
 def _cmd_acceptance(args) -> int:
-    if args.config is None:
-        config = verify.DEFAULT_ACCEPTANCE_CONFIG
-    else:
-        config = Path(args.config)
-    summary = verify.run_acceptance(config)
+    summary = verify.run_acceptance(args.config)
     _emit_json(summary)
     return 0 if summary["all_pass"] else 1
 
@@ -234,9 +189,6 @@ _COMMANDS = {
     "scan-msu": _cmd_scan_msu,
     "sample": _cmd_sample,
     "special": _cmd_special,
-    "verify-factorization": _cmd_verify_factorization,
-    "check-laplace": _cmd_check_laplace,
-    "check-identities": _cmd_check_identities,
     "acceptance": _cmd_acceptance,
 }
 

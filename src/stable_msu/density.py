@@ -98,8 +98,9 @@ class Alpha:
 
     @classmethod
     def from_fraction(cls, p: int, n: int) -> "Alpha":
-        if n == 0:
-            raise DomainError(f"alpha = {p}/{n} has a zero denominator")
+        if not 0 < p < n:
+            # checked before p / n is formed, which overflows for a large p
+            raise DomainError(f"alpha = {p}/{n} needs integers 0 < p < n")
         g = math.gcd(p, n)
         p, n = p // g, n // g
         return cls(p / n, (p, n))

@@ -26,7 +26,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -354,29 +354,6 @@ def ualpha_cdf(alpha):
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _distinct(keys: list, who: str, what: str) -> None:
-    """Raise PreconditionError unless ``keys`` holds a key, and none twice."""
-    if not keys:
-        raise PreconditionError(f"{who} needs at least one {what}")
-    repeated = sorted({key for key in keys if keys.count(key) > 1})
-    if repeated:
-        raise PreconditionError(f"{who}: repeated cases {repeated}")
-
-
-def check_laplace(alpha, lambdas, threshold: float = 1e-5) -> IdentityReport:
-    """Max Laplace-transform discrepancy over the given lambdas: an
-    empty list (nothing checked) or a repeated lambda is rejected."""
-    alpha = as_alpha(alpha)
-    lambdas = list(lambdas)
-    _distinct([float(lam) for lam in lambdas], "check_laplace", "lambda")
-    per = {str(lam): dens.laplace_check(alpha, float(lam)) for lam in lambdas}
-    worst = max(per.values())
-    return IdentityReport(
-        name=f"laplace-alpha-{alpha.value:g}",
-        discrepancy=worst, threshold=threshold, passed=worst < threshold,
-        details={"per_lambda": per})
-
-
 def _ks_report(name: str, ks: KsResult, seed: int) -> IdentityReport:
     return IdentityReport(name, ks.statistic, ks.critical_1pct, ks.passed,
                           {"ks": ks.to_dict(), "seed": seed})
@@ -422,31 +399,6 @@ def check_sampler_ks(alpha, n_samples: int, seed: int) -> IdentityReport:
     return _ks_report(f"sampler-ks-alpha-{alpha.value:g}", ks, seed)
 
 
-def check_mellin_factorization(p: int, n: int, s_values,
-                               threshold: float = 1e-10) -> IdentityReport:
-    """Relative discrepancy of the product Mellin transform against
-    Gamma(ns+1)/Gamma(ps+1); an empty list of s (nothing checked) or a
-    repeated s is rejected."""
-    s_values = list(s_values)
-    _distinct([float(s) for s in s_values], "check_mellin_factorization",
-              "s")
-    fl = fact.lemma2_product(p, n)
-    profile = fact.mellin_product(fl)
-    per = {}
-    worst = 0.0
-    for s in s_values:
-        lhs = profile(float(s))
-        rhs = math.exp(math.lgamma(n * float(s) + 1.0)
-                       - math.lgamma(p * float(s) + 1.0))
-        rel = abs(lhs / rhs - 1.0)
-        per[str(s)] = rel
-        worst = max(worst, rel)
-    return IdentityReport(
-        name=f"mellin-factorization-{p}-{n}",
-        discrepancy=worst, threshold=threshold, passed=worst < threshold,
-        details={"per_s": per})
-
-
 # ---------------------------------------------------------------------------
 # acceptance checks (one function per criterion kind)
 # ---------------------------------------------------------------------------
@@ -455,10 +407,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a number, not a bool, that converts to a
+    finite double (a JSON integer may be too large for one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _alpha_number(spec) -> Alpha:
     """An alpha given as a number."""
-    if isinstance(spec, bool) or not isinstance(spec, numbers.Real):
-        raise DomainError(f"alpha must be a number, got {spec!r}")
+    if not _is_real(spec):
+        raise DomainError(f"alpha must be a finite number, got {spec!r}")
     return as_alpha(float(spec))
 
 
@@ -508,9 +471,13 @@ def _check_closed_form(params: dict) -> IdentityReport:
 
 
 def _check_laplace(params: dict) -> IdentityReport:
-    rep = check_laplace(_parse_alpha(params["alpha"]), params["lambdas"],
-                        threshold=float(params["threshold"]))
-    return replace(rep, name=params["name"])
+    alpha = _parse_alpha(params["alpha"])
+    tol = float(params["threshold"])
+    per = {str(float(lam)): dens.laplace_check(alpha, float(lam))
+           for lam in params["lambdas"]}
+    worst = max(per.values())
+    return IdentityReport(params["name"], worst, tol, worst < tol,
+                          details={"per_lambda": per})
 
 
 def _dichotomy_cases(params: dict) -> list:
@@ -577,11 +544,22 @@ def _mellin_cases(params: dict) -> list:
     return [(f"{p}/{n}", int(p), int(n)) for p, n in params["pairs"]]
 
 
+def _mellin_gap(profile: fact.MellinProfile, p: int, n: int,
+                s: float) -> float:
+    """|M(s) / (Gamma(ns+1)/Gamma(ps+1)) - 1| for the Mellin transform
+    ``profile`` of lemma2_product(p, n); raises DomainError where M(s)
+    overflows a double, and OverflowError where the ratio of gammas does."""
+    return abs(profile(s) / math.exp(math.lgamma(n * s + 1.0)
+                                     - math.lgamma(p * s + 1.0)) - 1.0)
+
+
 def _check_lemma2_mellin(params: dict) -> IdentityReport:
     tol = float(params["threshold"])
-    details = {case: check_mellin_factorization(
-        p, n, params["s_values"], threshold=tol).discrepancy
-        for case, p, n in _mellin_cases(params)}
+    details = {}
+    for case, p, n in _mellin_cases(params):
+        profile = fact.mellin_product(fact.lemma2_product(p, n))
+        details[case] = max(_mellin_gap(profile, p, n, float(s))
+                            for s in params["s_values"])
     worst = max(details.values())
     return IdentityReport(params["name"], worst, tol, worst < tol,
                           details=details)
@@ -741,11 +719,6 @@ def _check_bb_crosscheck(params: dict) -> IdentityReport:
                           details={"alphas": list(params["alphas"])})
 
 
-def _is_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 class _Rule(NamedTuple):
     """What a config value must be: ``what`` says it, in error messages
     and in the README; ``ok`` tests a value (the alpha parsers raise
@@ -790,23 +763,33 @@ _TRIPLES = _Rule("a list of triples [a, b, c] of finite numbers with "
 _ALPHA = _Rule("a number in (0, 1) or a fraction [p, n] with n > 0",
                _parse_alpha)
 _ALPHAS = _Rule("a list of numbers in (0, 1)", _items(_alpha_number))
-_PAIRS = _Rule("a list of pairs [p, n] of two integers with p >= 2 and "
-               "n > 2p", _items(lambda pair: _items(_is_integer)(pair)
-                               and len(pair) == 2 and pair[0] >= 2
-                               and pair[1] > 2 * pair[0]))
+# lemma2_product(p, n) holds n - 1 factors and the scale n^n / p^p, which
+# overflows a double from n = 144 (at p = 2)
+_PAIRS = _Rule("a list of pairs [p, n] of two integers with p >= 2, "
+               "n > 2p and n <= 100",
+               _items(lambda pair: _items(_is_integer)(pair)
+                      and len(pair) == 2 and pair[0] >= 2
+                      and 2 * pair[0] < pair[1] <= 100))
 
 _REQUIRED = object()  # the default of a key that an entry must give
 
 
 def _mellin_domain(entry: dict) -> Optional[str]:
     """The first s of a lemma2_mellin entry outside its pair's Mellin
-    domain, as an error; None if there is none."""
+    domain, or where the pair's moment or its ratio of gammas overflows
+    a double, as an error; None if there is none."""
     for p, n in entry["pairs"]:
-        lo, hi = fact.mellin_product(fact.lemma2_product(p, n)).valid_s
+        profile = fact.mellin_product(fact.lemma2_product(p, n))
+        lo, hi = profile.valid_s
         for s in entry["s_values"]:
             if not lo < s < hi:
                 return (f"s_values must lie in ({lo!r}, {hi!r}) for pair "
                         f"{[p, n]}, got {s!r}")
+            try:
+                _mellin_gap(profile, p, n, float(s))
+            except (DomainError, OverflowError):
+                return (f"s_values must keep the moment of pair {[p, n]} "
+                        f"a finite double, got {s!r}")
     return None
 
 
@@ -921,7 +904,13 @@ def _entries(config) -> list:
             raise ValueError(f"check {name!r}: missing keys "
                              f"{sorted(missing)} for kind {kind!r}")
         for key, (rule, _) in spec.params.items():
-            if key in entry and not rule.ok(entry[key]):
+            if key not in entry:
+                continue
+            try:
+                ok = rule.ok(entry[key])
+            except DomainError as exc:
+                raise DomainError(f"check {name!r}: {key}: {exc}") from None
+            if not ok:
                 raise ValueError(f"check {name!r}: {key} must be "
                                  f"{rule.what}, got {entry[key]!r}")
         entry = {**{key: default for key, (_, default) in spec.params.items()
@@ -936,8 +925,10 @@ def _entries(config) -> list:
             if not any(entry[key] for key in keys):
                 raise ValueError(f"check {name!r}: no cases in "
                                  f"{' or '.join(keys)}")
-            _distinct([case[0] for case in cases(entry)], f"check {name!r}",
-                      "case")
+            keyed = [case[0] for case in cases(entry)]
+            repeated = sorted({key for key in keyed if keyed.count(key) > 1})
+            if repeated:
+                raise ValueError(f"check {name!r}: repeated cases {repeated}")
         filled.append(entry)
     return filled
 

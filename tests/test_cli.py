@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import test_verify
 from stable_msu import verify
 from stable_msu.cli import _COMMANDS, main
 
@@ -13,6 +15,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_checks(capsys, *entries):
+    """Run ``entries`` as checks through ``acceptance --config`` with the
+    config as inline JSON text."""
+    return run_cli(capsys, "acceptance", "--config",
+                   json.dumps({"checks": list(entries)}))
 
 
 class TestDensityCommand:
@@ -124,37 +133,57 @@ class TestSpecialCommand:
 
 
 class TestCheckCommands:
+    """Every check kind runs through ``acceptance --config``, from a file
+    or from inline JSON text."""
+
     def test_verify_factorization(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-factorization", "--p", "2",
-                               "--n", "5", "--s-grid", "0.5,1,2")
+        code, out, _ = run_checks(capsys, {
+            "name": "m", "kind": "lemma2_mellin", "pairs": [[2, 5]],
+            "s_values": [0.5, 1, 2], "threshold": 1e-10})
         assert code == 0
-        payload = json.loads(out)
-        assert payload["pass"] is True
-        assert payload["discrepancy"] < 1e-10
+        (report,) = json.loads(out)["checks"]
+        assert report["pass"] is True
+        assert report["discrepancy"] < 1e-10
 
     def test_verify_factorization_empty_s_grid(self, capsys):
         # it used to print a passing report with nothing checked, exit 0
-        code, out, err = run_cli(capsys, "verify-factorization", "--p", "2",
-                                 "--n", "5", "--s-grid", ",")
+        code, out, err = run_checks(capsys, {
+            "name": "m", "kind": "lemma2_mellin", "pairs": [[2, 5]],
+            "s_values": [], "threshold": 1e-10})
         assert code == 2
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith("error: check 'm': no cases")
 
     def test_verify_factorization_failure_exit(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-factorization", "--p", "2",
-                               "--n", "5", "--threshold", "1e-30")
+        code, out, _ = run_checks(capsys, {
+            "name": "m", "kind": "lemma2_mellin", "pairs": [[2, 5]],
+            "s_values": [0.1, 0.5, 1, 2, 5], "threshold": 1e-30})
         assert code == 1
+        assert json.loads(out)["all_pass"] is False
 
     def test_check_laplace(self, capsys):
-        code, out, _ = run_cli(capsys, "check-laplace", "--alpha", "0.5",
-                               "--lambdas", "0,1")
+        code, out, _ = run_checks(capsys, {
+            "name": "l", "kind": "laplace", "alpha": 0.5, "lambdas": [0, 1],
+            "threshold": 1e-5})
         assert code == 0
-        assert json.loads(out)["pass"] is True
+        assert json.loads(out)["checks"][0]["pass"] is True
 
     def test_check_identities(self, capsys):
-        code, out, _ = run_cli(capsys, "check-identities", "--alpha", "0.5",
-                               "--count", "50000", "--seed", "9")
+        code, out, _ = run_checks(capsys, {
+            "name": "d", "kind": "diff_identity", "alphas": [0.5],
+            "n_samples": 50_000, "seed": 9})
         assert code == 0
-        assert json.loads(out)["pass"] is True
+        assert json.loads(out)["checks"][0]["pass"] is True
+
+    def test_every_kind_runs_from_inline_json(self, capsys):
+        smallest = test_verify.TestCheckParams.SMALLEST
+        code, out, err = run_checks(capsys, *(
+            {"name": kind, "kind": kind, **entry}
+            for kind, entry in smallest.items()))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["all_pass"] is True
+        assert sorted(c["name"] for c in payload["checks"]) == sorted(
+            smallest)
 
     def test_acceptance_with_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -189,12 +218,12 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "density", "--alpha", "1.5")
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["density", "scan-msu", "sample",
-                                         "check-laplace", "check-identities"])
-    @pytest.mark.parametrize("alpha", ["1/0", "0/0"])
+    @pytest.mark.parametrize("command", ["density", "scan-msu", "sample"])
+    @pytest.mark.parametrize("alpha", ["1/0", "0/0", "1" + "0" * 400 + "/3"],
+                             ids=["1/0", "0/0", "1e400/3"])
     def test_zero_denominator_alpha(self, capsys, command, alpha):
-        # Alpha.from_fraction raised ZeroDivisionError: a traceback with
-        # exit code 1
+        # Alpha.from_fraction raised ZeroDivisionError, and for 1e400/3
+        # OverflowError: a traceback with exit code 1
         code, out, err = run_cli(capsys, command, "--alpha", alpha)
         assert code == 2
         assert out == "" and "--alpha" in err
@@ -211,6 +240,15 @@ class TestUsageErrors:
         if text is not None:
             cfg.write_text(text)
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["{not json", ' {"checks": [}',
+                                      "[1, 2]"])
+    def test_acceptance_inline_config_not_json(self, capsys, text):
+        # text that starts with "{" is parsed as JSON; other text is a
+        # path, and none is found
+        code, out, err = run_cli(capsys, "acceptance", "--config", text)
         assert code == 2
         assert out == "" and err.startswith("error:")
 
@@ -283,6 +321,8 @@ class TestUsageErrors:
           "threshold": 1e-5}, "check 'bad': repeated cases [0.5]"),
         ({"kind": "lemma2_mellin", "pairs": [[2, 5]], "s_values": [1, 1.0],
           "threshold": 1e-10}, "check 'bad': repeated cases [1.0]"),
+        ({"kind": "closed_form", "alpha": [10 ** 400, 3], "threshold": 1e-8},
+         "check 'bad': alpha: alpha = 1" + "0" * 400 + "/3 needs integers"),
     ], ids=["zero-denominator", "alphas-not-a-list", "three-integers",
             "float-numerator", "float-pair", "list-n-samples",
             "float-n-samples", "step-1", "step-1e-9", "step-5e-5",
@@ -290,7 +330,7 @@ class TestUsageErrors:
             "closed-form-zero-reference", "half-residual-zero-reference",
             "half-residual-nan", "bb-zero-reference",
             "half-residual-unreliable", "repeated-pair", "repeated-triple",
-            "repeated-lambda", "repeated-s"])
+            "repeated-lambda", "repeated-s", "huge-fraction"])
     def test_acceptance_malformed_spec(self, capsys, tmp_path, entry,
                                        reason):
         # zero-denominator, alphas-not-a-list and list-n-samples ended in
@@ -308,7 +348,8 @@ class TestUsageErrors:
         # passed with discrepancy 0.  At x = 0.01 check 05 failed on a
         # residual that the series flags unreliable.  A repeated pair or
         # triple ran twice under one details key and passed; a repeated
-        # lambda or s was reported once
+        # lambda or s was reported once.  The fraction [10**400, 3] ended
+        # in an OverflowError traceback, as p / n was formed first
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": [{"name": "bad", **entry}]}))
         code, out, err = run_cli(capsys, "acceptance", "--config", str(cfg))
@@ -326,12 +367,24 @@ class TestUsageErrors:
           "threshold": 1e-10}, "s_values"),
         ({"kind": "lemma1_inequality", "triples": [[0.4, 1.5, 0.9]],
           "floor": -1e-10}, "triples"),
+        ({"kind": "lemma2_mellin", "pairs": [[2, 5]], "s_values": [1000.0],
+          "threshold": 1e-10}, "s_values"),
+        ({"kind": "laplace", "alpha": 0.5, "lambdas": [10 ** 400],
+          "threshold": 1e-5}, "lambdas"),
+        ({"kind": "closed_form", "alpha": [1, 2], "threshold": 10 ** 400},
+         "threshold"),
+        ({"kind": "sampler_fidelity", "pairs": [[2, 200]]}, "pairs"),
     ], ids=["negative-x", "negative-lambda", "tiny-lambda", "s-below-domain",
-            "b-above-1"])
+            "b-above-1", "s-moment-overflow", "huge-lambda", "huge-threshold",
+            "pair-scale-overflow"])
     def test_acceptance_case_outside_domain(self, capsys, tmp_path,
                                             monkeypatch, entry, key):
         # these raised DomainError or HypothesisError, naming neither the
-        # check nor the key, once check 04 before them had run
+        # check nor the key, once check 04 before them had run.  At s =
+        # 1000 the moment of (2, 5) overflows, which was found only as
+        # the check ran; the integer 10**400, too large for a double, and
+        # n = 200, whose scale n^n / p^p is, ended in an OverflowError
+        # traceback with exit code 1
         ran = []
         for kind, check in list(verify.CHECK_KINDS.items()):
             monkeypatch.setitem(verify.CHECK_KINDS, kind,
@@ -379,22 +432,25 @@ class TestUsageErrors:
         assert out == "" and "threshold" in err
 
 
-    @pytest.mark.parametrize("lambdas", ["nan", "inf", "0,1,nan", "",
-                                         "0.5,0.5", "1,1.0,2"])
+    @pytest.mark.parametrize("lambdas", [
+        [math.nan], [math.inf], [0, 1, math.nan], [], [0.5, 0.5], [1, 1.0, 2],
+    ], ids=["nan", "inf", "0,1,nan", "", "0.5,0.5", "1,1.0,2"])
     def test_check_laplace_bad_lambdas(self, capsys, lambdas):
         # nan used to end in a traceback, inf to print "discrepancy": NaN,
         # an empty list to pass with nothing checked and a repeated lambda
-        # to report one case for two
-        code, out, err = run_cli(capsys, "check-laplace", "--alpha", "0.5",
-                                 "--lambdas", lambdas)
+        # to report one case for two (JSON text spells them NaN, Infinity)
+        code, out, err = run_checks(capsys, {
+            "name": "l", "kind": "laplace", "alpha": 0.5, "lambdas": lambdas,
+            "threshold": 1e-5})
         assert code == 2
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith("error: check 'l': ")
 
     @pytest.mark.parametrize("argv,message", [
         (("special", "--function", "bessel-k", "--x-min", "nan"), "x > 0"),
         (("scan-msu", "--alpha", "0.5", "--x-max", "inf"), "x_hi < inf"),
-        (("check-laplace", "--alpha", "0.5", "--lambdas", "1e-310"),
-         "too small"),
+        (("acceptance", "--config", '{"checks": [{"name": "l", "kind": '
+          '"laplace", "alpha": 0.5, "lambdas": [1e-310], '
+          '"threshold": 1e-5}]}'), "check 'l': lambdas must be"),
     ], ids=["bessel-nan", "scan-inf", "laplace-tiny"])
     def test_out_of_domain_argument(self, capsys, argv, message):
         # the first two used to exit 0; the last failed only in JSON
@@ -406,11 +462,14 @@ class TestUsageErrors:
         # a report that holds a NaN is not valid JSON: nothing is printed
         report = verify.IdentityReport(name="nan", discrepancy=math.nan,
                                        threshold=1.0, passed=False)
-        monkeypatch.setattr(verify, "check_laplace",
-                            lambda *args, **kwargs: report)
-        code, out, err = run_cli(capsys, "check-laplace", "--alpha", "0.5")
+        monkeypatch.setitem(verify.CHECK_KINDS, "laplace",
+                            lambda params: report)
+        code, out, err = run_checks(capsys, {
+            "name": "l", "kind": "laplace", "alpha": 0.5, "lambdas": [1.0],
+            "threshold": 1e-5})
         assert code == 2
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith(
+            "error: check 'l': discrepancy is nan")
 
 
 class TestHelp:
@@ -425,3 +484,15 @@ class TestHelp:
         code, out, _ = run_cli(capsys, name, "--help")
         assert code == 0
         assert out.startswith("usage:")
+
+
+class TestReadme:
+    def test_command_block_names_every_subcommand(self):
+        # the README's command-line block shows exactly the subcommands
+        # there are, as its config table shows exactly CHECK_PARAMS
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Command line\n")[1]
+        block = section.split("```sh\n")[1].split("```")[0]
+        named = {line.split()[1] for line in block.splitlines()
+                 if line.startswith("stable-msu ")}
+        assert named == set(_COMMANDS)

@@ -17,7 +17,6 @@ from stable_msu.density import (Alpha, EvalResult, SeriesConfig, as_alpha,
                                 survival_series, survival_series_grid,
                                 tail_coefficient)
 from stable_msu.errors import DomainError, UnsupportedAlphaError
-from stable_msu.verify import check_laplace
 from test_specfun import spy_de_halfline
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
@@ -698,8 +697,8 @@ class TestLaplaceLeftPiece:
 
         monkeypatch.setattr(density_mod, "survival_series_grid", counting)
         for a in (0.3, 0.7):
-            check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0])
-            check_laplace(a, [1.0])
+            for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 1.0):
+                laplace_check(a, lam)
         assert calls == [Alpha(0.3), Alpha(0.7)]
         assert fresh_records.cache_info().currsize == 2
         rec = fresh_records(Alpha(0.3))
@@ -728,7 +727,8 @@ class TestLaplaceDecades:
     def test_warm_decades_leave_the_last_piece(self, monkeypatch,
                                                fresh_records, a):
         sizes = _count_density_grid_points(monkeypatch)
-        check_laplace(a, [0.0, 0.5, 1.0, 2.0, 4.0])
+        for lam in (0.0, 0.5, 1.0, 2.0, 4.0):
+            laplace_check(a, lam)
         # one grid call over every piece of the lambda = 0 ladder; each
         # lambda > 0 here has its cutoff inside the ladder and takes whole
         # pieces of it, last piece included, with no grid call
@@ -736,7 +736,8 @@ class TestLaplaceDecades:
         assert rec.nodes.size == 64 * len(rec.ends) > 0
         assert sizes == [rec.nodes.size]
         sizes.clear()
-        check_laplace(a, [0.5, 1.0, 2.0, 4.0])
+        for lam in (0.5, 1.0, 2.0, 4.0):
+            laplace_check(a, lam)
         assert sizes == []
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])

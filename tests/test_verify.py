@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from stable_msu import verify
@@ -20,7 +21,6 @@ from stable_msu.verify import (_CUTS, _PIECE, CHECK_KINDS,
                                DEFAULT_ACCEPTANCE_CONFIG, IdentityReport,
                                _ks_one, _ks_two, build_cdf,
                                check_diff_identity, check_factorization_mc,
-                               check_laplace, check_mellin_factorization,
                                check_sampler_ks, ks_one_sample, ks_two_sample,
                                run_acceptance, ualpha_cdf)
 
@@ -591,26 +591,40 @@ class TestUalphaCdf:
 
 
 class TestChecks:
+    @staticmethod
+    def _report(entry: dict) -> dict:
+        """The report of one check entry, run as run_acceptance runs it."""
+        (report,) = run_acceptance({"checks": [{"name": "e", **entry}]})[
+            "checks"]
+        return report
+
     def test_laplace_check_passes(self):
-        rep = check_laplace(0.5, [0.0, 1.0], threshold=1e-5)
-        assert rep.passed
-        assert rep.discrepancy < 1e-6
+        rep = self._report({"kind": "laplace", "alpha": 0.5,
+                            "lambdas": [0.0, 1.0], "threshold": 1e-5})
+        assert rep["pass"]
+        assert rep["discrepancy"] < 1e-6
+        assert list(rep["details"]["per_lambda"]) == ["0.0", "1.0"]
 
     def test_laplace_check_respects_threshold(self):
-        rep = check_laplace(0.5, [1.0], threshold=1e-16)
-        assert not rep.passed
+        rep = self._report({"kind": "laplace", "alpha": 0.5,
+                            "lambdas": [1.0], "threshold": 1e-16})
+        assert not rep["pass"]
 
     def test_laplace_check_needs_a_lambda(self):
-        # an empty list would pass with nothing checked
-        with pytest.raises(PreconditionError):
-            check_laplace(0.5, [])
+        # an empty list would pass with nothing checked; the error names
+        # the check and the key
+        with pytest.raises(ValueError, match="^check 'e': no cases in "
+                           "lambdas$"):
+            self._report({"kind": "laplace", "alpha": 0.5, "lambdas": [],
+                          "threshold": 1e-5})
 
     @pytest.mark.parametrize("lambdas", [[0.5, 0.5, 1.0], [1, 1.0]])
     def test_laplace_check_rejects_a_repeated_lambda(self, lambdas):
         # per_lambda kept one entry for [0.5, 0.5, 1], so 2 of 3 cases
         # were reported; 1 and 1.0 are one lambda under two keys
-        with pytest.raises(PreconditionError, match="repeated cases"):
-            check_laplace(0.5, lambdas)
+        with pytest.raises(ValueError, match="^check 'e': repeated cases"):
+            self._report({"kind": "laplace", "alpha": 0.5,
+                          "lambdas": lambdas, "threshold": 1e-5})
 
     def test_diff_identity(self):
         rep = check_diff_identity(0.5, 100_000, seed=3)
@@ -657,19 +671,24 @@ class TestChecks:
         assert rep.passed
 
     def test_mellin_factorization(self):
-        rep = check_mellin_factorization(2, 5, [0.1, 0.5, 1.0, 2.0, 5.0])
-        assert rep.passed
-        assert rep.discrepancy < 1e-12
+        rep = self._report({"kind": "lemma2_mellin", "pairs": [[2, 5]],
+                            "s_values": [0.1, 0.5, 1.0, 2.0, 5.0],
+                            "threshold": 1e-10})
+        assert rep["pass"]
+        assert rep["discrepancy"] < 1e-12
 
     def test_mellin_factorization_needs_an_s(self):
         # it used to pass with nothing checked
-        with pytest.raises(PreconditionError):
-            check_mellin_factorization(2, 5, [])
+        with pytest.raises(ValueError, match="^check 'e': no cases in "
+                           "s_values$"):
+            self._report({"kind": "lemma2_mellin", "pairs": [[2, 5]],
+                          "s_values": [], "threshold": 1e-10})
 
     @pytest.mark.parametrize("s_values", [[0.5, 2.0, 0.5], [2, 2.0]])
     def test_mellin_factorization_rejects_a_repeated_s(self, s_values):
-        with pytest.raises(PreconditionError, match="repeated cases"):
-            check_mellin_factorization(2, 5, s_values)
+        with pytest.raises(ValueError, match="^check 'e': repeated cases"):
+            self._report({"kind": "lemma2_mellin", "pairs": [[2, 5]],
+                          "s_values": s_values, "threshold": 1e-10})
 
 
 class TestInPlaceBuffers:
@@ -1315,3 +1334,40 @@ class TestCheckParams:
                          else json.dumps(default), rule.what)
                    for key, (rule, default) in params.items()}
             for kind, params in verify.CHECK_PARAMS.items()}
+
+
+# what json.loads can give a key: it reads NaN and Infinity too, and an
+# integer of any size
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024])
+                | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10)
+
+
+class TestConfigContract:
+    """The config contract as a property (Claessen & Hughes, "QuickCheck",
+    ICFP 2000): whatever JSON value one key of an entry holds, the others
+    as in ``TestCheckParams.SMALLEST``, ``_entries`` returns, or raises a
+    ValueError (DomainError among them) that names the check."""
+
+    KEYS = [(kind, key) for kind, params in verify.CHECK_PARAMS.items()
+            for key in params]
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.sampled_from(KEYS), _JSON_VALUES)
+    @example(("closed_form", "threshold"), 10 ** 400)
+    @example(("laplace", "lambdas"), [10 ** 400])
+    @example(("laplace", "alpha"), [10 ** 400, 3])
+    @example(("lemma2_mellin", "pairs"), [[2, 200]])
+    @example(("lemma2_mellin", "s_values"), [1000.0])
+    def test_entries_return_or_name_the_check(self, kind_key, value):
+        kind, key = kind_key
+        entry = {"name": "p", "kind": kind,
+                 **TestCheckParams.SMALLEST[kind], key: value}
+        try:
+            verify._entries({"checks": [entry]})
+        except ValueError as exc:
+            assert str(exc).startswith("check 'p': "), exc
